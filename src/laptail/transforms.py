@@ -3,6 +3,15 @@
 Empirical transforms of nonnegative samples, closed-form transforms of a few
 analytic models used as oracles and simulators, and the sample file format.
 All transforms are evaluated on the closed right half-plane Re(s) >= 0 only.
+
+On a contour grid s_k = c + i k h the empirical transform is a type-1
+non-uniform DFT, (1/n) sum_j a_j e^{-i k theta_j} with a_j = e^{-c x_j} and
+theta_j = h x_j mod 2 pi. ``empirical_transform_grid`` evaluates it with a
+Gaussian-gridding NUFFT (Greengard & Lee, SIAM Review 46(3), 2004; Dutt &
+Rokhlin, SIAM J. Sci. Comput. 14, 1993) in O(n W + K log K) for K grid
+points and a kernel spread over W grid cells, instead of O(n K) products.
+Its error against direct evaluation is about 1e-12 absolute at most
+(measured near 1e-14) and does not grow with K.
 """
 from __future__ import annotations
 
@@ -16,8 +25,19 @@ from scipy import special
 from .errors import ParameterError, SampleFileError
 
 # Largest number of scalar exponential evaluations done in one vectorized
-# block when evaluating a transform over a grid directly.
+# block when evaluating a transform at many points directly.
 _DIRECT_BLOCK = 1 << 22
+
+# Gaussian-gridding NUFFT: each sample is spread over 2 * _SPREAD_HALF_WIDTH
+# cells of a grid at least _OVERSAMPLE times finer than the modes, with the
+# kernel width of Greengard & Lee. At half-width 16 the kernel truncation and
+# aliasing errors sit below rounding (max error 3e-15 on 16 001 points, n =
+# 2000); half-width 12 gave 7e-13 and 8 gave 4e-9 on the same case.
+_SPREAD_HALF_WIDTH = 16
+_OVERSAMPLE = 2
+_SPREAD_OFFSETS = np.arange(1 - _SPREAD_HALF_WIDTH, _SPREAD_HALF_WIDTH + 1)
+# Samples spread per block; a block's arrays stay near 128 KiB each.
+_SPREAD_BLOCK = 512
 
 
 def _require_right_half_plane(s: complex | np.ndarray) -> np.ndarray:
@@ -135,9 +155,13 @@ class ContourGrid:
 
     @property
     def spacing(self) -> float:
-        """Uniform step, validated to relative 1e-9."""
+        """Uniform step t_max / (points per half), validated to relative 1e-9.
+
+        Taken from the end point rather than a difference of neighbours,
+        which carries the rounding of t_max and is off by ~1e-12 relative.
+        """
         d = np.diff(self.ys)
-        h = float(d[0])
+        h = self.t_max / self.center_index
         if np.max(np.abs(d - h)) > 1e-9 * h:
             raise ParameterError("grid spacing is not uniform")
         return h
@@ -330,31 +354,91 @@ def empirical_evaluator(samples: SampleSet):
     return evaluate
 
 
-def empirical_transform_grid(samples: SampleSet, grid: ContourGrid,
-                             method: str = "recurrence") -> TransformValues:
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: numpy's FFT is fastest on such lengths."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:
+        part = odd
+        while part < best:
+            best = min(best, part << (-(-n // part) - 1).bit_length())
+            part *= 3
+        odd *= 5
+    return best
+
+
+def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndarray:
+    """sum_j a_j e^{-i k h x_j} for k = 0 .. n_modes-1, by NUFFT.
+
+    The modes are shifted by k0 = n_modes // 2 (each weight carries the
+    factor e^{-i k0 theta_j}), so the shifted modes k - k0 lie in
+    [-n_modes/2, n_modes/2] and the deconvolution factor e^{(k-k0)^2 tau}
+    stays below e^{pi * half_width / 12}, about 66.
+    """
+    k0 = n_modes // 2
+    size = _fft_length(_OVERSAMPLE * n_modes)
+    # Greengard & Lee's tau = pi half_width / (M^2 R (R - 1/2)) with
+    # M = n_modes and R = size / M; alpha is the kernel exponent in units of
+    # grid cells squared.
+    tau = 2.0 * math.pi * _SPREAD_HALF_WIDTH / (size * (2.0 * size - n_modes))
+    alpha = math.pi * (2.0 * size - n_modes) / (2.0 * size * _SPREAD_HALF_WIDTH)
+    # Cell e of the padded grid is cell e - half_width + 1 of the periodic
+    # one, so spreading needs no wrap-around inside the loop; the shift of
+    # half_width - 1 cells is undone below by a phase factor on the modes.
+    length = size + 2 * _SPREAD_HALF_WIDTH
+    spread = np.zeros(length, dtype=complex)
+    cells = _SPREAD_OFFSETS + (_SPREAD_HALF_WIDTH - 1)
+    for start in range(0, x.size, _SPREAD_BLOCK):
+        theta = np.mod(h * x[start:start + _SPREAD_BLOCK], 2.0 * math.pi)
+        weight = a[start:start + _SPREAD_BLOCK] * np.exp(-1j * (k0 * theta))
+        u = theta * (size / (2.0 * math.pi))
+        base = np.floor(u)
+        kernel = (u - base)[:, None] - _SPREAD_OFFSETS
+        kernel *= kernel
+        kernel *= -alpha
+        np.exp(kernel, out=kernel)
+        index = (base.astype(np.intp)[:, None] + cells).ravel()
+        spread.real += np.bincount(index, (kernel * weight.real[:, None]).ravel(),
+                                   length)
+        spread.imag += np.bincount(index, (kernel * weight.imag[:, None]).ravel(),
+                                   length)
+    folded = np.zeros(size, dtype=complex)
+    for start in range(0, length, size):
+        part = spread[start:start + size]
+        folded[:part.size] += part
+    del spread  # before the FFT allocates, to keep peak memory down
+    shifted = np.arange(-k0, n_modes - k0)
+    out = np.fft.fft(folded)[shifted]
+    out *= np.exp(shifted * shifted * tau
+                  + 2j * math.pi * (_SPREAD_HALF_WIDTH - 1) / size * shifted)
+    out *= math.sqrt(math.pi / tau) / size
+    return out
+
+
+def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> TransformValues:
     """Empirical transform on a full contour grid.
 
-    The default path evaluates the upper half-grid with the one-step phase
-    recurrence exp(-(c+i(y+h))x) = exp(-(c+iy)x) * exp(-ihx) per sample and
-    mirrors to y < 0 by conjugation, so conjugate symmetry holds exactly.
-    ``method="direct"`` evaluates every point independently; both paths
-    agree to 1e-10 relative.
+    The upper half-grid y_k = k h is a type-1 non-uniform DFT of the nonzero
+    samples, evaluated by Gaussian-gridding NUFFT (see the module docstring);
+    exact zeros (``x == 0.0``, whatever ``zero_tol`` says) add their
+    fraction to every point, and the anchor y = 0 is the real mean of
+    e^{-c x}. The lower half is mirrored by conjugation, so conjugate
+    symmetry and a real anchor hold exactly. Against direct evaluation
+    (``empirical_transform_eval`` on ``grid.points``) the error is about
+    1e-12 absolute at most, independent of the grid size; the phase
+    recurrence used before grew its error with the number of points (2e-11
+    at 64 001 points).
     """
-    if method == "direct":
-        return TransformValues(grid, empirical_transform_eval(samples, grid.points))
-    if method != "recurrence":
-        raise ParameterError(f"unknown evaluation method {method!r}")
-    h = grid.spacing
     x = samples.values
     mid = grid.center_index
-    upper_n = grid.n_points - mid
-    cur = np.exp(-grid.c * x).astype(complex)
-    step = np.exp(-1j * h * x)
-    upper = np.empty(upper_n, dtype=complex)
-    upper[0] = cur.mean()
-    for k in range(1, upper_n):
-        cur *= step
-        upper[k] = cur.mean()
+    a = np.exp(-grid.c * x)
+    # zeros are added exactly below; samples whose weight underflows add
+    # nothing and could overflow h * x
+    gridded = (x != 0.0) & (a > 0.0)
+    upper = _phase_sums(x[gridded], a[gridded], grid.spacing, grid.n_points - mid)
+    upper /= x.size
+    upper += np.count_nonzero(x == 0.0) / x.size
+    upper[0] = a.mean()
     values = np.concatenate([np.conj(upper[:0:-1]), upper])
     return TransformValues(grid, values)
 

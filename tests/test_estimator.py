@@ -15,8 +15,13 @@ from laptail.estimator import (EstimatorConfig, censored_increments,
 from laptail.simulation import (mm1_percentile, mm1_stationary_cdf,
                                 replication_rng, sample_compound_poisson,
                                 workload_on_grid)
-from laptail.transform_maps import Mg1Workload, PoissonDecompound
-from laptail.transforms import Exponential, SampleSet
+from laptail.inversion import bromwich_details, build_grid
+from laptail.logtrack import track_log
+from laptail.transform_maps import (Mg1Workload, PoissonDecompound,
+                                    map_plateau, mg1_workload_values)
+from laptail.transforms import (Exponential, SampleSet, TransformValues,
+                                empirical_evaluator, empirical_transform_eval,
+                                empirical_transform_grid)
 
 W_90 = mm1_percentile(10.0, 20.0, 0.9)
 
@@ -167,6 +172,27 @@ def test_clipping_records_raw_value():
             assert unclipped.value == pytest.approx(res.raw_value)
             return
     pytest.fail("no clipped replication found")
+
+
+def test_grid_transform_matches_direct_at_estimate_level():
+    # n = 2000 M/M/1 slot totals, T = 100, w at the 99.9th percentile: the
+    # mg1 estimate from NUFFT grid values and from directly evaluated values
+    # must agree far inside the statistical error
+    ss = simulated_totals(3, 2000)
+    w = mm1_percentile(10.0, 20.0, 0.999)
+    grid = build_grid(1.0, 100.0, w)
+    mg1 = Mg1Workload(0.1)
+
+    def estimate(values):
+        log_path = track_log(empirical_evaluator(ss), grid, values=values)
+        psi = mg1_workload_values(log_path, ss.mean, mg1.delta)
+        return bromwich_details(TransformValues(grid, psi), w,
+                                plateau=map_plateau(mg1, ss)).value
+
+    via_grid = estimate(empirical_transform_grid(ss, grid).values)
+    via_direct = estimate(empirical_transform_eval(ss, grid.points))
+    assert 0.9 < via_direct < 1.1
+    assert abs(via_grid - via_direct) <= 1e-9
 
 
 # --- comparison estimators -----------------------------------------------------

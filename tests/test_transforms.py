@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from laptail.errors import ParameterError, SampleFileError
 from laptail.inversion import build_grid
+from laptail.simulation import BinomialCounts, sample_compound
 from laptail.transforms import (CompoundPoisson, ContourGrid, Deterministic,
                                 Exponential, Gamma, SampleSet,
                                 analytic_transform_eval,
@@ -112,14 +113,58 @@ def test_empirical_real_axis_monotone(values, s1, gap):
     assert hi <= lo + 1e-12
 
 
+def grid_and_direct(ss: SampleSet, grid: ContourGrid):
+    """NUFFT grid values and the direct oracle on the same points."""
+    return (empirical_transform_grid(ss, grid).values,
+            empirical_transform_eval(ss, grid.points))
+
+
 def test_grid_evaluation_matches_direct():
-    """Recurrence path agrees with direct evaluation to 1e-10 relative."""
+    """NUFFT grid agrees with direct evaluation to 1e-10 relative."""
     rng = np.random.default_rng(10)
     ss = SampleSet(rng.exponential(0.05, 500))
-    grid = grid_for(t_max=30.0)
-    rec = empirical_transform_grid(ss, grid).values
-    direct = empirical_transform_grid(ss, grid, method="direct").values
-    assert np.max(np.abs(rec - direct) / np.abs(direct)) <= 1e-10
+    got, direct = grid_and_direct(ss, grid_for(t_max=30.0))
+    assert np.max(np.abs(got - direct) / np.abs(direct)) <= 1e-10
+
+
+def test_grid_evaluation_long_contour_with_zero_atom():
+    rng = np.random.default_rng(15)
+    x = rng.exponential(0.05, 2000)
+    x[rng.random(x.size) < 0.3] = 0.0
+    grid = build_grid(1.0, 400.0, 1.0)
+    assert grid.n_points == 16001
+    got, direct = grid_and_direct(SampleSet(x), grid)
+    assert np.max(np.abs(got - direct) / np.abs(direct)) <= 1e-10
+
+
+def test_grid_evaluation_near_zero_transform():
+    # compound binomial (M = 4, p = 0.75) totals of Gamma(20, 0.05) jumps:
+    # the transform nearly vanishes on the contour, so relative error means
+    # nothing there and the band is absolute
+    rng = np.random.default_rng(16)
+    ss = sample_compound(rng, BinomialCounts(4, 0.75), Gamma(20.0, 0.05), 2000)
+    got, direct = grid_and_direct(ss, build_grid(1.0, math.sqrt(2000), 1.5))
+    assert np.min(np.abs(direct)) < 1e-3
+    assert np.max(np.abs(got - direct)) <= 1e-12
+
+
+# values as in the robustness fuzz (up to 1e12, down to 1e-9) plus exact
+# zeros and a moderate range that keeps the weights e^{-c x} visible
+extreme_arrays = arrays(np.float64, st.integers(1, 30), elements=st.one_of(
+    st.just(0.0), st.floats(0.0, 1e-9), st.floats(0.0, 30.0),
+    st.floats(0.0, 1e12)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(extreme_arrays, st.floats(0.5, 100.0), st.floats(0.05, 5.0))
+def test_grid_evaluation_extreme_values(values, t_max, w):
+    ss = SampleSet(values)
+    grid = build_grid(1.0, t_max, w)
+    got, direct = grid_and_direct(ss, grid)
+    assert np.max(np.abs(got)) <= 1.0 + 1e-12
+    assert got[grid.center_index].imag == 0.0
+    assert np.array_equal(got, np.conj(got[::-1]))
+    assert np.max(np.abs(got - direct)) <= 1e-12
 
 
 def test_grid_evaluation_examples():
@@ -150,6 +195,15 @@ def test_grid_validation():
         ContourGrid(c=1.0, t_max=5.0, ys=np.linspace(-5.0, 5.0, 10))
     with pytest.raises(ParameterError):
         ContourGrid(c=1.0, t_max=4.0, ys=ys)
+
+
+def test_grid_spacing_reproduces_the_points():
+    # the NUFFT places point k at k * spacing; a neighbour difference would
+    # carry the rounding of t_max and drift by ~4e-10 over 8000 steps
+    grid = build_grid(1.0, 400.0, 1.0)
+    mid = grid.center_index
+    k = np.arange(grid.n_points - mid)
+    assert np.max(np.abs(grid.ys[mid:] - k * grid.spacing)) <= 1e-12
 
 
 # --- analytic models -------------------------------------------------------
