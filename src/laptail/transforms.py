@@ -5,17 +5,21 @@ analytic models used as oracles and simulators, and the sample file format.
 All transforms are evaluated on the closed right half-plane Re(s) >= 0 only.
 
 On a contour grid s_k = c + i k h the empirical transform is a type-1
-non-uniform DFT, (1/n) sum_j a_j e^{-i k theta_j} with a_j = e^{-c x_j} and
-theta_j = h x_j mod 2 pi. ``empirical_transform_grid`` evaluates it with a
-Gaussian-gridding NUFFT (Greengard & Lee, SIAM Review 46(3), 2004; Dutt &
-Rokhlin, SIAM J. Sci. Comput. 14, 1993) in O(n W + K log K) for K grid
-points and a kernel spread over W grid cells, instead of O(n K) products.
-Its error against direct evaluation is about 1e-12 absolute at most
-(measured near 1e-14) and does not grow with K.
+non-uniform DFT, (1/n) sum_j a_j e^{-i k theta_j} with real weights
+a_j = e^{-c x_j} and theta_j = h x_j mod 2 pi. ``empirical_transform_grid``
+evaluates it with a Gaussian-gridding NUFFT (Greengard & Lee, SIAM Review
+46(3), 2004; Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1993) in
+O(n W + K log K) for K grid points and a kernel spread over W grid cells,
+instead of O(n K) products. The K modes k = 0 .. K-1 are taken as the upper
+half of a centred range of 2K modes, so the weights stay real: each sample
+is spread once with a real kernel and one real FFT gives every mode. The
+error against direct evaluation is about 1e-14 absolute at most and does
+not grow with K.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,11 +32,16 @@ from .errors import ParameterError, SampleFileError
 # block when evaluating a transform at many points directly.
 _DIRECT_BLOCK = 1 << 22
 
+# Below this exponent e^{-x} is still a normal double, so a direct term whose
+# Re(s) x stays below it is never flushed to 0 (that happens near 745).
+_EXP_NONZERO = 700.0
+
 # Gaussian-gridding NUFFT: each sample is spread over 2 * _SPREAD_HALF_WIDTH
-# cells of a grid at least _OVERSAMPLE times finer than the modes, with the
-# kernel width of Greengard & Lee. At half-width 16 the kernel truncation and
-# aliasing errors sit below rounding (max error 3e-15 on 16 001 points, n =
-# 2000); half-width 12 gave 7e-13 and 8 gave 4e-9 on the same case.
+# cells of a grid with at least _OVERSAMPLE cells per mode of the centred mode
+# range, with the kernel width of Greengard & Lee. At half-width 16 the kernel
+# truncation and aliasing errors sit below rounding (max error 1e-14 on
+# 16 001 points for 2000 exponential samples of mean 0.05); half-width 12 gave
+# 4e-13 and 8 gave 2e-9 on the same case.
 _SPREAD_HALF_WIDTH = 16
 _OVERSAMPLE = 2
 _SPREAD_OFFSETS = np.arange(1 - _SPREAD_HALF_WIDTH, _SPREAD_HALF_WIDTH + 1)
@@ -68,6 +77,8 @@ class SampleSet:
         Arithmetic mean of the values.
     zero_fraction : float
         Fraction of values counted as zero.
+    max_value : float
+        Largest value.
     """
 
     values: np.ndarray
@@ -90,6 +101,7 @@ class SampleSet:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "n", int(vals.size))
         object.__setattr__(self, "mean", float(vals.mean()))
+        object.__setattr__(self, "max_value", float(vals.max()))
         if self.zero_tol == 0.0:
             zeros = int(np.count_nonzero(vals == 0.0))
         else:
@@ -148,17 +160,20 @@ class ContourGrid:
         """Index of the point y = 0."""
         return self.ys.size // 2
 
-    @property
+    @functools.cached_property
     def points(self) -> np.ndarray:
-        """Complex grid points c + i*y."""
-        return self.c + 1j * self.ys
+        """Complex grid points c + i*y (read-only, computed once)."""
+        pts = self.c + 1j * self.ys
+        pts.flags.writeable = False
+        return pts
 
-    @property
+    @functools.cached_property
     def spacing(self) -> float:
         """Uniform step t_max / (points per half), validated to relative 1e-9.
 
         Taken from the end point rather than a difference of neighbours,
         which carries the rounding of t_max and is off by ~1e-12 relative.
+        Computed and validated once, on first access.
         """
         d = np.diff(self.ys)
         h = self.t_max / self.center_index
@@ -328,22 +343,41 @@ def analytic_transform_eval(model: AnalyticModel, s):
 # Empirical transforms
 # --------------------------------------------------------------------------
 
+def _exp_terms(s: np.ndarray, x: np.ndarray, largest: float) -> np.ndarray:
+    """e^{-s x} broadcast over s and x, given ``largest`` >= every Re(s) x.
+
+    A term whose factor e^{-Re(s) x} is 0 is exactly 0, although its phase
+    Im(s) x may overflow and would make e^{-s x} nan.
+    """
+    if largest <= _EXP_NONZERO:
+        return np.exp(-s * x)
+    s, x = np.broadcast_arrays(s, x)
+    with np.errstate(over="ignore"):
+        live = np.exp(-s.real * x) > 0.0
+    terms = np.zeros(s.shape, dtype=complex)
+    terms[live] = np.exp(-s[live] * x[live])
+    return terms
+
+
 def empirical_transform_eval(samples: SampleSet, s):
     """Empirical Laplace transform (1/n) sum_i exp(-s x_i).
 
     ``s`` may be a complex scalar or an array with Re(s) >= 0; the result has
-    modulus at most 1 and is conjugate-symmetric in s.
+    modulus at most 1 and is conjugate-symmetric in s. Samples whose factor
+    e^{-Re(s) x_i} underflows add exactly 0.
     """
     s = _require_right_half_plane(s)
     x = samples.values
     if s.ndim == 0:
-        return complex(np.mean(np.exp(-s * x)))
+        largest = float(s.real) * samples.max_value
+        return complex(np.mean(_exp_terms(s, x, largest)))
     flat = s.ravel()
+    largest = float(flat.real.max(initial=0.0)) * samples.max_value
     out = np.empty(flat.size, dtype=complex)
     rows = max(1, _DIRECT_BLOCK // max(x.size, 1))
     for start in range(0, flat.size, rows):
-        block = flat[start:start + rows]
-        out[start:start + rows] = np.exp(-block[:, None] * x[None, :]).mean(axis=1)
+        block = flat[start:start + rows, None]
+        out[start:start + rows] = _exp_terms(block, x, largest).mean(axis=1)
     return out.reshape(s.shape)
 
 
@@ -368,49 +402,46 @@ def _fft_length(n: int) -> int:
 
 
 def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndarray:
-    """sum_j a_j e^{-i k h x_j} for k = 0 .. n_modes-1, by NUFFT.
+    """sum_j a_j e^{-i k h x_j} for k = 0 .. n_modes-1, by NUFFT; a_j real.
 
-    The modes are shifted by k0 = n_modes // 2 (each weight carries the
-    factor e^{-i k0 theta_j}), so the shifted modes k - k0 lie in
-    [-n_modes/2, n_modes/2] and the deconvolution factor e^{(k-k0)^2 tau}
-    stays below e^{pi * half_width / 12}, about 66.
+    The modes are the upper half of the centred range [-n_modes, n_modes).
+    The weights a_j are spread with a Gaussian kernel onto a periodic grid
+    of at least 4 n_modes cells, one real FFT of that grid gives mode k at
+    index k, and multiplying by e^{k^2 tau} undoes the kernel. For
+    |k| < n_modes that factor stays below e^{pi half_width / 12}, about 66.
     """
-    k0 = n_modes // 2
-    size = _fft_length(_OVERSAMPLE * n_modes)
+    modes = 2 * n_modes
+    size = _fft_length(_OVERSAMPLE * modes)
     # Greengard & Lee's tau = pi half_width / (M^2 R (R - 1/2)) with
-    # M = n_modes and R = size / M; alpha is the kernel exponent in units of
+    # M = modes and R = size / M; alpha is the kernel exponent in units of
     # grid cells squared.
-    tau = 2.0 * math.pi * _SPREAD_HALF_WIDTH / (size * (2.0 * size - n_modes))
-    alpha = math.pi * (2.0 * size - n_modes) / (2.0 * size * _SPREAD_HALF_WIDTH)
+    tau = 2.0 * math.pi * _SPREAD_HALF_WIDTH / (size * (2.0 * size - modes))
+    alpha = math.pi * (2.0 * size - modes) / (2.0 * size * _SPREAD_HALF_WIDTH)
     # Cell e of the padded grid is cell e - half_width + 1 of the periodic
     # one, so spreading needs no wrap-around inside the loop; the shift of
     # half_width - 1 cells is undone below by a phase factor on the modes.
     length = size + 2 * _SPREAD_HALF_WIDTH
-    spread = np.zeros(length, dtype=complex)
+    spread = np.zeros(length)
     cells = _SPREAD_OFFSETS + (_SPREAD_HALF_WIDTH - 1)
     for start in range(0, x.size, _SPREAD_BLOCK):
-        theta = np.mod(h * x[start:start + _SPREAD_BLOCK], 2.0 * math.pi)
-        weight = a[start:start + _SPREAD_BLOCK] * np.exp(-1j * (k0 * theta))
-        u = theta * (size / (2.0 * math.pi))
+        u = np.mod(h * x[start:start + _SPREAD_BLOCK], 2.0 * math.pi)
+        u *= size / (2.0 * math.pi)
         base = np.floor(u)
         kernel = (u - base)[:, None] - _SPREAD_OFFSETS
         kernel *= kernel
         kernel *= -alpha
         np.exp(kernel, out=kernel)
+        kernel *= a[start:start + _SPREAD_BLOCK, None]
         index = (base.astype(np.intp)[:, None] + cells).ravel()
-        spread.real += np.bincount(index, (kernel * weight.real[:, None]).ravel(),
-                                   length)
-        spread.imag += np.bincount(index, (kernel * weight.imag[:, None]).ravel(),
-                                   length)
-    folded = np.zeros(size, dtype=complex)
-    for start in range(0, length, size):
+        spread += np.bincount(index, kernel.ravel(), length)
+    folded = spread[:size].copy()
+    for start in range(size, length, size):
         part = spread[start:start + size]
         folded[:part.size] += part
     del spread  # before the FFT allocates, to keep peak memory down
-    shifted = np.arange(-k0, n_modes - k0)
-    out = np.fft.fft(folded)[shifted]
-    out *= np.exp(shifted * shifted * tau
-                  + 2j * math.pi * (_SPREAD_HALF_WIDTH - 1) / size * shifted)
+    k = np.arange(n_modes)
+    out = np.fft.rfft(folded)[:n_modes]
+    out *= np.exp(k * k * tau + 2j * math.pi * (_SPREAD_HALF_WIDTH - 1) / size * k)
     out *= math.sqrt(math.pi / tau) / size
     return out
 
@@ -419,15 +450,16 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     """Empirical transform on a full contour grid.
 
     The upper half-grid y_k = k h is a type-1 non-uniform DFT of the nonzero
-    samples, evaluated by Gaussian-gridding NUFFT (see the module docstring);
-    exact zeros (``x == 0.0``, whatever ``zero_tol`` says) add their
-    fraction to every point, and the anchor y = 0 is the real mean of
-    e^{-c x}. The lower half is mirrored by conjugation, so conjugate
-    symmetry and a real anchor hold exactly. Against direct evaluation
-    (``empirical_transform_eval`` on ``grid.points``) the error is about
-    1e-12 absolute at most, independent of the grid size; the phase
-    recurrence used before grew its error with the number of points (2e-11
-    at 64 001 points).
+    samples with real weights e^{-c x}, evaluated by the real-weight NUFFT
+    of ``_phase_sums`` (see the module docstring); samples whose weight
+    underflows to 0 are left out. Exact zeros (``x == 0.0``, whatever
+    ``zero_tol`` says) add their fraction to every point, and the anchor
+    y = 0 is the real mean of e^{-c x}. The lower half is mirrored by
+    conjugation, so conjugate symmetry and a real anchor hold exactly.
+    Against direct evaluation (``empirical_transform_eval`` on
+    ``grid.points``) the error is about 1e-14 absolute at most, independent
+    of the grid size. It is largest at the top modes, where the
+    deconvolution factor is largest, and smallest near y = 0.
     """
     x = samples.values
     mid = grid.center_index

@@ -8,11 +8,24 @@ from laptail.errors import CapacityError, GridTooCoarse, ParameterError
 from laptail.inversion import (DEFAULT_QUAD, QuadratureSpec, bromwich_details,
                                bromwich_truncated, build_grid,
                                invert_cdf_known)
-from laptail.transforms import Exponential, Gamma, TransformValues
+from laptail.transforms import (Exponential, Gamma, SampleSet, TransformValues,
+                                empirical_transform_grid)
 
 
 def exp_psi(grid):
     return TransformValues(grid, 1.0 / (1.0 + grid.points))
+
+
+def full_grid_simpson(psi, w, plateau=0.0):
+    """Composite Simpson over the whole symmetric contour, divided by 2 pi."""
+    grid = psi.grid
+    integrand = np.exp(grid.points * w) * (psi.values - plateau) / grid.points
+    h = grid.spacing
+    n = grid.n_points - 1
+    weights = np.ones(n + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return (h / 3.0) * (integrand @ weights) / (2.0 * math.pi)
 
 
 # --- grid construction -------------------------------------------------------
@@ -133,16 +146,48 @@ def test_plateau_subtraction_shrinks_worst_case_error():
 def test_half_grid_equals_full_grid_simpson():
     grid = build_grid(1.0, 50.0, 1.0)
     psi = exp_psi(grid)
-    w = 1.0
-    integrand = np.exp(grid.points * w) * psi.values / grid.points
-    h = grid.spacing
-    n = grid.n_points - 1
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    full = (h / 3.0) * (integrand @ weights) / (2.0 * math.pi)
-    half = bromwich_truncated(psi, w)
+    full = full_grid_simpson(psi, 1.0)
+    half = bromwich_truncated(psi, 1.0)
     assert abs(half - full.real) <= 1e-12
+
+
+def test_value_is_the_upper_half_of_the_full_integrand():
+    # the value only ever needed the upper half of the integrand built on
+    # the whole contour; computing just that half must not move a bit
+    grid = build_grid(1.0, 50.0, 1.0)
+    mid = grid.center_index
+    rng = np.random.default_rng(21)
+    noise = 1e-3 * (rng.standard_normal(grid.n_points)
+                    + 1j * rng.standard_normal(grid.n_points))
+    for psi, plateau in ((exp_psi(grid), 0.0),
+                         (TransformValues(grid, exp_psi(grid).values + noise), 0.3)):
+        full = np.exp(grid.points * 1.0) * (psi.values - plateau) / grid.points
+        weights = np.ones(mid + 1)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        want = plateau + (grid.spacing / 3.0) * (full[mid:].real @ weights) / math.pi
+        assert bromwich_details(psi, 1.0, plateau=plateau).value == want
+
+
+def test_imag_residual_is_zero_on_a_mirrored_grid():
+    grid = build_grid(1.0, 50.0, 1.0)
+    rng = np.random.default_rng(22)
+    psi = empirical_transform_grid(SampleSet(rng.exponential(0.5, 300)), grid)
+    for plateau in (0.0, 0.25):
+        assert bromwich_details(psi, 1.0, plateau=plateau).imag_residual == 0.0
+
+
+def test_imag_residual_is_the_full_contour_imaginary_part():
+    grid = build_grid(1.0, 20.0, 1.0)
+    skew = TransformValues(grid, np.where(grid.ys >= 0, 1.0, 0.2).astype(complex))
+    rng = np.random.default_rng(23)
+    noise = 1e-3 * (rng.standard_normal(grid.n_points)
+                    + 1j * rng.standard_normal(grid.n_points))
+    noisy = TransformValues(grid, exp_psi(grid).values + noise)
+    for psi, plateau in ((skew, 0.0), (noisy, 0.0), (noisy, 0.3)):
+        want = abs(full_grid_simpson(psi, 1.0, plateau).imag)
+        got = bromwich_details(psi, 1.0, plateau=plateau).imag_residual
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_imag_residual_flags_asymmetric_input():

@@ -1,4 +1,5 @@
 """Empirical and analytic transform behavior, sample sets, sample files."""
+import cmath
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from laptail.errors import ParameterError, SampleFileError
-from laptail.inversion import build_grid
+from laptail.inversion import QuadratureSpec, build_grid
 from laptail.simulation import BinomialCounts, sample_compound
 from laptail.transforms import (CompoundPoisson, ContourGrid, Deterministic,
                                 Exponential, Gamma, SampleSet,
@@ -90,6 +91,19 @@ def test_empirical_eval_rejects_left_half_plane():
         empirical_transform_eval(SampleSet([1.0]), -0.1 + 1j)
 
 
+@pytest.mark.filterwarnings("error")
+def test_empirical_eval_skips_underflowed_terms():
+    # e^{-1e308} is exactly 0, but the phase 5e308 overflows and made the
+    # term nan; the sum must be the remaining term's share
+    ss = SampleSet([1e308, 1.0])
+    want = cmath.exp(-(1 + 5j)) / 2
+    scalar = empirical_transform_eval(ss, 1 + 5j)
+    array = empirical_transform_eval(ss, np.array([1 + 5j, 1 - 5j]))
+    for got in (scalar, array[0], array[1].conjugate()):
+        assert cmath.isfinite(got)
+        assert abs(got - want) <= 1e-15
+
+
 @given(sample_arrays, st.floats(0.0, 50.0), st.floats(-200.0, 200.0))
 def test_empirical_modulus_bound(values, re, im):
     ss = SampleSet(values)
@@ -135,6 +149,19 @@ def test_grid_evaluation_long_contour_with_zero_atom():
     assert grid.n_points == 16001
     got, direct = grid_and_direct(SampleSet(x), grid)
     assert np.max(np.abs(got - direct) / np.abs(direct)) <= 1e-10
+
+
+def test_grid_evaluation_widest_mode_range():
+    # 32 001 modes on the upper half at T = 400: the FFT, not the spreading,
+    # dominates, and the top modes carry the largest deconvolution factor
+    rng = np.random.default_rng(17)
+    ss = SampleSet(rng.exponential(0.05, 2000))
+    grid = build_grid(1.0, 400.0, 1.0, QuadratureSpec(max_step=0.0125))
+    assert grid.n_points == 64001
+    mid = grid.center_index
+    got = empirical_transform_grid(ss, grid).values[mid:]
+    direct = empirical_transform_eval(ss, grid.points[mid:])
+    assert np.max(np.abs(got - direct)) <= 1e-13
 
 
 def test_grid_evaluation_near_zero_transform():
