@@ -12,12 +12,10 @@ from .errors import (CapacityError, DomainError, DomainEventFailed,
                      EmptyResult, EstimationError, GridTooCoarse,
                      NearZeroTransform, ParameterError, SampleFileError)
 from .estimator import (EstimateResult, EstimatorConfig, censored_increments,
-                        delta_heuristic, empirical_workload_estimator,
-                        estimate_cdf, estimate_cdf_batch, estimate_tail,
-                        estimate_tail_batch)
+                        empirical_workload_estimator, estimate_cdf,
+                        estimate_cdf_batch)
 from .inversion import (DEFAULT_QUAD, InversionResult, QuadratureSpec,
-                        bromwich_details, bromwich_truncated, build_grid,
-                        invert_cdf_known)
+                        bromwich_details, build_grid, invert_cdf_known)
 from .logtrack import LogPath, log_near_one, track_log
 from .simulation import (BinomialCounts, NegBinomialCounts, PoissonCounts,
                          QueueSpec, mm1_percentile, mm1_stationary_cdf,
@@ -26,11 +24,10 @@ from .simulation import (BinomialCounts, NegBinomialCounts, PoissonCounts,
                          workload_on_grid)
 from .transform_maps import (BinomialDecompound, Mg1Workload,
                              NegBinomialDecompound, PoissonDecompound,
-                             apply_map, domain_check, map_plateau)
+                             apply_map, domain_check)
 from .transforms import (CompoundPoisson, ContourGrid, Deterministic,
                          Exponential, Gamma, SampleSet, TransformValues,
-                         analytic_transform_eval, empirical_transform_eval,
-                         empirical_transform_grid, load_samples, sample_mean,
-                         save_samples, zero_fraction)
+                         empirical_transform_eval, empirical_transform_grid,
+                         load_samples, save_samples)
 
 __version__ = "0.1.0"

@@ -1,41 +1,44 @@
 """Plug-in distribution estimators built from interval-total samples.
 
-estimate_cdf chains the pieces: empirical transform of the observations,
-branch-tracked log, transform map, truncated contour inversion. Its defining
-contract is that it never raises: any failure (domain event, log tracking,
-grid capacity, non-finite arithmetic) folds into a configured fallback value
-with diagnostics saying which path was taken. The comparison estimators used
-in the queueing study (direct empirical tail, censored increments) live here
-too.
+estimate_cdf_batch is the one estimator body. It checks the map's domain
+event, builds one contour grid sized for the largest w, maps the empirical
+transform through the branch-tracked log, and inverts the mapped values at
+every w. estimate_cdf is its one-point case; a tail probability is
+1 - value. The defining contract is that neither raises: any failure
+(domain event, log tracking, grid capacity, non-finite arithmetic) folds
+into a configured fallback value with diagnostics saying which path was
+taken. The comparison estimators used in the queueing study (direct
+empirical tail, censored increments) live here too.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (CapacityError, DomainError, DomainEventFailed, EmptyResult,
-                     GridTooCoarse, NearZeroTransform, ParameterError)
-from .inversion import DEFAULT_QUAD, QuadratureSpec, bromwich_details, build_grid
-from .transform_maps import TransformMap, apply_map, domain_check, map_plateau
+                     NearZeroTransform, ParameterError)
+from .inversion import InversionResult, bromwich_details, build_grid
+from .transform_maps import TransformMap, apply_map, domain_check
 from .transforms import SampleSet, TransformValues
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Settings for one evaluation point of the plug-in estimator.
+    """Settings of the plug-in estimator.
 
-    t_max_override replaces the default contour truncation sqrt(n); the
-    default tracks the sample size so that truncation error and sampling
-    error shrink together. fallback_value is returned whenever estimation
-    is impossible; clip projects the raw inversion output onto [0, 1].
+    w is the evaluation point of estimate_cdf; estimate_cdf_batch takes its
+    points separately and ignores it. t_max_override replaces the default
+    contour truncation sqrt(n); the default tracks the sample size so that
+    truncation error and sampling error shrink together. fallback_value is
+    returned whenever estimation is impossible; clip projects the raw
+    inversion output onto [0, 1].
     """
 
     w: float
     c: float = 1.0
     t_max_override: float | None = None
-    quad: QuadratureSpec = DEFAULT_QUAD
     fallback_value: float = 0.0
     clip: bool = True
 
@@ -75,17 +78,19 @@ class EstimateResult:
     fallback_reason: str | None = None
 
 
-def _fallback(config: EstimatorConfig, n: int, reason: str,
-              tail: bool = False) -> EstimateResult:
-    value = 1.0 - config.fallback_value if tail else config.fallback_value
-    return EstimateResult(value=value, raw_value=None, on_domain_event=False,
-                          clipped=False, imag_residual=0.0, imag_warning=False,
+def _fallback(config: EstimatorConfig, n: int, reason: str) -> EstimateResult:
+    return EstimateResult(value=config.fallback_value, raw_value=None,
+                          on_domain_event=False, clipped=False,
+                          imag_residual=0.0, imag_warning=False,
                           t_max_used=config.t_max_for(n), n=n,
                           fallback_reason=reason)
 
 
-def _finish(raw: float, config: EstimatorConfig, n: int, imag_residual: float,
-            imag_warning: bool) -> EstimateResult:
+def _finish(details: InversionResult, config: EstimatorConfig,
+            n: int) -> EstimateResult:
+    raw = details.value
+    if not math.isfinite(raw):
+        return _fallback(config, n, "nonfinite")
     if config.clip:
         value = min(1.0, max(0.0, raw))
     else:
@@ -93,110 +98,53 @@ def _finish(raw: float, config: EstimatorConfig, n: int, imag_residual: float,
     clipped = value != raw
     return EstimateResult(value=value, raw_value=raw if clipped else value,
                           on_domain_event=True, clipped=clipped,
-                          imag_residual=imag_residual, imag_warning=imag_warning,
+                          imag_residual=details.imag_residual,
+                          imag_warning=details.imag_warning,
                           t_max_used=config.t_max_for(n), n=n)
 
 
 def estimate_cdf(samples: SampleSet, transform_map: TransformMap,
                  config: EstimatorConfig) -> EstimateResult:
-    """Estimate F(w) of the mapped hidden law from observed interval totals.
-
-    Never raises on statistical or numerical failure; see EstimateResult.
-    Programming errors (wrong types) still surface normally.
-    """
-    n = samples.n
-    try:
-        domain_check(transform_map, samples)
-    except DomainEventFailed:
-        return _fallback(config, n, "domain_event")
-    t_max = config.t_max_for(n)
-    try:
-        grid = build_grid(config.c, t_max, config.w, config.quad)
-    except CapacityError:
-        return _fallback(config, n, "capacity")
-    # nonfinite intermediates are legal here: they fold into the fallback,
-    # so floating warnings are noise
-    with np.errstate(all="ignore"):
-        try:
-            psi = apply_map(transform_map, samples, grid)
-        except (NearZeroTransform, DomainError):
-            return _fallback(config, n, "log_tracking")
-        plateau = map_plateau(transform_map, samples)
-        try:
-            details = bromwich_details(TransformValues(grid, psi), config.w,
-                                       config.quad, plateau=plateau)
-        except GridTooCoarse:
-            return _fallback(config, n, "capacity")
-    if not math.isfinite(details.value):
-        return _fallback(config, n, "nonfinite")
-    return _finish(details.value, config, n, details.imag_residual,
-                   details.imag_warning)
-
-
-def estimate_tail(samples: SampleSet, transform_map: TransformMap,
-                  config: EstimatorConfig) -> EstimateResult:
-    """Estimate P(Y > w) = 1 - F(w); fallback becomes 1 - fallback_value."""
-    cdf = estimate_cdf(samples, transform_map, config)
-    raw = None if cdf.raw_value is None else 1.0 - cdf.raw_value
-    return replace(cdf, value=1.0 - cdf.value, raw_value=raw)
+    """Estimate F(config.w) of the mapped hidden law: estimate_cdf_batch at
+    the single point config.w."""
+    return estimate_cdf_batch(samples, transform_map, [config.w], config)[0]
 
 
 def estimate_cdf_batch(samples: SampleSet, transform_map: TransformMap,
                        ws: list[float],
                        base_config: EstimatorConfig) -> list[EstimateResult]:
-    """estimate_cdf at several w sharing one transform evaluation.
+    """Estimate F(w) of the mapped hidden law at each w in ``ws``.
 
-    The grid is sized for the largest w (the tightest step bound), built
-    once, and each w reuses the mapped transform values; results are
-    identical to per-w calls up to the shared-step quadrature, at a fraction
-    of the cost. Results come back in the order of ``ws``.
+    One grid is sized for the largest w (the tightest step bound) and
+    built once, and every w inverts the same mapped transform values. The
+    step bound does not increase with w, so the grid is fine enough for
+    every smaller w. Results come back in the order of ``ws``; the w of
+    ``base_config`` is not used.
+
+    Never raises on statistical or numerical failure; see EstimateResult.
+    Programming errors (wrong types) still surface normally.
     """
     if not ws:
         return []
     if any(not (w > 0 and math.isfinite(w)) for w in ws):
         raise ParameterError("all evaluation points must be positive")
     n = samples.n
-    configs = [replace(base_config, w=w) for w in ws]
-    try:
-        domain_check(transform_map, samples)
-    except DomainEventFailed:
-        return [_fallback(cfg, n, "domain_event") for cfg in configs]
-    t_max = base_config.t_max_for(n)
-    try:
-        grid = build_grid(base_config.c, t_max, max(ws), base_config.quad)
-    except CapacityError:
-        return [_fallback(cfg, n, "capacity") for cfg in configs]
+    # nonfinite intermediates are legal here: they fold into the fallback,
+    # so floating warnings are noise
     with np.errstate(all="ignore"):
         try:
-            psi = apply_map(transform_map, samples, grid)
+            domain_check(transform_map, samples)
+            grid = build_grid(base_config.c, base_config.t_max_for(n), max(ws))
+            psi = TransformValues(grid, apply_map(transform_map, samples, grid))
+        except DomainEventFailed:
+            return [_fallback(base_config, n, "domain_event") for _ in ws]
+        except CapacityError:
+            return [_fallback(base_config, n, "capacity") for _ in ws]
         except (NearZeroTransform, DomainError):
-            return [_fallback(cfg, n, "log_tracking") for cfg in configs]
-        plateau = map_plateau(transform_map, samples)
-        values = TransformValues(grid, psi)
-        out = []
-        for cfg in configs:
-            try:
-                details = bromwich_details(values, cfg.w, cfg.quad, plateau=plateau)
-            except GridTooCoarse:
-                out.append(_fallback(cfg, n, "capacity"))
-                continue
-            if not math.isfinite(details.value):
-                out.append(_fallback(cfg, n, "nonfinite"))
-                continue
-            out.append(_finish(details.value, cfg, n, details.imag_residual,
-                               details.imag_warning))
-    return out
-
-
-def estimate_tail_batch(samples: SampleSet, transform_map: TransformMap,
-                        ws: list[float],
-                        base_config: EstimatorConfig) -> list[EstimateResult]:
-    """Tail version of estimate_cdf_batch."""
-    out = []
-    for cdf in estimate_cdf_batch(samples, transform_map, ws, base_config):
-        raw = None if cdf.raw_value is None else 1.0 - cdf.raw_value
-        out.append(replace(cdf, value=1.0 - cdf.value, raw_value=raw))
-    return out
+            return [_fallback(base_config, n, "log_tracking") for _ in ws]
+        plateau = transform_map.plateau(samples)
+        inverted = [bromwich_details(psi, w, plateau=plateau) for w in ws]
+    return [_finish(details, base_config, n) for details in inverted]
 
 
 # --------------------------------------------------------------------------
@@ -231,9 +179,3 @@ def censored_increments(workload_samples: SampleSet, delta: float) -> SampleSet:
     q = y[1:][keep] - (prev[keep] - delta)
     return SampleSet(np.maximum(q, 0.0))
 
-
-def delta_heuristic(alpha_u: float, beta_u: float) -> float:
-    """Sampling interval minimizing alpha*sqrt(d) + beta/sqrt(d) over d."""
-    if not (alpha_u > 0 and beta_u > 0):
-        raise ParameterError("both rate constants must be positive")
-    return beta_u / alpha_u

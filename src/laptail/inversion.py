@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapacityError, GridTooCoarse, ParameterError
-from .transforms import AnalyticModel, ContourGrid, TransformValues, analytic_transform_eval
+from .transforms import AnalyticModel, ContourGrid, TransformValues
 
 # Hard cap on grid size so a huge w or T cannot silently allocate gigabytes.
 _DEFAULT_POINT_BUDGET = 10**7
@@ -32,7 +32,7 @@ _STEP_SLACK = 1.0 + 1e-12
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature rule and step-size policy for the contour integral.
+    """Step-size policy for the composite-Simpson contour integral.
 
     The step is min(max_step, phase_bound / max(w, 1)): the second term
     keeps the sampled phase increment w*h of e^{iyw} below phase_bound so
@@ -40,13 +40,10 @@ class QuadratureSpec:
     accurate in the non-oscillatory factor.
     """
 
-    rule: str = "composite_simpson"
     max_step: float = 0.05
     phase_bound: float = math.pi / 8
 
     def __post_init__(self):
-        if self.rule != "composite_simpson":
-            raise ParameterError(f"unknown quadrature rule {self.rule!r}")
         if not self.max_step > 0:
             raise ParameterError("max_step must be positive")
         if not 0 < self.phase_bound <= math.pi / 4:
@@ -156,13 +153,6 @@ def bromwich_details(psi: TransformValues, w: float,
                            imag_warning=imag_residual > 1e-6 * scale)
 
 
-def bromwich_truncated(psi: TransformValues, w: float,
-                       quad: QuadratureSpec = DEFAULT_QUAD,
-                       plateau: float = 0.0) -> float:
-    """Value-only variant of bromwich_details."""
-    return bromwich_details(psi, w, quad, plateau).value
-
-
 def invert_cdf_known(transform: AnalyticModel | Callable, w: float,
                      c: float = 1.0, t_max: float = 200.0,
                      quad: QuadratureSpec = DEFAULT_QUAD,
@@ -173,8 +163,6 @@ def invert_cdf_known(transform: AnalyticModel | Callable, w: float,
     accepting complex arrays.
     """
     grid = build_grid(c, t_max, w, quad)
-    if callable(transform):
-        values = np.asarray(transform(grid.points), dtype=complex)
-    else:
-        values = analytic_transform_eval(transform, grid.points)
-    return bromwich_truncated(TransformValues(grid, values), w, quad, plateau)
+    evaluate = transform if callable(transform) else transform.transform
+    values = TransformValues(grid, evaluate(grid.points))
+    return bromwich_details(values, w, quad, plateau).value

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import EmptyResult, ParameterError
 from .estimator import (EstimatorConfig, empirical_workload_estimator,
-                        censored_increments, estimate_cdf, estimate_cdf_batch,
-                        estimate_tail_batch)
+                        censored_increments, estimate_cdf, estimate_cdf_batch)
 from .simulation import (CountModel, mm1_percentile, mm1_stationary_cdf,
                          replication_rng, sample_compound,
                          sample_compound_poisson, workload_on_grid)
@@ -77,21 +76,19 @@ def _table2_replication(args) -> list[list[float]]:
     rng = replication_rng(seed, rep, stream)
     totals = sample_compound_poisson(rng, lam * delta, Exponential(mu), n)
     config = EstimatorConfig(w=ws[0], c=c, t_max_override=t_max)
-    lap = estimate_tail_batch(totals, Mg1Workload(delta), ws, config)
+    mg1 = Mg1Workload(delta)
+    lap = [1.0 - r.value for r in estimate_cdf_batch(totals, mg1, ws, config)]
     readings = workload_on_grid(totals, delta)
     emp = [empirical_workload_estimator(readings, w) for w in ws]
     try:
         recovered = censored_increments(readings, delta)
-        cen = estimate_tail_batch(recovered, Mg1Workload(delta), ws, config)
-        cen_vals = [r.value for r in cen]
     except EmptyResult:
-        cen_vals = [1.0 - config.fallback_value for _ in ws]
-    out = []
-    for j, truth in enumerate(truths):
-        out.append([abs(lap[j].value - truth) / truth,
-                    abs(emp[j] - truth) / truth,
-                    abs(cen_vals[j] - truth) / truth])
-    return out
+        cen = [1.0 - config.fallback_value for _ in ws]
+    else:
+        cen = [1.0 - r.value for r in estimate_cdf_batch(recovered, mg1, ws, config)]
+    # one row per w: relative errors of the laplace, empirical and censored tails
+    return [[abs(tail - truth) / truth for tail in tails]
+            for *tails, truth in zip(lap, emp, cen, truths)]
 
 
 def table2_rows(seed: int, rhos=DEFAULT_RHOS, percentiles=DEFAULT_PERCENTILES,

@@ -3,9 +3,18 @@
 Each map takes the branch-tracked log of the empirical transform of the
 observed variable and produces transform values of the quantity we actually
 want: the stationary workload of a queue fed by the observed increments, or
-the jump-size law of a compound sum observed per time slot. Every map has a
-domain event, a sample condition under which the formula is well defined;
-outside it the estimator falls back rather than raising.
+the jump-size law of a compound sum observed per time slot. A map describes
+itself through three methods:
+
+- ``check(samples)`` raises DomainEventFailed when the sample fails the
+  map's domain event, the sample condition under which the formula is well
+  defined; outside it the estimator falls back rather than raising;
+- ``plateau(samples)`` is the limit of the mapped transform as
+  |s| -> infinity along the contour, which the inversion subtracts;
+- ``values(log_path, samples)`` applies the map's formula to a tracked log.
+
+The formulas themselves are module functions that take plain sample
+summaries, so they can be checked against exact transforms.
 """
 from __future__ import annotations
 
@@ -33,18 +42,50 @@ class Mg1Workload:
         if not self.delta > 0:
             raise ParameterError("drain per slot delta must be positive")
 
+    def check(self, samples: SampleSet) -> None:
+        """Stability event: estimated load below 1, i.e. 0 <= mean < delta."""
+        if not 0.0 <= samples.mean < self.delta:
+            raise DomainEventFailed(
+                f"sample mean {samples.mean:.6g} must lie in [0, delta={self.delta:g})")
+
+    def plateau(self, samples: SampleSet) -> float:
+        """The workload law has an atom at zero of mass 1 - mean/delta."""
+        return 1.0 - samples.mean / self.delta
+
+    def values(self, log_path: LogPath, samples: SampleSet) -> np.ndarray:
+        return mg1_workload_values(log_path, samples.mean, self.delta)
+
+
+class _Decompound:
+    """Domain event and plateau shared by the decompounding maps."""
+
+    def check(self, samples: SampleSet) -> None:
+        """Zero-slot event: the fraction of empty slots must be in (0, 1)."""
+        zf = samples.zero_fraction
+        if not 0.0 < zf < 1.0:
+            raise DomainEventFailed(
+                f"fraction of zero observations is {zf:g}; need some but not all "
+                "slots empty to estimate the count rate")
+
+    def plateau(self, samples: SampleSet) -> float:
+        """The jump-size laws are assumed atomless at zero."""
+        return 0.0
+
 
 @dataclass(frozen=True)
-class PoissonDecompound:
+class PoissonDecompound(_Decompound):
     """Jump sizes of a Poisson compound sum observed per unit slot.
 
     The count intensity is itself estimated from the fraction of empty
     slots, so the map needs no parameters.
     """
 
+    def values(self, log_path: LogPath, samples: SampleSet) -> np.ndarray:
+        return poisson_decompound_values(log_path, samples.zero_fraction)
+
 
 @dataclass(frozen=True)
-class BinomialDecompound:
+class BinomialDecompound(_Decompound):
     """Jump sizes of a binomial(big_m) compound sum observed per slot."""
 
     big_m: int
@@ -53,9 +94,12 @@ class BinomialDecompound:
         if not (isinstance(self.big_m, int) and self.big_m >= 1):
             raise ParameterError("big_m must be an integer >= 1")
 
+    def values(self, log_path: LogPath, samples: SampleSet) -> np.ndarray:
+        return binomial_decompound_values(log_path, samples.zero_fraction, self.big_m)
+
 
 @dataclass(frozen=True)
-class NegBinomialDecompound:
+class NegBinomialDecompound(_Decompound):
     """Jump sizes of a negative binomial(big_m) compound sum per slot."""
 
     big_m: int
@@ -63,6 +107,10 @@ class NegBinomialDecompound:
     def __post_init__(self):
         if not (isinstance(self.big_m, int) and self.big_m >= 1):
             raise ParameterError("big_m must be an integer >= 1")
+
+    def values(self, log_path: LogPath, samples: SampleSet) -> np.ndarray:
+        return negbinomial_decompound_values(log_path, samples.zero_fraction,
+                                             self.big_m)
 
 
 TransformMap = Mg1Workload | PoissonDecompound | BinomialDecompound | NegBinomialDecompound
@@ -109,45 +157,13 @@ def negbinomial_decompound_values(log_path: LogPath, zero_frac: float,
 # Sample-level application
 # --------------------------------------------------------------------------
 
-def mg1_domain_check(samples: SampleSet, delta: float) -> None:
-    """Stability event: estimated load below 1, i.e. 0 <= mean < delta."""
-    if not 0.0 <= samples.mean < delta:
-        raise DomainEventFailed(
-            f"sample mean {samples.mean:.6g} must lie in [0, delta={delta:g})")
-
-
-def decompound_domain_check(samples: SampleSet) -> None:
-    """Zero-slot event: the fraction of empty slots must be in (0, 1)."""
-    zf = samples.zero_fraction
-    if not 0.0 < zf < 1.0:
-        raise DomainEventFailed(
-            f"fraction of zero observations is {zf:g}; need some but not all "
-            "slots empty to estimate the count rate")
-
-
 def domain_check(transform_map: TransformMap, samples: SampleSet) -> None:
     """Raise DomainEventFailed when the map is undefined on this sample."""
-    if isinstance(transform_map, Mg1Workload):
-        mg1_domain_check(samples, transform_map.delta)
-    else:
-        decompound_domain_check(samples)
-
-
-def map_plateau(transform_map: TransformMap, samples: SampleSet) -> float:
-    """Limit of the mapped transform as |s| -> infinity along the contour.
-
-    The workload law has an atom at zero of mass 1 - mean/delta, so its
-    transform tends to that mass; the decompounding targets are assumed
-    atomless at zero and tend to 0. Subtracting the plateau before
-    integrating makes contour truncation errors second order.
-    """
-    if isinstance(transform_map, Mg1Workload):
-        return 1.0 - samples.mean / transform_map.delta
-    return 0.0
+    transform_map.check(samples)
 
 
 def apply_map(transform_map: TransformMap, samples: SampleSet,
-              grid: ContourGrid, refine_limit: int = 40) -> np.ndarray:
+              grid: ContourGrid) -> np.ndarray:
     """Empirical transform -> tracked log -> mapped transform values.
 
     Raises DomainEventFailed when the sample fails the map's domain event
@@ -156,28 +172,5 @@ def apply_map(transform_map: TransformMap, samples: SampleSet,
     domain_check(transform_map, samples)
     observed = empirical_transform_grid(samples, grid)
     log_path = track_log(empirical_evaluator(samples), grid,
-                         refine_limit=refine_limit, values=observed.values)
-    if isinstance(transform_map, Mg1Workload):
-        return mg1_workload_values(log_path, samples.mean, transform_map.delta)
-    if isinstance(transform_map, PoissonDecompound):
-        return poisson_decompound_values(log_path, samples.zero_fraction)
-    if isinstance(transform_map, BinomialDecompound):
-        return binomial_decompound_values(log_path, samples.zero_fraction,
-                                          transform_map.big_m)
-    if isinstance(transform_map, NegBinomialDecompound):
-        return negbinomial_decompound_values(log_path, samples.zero_fraction,
-                                             transform_map.big_m)
-    raise ParameterError(f"unknown transform map {transform_map!r}")
-
-
-def map_label(transform_map: TransformMap) -> str:
-    """Short name used in command-line output."""
-    if isinstance(transform_map, Mg1Workload):
-        return "mg1"
-    if isinstance(transform_map, PoissonDecompound):
-        return "poisson"
-    if isinstance(transform_map, BinomialDecompound):
-        return "binomial"
-    if isinstance(transform_map, NegBinomialDecompound):
-        return "negbinomial"
-    raise ParameterError(f"unknown transform map {transform_map!r}")
+                         values=observed.values)
+    return transform_map.values(log_path, samples)

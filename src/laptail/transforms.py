@@ -109,16 +109,6 @@ class SampleSet:
         object.__setattr__(self, "zero_fraction", zeros / vals.size)
 
 
-def sample_mean(samples: SampleSet) -> float:
-    """Arithmetic mean of the observations (cached at construction)."""
-    return samples.mean
-
-
-def zero_fraction(samples: SampleSet) -> float:
-    """Fraction of observations equal to zero (cached at construction)."""
-    return samples.zero_fraction
-
-
 @dataclass(frozen=True, eq=False)
 class ContourGrid:
     """Uniform symmetric grid on the vertical contour Re(s) = c.
@@ -332,11 +322,6 @@ class CompoundPoisson:
 
 
 AnalyticModel = JobModel | CompoundPoisson
-
-
-def analytic_transform_eval(model: AnalyticModel, s):
-    """Closed-form Laplace transform of an analytic model at s, Re(s) >= 0."""
-    return model.transform(s)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 """End-to-end estimator, fallback discipline, comparison estimators."""
-import math
 
 import numpy as np
 import pytest
@@ -9,16 +8,14 @@ from hypothesis.extra.numpy import arrays
 
 from laptail.errors import EmptyResult, ParameterError
 from laptail.estimator import (EstimatorConfig, censored_increments,
-                               delta_heuristic, empirical_workload_estimator,
-                               estimate_cdf, estimate_cdf_batch,
-                               estimate_tail, estimate_tail_batch)
-from laptail.simulation import (mm1_percentile, mm1_stationary_cdf,
-                                replication_rng, sample_compound_poisson,
-                                workload_on_grid)
+                               empirical_workload_estimator, estimate_cdf,
+                               estimate_cdf_batch)
+from laptail.simulation import (mm1_percentile, replication_rng,
+                                sample_compound_poisson, workload_on_grid)
 from laptail.inversion import bromwich_details, build_grid
 from laptail.logtrack import track_log
 from laptail.transform_maps import (Mg1Workload, PoissonDecompound,
-                                    map_plateau, mg1_workload_values)
+                                    mg1_workload_values)
 from laptail.transforms import (Exponential, SampleSet, TransformValues,
                                 empirical_evaluator, empirical_transform_eval,
                                 empirical_transform_grid)
@@ -102,22 +99,6 @@ def test_capacity_failure_falls_back():
     assert res.fallback_reason == "capacity"
 
 
-def test_tail_is_one_minus_cdf():
-    totals = simulated_totals(4)
-    cfg = EstimatorConfig(w=W_90)
-    cdf = estimate_cdf(totals, Mg1Workload(0.1), cfg)
-    tail = estimate_tail(totals, Mg1Workload(0.1), cfg)
-    assert tail.value == pytest.approx(1.0 - cdf.value)
-    assert tail.on_domain_event == cdf.on_domain_event
-
-
-def test_tail_fallback_inverts_too():
-    res = estimate_tail(SampleSet([0.5]), Mg1Workload(0.1),
-                        EstimatorConfig(w=1.0))
-    assert res.value == 1.0  # 1 - fallback 0
-    assert not res.on_domain_event
-
-
 def test_batch_matches_single_calls():
     totals = simulated_totals(5, 2000)
     cfg = EstimatorConfig(w=0.1)
@@ -128,9 +109,6 @@ def test_batch_matches_single_calls():
                               EstimatorConfig(w=w))
         # all w <= 1 share the same step bound, so the quadrature agrees
         assert got.value == pytest.approx(single.value, abs=1e-12)
-    tails = estimate_tail_batch(totals, Mg1Workload(0.1), ws, cfg)
-    for cdf_res, tail_res in zip(batch, tails):
-        assert tail_res.value == pytest.approx(1.0 - cdf_res.value)
 
 
 def test_batch_propagates_fallback():
@@ -187,7 +165,7 @@ def test_grid_transform_matches_direct_at_estimate_level():
         log_path = track_log(empirical_evaluator(ss), grid, values=values)
         psi = mg1_workload_values(log_path, ss.mean, mg1.delta)
         return bromwich_details(TransformValues(grid, psi), w,
-                                plateau=map_plateau(mg1, ss)).value
+                                plateau=mg1.plateau(ss)).value
 
     via_grid = estimate(empirical_transform_grid(ss, grid).values)
     via_direct = estimate(empirical_transform_eval(ss, grid.points))
@@ -241,14 +219,3 @@ def test_censored_recovers_inflows_where_defined():
     got = censored_increments(path, 0.1)
     assert np.allclose(got.values, totals.values[1:][kept], atol=1e-9)
 
-
-def test_delta_heuristic():
-    assert delta_heuristic(2.0, 8.0) == pytest.approx(4.0)
-    assert delta_heuristic(1.0, 1.0) == pytest.approx(1.0)
-    best = delta_heuristic(10.0, 1.0)
-    assert best == pytest.approx(0.1)
-    objective = lambda d: 10.0 * math.sqrt(d) + 1.0 / math.sqrt(d)
-    for other in (0.05, 0.2):
-        assert objective(best) < objective(other)
-    with pytest.raises(ParameterError):
-        delta_heuristic(0.0, 1.0)

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laptail.errors import CapacityError, GridTooCoarse, ParameterError
-from laptail.inversion import (DEFAULT_QUAD, QuadratureSpec, bromwich_details,
-                               bromwich_truncated, build_grid,
+from laptail.inversion import (QuadratureSpec, bromwich_details, build_grid,
                                invert_cdf_known)
 from laptail.transforms import (Exponential, Gamma, SampleSet, TransformValues,
                                 empirical_transform_grid)
@@ -58,8 +59,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(max_step=0.0)
     with pytest.raises(ParameterError):
         QuadratureSpec(phase_bound=math.pi)
-    with pytest.raises(ParameterError):
-        QuadratureSpec(rule="trapezoid")
 
 
 # --- inversion oracle values --------------------------------------------------
@@ -68,13 +67,13 @@ def test_degenerate_at_zero():
     """psi = 1 is the transform of a unit mass at 0, so F(w) = 1 for w > 0."""
     grid = build_grid(1.0, 100.0, 1.0)
     ones = TransformValues(grid, np.ones(grid.n_points, dtype=complex))
-    value = bromwich_truncated(ones, 1.0)
+    value = bromwich_details(ones, 1.0).value
     assert 0.99 <= value <= 1.01
 
 
 def test_exponential_half_life():
     grid = build_grid(1.0, 200.0, math.log(2.0))
-    value = bromwich_truncated(exp_psi(grid), math.log(2.0))
+    value = bromwich_details(exp_psi(grid), math.log(2.0)).value
     assert value == pytest.approx(0.5, abs=0.01)
 
 
@@ -147,7 +146,7 @@ def test_half_grid_equals_full_grid_simpson():
     grid = build_grid(1.0, 50.0, 1.0)
     psi = exp_psi(grid)
     full = full_grid_simpson(psi, 1.0)
-    half = bromwich_truncated(psi, 1.0)
+    half = bromwich_details(psi, 1.0).value
     assert abs(half - full.real) <= 1e-12
 
 
@@ -212,10 +211,23 @@ def test_raw_values_stay_near_unit_range():
 def test_rejects_nonpositive_w():
     grid = build_grid(1.0, 10.0, 1.0)
     with pytest.raises(ParameterError):
-        bromwich_truncated(exp_psi(grid), 0.0)
+        bromwich_details(exp_psi(grid), 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.01, 5.0), st.floats(0.01, 400.0),
+       st.lists(st.floats(0.0, 50.0, exclude_min=True), min_size=1, max_size=8))
+def test_grid_for_the_largest_w_fits_every_w(c, t_max, ws):
+    # one grid built for max(ws) serves every w in the list: the step bound
+    # does not increase with w
+    grid = build_grid(c, t_max, max(ws))
+    ones = TransformValues(grid, np.ones(grid.n_points, dtype=complex))
+    with np.errstate(all="ignore"):
+        for w in ws:
+            bromwich_details(ones, w)
 
 
 def test_grid_too_coarse_for_larger_w():
     grid = build_grid(1.0, 10.0, 1.0)  # step 0.05, fine for w <= pi/(8*0.05)
     with pytest.raises(GridTooCoarse):
-        bromwich_truncated(exp_psi(grid), 50.0)
+        bromwich_details(exp_psi(grid), 50.0)

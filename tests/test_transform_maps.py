@@ -11,9 +11,7 @@ from laptail.simulation import replication_rng, sample_compound_poisson
 from laptail.transform_maps import (BinomialDecompound, Mg1Workload,
                                     NegBinomialDecompound, PoissonDecompound,
                                     apply_map, binomial_decompound_values,
-                                    decompound_domain_check, domain_check,
-                                    map_label, map_plateau,
-                                    mg1_domain_check, mg1_workload_values,
+                                    domain_check, mg1_workload_values,
                                     negbinomial_decompound_values,
                                     poisson_decompound_values)
 from laptail.transforms import Exponential, SampleSet, empirical_transform_grid
@@ -88,18 +86,26 @@ def test_negbinomial_single_trial_reduction():
 # --- domain events ----------------------------------------------------------
 
 def test_mg1_domain_check():
-    mg1_domain_check(SampleSet([0.005, 0.005]), 0.1)
-    mg1_domain_check(SampleSet([0.0, 0.0]), 0.1)
+    mg1 = Mg1Workload(0.1)
+    mg1.check(SampleSet([0.005, 0.005]))
+    mg1.check(SampleSet([0.0, 0.0]))  # mean 0 included
+    mg1.check(SampleSet([0.0, 0.19]))  # mean just below delta
     with pytest.raises(DomainEventFailed):
-        mg1_domain_check(SampleSet([0.1, 0.1]), 0.1)  # boundary excluded
+        mg1.check(SampleSet([0.1, 0.1]))  # boundary excluded
+    with pytest.raises(DomainEventFailed):
+        mg1.check(SampleSet([0.5]))
 
 
 def test_decompound_domain_check():
-    decompound_domain_check(SampleSet([0.0, 1.0]))
-    with pytest.raises(DomainEventFailed):
-        decompound_domain_check(SampleSet([0.0, 0.0]))
-    with pytest.raises(DomainEventFailed):
-        decompound_domain_check(SampleSet([1.0, 2.0]))
+    for transform_map in (PoissonDecompound(), BinomialDecompound(2),
+                          NegBinomialDecompound(3)):
+        transform_map.check(SampleSet([0.0, 1.0]))
+        transform_map.check(SampleSet([0.0] * 99 + [1.0]))  # one nonzero slot
+        transform_map.check(SampleSet([0.0] + [1.0] * 99))  # one empty slot
+        with pytest.raises(DomainEventFailed):
+            transform_map.check(SampleSet([0.0, 0.0]))  # all empty excluded
+        with pytest.raises(DomainEventFailed):
+            transform_map.check(SampleSet([1.0, 2.0]))  # none empty excluded
 
 
 def test_domain_check_dispatch():
@@ -153,16 +159,13 @@ def test_estimated_transform_tracks_analytic_one():
 
 def test_plateaus():
     ss = SampleSet([0.05, 0.0, 0.05, 0.0])
-    assert map_plateau(Mg1Workload(0.1), ss) == pytest.approx(1.0 - 0.025 / 0.1)
-    assert map_plateau(PoissonDecompound(), ss) == 0.0
-    assert map_plateau(BinomialDecompound(2), ss) == 0.0
+    assert Mg1Workload(0.1).plateau(ss) == pytest.approx(1.0 - 0.025 / 0.1)
+    assert PoissonDecompound().plateau(ss) == 0.0
+    assert BinomialDecompound(2).plateau(ss) == 0.0
+    assert NegBinomialDecompound(2).plateau(ss) == 0.0
 
 
-def test_map_labels_and_validation():
-    assert map_label(Mg1Workload(0.1)) == "mg1"
-    assert map_label(PoissonDecompound()) == "poisson"
-    assert map_label(BinomialDecompound(2)) == "binomial"
-    assert map_label(NegBinomialDecompound(2)) == "negbinomial"
+def test_map_parameter_validation():
     with pytest.raises(ParameterError):
         Mg1Workload(0.0)
     with pytest.raises(ParameterError):

@@ -13,10 +13,9 @@ from laptail.inversion import QuadratureSpec, build_grid
 from laptail.simulation import BinomialCounts, sample_compound
 from laptail.transforms import (CompoundPoisson, ContourGrid, Deterministic,
                                 Exponential, Gamma, SampleSet,
-                                analytic_transform_eval,
                                 empirical_transform_eval,
                                 empirical_transform_grid, load_samples,
-                                sample_mean, save_samples, zero_fraction)
+                                save_samples)
 
 # Oracle for samples [1, 2] at s = 1, computed independently by hand:
 # (exp(-1) + exp(-2)) / 2.
@@ -36,8 +35,8 @@ def test_sampleset_summaries_cached():
     ss = SampleSet([0.0, 1.5, 0.0, 2.0])
     assert ss.n == 4
     assert ss.mean == pytest.approx(0.875)
-    assert zero_fraction(ss) == 0.5
-    assert sample_mean(ss) == ss.mean
+    assert ss.zero_fraction == 0.5
+    assert ss.max_value == 2.0
 
 
 def test_sampleset_rejects_bad_values():
@@ -60,14 +59,14 @@ def test_zero_tolerance_threshold():
 
 
 def test_sample_mean_examples():
-    assert sample_mean(SampleSet([0.0, 0.0, 0.0])) == 0.0
-    assert sample_mean(SampleSet([1.0, 3.0])) == 2.0
-    assert sample_mean(SampleSet([0.2, 0.4, 0.9])) == pytest.approx(0.5)
+    assert SampleSet([0.0, 0.0, 0.0]).mean == 0.0
+    assert SampleSet([1.0, 3.0]).mean == 2.0
+    assert SampleSet([0.2, 0.4, 0.9]).mean == pytest.approx(0.5)
 
 
 def test_zero_fraction_examples():
-    assert zero_fraction(SampleSet([0.0, 0.0])) == 1.0
-    assert zero_fraction(SampleSet([1.0, 2.0, 3.0])) == 0.0
+    assert SampleSet([0.0, 0.0]).zero_fraction == 1.0
+    assert SampleSet([1.0, 2.0, 3.0]).zero_fraction == 0.0
 
 
 # --- empirical transform ---------------------------------------------------
@@ -236,10 +235,10 @@ def test_grid_spacing_reproduces_the_points():
 # --- analytic models -------------------------------------------------------
 
 def test_analytic_transform_examples():
-    assert analytic_transform_eval(Exponential(20.0), 0.0) == pytest.approx(1.0)
-    assert analytic_transform_eval(Exponential(1.0), 1.0) == pytest.approx(0.5)
+    assert Exponential(20.0).transform(0.0) == pytest.approx(1.0)
+    assert Exponential(1.0).transform(1.0) == pytest.approx(0.5)
     cp = CompoundPoisson(2.0, Exponential(1.0))
-    assert analytic_transform_eval(cp, 1.0) == pytest.approx(math.exp(-1.0))
+    assert cp.transform(1.0) == pytest.approx(math.exp(-1.0))
 
 
 @given(st.floats(0.1, 5.0), st.floats(0.2, 4.0),
@@ -247,8 +246,8 @@ def test_analytic_transform_examples():
 def test_compound_poisson_identity(intensity, rate, re, im):
     s = complex(re, im)
     jobs = Exponential(rate)
-    lhs = analytic_transform_eval(CompoundPoisson(intensity, jobs), s)
-    rhs = np.exp(intensity * (analytic_transform_eval(jobs, s) - 1.0))
+    lhs = CompoundPoisson(intensity, jobs).transform(s)
+    rhs = np.exp(intensity * (jobs.transform(s) - 1.0))
     assert lhs == pytest.approx(rhs)
 
 
@@ -270,7 +269,7 @@ def test_gamma_transform_on_contour_matches_samples():
     x = rng.gamma(2.0, 0.5, 200_000)
     s = 1.0 + 3.0j
     mc = np.exp(-s * x).mean()
-    assert abs(mc - analytic_transform_eval(Gamma(2.0, 0.5), s)) < 5e-3
+    assert abs(mc - Gamma(2.0, 0.5).transform(s)) < 5e-3
 
 
 def test_deterministic_sums():
