@@ -16,7 +16,7 @@ from .estimator import (EstimateResult, EstimatorConfig, censored_increments,
                         estimate_cdf_batch)
 from .inversion import (DEFAULT_QUAD, InversionResult, QuadratureSpec,
                         bromwich_details, build_grid, invert_cdf_known)
-from .logtrack import LogPath, log_near_one, track_log
+from .logtrack import LogPath, track_log
 from .simulation import (BinomialCounts, NegBinomialCounts, PoissonCounts,
                          QueueSpec, mm1_percentile, mm1_stationary_cdf,
                          replication_rng, sample_compound,

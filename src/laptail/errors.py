@@ -11,8 +11,8 @@ class ParameterError(EstimationError, ValueError):
 
 class DomainError(EstimationError):
     """An input lies outside the mathematical domain of an operation,
-    e.g. a log-series argument off its disk of convergence, or a contour
-    base point where the transform is not real and positive."""
+    e.g. a contour base point where the transform is not real and
+    positive."""
 
 
 class NearZeroTransform(EstimationError):

@@ -2,9 +2,10 @@
 
 The principal logarithm jumps when a curve crosses the negative real axis;
 the estimators here need the branch that is continuous along the contour and
-real at y = 0. We build it by multiplying incremental logs of consecutive
-ratios, each evaluated with a power series that is only valid near 1, and
-bisecting any step whose ratio strays too far from 1.
+real at y = 0. We build it by summing the principal logs of consecutive
+ratios, bisecting any step whose ratio strays too far from 1. Within
+|ratio - 1| <= 1/2 the principal log is the continuous increment, since
+that disk keeps the ratio in the right half-plane, away from the cut.
 """
 from __future__ import annotations
 
@@ -16,45 +17,14 @@ import numpy as np
 from .errors import DomainError, NearZeroTransform, ParameterError
 from .transforms import ContourGrid
 
-# Series log(1+u) = sum (-1)^(j-1) u^j / j, truncated when the next term
-# is below _SERIES_TOL in modulus.
-_SERIES_TOL = 1e-17
-_SERIES_MAX_TERMS = 64
-
 # A ratio step is accepted only when |ratio - 1| <= _RATIO_RADIUS; larger
-# steps are bisected. 1/2 keeps the series comfortably inside its disk of
-# convergence while tolerating genuinely fast-varying transforms.
+# steps are bisected. 1/2 keeps every accepted ratio in Re(z) >= 1/2, far
+# from the branch cut, while tolerating genuinely fast-varying transforms.
 _RATIO_RADIUS = 0.5
 
 # Relative tolerance for the imaginary part of the transform at the real
 # anchor point s = c, where the value must be real and positive.
 _ANCHOR_IMAG_TOL = 1e-9
-
-
-def log_near_one(z):
-    """log z for z near 1, principal branch, by alternating power series.
-
-    Vectorized; requires |z - 1| < 1 everywhere, else DomainError. At the
-    radius used by the tracker (1/2) the truncation error is far below
-    double precision roundoff.
-    """
-    z = np.asarray(z, dtype=complex)
-    u = z - 1.0
-    if np.any(np.abs(u) >= 1.0):
-        raise DomainError("log_near_one needs |z - 1| < 1")
-    out = np.zeros_like(u)
-    term = np.array(u)
-    j = 1
-    while True:
-        out += term / j
-        j += 1
-        if j > _SERIES_MAX_TERMS:
-            break
-        term *= -u
-        if np.all(np.abs(term) / j <= _SERIES_TOL):
-            out += term / j
-            break
-    return out if out.ndim else complex(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +50,7 @@ def _refined_log_ratio(evaluator: Callable, s_from: complex, f_from: complex,
         raise NearZeroTransform(f"transform vanishes near s = {s_to}")
     ratio = f_to / f_from
     if abs(ratio - 1.0) <= _RATIO_RADIUS:
-        return complex(log_near_one(ratio))
+        return complex(np.log(ratio))
     if depth <= 0:
         raise NearZeroTransform(
             f"log tracking failed to converge between {s_from} and {s_to}; "
@@ -98,7 +68,7 @@ def track_log(evaluator: Callable, grid: ContourGrid, refine_limit: int = 40,
     """Track the continuous logarithm of ``evaluator`` along the contour.
 
     Starting from the real anchor s = c with log f(c) = ln f(c), the log is
-    continued outward point by point: each increment is the series log of
+    continued outward point by point: each increment is the principal log of
     the ratio of consecutive transform values, with recursive bisection
     (extra evaluator calls, at most ``refine_limit`` levels) whenever the
     ratio leaves the disk |z - 1| <= 1/2. Ratios whose modulus is zero, and
@@ -139,7 +109,7 @@ def track_log(evaluator: Callable, grid: ContourGrid, refine_limit: int = 40,
         incs = np.empty(ratios.shape, dtype=complex)
         near = np.abs(ratios - 1.0) <= _RATIO_RADIUS
         if np.any(near):
-            incs[near] = log_near_one(ratios[near])
+            incs[near] = np.log(ratios[near])
         for k in np.flatnonzero(~near):
             incs[k] = _refined_log_ratio(
                 evaluator, complex(half_pts[k]), complex(half_vals[k]),

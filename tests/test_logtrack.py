@@ -3,12 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from laptail.errors import DomainError, NearZeroTransform
 from laptail.inversion import build_grid
-from laptail.logtrack import log_near_one, track_log
+from laptail.logtrack import track_log
 from laptail.transforms import SampleSet, empirical_evaluator, empirical_transform_grid
 
 
@@ -19,37 +17,6 @@ def exp_jobs_transform(rate: float):
 def compound_evaluator(intensity: float, rate: float):
     jobs = exp_jobs_transform(rate)
     return lambda s: np.exp(intensity * (jobs(s) - 1.0))
-
-
-# --- series log ------------------------------------------------------------
-
-def test_log_near_one_frozen_values():
-    assert log_near_one(1.0) == 0.0
-    # Oracles: principal logs computed independently.
-    assert complex(log_near_one(1.1)).real == pytest.approx(0.09531017980432486, abs=1e-12)
-    assert complex(log_near_one(0.5)).real == pytest.approx(-0.6931471805599453, abs=1e-12)
-
-
-def test_log_near_one_domain():
-    with pytest.raises(DomainError):
-        log_near_one(0.0)
-    with pytest.raises(DomainError):
-        log_near_one(2.0 + 0.5j)
-
-
-@given(st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False))
-def test_log_near_one_matches_principal_log(u):
-    z = 1.0 + u
-    got = complex(log_near_one(z))
-    assert got == pytest.approx(complex(np.log(z)), abs=1e-13)
-    # growth bound: |L(z)| <= |z-1| * log 4 on the half disk
-    assert abs(got) <= abs(u) * math.log(4.0) + 1e-13
-
-
-def test_log_near_one_vectorized():
-    z = np.array([1.0, 1.1, 0.5, 1.0 + 0.4j])
-    out = log_near_one(z)
-    assert np.allclose(out, np.log(z), atol=1e-13)
 
 
 # --- tracked log -----------------------------------------------------------
