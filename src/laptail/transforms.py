@@ -424,11 +424,9 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
     u -= base
     # a sample in cell b covers cells b + _SPREAD_OFFSETS; buffer cell e is
     # periodic cell first + e
-    lowest = base.min()
-    first = int(lowest) + _SPREAD_OFFSETS[0]
-    length = int(base.max() - lowest) + _SPREAD_OFFSETS.size
-    cells = (base - lowest).astype(np.intp)
-    offsets = _SPREAD_OFFSETS - _SPREAD_OFFSETS[0]
+    first = int(base.min()) + _SPREAD_OFFSETS[0]
+    length = int(base.max()) + _SPREAD_OFFSETS[-1] + 1 - first
+    cells = base.astype(np.intp) - first
     spread = np.zeros(length)
     for start in range(0, x.size, _SPREAD_BLOCK):
         stop = start + _SPREAD_BLOCK
@@ -437,7 +435,7 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
         kernel *= -alpha
         np.exp(kernel, out=kernel)
         kernel *= a[start:stop, None]
-        index = (cells[start:stop, None] + offsets).ravel()
+        index = (cells[start:stop, None] + _SPREAD_OFFSETS).ravel()
         spread += np.bincount(index, kernel.ravel(), length)
     folded = np.bincount((first + np.arange(length)) % size, spread, size)
     del spread  # before the FFT allocates, to keep peak memory down
@@ -463,7 +461,10 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     the grid size: the largest measured, 1.4e-14, is for samples of
     Exp(mean 0.05), whose phases all sit near 0. It is largest at the top
     modes, where the deconvolution factor is largest, and smallest near
-    y = 0.
+    y = 0. Both this and the direct sum carry the rounding of each phase
+    y x, about 1e-16 |y x| e^{-c x} per sample, which dominates for few
+    samples far out: a lone sample at x = 10 with c = 0.1 differs by 2e-13
+    at y = 400.
     """
     x = samples.values
     mid = grid.center_index

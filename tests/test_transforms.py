@@ -213,22 +213,20 @@ def test_grid_evaluation_extreme_values(values, t_max, w):
     assert np.max(np.abs(got - direct)) <= 1e-12
 
 
-def arc_cases(period: float) -> dict:
-    """Sample sets whose phases h x mod 2 pi (h = 2 pi / period) occupy
-    different arcs of the circle, keyed by a short name."""
-    rng = np.random.default_rng(18)
-    return {
-        "narrow arc": 1.0 + 0.01 * rng.random(500),
-        "across the wrap": np.concatenate([
-            period + rng.uniform(-0.5, 0.5, 250), rng.uniform(0.0, 0.5, 250)]),
-        "just below the wrap": period - rng.uniform(0.0, 0.2, 500),
-        "single sample": np.array([2.7]),
-        "one cell": np.full(100, 3.0),
-        "full circle": rng.uniform(0.0, 1.2 * period, 500),
-    }
+# Sample sets whose phases h x mod 2 pi occupy different arcs of the
+# circle, built from the period 2 pi / h of the phases and a generator.
+ARC_CASES = {
+    "narrow arc": lambda period, rng: 1.0 + 0.01 * rng.random(500),
+    "across the wrap": lambda period, rng: np.concatenate([
+        period + rng.uniform(-0.5, 0.5, 250), rng.uniform(0.0, 0.5, 250)]),
+    "just below the wrap": lambda period, rng: period - rng.uniform(0.0, 0.2, 500),
+    "single sample": lambda period, rng: np.array([2.7]),
+    "one cell": lambda period, rng: np.full(100, 3.0),
+    "full circle": lambda period, rng: rng.uniform(0.0, 1.2 * period, 500),
+}
 
 
-@pytest.mark.parametrize("case", sorted(arc_cases(1.0)))
+@pytest.mark.parametrize("case", sorted(ARC_CASES))
 def test_grid_evaluation_on_every_arc(case):
     # the NUFFT spreads only over the cells the phases occupy and folds the
     # buffer onto the circle. A long step h = pi/8 puts the wrap at
@@ -236,7 +234,7 @@ def test_grid_evaluation_on_every_arc(case):
     # contour keeps every phase y x below 400, since floating point knows
     # the phase only to 1e-16 relative, in any method
     grid = build_grid(0.1, 20.0, 1.0, QuadratureSpec(max_step=math.pi / 8))
-    x = arc_cases(2.0 * math.pi / grid.spacing)[case]
+    x = ARC_CASES[case](2.0 * math.pi / grid.spacing, np.random.default_rng(18))
     got, direct = grid_and_direct(SampleSet(x), grid)
     assert np.max(np.abs(got - direct)) <= 1e-13
 
