@@ -14,9 +14,9 @@ from .errors import (CapacityError, DomainError, DomainEventFailed,
 from .estimator import (EstimateResult, EstimatorConfig, censored_increments,
                         empirical_workload_estimator, estimate_cdf,
                         estimate_cdf_batch)
-from .inversion import (DEFAULT_QUAD, InversionResult, QuadratureSpec,
-                        bromwich_details, build_grid, invert_cdf_known)
-from .logtrack import LogPath, track_log
+from .inversion import (InversionResult, bromwich_details, build_grid,
+                        invert_cdf_known)
+from .logtrack import track_log
 from .simulation import (BinomialCounts, NegBinomialCounts, PoissonCounts,
                          QueueSpec, mm1_percentile, mm1_stationary_cdf,
                          replication_rng, sample_compound,

@@ -49,12 +49,39 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
             key = _CONFIG_ALIASES.get(raw_key, raw_key.replace("-", "_"))
             if key not in eff:
                 raise ParameterError(f"unknown config key {raw_key!r}")
-            eff[key] = value
+            if value is not None:
+                eff[key] = _config_value(raw_key, value, args.flags[key])
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             eff[key] = value
     return eff
+
+
+def _config_value(raw_key: str, value, flag: dict):
+    """A config value read as its flag reads the command line.
+
+    ``--json`` takes true or false. A repeatable flag takes a list or one
+    bare value. Any other value is a string or a number, converted by the
+    flag's type from the text it would have on the command line, so
+    {"n": 1000.0} fails as --n 1000.0 does. A mismatch is a ParameterError
+    that names the key.
+    """
+    action = flag.get("action")
+    if action == "store_true":
+        if isinstance(value, bool):
+            return value
+    elif action == "append":
+        items = value if isinstance(value, list) else [value]
+        return [_config_value(raw_key, item, {"type": flag["type"]})
+                for item in items]
+    elif isinstance(value, str) or type(value) in (int, float):
+        try:
+            return flag.get("type", str)(
+                value if isinstance(value, str) else repr(value))
+        except ValueError:
+            pass
+    raise ParameterError(f"config key {raw_key!r} cannot take {value!r}")
 
 
 def _emit(rows: list[dict], out_path: str | None, as_json: bool) -> None:
@@ -269,40 +296,43 @@ def cmd_decompound(args: argparse.Namespace) -> int:
 # Parser wiring
 # --------------------------------------------------------------------------
 
+# Flags the subcommands pick from: name -> (option strings, add_argument
+# keywords). Config values are checked against the same keywords.
+_FLAGS = {
+    "samples": (("--samples",), dict(metavar="PATH")),
+    "map": (("--map",), dict(choices=["mg1", "poisson", "binomial", "negbinomial"])),
+    "delta": (("--delta",), dict(type=float)),
+    "big_m": (("--big-m",), dict(dest="big_m", type=int)),
+    "w": (("--w",), dict(type=float, action="append")),
+    "c": (("--c",), dict(type=float)),
+    "n": (("--n",), dict(type=int)),
+    "n_list": (("--n",), dict(type=int, action="append")),
+    "reps": (("--reps",), dict(type=int)),
+    "seed": (("--seed",), dict(type=int)),
+    "lam": (("--lambda",), dict(dest="lam", type=float)),
+    "mu": (("--mu",), dict(type=float)),
+    "job": (("--job",), dict(choices=["exp", "det", "gamma"])),
+    "job_params": (("--job-params",), dict(dest="job_params")),
+    "t_max": (("--t-max",), dict(dest="t_max", type=float)),
+    "out": (("--out",), dict(metavar="PATH")),
+    "json": (("--json",), dict(action="store_true", default=None)),
+    "config": (("--config",), dict(metavar="PATH")),
+    "rho": (("--rho",), dict(type=float, action="append")),
+    "rho_one": (("--rho",), dict(type=float)),
+    "p": (("--p",), dict(type=float, action="append")),
+    "p_one": (("--p",), dict(type=float)),
+    "p_success": (("--p-success",), dict(dest="p_success", type=float)),
+    "workers": (("--workers",), dict(type=int)),
+    "what": (("--what",), dict(choices=["totals", "workload"])),
+}
+
+
 def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
-    opts = {
-        "samples": lambda: sub.add_argument("--samples", metavar="PATH"),
-        "map": lambda: sub.add_argument(
-            "--map", choices=["mg1", "poisson", "binomial", "negbinomial"]),
-        "delta": lambda: sub.add_argument("--delta", type=float),
-        "big_m": lambda: sub.add_argument("--big-m", dest="big_m", type=int),
-        "w": lambda: sub.add_argument("--w", type=float, action="append"),
-        "c": lambda: sub.add_argument("--c", type=float),
-        "n": lambda: sub.add_argument("--n", type=int),
-        "n_list": lambda: sub.add_argument("--n", type=int, action="append"),
-        "reps": lambda: sub.add_argument("--reps", type=int),
-        "seed": lambda: sub.add_argument("--seed", type=int),
-        "lam": lambda: sub.add_argument("--lambda", dest="lam", type=float),
-        "mu": lambda: sub.add_argument("--mu", type=float),
-        "job": lambda: sub.add_argument("--job", choices=["exp", "det", "gamma"]),
-        "job_params": lambda: sub.add_argument("--job-params", dest="job_params"),
-        "t_max": lambda: sub.add_argument("--t-max", dest="t_max", type=float),
-        "out": lambda: sub.add_argument("--out", metavar="PATH"),
-        "json": lambda: sub.add_argument("--json", action="store_true",
-                                         default=None),
-        "config": lambda: sub.add_argument("--config", metavar="PATH"),
-        "rho": lambda: sub.add_argument("--rho", type=float, action="append"),
-        "rho_one": lambda: sub.add_argument("--rho", type=float),
-        "p": lambda: sub.add_argument("--p", type=float, action="append"),
-        "p_one": lambda: sub.add_argument("--p", type=float),
-        "p_success": lambda: sub.add_argument("--p-success", dest="p_success",
-                                              type=float),
-        "workers": lambda: sub.add_argument("--workers", type=int),
-        "what": lambda: sub.add_argument("--what",
-                                         choices=["totals", "workload"]),
-    }
+    flags = {}
     for name in names:
-        opts[name]()
+        options, keywords = _FLAGS[name]
+        flags[sub.add_argument(*options, **keywords).dest] = keywords
+    sub.set_defaults(flags=flags)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ from .errors import (CapacityError, DomainError, DomainEventFailed, EmptyResult,
                      NearZeroTransform, ParameterError)
 from .inversion import InversionResult, bromwich_details, build_grid
 from .transform_maps import TransformMap, apply_map, domain_check
-from .transforms import SampleSet, TransformValues
+from .transforms import SampleSet
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def estimate_cdf_batch(samples: SampleSet, transform_map: TransformMap,
         try:
             domain_check(transform_map, samples)
             grid = build_grid(base_config.c, base_config.t_max_for(n), max(ws))
-            psi = TransformValues(grid, apply_map(transform_map, samples, grid))
+            psi = apply_map(transform_map, samples, grid)
         except DomainEventFailed:
             return [_fallback(base_config, n, "domain_event") for _ in ws]
         except CapacityError:

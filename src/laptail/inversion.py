@@ -10,6 +10,13 @@ symmetric, so the integral is evaluated as (1/pi) times the real part over
 the measure at 0), the plateau is inverted in closed form and only the
 difference is integrated, which turns the O(1/T) truncation tail into
 O(1/T^2).
+
+The integral is composite Simpson on a uniform grid with step at most
+h = min(0.05, (pi/8) / max(w, 1)). The second term keeps the sampled phase
+increment w h of e^{iyw} below pi/8 so the oscillation is resolved; the
+first keeps slowly oscillating cases accurate in the non-oscillatory
+factor. ``build_grid`` takes m = ceil(T / h) intervals per half, rounded
+up to even, and refuses grids of more than 10^7 points.
 """
 from __future__ import annotations
 
@@ -22,38 +29,21 @@ import numpy as np
 from .errors import CapacityError, GridTooCoarse, ParameterError
 from .transforms import AnalyticModel, ContourGrid, TransformValues
 
+# Step policy of the contour integral; see the module docstring.
+_MAX_STEP = 0.05
+_PHASE_BOUND = math.pi / 8
+
 # Hard cap on grid size so a huge w or T cannot silently allocate gigabytes.
-_DEFAULT_POINT_BUDGET = 10**7
+_MAX_POINTS = 10**7
 
 # Relative slack when validating that a supplied grid respects the step
 # bounds, so grids built by build_grid itself always pass.
 _STEP_SLACK = 1.0 + 1e-12
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Step-size policy for the composite-Simpson contour integral.
-
-    The step is min(max_step, phase_bound / max(w, 1)): the second term
-    keeps the sampled phase increment w*h of e^{iyw} below phase_bound so
-    oscillations are resolved, the first keeps slowly oscillating cases
-    accurate in the non-oscillatory factor.
-    """
-
-    max_step: float = 0.05
-    phase_bound: float = math.pi / 8
-
-    def __post_init__(self):
-        if not self.max_step > 0:
-            raise ParameterError("max_step must be positive")
-        if not 0 < self.phase_bound <= math.pi / 4:
-            raise ParameterError("phase_bound must be in (0, pi/4]")
-
-    def step_for(self, w: float) -> float:
-        return min(self.max_step, self.phase_bound / max(w, 1.0))
-
-
-DEFAULT_QUAD = QuadratureSpec()
+def _step_for(w: float) -> float:
+    """Largest contour step that resolves the inversion at w."""
+    return min(_MAX_STEP, _PHASE_BOUND / max(w, 1.0))
 
 
 @dataclass(frozen=True)
@@ -76,34 +66,29 @@ class InversionResult:
     imag_warning: bool
 
 
-def build_grid(c: float, t_max: float, w: float,
-               quad: QuadratureSpec = DEFAULT_QUAD,
-               point_budget: int = _DEFAULT_POINT_BUDGET) -> ContourGrid:
+def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
     """Symmetric uniform grid on [-t_max, t_max] sized for inverting at w.
 
-    The number of intervals per half is even so composite Simpson applies
-    on the half-grid; CapacityError when the grid would exceed the budget.
+    The step is at most h = min(0.05, (pi/8) / max(w, 1)): m = ceil(t_max / h)
+    intervals per half, at least 2 and rounded up to even so composite
+    Simpson applies on the half-grid. CapacityError when the grid would
+    have more than 10^7 points.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ParameterError("t_max must be positive and finite")
     if not (w >= 0 and math.isfinite(w)):
         raise ParameterError("w must be nonnegative and finite")
-    h0 = quad.step_for(w)
-    m = max(2, math.ceil(t_max / h0))
+    m = max(2, math.ceil(t_max / _step_for(w)))
     m += m % 2
-    if 2 * m + 1 > point_budget:
+    if 2 * m + 1 > _MAX_POINTS:
         raise CapacityError(
-            f"inversion grid needs {2 * m + 1} points, budget {point_budget}")
-    half = np.linspace(0.0, t_max, m + 1)
-    ys = np.concatenate([-half[:0:-1], half])
-    return ContourGrid(c=c, t_max=t_max, ys=ys)
+            f"inversion grid needs {2 * m + 1} points, cap {_MAX_POINTS}")
+    return ContourGrid(c, t_max, m)
 
 
 def _simpson_uniform(values: np.ndarray, h: float):
     """Composite Simpson on a uniform grid with an even interval count."""
     n = values.shape[-1] - 1
-    if n < 2 or n % 2:
-        raise ParameterError("composite Simpson needs an even interval count")
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -111,7 +96,6 @@ def _simpson_uniform(values: np.ndarray, h: float):
 
 
 def bromwich_details(psi: TransformValues, w: float,
-                     quad: QuadratureSpec = DEFAULT_QUAD,
                      plateau: float = 0.0) -> InversionResult:
     """Truncated contour inversion with diagnostics.
 
@@ -127,9 +111,7 @@ def bromwich_details(psi: TransformValues, w: float,
         raise ParameterError("inversion point w must be positive")
     grid = psi.grid
     h = grid.spacing
-    if (grid.n_points - 1) % 2:
-        raise ParameterError("grid must have an even interval count")
-    bound = quad.step_for(w)
+    bound = _step_for(w)
     if h > bound * _STEP_SLACK:
         raise GridTooCoarse(
             f"grid step {h:.6g} exceeds bound {bound:.6g} for w = {w:g}")
@@ -155,14 +137,13 @@ def bromwich_details(psi: TransformValues, w: float,
 
 def invert_cdf_known(transform: AnalyticModel | Callable, w: float,
                      c: float = 1.0, t_max: float = 200.0,
-                     quad: QuadratureSpec = DEFAULT_QUAD,
                      plateau: float = 0.0) -> float:
     """Invert a known transform at w, for oracle checks and sanity runs.
 
     ``transform`` is either an analytic model or a callable s -> psi(s)
     accepting complex arrays.
     """
-    grid = build_grid(c, t_max, w, quad)
+    grid = build_grid(c, t_max, w)
     evaluate = transform if callable(transform) else transform.transform
     values = TransformValues(grid, evaluate(grid.points))
-    return bromwich_details(values, w, quad, plateau).value
+    return bromwich_details(values, w, plateau).value

@@ -13,13 +13,12 @@ these near-one ratios and as accurate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NearZeroTransform, ParameterError
-from .transforms import ContourGrid
+from .transforms import ContourGrid, TransformValues
 
 # A ratio step is accepted only when |ratio - 1| <= _RATIO_RADIUS; larger
 # steps are bisected. 1/2 keeps every accepted ratio in Re(z) >= 1/2, far
@@ -29,22 +28,6 @@ _RATIO_RADIUS = 0.5
 # Relative tolerance for the imaginary part of the transform at the real
 # anchor point s = c, where the value must be real and positive.
 _ANCHOR_IMAG_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class LogPath:
-    """Branch-tracked log values attached to the grid they live on."""
-
-    grid: ContourGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != self.grid.ys.shape:
-            raise ParameterError("one log value per grid point required")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
 
 
 def _log_near_one(z):
@@ -83,7 +66,7 @@ def _refined_log_ratio(evaluator: Callable, s_from: complex, f_from: complex,
 
 def track_log(evaluator: Callable, grid: ContourGrid, refine_limit: int = 40,
               values: np.ndarray | None = None,
-              mirror_negative: bool = True) -> LogPath:
+              mirror_negative: bool = True) -> TransformValues:
     """Track the continuous logarithm of ``evaluator`` along the contour.
 
     Starting from the real anchor s = c with log f(c) = ln f(c), the log is
@@ -147,4 +130,4 @@ def track_log(evaluator: Callable, grid: ContourGrid, refine_limit: int = 40,
         lower = np.conj(upper[:0:-1])
     else:
         lower = half_logs(pts[mid::-1], vals[mid::-1])[:0:-1]
-    return LogPath(grid, np.concatenate([lower, upper]))
+    return TransformValues(grid, np.concatenate([lower, upper]))

@@ -19,12 +19,14 @@ summaries, so they can be checked against exact transforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainEventFailed, ParameterError
-from .logtrack import LogPath, track_log
-from .transforms import ContourGrid, SampleSet, empirical_evaluator, empirical_transform_grid
+from .logtrack import track_log
+from .transforms import (ContourGrid, SampleSet, TransformValues,
+                         empirical_transform_eval, empirical_transform_grid)
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class Mg1Workload:
         """The workload law has an atom at zero of mass 1 - mean/delta."""
         return 1.0 - samples.mean / self.delta
 
-    def values(self, log_path: LogPath, samples: SampleSet) -> np.ndarray:
+    def values(self, log_path: TransformValues, samples: SampleSet) -> np.ndarray:
         return mg1_workload_values(log_path, samples.mean, self.delta)
 
 
@@ -80,7 +82,7 @@ class PoissonDecompound(_Decompound):
     slots, so the map needs no parameters.
     """
 
-    def values(self, log_path: LogPath, samples: SampleSet) -> np.ndarray:
+    def values(self, log_path: TransformValues, samples: SampleSet) -> np.ndarray:
         return poisson_decompound_values(log_path, samples.zero_fraction)
 
 
@@ -94,7 +96,7 @@ class BinomialDecompound(_Decompound):
         if not (isinstance(self.big_m, int) and self.big_m >= 1):
             raise ParameterError("big_m must be an integer >= 1")
 
-    def values(self, log_path: LogPath, samples: SampleSet) -> np.ndarray:
+    def values(self, log_path: TransformValues, samples: SampleSet) -> np.ndarray:
         return binomial_decompound_values(log_path, samples.zero_fraction, self.big_m)
 
 
@@ -108,7 +110,7 @@ class NegBinomialDecompound(_Decompound):
         if not (isinstance(self.big_m, int) and self.big_m >= 1):
             raise ParameterError("big_m must be an integer >= 1")
 
-    def values(self, log_path: LogPath, samples: SampleSet) -> np.ndarray:
+    def values(self, log_path: TransformValues, samples: SampleSet) -> np.ndarray:
         return negbinomial_decompound_values(log_path, samples.zero_fraction,
                                              self.big_m)
 
@@ -120,7 +122,8 @@ TransformMap = Mg1Workload | PoissonDecompound | BinomialDecompound | NegBinomia
 # Value-level maps: tracked log in, transform values out
 # --------------------------------------------------------------------------
 
-def mg1_workload_values(log_path: LogPath, mean: float, delta: float) -> np.ndarray:
+def mg1_workload_values(log_path: TransformValues, mean: float,
+                        delta: float) -> np.ndarray:
     """psi(s) = s (1 - mean/delta) / (s + log_transform(s) / delta)."""
     if not delta > 0:
         raise ParameterError("delta must be positive")
@@ -128,13 +131,14 @@ def mg1_workload_values(log_path: LogPath, mean: float, delta: float) -> np.ndar
     return s * (1.0 - mean / delta) / (s + log_path.values / delta)
 
 
-def poisson_decompound_values(log_path: LogPath, zero_frac: float) -> np.ndarray:
+def poisson_decompound_values(log_path: TransformValues,
+                              zero_frac: float) -> np.ndarray:
     """psi(s) = 1 + log_transform(s) / lambda_hat, lambda_hat = -ln(zero_frac)."""
     lam_hat = -np.log(zero_frac)
     return 1.0 + log_path.values / lam_hat
 
 
-def binomial_decompound_values(log_path: LogPath, zero_frac: float,
+def binomial_decompound_values(log_path: TransformValues, zero_frac: float,
                                big_m: int) -> np.ndarray:
     """Invert transform(s) = (q + (1-q) psi(s))^M with q^M = zero_frac.
 
@@ -145,7 +149,7 @@ def binomial_decompound_values(log_path: LogPath, zero_frac: float,
     return (root - root_q) / (1.0 - root_q)
 
 
-def negbinomial_decompound_values(log_path: LogPath, zero_frac: float,
+def negbinomial_decompound_values(log_path: TransformValues, zero_frac: float,
                                   big_m: int) -> np.ndarray:
     """Invert transform(s) = ((1-p) / (1 - p psi(s)))^M with (1-p)^M = zero_frac."""
     root_q = zero_frac ** (1.0 / big_m)
@@ -163,7 +167,7 @@ def domain_check(transform_map: TransformMap, samples: SampleSet) -> None:
 
 
 def apply_map(transform_map: TransformMap, samples: SampleSet,
-              grid: ContourGrid) -> np.ndarray:
+              grid: ContourGrid) -> TransformValues:
     """Empirical transform -> tracked log -> mapped transform values.
 
     Raises DomainEventFailed when the sample fails the map's domain event
@@ -171,6 +175,6 @@ def apply_map(transform_map: TransformMap, samples: SampleSet,
     """
     domain_check(transform_map, samples)
     observed = empirical_transform_grid(samples, grid)
-    log_path = track_log(empirical_evaluator(samples), grid,
+    log_path = track_log(partial(empirical_transform_eval, samples), grid,
                          values=observed.values)
-    return transform_map.values(log_path, samples)
+    return TransformValues(grid, transform_map.values(log_path, samples))

@@ -119,42 +119,51 @@ class SampleSet:
 class ContourGrid:
     """Uniform symmetric grid on the vertical contour Re(s) = c.
 
-    ``ys`` spans [-t_max, t_max], is strictly increasing, symmetric about 0
-    and contains 0 exactly; grid points are s = c + i*y.
+    ``m`` intervals of length t_max / m on each side of y = 0, an even
+    number so composite Simpson applies on each half; grid points are
+    s = c + i*y for the 2m + 1 ordinates y in [-t_max, t_max].
     """
 
     c: float
     t_max: float
-    ys: np.ndarray
+    m: int
 
     def __post_init__(self):
         if not (self.c > 0 and math.isfinite(self.c)):
             raise ParameterError("contour abscissa c must be positive")
         if not (self.t_max > 0 and math.isfinite(self.t_max)):
             raise ParameterError("truncation level t_max must be positive")
-        ys = np.asarray(self.ys, dtype=float)
-        if ys.ndim != 1 or ys.size < 3:
-            raise ParameterError("grid needs at least three points")
-        if not np.all(np.diff(ys) > 0):
-            raise ParameterError("grid ordinates must be strictly increasing")
-        if ys[0] != -self.t_max or ys[-1] != self.t_max:
-            raise ParameterError("grid must span [-t_max, t_max] exactly")
-        if not np.array_equal(ys, -ys[::-1]):
-            raise ParameterError("grid must be symmetric about 0")
-        if ys[ys.size // 2] != 0.0:
-            raise ParameterError("grid must contain 0")
-        ys = ys.copy()
-        ys.flags.writeable = False
-        object.__setattr__(self, "ys", ys)
+        m = self.m
+        if not (isinstance(m, int) and not isinstance(m, bool)
+                and m >= 2 and m % 2 == 0):
+            raise ParameterError("intervals per half m must be an even int >= 2")
 
     @property
     def n_points(self) -> int:
-        return self.ys.size
+        return 2 * self.m + 1
 
     @property
     def center_index(self) -> int:
         """Index of the point y = 0."""
-        return self.ys.size // 2
+        return self.m
+
+    @property
+    def spacing(self) -> float:
+        """Uniform step t_max / m.
+
+        Taken from the end point rather than a difference of neighbours,
+        which carries the rounding of t_max and is off by ~1e-12 relative.
+        """
+        return self.t_max / self.m
+
+    @functools.cached_property
+    def ys(self) -> np.ndarray:
+        """Ordinates -t_max .. t_max (read-only, computed once), mirrored
+        from the upper half so the grid is exactly symmetric about 0."""
+        half = np.linspace(0.0, self.t_max, self.m + 1)
+        ys = np.concatenate([-half[:0:-1], half])
+        ys.flags.writeable = False
+        return ys
 
     @functools.cached_property
     def points(self) -> np.ndarray:
@@ -163,32 +172,19 @@ class ContourGrid:
         pts.flags.writeable = False
         return pts
 
-    @functools.cached_property
-    def spacing(self) -> float:
-        """Uniform step t_max / (points per half), validated to relative 1e-9.
-
-        Taken from the end point rather than a difference of neighbours,
-        which carries the rounding of t_max and is off by ~1e-12 relative.
-        Computed and validated once, on first access.
-        """
-        d = np.diff(self.ys)
-        h = self.t_max / self.center_index
-        if np.max(np.abs(d - h)) > 1e-9 * h:
-            raise ParameterError("grid spacing is not uniform")
-        return h
-
 
 @dataclass(frozen=True, eq=False)
 class TransformValues:
-    """Transform values attached to the contour grid they were computed on."""
+    """Values on a contour grid, one per point: a transform, the tracked
+    log of one, or a mapped transform."""
 
     grid: ContourGrid
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != self.grid.ys.shape:
-            raise ParameterError("one transform value per grid point required")
+        if vals.shape != (self.grid.n_points,):
+            raise ParameterError("one value per grid point required")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -370,13 +366,6 @@ def empirical_transform_eval(samples: SampleSet, s):
         block = flat[start:start + rows, None]
         out[start:start + rows] = _exp_terms(block, x, largest).mean(axis=1)
     return out.reshape(s.shape)
-
-
-def empirical_evaluator(samples: SampleSet):
-    """Callable s -> empirical transform value, for branch tracking."""
-    def evaluate(s):
-        return empirical_transform_eval(samples, s)
-    return evaluate
 
 
 def _fft_length(n: int) -> int:

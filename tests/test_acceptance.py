@@ -157,7 +157,7 @@ def test_criterion_7_decompounding():
     rng = replication_rng(SEED, 0)
     ss = sample_compound_poisson(rng, 1.0, Exponential(1.0), 10**4)
     grid = build_grid(1.0, 100.0, math.log(2.0))
-    via_map = apply_map(BinomialDecompound(1), ss, grid)
+    via_map = apply_map(BinomialDecompound(1), ss, grid).values
     vals = empirical_transform_grid(ss, grid).values
     q = ss.zero_fraction
     reduction_gap = float(np.max(np.abs(via_map - (vals - q) / (1.0 - q))))

@@ -174,6 +174,61 @@ def test_config_unknown_key_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command, config, key", [
+    (["table2"], {"n": [100]}, "n"),
+    (["table2"], {"n": 100.0}, "n"),
+    (["table2"], {"rho": ["0.5", True]}, "rho"),
+    (["table1"], {"json": "false"}, "json"),
+    (["table1"], {"json": 0}, "json"),
+    (["table1"], {"mu": {"rate": 20}}, "mu"),
+    (["estimate", "--samples", "x.txt"], {"map": ["mg1"]}, "map"),
+    (["simulate"], {"job_params": [1, 2]}, "job_params"),
+])
+def test_config_value_of_wrong_shape_exit_3(tmp_path, capsys, command, config,
+                                            key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(command + ["--config", str(cfg)], capsys)
+    assert code == 3
+    assert out == ""
+    assert f"config key {key!r}" in err
+
+
+def config_and_flag_outputs(tmp_path, capsys, command, config, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    by_config = run(command + ["--config", str(cfg)], capsys)
+    by_flags = run(command + flags, capsys)
+    return by_config, by_flags
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    (["table2", "--reps", "1", "--n", "200", "--p", "0.9"],
+     {"rho": 0.5}, ["--rho", "0.5"]),
+    (["convergence", "--n", "100", "--reps", "2"], {"w": 0.5}, ["--w", "0.5"]),
+    (["convergence", "--reps", "2"], {"n": 100}, ["--n", "100"]),
+    (["table1"], {"p": 0.9, "json": True}, ["--p", "0.9", "--json"]),
+    (["table1"], {"rho": [0.9], "json": False, "mu": "20"}, ["--rho", "0.9"]),
+])
+def test_config_bare_value_reads_like_its_flag(tmp_path, capsys, command,
+                                               config, flags):
+    by_config, by_flags = config_and_flag_outputs(tmp_path, capsys, command,
+                                                  config, flags)
+    assert by_config == by_flags
+    assert by_config[0] == 0
+
+
+def test_config_bare_w_for_estimate(tmp_path, capsys):
+    samples = tmp_path / "totals.txt"
+    assert run(["simulate", "--n", "2000", "--out", str(samples)], capsys)[0] == 0
+    command = ["estimate", "--samples", str(samples), "--map", "mg1",
+               "--delta", "0.1"]
+    by_config, by_flags = config_and_flag_outputs(
+        tmp_path, capsys, command, {"w": 0.5}, ["--w", "0.5"])
+    assert by_config == by_flags
+    assert by_config[0] == 0
+
+
 def test_config_invalid_json_exit_3(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

@@ -1,4 +1,5 @@
 """End-to-end estimator, fallback discipline, comparison estimators."""
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from laptail.logtrack import track_log
 from laptail.transform_maps import (Mg1Workload, PoissonDecompound,
                                     mg1_workload_values)
 from laptail.transforms import (Exponential, SampleSet, TransformValues,
-                                empirical_evaluator, empirical_transform_eval,
+                                empirical_transform_eval,
                                 empirical_transform_grid)
 
 W_90 = mm1_percentile(10.0, 20.0, 0.9)
@@ -162,7 +163,7 @@ def test_grid_transform_matches_direct_at_estimate_level():
     mg1 = Mg1Workload(0.1)
 
     def estimate(values):
-        log_path = track_log(empirical_evaluator(ss), grid, values=values)
+        log_path = track_log(partial(empirical_transform_eval, ss), grid, values=values)
         psi = mg1_workload_values(log_path, ss.mean, mg1.delta)
         return bromwich_details(TransformValues(grid, psi), w,
                                 plateau=mg1.plateau(ss)).value

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laptail.errors import CapacityError, GridTooCoarse, ParameterError
-from laptail.inversion import (QuadratureSpec, bromwich_details, build_grid,
-                               invert_cdf_known)
-from laptail.transforms import (Exponential, Gamma, SampleSet, TransformValues,
-                                empirical_transform_grid)
+from laptail.inversion import bromwich_details, build_grid, invert_cdf_known
+from laptail.transforms import (ContourGrid, Exponential, Gamma, SampleSet,
+                                TransformValues, empirical_transform_grid)
 
 
 def exp_psi(grid):
@@ -32,11 +31,12 @@ def full_grid_simpson(psi, w, plateau=0.0):
 # --- grid construction -------------------------------------------------------
 
 def test_build_grid_shape():
-    grid = build_grid(1.0, 1.0, 1.0, QuadratureSpec(max_step=0.5))
-    assert grid.ys[0] == -1.0 and grid.ys[-1] == 1.0
-    assert grid.n_points % 2 == 1
+    # t_max / 0.05 = 20.6 intervals per half, rounded up to 21, then to even
+    grid = build_grid(1.0, 1.03, 1.0)
+    assert grid.m == 22 and grid.n_points == 45
+    assert grid.ys[0] == -1.03 and grid.ys[-1] == 1.03
     assert grid.ys[grid.center_index] == 0.0
-    assert grid.spacing <= math.pi / 8
+    assert grid.spacing <= 0.05
 
 
 def test_build_grid_phase_bound_scales_with_w():
@@ -50,15 +50,11 @@ def test_build_grid_symmetry_is_exact():
 
 
 def test_build_grid_budget():
+    # 2 * 50 000 000 + 1 points at step 0.05 is over the 10^7-point cap,
+    # which raises before anything is allocated
     with pytest.raises(CapacityError):
-        build_grid(1.0, 1e7, 1.0, point_budget=10**5)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ParameterError):
-        QuadratureSpec(max_step=0.0)
-    with pytest.raises(ParameterError):
-        QuadratureSpec(phase_bound=math.pi)
+        build_grid(1.0, 2.5e6, 1.0)
+    assert build_grid(1.0, 2.5e5 - 1.0, 1.0).n_points < 10**7
 
 
 # --- inversion oracle values --------------------------------------------------
@@ -102,9 +98,9 @@ def test_truncation_error_decays_once_over_t():
 
 
 def test_halving_the_step_barely_moves_the_result():
-    fine = QuadratureSpec(max_step=0.025, phase_bound=math.pi / 16)
     a = invert_cdf_known(Exponential(1.0), math.log(2.0), t_max=200.0)
-    b = invert_cdf_known(Exponential(1.0), math.log(2.0), t_max=200.0, quad=fine)
+    fine = ContourGrid(1.0, 200.0, 8000)  # step 0.025, half the default
+    b = bromwich_details(exp_psi(fine), math.log(2.0)).value
     assert abs(a - b) <= 1e-4
 
 
@@ -231,3 +227,6 @@ def test_grid_too_coarse_for_larger_w():
     grid = build_grid(1.0, 10.0, 1.0)  # step 0.05, fine for w <= pi/(8*0.05)
     with pytest.raises(GridTooCoarse):
         bromwich_details(exp_psi(grid), 50.0)
+    # step 5 against the bound 0.05 at w = 1
+    with pytest.raises(GridTooCoarse):
+        bromwich_details(exp_psi(ContourGrid(1.0, 10.0, 2)), 1.0)

@@ -1,5 +1,6 @@
 """Continuous-logarithm tracking along the contour."""
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from laptail.errors import DomainError, NearZeroTransform
 from laptail.inversion import build_grid
 from laptail.logtrack import _log_near_one, track_log
-from laptail.transforms import SampleSet, empirical_evaluator, empirical_transform_grid
+from laptail.transforms import (ContourGrid, SampleSet, empirical_transform_eval,
+                                empirical_transform_grid)
 
 
 def exp_jobs_transform(rate: float):
@@ -54,7 +56,7 @@ def test_tracked_empirical_log_matches_complex_log_path():
     ratios = vals[mid + 1:] / vals[mid:-1]
     assert np.all(np.abs(ratios - 1.0) <= 0.5)
     upper = np.log(vals[mid].real) + np.concatenate([[0.0], np.cumsum(np.log(ratios))])
-    path = track_log(empirical_evaluator(ss), grid, values=vals)
+    path = track_log(partial(empirical_transform_eval, ss), grid, values=vals)
     assert np.max(np.abs(path.values[mid:] - upper)) <= 1e-13
 
 
@@ -97,7 +99,7 @@ def test_path_invariants_on_empirical_transforms():
         counts = rng.poisson(intensity, n)
         ss = SampleSet(rng.gamma(counts, 1.0))
         vals = empirical_transform_grid(ss, grid).values
-        path = track_log(empirical_evaluator(ss), grid, values=vals)
+        path = track_log(partial(empirical_transform_eval, ss), grid, values=vals)
         # exponential consistency
         rel = np.abs(np.exp(path.values) - vals) / np.abs(vals)
         assert np.max(rel) <= 1e-8
@@ -111,25 +113,19 @@ def test_mirroring_matches_independent_negative_tracking():
     rng = np.random.default_rng(22)
     ss = SampleSet(rng.exponential(0.3, 50))
     grid = build_grid(1.0, 8.0, 1.0)
-    mirrored = track_log(empirical_evaluator(ss), grid)
-    independent = track_log(empirical_evaluator(ss), grid, mirror_negative=False)
+    evaluate = partial(empirical_transform_eval, ss)
+    mirrored = track_log(evaluate, grid)
+    independent = track_log(evaluate, grid, mirror_negative=False)
     assert np.allclose(mirrored.values, independent.values, atol=1e-10)
 
 
 def test_refinement_handles_fast_rotation():
     # steep phase: a point mass far out needs bisection on a coarse grid
     grid = build_grid(1.0, 4.0, 1.0)
-    coarse = ContourSubsample(grid)
+    # every 4th point of the grid, still a valid uniform symmetric contour
+    coarse = ContourGrid(grid.c, grid.t_max, grid.m // 4)
     path = track_log(lambda s: np.exp(-8.0 * s), coarse)
     assert np.max(np.abs(path.values - (-8.0 * coarse.points))) <= 1e-8
-
-
-class ContourSubsample:
-    """Every 4th point of a grid, still a valid uniform symmetric contour."""
-
-    def __new__(cls, grid):
-        from laptail.transforms import ContourGrid
-        return ContourGrid(grid.c, grid.t_max, grid.ys[::4])
 
 
 def test_vanishing_transform_raises():

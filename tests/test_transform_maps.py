@@ -67,7 +67,7 @@ def test_binomial_single_trial_reduction():
     rng = replication_rng(31, 0)
     ss = sample_compound_poisson(rng, 1.0, Exponential(1.0), 500)
     grid = build_grid(1.0, 10.0, 1.0)
-    got = apply_map(BinomialDecompound(1), ss, grid)
+    got = apply_map(BinomialDecompound(1), ss, grid).values
     vals = empirical_transform_grid(ss, grid).values
     q = ss.zero_fraction
     assert np.max(np.abs(got - (vals - q) / (1.0 - q))) <= 1e-10
@@ -77,7 +77,7 @@ def test_negbinomial_single_trial_reduction():
     rng = replication_rng(31, 1)
     ss = sample_compound_poisson(rng, 1.0, Exponential(1.0), 500)
     grid = build_grid(1.0, 10.0, 1.0)
-    got = apply_map(NegBinomialDecompound(1), ss, grid)
+    got = apply_map(NegBinomialDecompound(1), ss, grid).values
     vals = empirical_transform_grid(ss, grid).values
     q = ss.zero_fraction
     assert np.max(np.abs(got - (1.0 - q / vals) / (1.0 - q))) <= 1e-10
@@ -121,7 +121,8 @@ def test_domain_check_dispatch():
 def test_all_zero_samples_give_unit_workload_transform():
     grid = build_grid(1.0, 10.0, 1.0)
     got = apply_map(Mg1Workload(0.1), SampleSet(np.zeros(8)), grid)
-    assert np.allclose(got, 1.0, atol=1e-12)
+    assert got.grid is grid
+    assert np.allclose(got.values, 1.0, atol=1e-12)
 
 
 def test_applied_maps_real_at_anchor_and_symmetric():
@@ -134,7 +135,7 @@ def test_applied_maps_real_at_anchor_and_symmetric():
         (NegBinomialDecompound(3), sample_compound_poisson(rng, 1.0, Exponential(1.0), 2000)),
     ]
     for transform_map, ss in cases:
-        got = apply_map(transform_map, ss, grid)
+        got = apply_map(transform_map, ss, grid).values
         center = got[grid.center_index]
         assert abs(center.imag) <= 1e-12
         assert 0.0 < center.real <= 1.0 + 1e-12
@@ -152,7 +153,7 @@ def test_estimated_transform_tracks_analytic_one():
     for r in range(50):
         rng = replication_rng(33, r)
         ss = sample_compound_poisson(rng, lam * delta, Exponential(mu), 10**4)
-        got = apply_map(Mg1Workload(delta), ss, grid)
+        got = apply_map(Mg1Workload(delta), ss, grid).values
         hits += int(np.all(np.abs(got[probe] - want[probe]) < 0.05))
     assert hits >= 48  # spec floor is 95% of 50
 

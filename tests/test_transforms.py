@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from laptail.errors import ParameterError, SampleFileError
-from laptail.inversion import QuadratureSpec, build_grid
+from laptail.inversion import build_grid
 from laptail.simulation import BinomialCounts, sample_compound
 from laptail.transforms import (CompoundPoisson, ContourGrid, Deterministic,
                                 Exponential, Gamma, SampleSet,
@@ -162,7 +162,7 @@ def test_grid_evaluation_widest_mode_range():
     # dominates, and the top modes carry the largest deconvolution factor
     rng = np.random.default_rng(17)
     ss = SampleSet(rng.exponential(0.05, 2000))
-    grid = build_grid(1.0, 400.0, 1.0, QuadratureSpec(max_step=0.0125))
+    grid = ContourGrid(1.0, 400.0, 32000)
     assert grid.n_points == 64001
     mid = grid.center_index
     got = empirical_transform_grid(ss, grid).values[mid:]
@@ -229,11 +229,11 @@ ARC_CASES = {
 @pytest.mark.parametrize("case", sorted(ARC_CASES))
 def test_grid_evaluation_on_every_arc(case):
     # the NUFFT spreads only over the cells the phases occupy and folds the
-    # buffer onto the circle. A long step h = pi/8 puts the wrap at
-    # x = 2 pi / h, about 16, where c = 0.1 keeps the weights visible; a short
+    # buffer onto the circle. A long step h = 20/52, near pi/8, puts the wrap
+    # at x = 2 pi / h, about 16, where c = 0.1 keeps the weights visible; a short
     # contour keeps every phase y x below 400, since floating point knows
     # the phase only to 1e-16 relative, in any method
-    grid = build_grid(0.1, 20.0, 1.0, QuadratureSpec(max_step=math.pi / 8))
+    grid = ContourGrid(0.1, 20.0, 52)
     x = ARC_CASES[case](2.0 * math.pi / grid.spacing, np.random.default_rng(18))
     got, direct = grid_and_direct(SampleSet(x), grid)
     assert np.max(np.abs(got - direct)) <= 1e-13
@@ -257,16 +257,22 @@ def test_grid_evaluation_conjugate_symmetric_exactly():
 # --- contour grid ----------------------------------------------------------
 
 def test_grid_validation():
-    ys = np.linspace(-5.0, 5.0, 11)
-    g = ContourGrid(c=1.0, t_max=5.0, ys=ys)
-    assert g.spacing == pytest.approx(1.0)
+    g = ContourGrid(c=1.0, t_max=5.0, m=10)
+    assert g.spacing == 0.5
+    assert g.n_points == 21 and g.center_index == 10
+    assert g.ys[0] == -5.0 and g.ys[-1] == 5.0
     assert g.ys[g.center_index] == 0.0
-    with pytest.raises(ParameterError):
-        ContourGrid(c=0.0, t_max=5.0, ys=ys)
-    with pytest.raises(ParameterError):
-        ContourGrid(c=1.0, t_max=5.0, ys=np.linspace(-5.0, 5.0, 10))
-    with pytest.raises(ParameterError):
-        ContourGrid(c=1.0, t_max=4.0, ys=ys)
+    assert np.array_equal(g.ys, -g.ys[::-1])
+    assert np.all(np.diff(g.ys) > 0)
+    assert not g.ys.flags.writeable and not g.points.flags.writeable
+    for c, t_max in ((0.0, 5.0), (-1.0, 5.0), (math.inf, 5.0),
+                     (1.0, 0.0), (1.0, -5.0), (1.0, math.nan)):
+        with pytest.raises(ParameterError):
+            ContourGrid(c, t_max, 10)
+    # odd, below 2, not an int, and a bool
+    for m in (5, 1, 0, -2, 4.0, True, None):
+        with pytest.raises(ParameterError):
+            ContourGrid(1.0, 5.0, m)
 
 
 def test_grid_spacing_reproduces_the_points():
