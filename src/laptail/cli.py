@@ -174,7 +174,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         rows.append({"w": w, "cdf": res.value, "tail": 1.0 - res.value,
                      "on_domain_event": res.on_domain_event,
                      "clipped": res.clipped,
-                     "imag_residual": res.imag_residual,
                      "t_max_used": res.t_max_used, "n": res.n,
                      "fallback_reason": res.fallback_reason})
     _emit(rows, eff["out"], eff["json"])

@@ -47,8 +47,9 @@ class EstimatorConfig:
             raise ParameterError("evaluation point w must be positive")
         if not (self.c > 0 and math.isfinite(self.c)):
             raise ParameterError("contour abscissa c must be positive")
-        if self.t_max_override is not None and not self.t_max_override > 0:
-            raise ParameterError("t_max_override must be positive")
+        if self.t_max_override is not None and not (
+                self.t_max_override > 0 and math.isfinite(self.t_max_override)):
+            raise ParameterError("t_max_override must be positive and finite")
         if not 0.0 <= self.fallback_value <= 1.0:
             raise ParameterError("fallback_value must be in [0, 1]")
 
@@ -71,17 +72,24 @@ class EstimateResult:
     raw_value: float | None
     on_domain_event: bool
     clipped: bool
-    imag_residual: float
-    imag_warning: bool
     t_max_used: float
     n: int
     fallback_reason: str | None = None
+
+    @property
+    def imag_residual(self) -> float:
+        """Always 0.0: the contour is sampled on y >= 0 only, by conjugate
+        symmetry, so there is no symmetry defect to measure.
+
+        Kept read-only only until the benchmark stops reading it (ROADMAP
+        item 1).
+        """
+        return 0.0
 
 
 def _fallback(config: EstimatorConfig, n: int, reason: str) -> EstimateResult:
     return EstimateResult(value=config.fallback_value, raw_value=None,
                           on_domain_event=False, clipped=False,
-                          imag_residual=0.0, imag_warning=False,
                           t_max_used=config.t_max_for(n), n=n,
                           fallback_reason=reason)
 
@@ -98,8 +106,6 @@ def _finish(details: InversionResult, config: EstimatorConfig,
     clipped = value != raw
     return EstimateResult(value=value, raw_value=raw if clipped else value,
                           on_domain_event=True, clipped=clipped,
-                          imag_residual=details.imag_residual,
-                          imag_warning=details.imag_warning,
                           t_max_used=config.t_max_for(n), n=n)
 
 

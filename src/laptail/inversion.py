@@ -5,18 +5,18 @@ The target quantity is F(w), recovered from psi(s) = E exp(-sY) through
     F(w) = lim (1/(2 pi)) integral over [-T, T] of e^{(c+iy)w} psi(c+iy) / (c+iy) dy
 
 truncated at a finite T. The integrand of a real measure is conjugate
-symmetric, so the integral is evaluated as (1/pi) times the real part over
-[0, T]. When psi has a known limit `plateau` at |s| -> infinity (an atom of
-the measure at 0), the plateau is inverted in closed form and only the
-difference is integrated, which turns the O(1/T) truncation tail into
-O(1/T^2).
+symmetric, so the integral is (1/pi) times the real part over [0, T], and
+psi is sampled on the half grid y in [0, T] only. When psi has a known
+limit `plateau` at |s| -> infinity (an atom of the measure at 0), the
+plateau is inverted in closed form and only the difference is integrated,
+which turns the O(1/T) truncation tail into O(1/T^2).
 
 The integral is composite Simpson on a uniform grid with step at most
 h = min(0.05, (pi/8) / max(w, 1)). The second term keeps the sampled phase
 increment w h of e^{iyw} below pi/8 so the oscillation is resolved; the
 first keeps slowly oscillating cases accurate in the non-oscillatory
-factor. ``build_grid`` takes m = ceil(T / h) intervals per half, rounded
-up to even, and refuses grids of more than 10^7 points.
+factor. ``build_grid`` takes m = ceil(T / h) intervals, rounded up to even,
+and refuses grids of more than 5 * 10^6 points.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ _MAX_STEP = 0.05
 _PHASE_BOUND = math.pi / 8
 
 # Hard cap on grid size so a huge w or T cannot silently allocate gigabytes.
-_MAX_POINTS = 10**7
+_MAX_POINTS = 5 * 10**6
 
 # Relative slack when validating that a supplied grid respects the step
 # bounds, so grids built by build_grid itself always pass.
@@ -48,31 +48,27 @@ def _step_for(w: float) -> float:
 
 @dataclass(frozen=True)
 class InversionResult:
-    """Value of the truncated inversion plus numerical diagnostics.
-
-    imag_residual is |Im| of the Simpson sum over the whole contour,
-    (1/(2 pi)) times the integral over [-T, T] of e^{sw} (psi(s) - plateau)
-    / s, computed from the upper half as the Simpson sum of
-    Im(conj(e^{sw}/s) d) with the conjugate-symmetry defect
-    d(y) = psi(c - iy) - conj(psi(c + iy)). It measures how far the
-    transform is from that of a real measure, and is exactly 0 for a
-    mirrored grid such as ``empirical_transform_grid`` returns; a large
-    value (imag_warning) signals a transform that is not one of a real
-    measure.
-    """
+    """Value of the truncated inversion."""
 
     value: float
-    imag_residual: float
-    imag_warning: bool
+
+    @property
+    def imag_warning(self) -> bool:
+        """Always False: a half-grid transform has no symmetry defect.
+
+        Kept read-only only until the benchmark stops reading it (ROADMAP
+        item 1).
+        """
+        return False
 
 
 def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
-    """Symmetric uniform grid on [-t_max, t_max] sized for inverting at w.
+    """Half grid on [0, t_max] sized for inverting at w.
 
     The step is at most h = min(0.05, (pi/8) / max(w, 1)): m = ceil(t_max / h)
-    intervals per half, at least 2 and rounded up to even so composite
-    Simpson applies on the half-grid. CapacityError when the grid would
-    have more than 10^7 points.
+    intervals, at least 2 and rounded up to even so composite Simpson
+    applies, giving m + 1 points. CapacityError when the grid would have
+    more than 5 * 10^6 points.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ParameterError("t_max must be positive and finite")
@@ -80,9 +76,9 @@ def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
         raise ParameterError("w must be nonnegative and finite")
     m = max(2, math.ceil(t_max / _step_for(w)))
     m += m % 2
-    if 2 * m + 1 > _MAX_POINTS:
+    if m + 1 > _MAX_POINTS:
         raise CapacityError(
-            f"inversion grid needs {2 * m + 1} points, cap {_MAX_POINTS}")
+            f"inversion grid needs {m + 1} points, cap {_MAX_POINTS}")
     return ContourGrid(c, t_max, m)
 
 
@@ -97,9 +93,9 @@ def _simpson_uniform(values: np.ndarray, h: float):
 
 def bromwich_details(psi: TransformValues, w: float,
                      plateau: float = 0.0) -> InversionResult:
-    """Truncated contour inversion with diagnostics.
+    """Truncated contour inversion.
 
-    psi carries the transform values on a symmetric uniform grid; the value
+    psi carries the transform values on a half grid over [0, T]; the value
     returned is
 
         plateau + (1/pi) * Simpson over [0, T] of Re[e^{sw} (psi(s) - plateau) / s]
@@ -115,24 +111,10 @@ def bromwich_details(psi: TransformValues, w: float,
     if h > bound * _STEP_SLACK:
         raise GridTooCoarse(
             f"grid step {h:.6g} exceeds bound {bound:.6g} for w = {w:g}")
-    mid = grid.center_index
-    s = grid.points[mid:]
-    growth = np.exp(s * w)
-    half_vals = (growth * (psi.values[mid:] - plateau) / s).real
-    value = plateau + _simpson_uniform(half_vals, h) / math.pi
-    # The full-grid Simpson weights at y_k and -y_k both equal the half-grid
-    # weight at y_k (the centre weight 2 is 1 + 1), so the imaginary part of
-    # the full sum is the half-grid sum of Im(f(y) + f(-y)) for the
-    # integrand f, which is Im(conj(e^{sw}/s) d) with the symmetry defect d.
-    defect = psi.values[mid::-1] - np.conj(psi.values[mid:])
-    if np.any(defect):
-        full_imag = _simpson_uniform((np.conj(growth / s) * defect).imag, h)
-        imag_residual = float(abs(full_imag)) / (2.0 * math.pi)
-    else:
-        imag_residual = 0.0
-    scale = max(1.0, abs(value))
-    return InversionResult(value=float(value), imag_residual=imag_residual,
-                           imag_warning=imag_residual > 1e-6 * scale)
+    s = grid.points
+    integrand = (np.exp(s * w) * (psi.values - plateau) / s).real
+    value = plateau + _simpson_uniform(integrand, h) / math.pi
+    return InversionResult(value=float(value))
 
 
 def invert_cdf_known(transform: AnalyticModel | Callable, w: float,

@@ -10,6 +10,10 @@ increment is computed in real arithmetic: with u = ratio - 1, its real part
 is log1p(u.re (2 + u.re) + u.im^2) / 2 and its imaginary part
 arctan2(ratio.im, ratio.re), several times faster than the complex log on
 these near-one ratios and as accurate.
+
+The log is tracked on the half grid y in [0, T] only, upward from the
+anchor y = 0: the transforms are of real measures, so on y < 0 the branch
+is the conjugate.
 """
 from __future__ import annotations
 
@@ -24,6 +28,9 @@ from .transforms import ContourGrid, TransformValues
 # steps are bisected. 1/2 keeps every accepted ratio in Re(z) >= 1/2, far
 # from the branch cut, while tolerating genuinely fast-varying transforms.
 _RATIO_RADIUS = 0.5
+
+# Most levels of bisection of one grid step before log tracking gives up.
+_REFINE_LIMIT = 40
 
 # Relative tolerance for the imaginary part of the transform at the real
 # anchor point s = c, where the value must be real and positive.
@@ -64,32 +71,24 @@ def _refined_log_ratio(evaluator: Callable, s_from: complex, f_from: complex,
     return left + right
 
 
-def track_log(evaluator: Callable, grid: ContourGrid, refine_limit: int = 40,
-              values: np.ndarray | None = None,
-              mirror_negative: bool = True) -> TransformValues:
-    """Track the continuous logarithm of ``evaluator`` along the contour.
+def track_log(evaluator: Callable, grid: ContourGrid,
+              values: np.ndarray | None = None) -> TransformValues:
+    """Track the continuous logarithm of ``evaluator`` on the half grid.
 
-    Starting from the real anchor s = c with log f(c) = ln f(c), the log is
-    continued outward point by point: each increment is the principal log of
-    the ratio z of consecutive transform values, with recursive bisection
-    (extra evaluator calls, at most ``refine_limit`` levels) whenever the
-    ratio leaves the disk |z - 1| <= 1/2. Inside the disk the log is taken
-    in real arithmetic, log1p(|z|^2 - 1) / 2 + i arctan2(Im z, Re z) with
-    |z|^2 - 1 formed from u = z - 1 as u.re (2 + u.re) + u.im^2, by one
-    helper shared by the vectorized pass and the bisection. Ratios whose
+    Starting from the real anchor s = c (index 0) with log f(c) = ln f(c),
+    the log is continued up the m + 1 points y in [0, t_max]: each increment
+    is the principal log of the ratio z of consecutive transform values,
+    taken in real arithmetic by the helper the bisection also uses, with
+    recursive bisection (extra evaluator calls, at most _REFINE_LIMIT
+    levels) whenever the ratio leaves the disk |z - 1| <= 1/2. Ratios whose
     modulus is zero, and steps that never settle, raise NearZeroTransform.
-
     ``values`` may carry precomputed transform values on the grid to avoid
-    re-evaluation. With ``mirror_negative`` (the default) the negative half
-    is filled by conjugate symmetry, which is exact for transforms of real
-    measures; pass False to track both halves independently.
+    re-evaluation.
 
     The anchor value f(c) must be real positive (relative imaginary part
     within 1e-9), else DomainError: transforms of nonnegative measures are
     real on the real axis, so anything else means the evaluator is not one.
     """
-    if refine_limit < 0:
-        raise ParameterError("refine_limit must be nonnegative")
     pts = grid.points
     if values is None:
         vals = np.asarray(evaluator(pts), dtype=complex)
@@ -97,37 +96,25 @@ def track_log(evaluator: Callable, grid: ContourGrid, refine_limit: int = 40,
         vals = np.asarray(values, dtype=complex)
         if vals.shape != pts.shape:
             raise ParameterError("values must match the grid")
-    mid = grid.center_index
-
-    f_c = complex(vals[mid])
+    f_c = complex(vals[0])
     if not (f_c.real > 0.0) or abs(f_c.imag) > _ANCHOR_IMAG_TOL * abs(f_c):
         raise DomainError(
             f"transform at s = {grid.c} must be real and positive, got {f_c}")
-
-    def half_logs(half_pts: np.ndarray, half_vals: np.ndarray) -> np.ndarray:
-        # increments for the easy steps in one vectorized pass, then patch
-        # the few wide ones by bisection
-        if np.any(half_vals == 0.0):
-            k = int(np.flatnonzero(half_vals == 0.0)[0])
-            raise NearZeroTransform(f"transform vanishes at s = {half_pts[k]}")
-        ratios = half_vals[1:] / half_vals[:-1]
-        incs = np.empty(ratios.shape, dtype=complex)
-        near = np.abs(ratios - 1.0) <= _RATIO_RADIUS
-        if np.any(near):
-            incs[near] = _log_near_one(ratios[near])
-        for k in np.flatnonzero(~near):
-            incs[k] = _refined_log_ratio(
-                evaluator, complex(half_pts[k]), complex(half_vals[k]),
-                complex(half_pts[k + 1]), complex(half_vals[k + 1]),
-                refine_limit)
-        out = np.empty(half_vals.size, dtype=complex)
-        out[0] = np.log(f_c.real)
-        out[1:] = out[0] + np.cumsum(incs)
-        return out
-
-    upper = half_logs(pts[mid:], vals[mid:])
-    if mirror_negative:
-        lower = np.conj(upper[:0:-1])
-    else:
-        lower = half_logs(pts[mid::-1], vals[mid::-1])[:0:-1]
-    return TransformValues(grid, np.concatenate([lower, upper]))
+    if np.any(vals == 0.0):
+        k = int(np.flatnonzero(vals == 0.0)[0])
+        raise NearZeroTransform(f"transform vanishes at s = {pts[k]}")
+    # increments for the easy steps in one vectorized pass, then patch the
+    # few wide ones by bisection
+    ratios = vals[1:] / vals[:-1]
+    incs = np.empty(ratios.shape, dtype=complex)
+    near = np.abs(ratios - 1.0) <= _RATIO_RADIUS
+    if np.any(near):
+        incs[near] = _log_near_one(ratios[near])
+    for k in np.flatnonzero(~near):
+        incs[k] = _refined_log_ratio(
+            evaluator, complex(pts[k]), complex(vals[k]),
+            complex(pts[k + 1]), complex(vals[k + 1]), _REFINE_LIMIT)
+    out = np.empty(vals.size, dtype=complex)
+    out[0] = np.log(f_c.real)
+    out[1:] = out[0] + np.cumsum(incs)
+    return TransformValues(grid, out)

@@ -3,8 +3,11 @@
 Empirical transforms of nonnegative samples, closed-form transforms of a few
 analytic models used as oracles and simulators, and the sample file format.
 All transforms are evaluated on the closed right half-plane Re(s) >= 0 only.
+They are transforms of real measures, so psi(c - iy) = conj psi(c + iy) and
+a contour grid covers only y >= 0: the half grid s_k = c + i k h for
+k = 0 .. m, with t_max = m h.
 
-On a contour grid s_k = c + i k h the empirical transform is a type-1
+On that grid the empirical transform is a type-1
 non-uniform DFT, (1/n) sum_j a_j e^{-i k theta_j} with real weights
 a_j = e^{-c x_j} and theta_j = h x_j mod 2 pi. ``empirical_transform_grid``
 evaluates it with a Gaussian-gridding NUFFT (Greengard & Lee, SIAM Review
@@ -20,7 +23,7 @@ needed.
 Against direct evaluation the error stays below 1.5e-14 absolute and does
 not grow with K: 1.4e-14 at most for samples of Exp(mean 0.05), whose
 phases all sit near 0, and 4.1e-15 for Exp(mean 1) and Gamma(20, 0.05),
-over five seeds of 2000 samples at 401 to 64 001 points.
+over five seeds of 2000 samples at 201 to 32 001 points.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ _EXP_NONZERO = 700.0
 # cells of a grid with at least _OVERSAMPLE cells per mode of the centred mode
 # range, with the kernel width of Greengard & Lee. At half-width 16 the kernel
 # truncation and aliasing errors sit below rounding (max error 1.4e-14 on
-# 16 001 points for 2000 exponential samples of mean 0.05); half-width 12 gave
+# 8 001 points for 2000 exponential samples of mean 0.05); half-width 12 gave
 # 4e-13 and 8 gave 2e-9 on the same case.
 _SPREAD_HALF_WIDTH = 16
 _OVERSAMPLE = 2
@@ -117,11 +120,13 @@ class SampleSet:
 
 @dataclass(frozen=True, eq=False)
 class ContourGrid:
-    """Uniform symmetric grid on the vertical contour Re(s) = c.
+    """Uniform half grid on the vertical contour Re(s) = c.
 
-    ``m`` intervals of length t_max / m on each side of y = 0, an even
-    number so composite Simpson applies on each half; grid points are
-    s = c + i*y for the 2m + 1 ordinates y in [-t_max, t_max].
+    ``m`` intervals of length t_max / m over y in [0, t_max], an even number
+    so composite Simpson applies; grid points are s = c + i*y for the m + 1
+    ordinates y_k = k t_max / m, with the real anchor y = 0 at index 0. The
+    transforms here are of real measures, so psi(c - iy) = conj psi(c + iy)
+    and the lower half of the contour carries no information.
     """
 
     c: float
@@ -136,16 +141,20 @@ class ContourGrid:
         m = self.m
         if not (isinstance(m, int) and not isinstance(m, bool)
                 and m >= 2 and m % 2 == 0):
-            raise ParameterError("intervals per half m must be an even int >= 2")
+            raise ParameterError("interval count m must be an even int >= 2")
 
     @property
     def n_points(self) -> int:
-        return 2 * self.m + 1
+        return self.m + 1
 
     @property
     def center_index(self) -> int:
-        """Index of the point y = 0."""
-        return self.m
+        """Index of the anchor y = 0, always 0.
+
+        Kept read-only only until the benchmark stops reading it (ROADMAP
+        item 1).
+        """
+        return 0
 
     @property
     def spacing(self) -> float:
@@ -158,10 +167,8 @@ class ContourGrid:
 
     @functools.cached_property
     def ys(self) -> np.ndarray:
-        """Ordinates -t_max .. t_max (read-only, computed once), mirrored
-        from the upper half so the grid is exactly symmetric about 0."""
-        half = np.linspace(0.0, self.t_max, self.m + 1)
-        ys = np.concatenate([-half[:0:-1], half])
+        """Ordinates 0 .. t_max (read-only, computed once)."""
+        ys = np.linspace(0.0, self.t_max, self.m + 1)
         ys.flags.writeable = False
         return ys
 
@@ -436,16 +443,14 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
 
 
 def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> TransformValues:
-    """Empirical transform on a full contour grid.
+    """Empirical transform on the half grid y_k = k h, k = 0 .. m.
 
-    The upper half-grid y_k = k h is a type-1 non-uniform DFT of the nonzero
-    samples with real weights e^{-c x}, evaluated by the real-weight NUFFT
-    of ``_phase_sums`` (see the module docstring); samples whose weight
-    underflows to 0 are left out. Exact zeros (``x == 0.0``, whatever
-    ``zero_tol`` says) add their fraction to every point, and the anchor
-    y = 0 is the real mean of e^{-c x}. The lower half is mirrored by
-    conjugation, so conjugate symmetry and a real anchor hold exactly.
-    Against direct evaluation (``empirical_transform_eval`` on
+    The values are a type-1 non-uniform DFT of the nonzero samples with real
+    weights e^{-c x}, evaluated by the real-weight NUFFT of ``_phase_sums``
+    (see the module docstring); samples whose weight underflows to 0 are
+    left out. Exact zeros (``x == 0.0``, whatever ``zero_tol`` says) add
+    their fraction to every point, and the anchor y = 0 is the real mean of
+    e^{-c x}. Against direct evaluation (``empirical_transform_eval`` on
     ``grid.points``) the error stays below 1.5e-14 absolute, independent of
     the grid size: the largest measured, 1.4e-14, is for samples of
     Exp(mean 0.05), whose phases all sit near 0. It is largest at the top
@@ -456,16 +461,14 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     at y = 400.
     """
     x = samples.values
-    mid = grid.center_index
     a = np.exp(-grid.c * x)
     # zeros are added exactly below; samples whose weight underflows add
     # nothing and could overflow h * x
     gridded = (x != 0.0) & (a > 0.0)
-    upper = _phase_sums(x[gridded], a[gridded], grid.spacing, grid.n_points - mid)
-    upper /= x.size
-    upper += np.count_nonzero(x == 0.0) / x.size
-    upper[0] = a.mean()
-    values = np.concatenate([np.conj(upper[:0:-1]), upper])
+    values = _phase_sums(x[gridded], a[gridded], grid.spacing, grid.n_points)
+    values /= x.size
+    values += np.count_nonzero(x == 0.0) / x.size
+    values[0] = a.mean()
     return TransformValues(grid, values)
 
 

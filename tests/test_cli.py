@@ -61,8 +61,7 @@ def test_estimate_pipeline_against_oracle(tmp_path, capsys):
     assert code == 0
     rows = parse_csv(out)
     assert list(rows[0]) == ["w", "cdf", "tail", "on_domain_event", "clipped",
-                             "imag_residual", "t_max_used", "n",
-                             "fallback_reason"]
+                             "t_max_used", "n", "fallback_reason"]
     assert abs(float(rows[0]["cdf"]) - 0.9) < 0.05
     assert abs(float(rows[1]["cdf"]) - 0.99) < 0.03
     assert rows[0]["on_domain_event"] == "true"

@@ -50,14 +50,13 @@ def test_tracked_empirical_log_matches_complex_log_path():
     x[rng.random(x.size) < 0.5] = 0.0
     ss = SampleSet(x)
     grid = build_grid(1.0, 400.0, 1.0)
-    assert grid.n_points == 16001
+    assert grid.n_points == 8001
     vals = empirical_transform_grid(ss, grid).values
-    mid = grid.center_index
-    ratios = vals[mid + 1:] / vals[mid:-1]
+    ratios = vals[1:] / vals[:-1]
     assert np.all(np.abs(ratios - 1.0) <= 0.5)
-    upper = np.log(vals[mid].real) + np.concatenate([[0.0], np.cumsum(np.log(ratios))])
+    expected = np.log(vals[0].real) + np.concatenate([[0.0], np.cumsum(np.log(ratios))])
     path = track_log(partial(empirical_transform_eval, ss), grid, values=vals)
-    assert np.max(np.abs(path.values[mid:] - upper)) <= 1e-13
+    assert np.max(np.abs(path.values - expected)) <= 1e-13
 
 
 # --- tracked log -----------------------------------------------------------
@@ -103,26 +102,15 @@ def test_path_invariants_on_empirical_transforms():
         # exponential consistency
         rel = np.abs(np.exp(path.values) - vals) / np.abs(vals)
         assert np.max(rel) <= 1e-8
-        # real anchor, conjugate symmetry, continuity
-        assert path.values[grid.center_index].imag == 0.0
-        assert np.array_equal(path.values, np.conj(path.values[::-1]))
+        # real anchor, continuity
+        assert path.values[0].imag == 0.0
         assert np.max(np.abs(np.diff(path.values))) < math.pi
-
-
-def test_mirroring_matches_independent_negative_tracking():
-    rng = np.random.default_rng(22)
-    ss = SampleSet(rng.exponential(0.3, 50))
-    grid = build_grid(1.0, 8.0, 1.0)
-    evaluate = partial(empirical_transform_eval, ss)
-    mirrored = track_log(evaluate, grid)
-    independent = track_log(evaluate, grid, mirror_negative=False)
-    assert np.allclose(mirrored.values, independent.values, atol=1e-10)
 
 
 def test_refinement_handles_fast_rotation():
     # steep phase: a point mass far out needs bisection on a coarse grid
     grid = build_grid(1.0, 4.0, 1.0)
-    # every 4th point of the grid, still a valid uniform symmetric contour
+    # every 4th point of the grid, still a valid uniform half grid
     coarse = ContourGrid(grid.c, grid.t_max, grid.m // 4)
     path = track_log(lambda s: np.exp(-8.0 * s), coarse)
     assert np.max(np.abs(path.values - (-8.0 * coarse.points))) <= 1e-8
@@ -136,7 +124,7 @@ def test_vanishing_transform_raises():
         return np.asarray(1.0 - y / 5.0, dtype=complex)
 
     with pytest.raises(NearZeroTransform):
-        track_log(crossing, grid, refine_limit=20)
+        track_log(crossing, grid)
 
 
 def test_non_real_anchor_raises():

@@ -1,5 +1,7 @@
 """Transform maps: analytic round trips, domain events, symmetry."""
 import math
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from laptail.transform_maps import (BinomialDecompound, Mg1Workload,
                                     domain_check, mg1_workload_values,
                                     negbinomial_decompound_values,
                                     poisson_decompound_values)
-from laptail.transforms import Exponential, SampleSet, empirical_transform_grid
+from laptail.transforms import (Exponential, SampleSet, TransformValues,
+                                empirical_transform_eval,
+                                empirical_transform_grid)
 
 ROUND_TRIP_GRID = build_grid(1.0, 50.0, 1.0)
 
@@ -134,12 +138,18 @@ def test_applied_maps_real_at_anchor_and_symmetric():
         (BinomialDecompound(2), sample_compound_poisson(rng, 1.0, Exponential(1.0), 2000)),
         (NegBinomialDecompound(3), sample_compound_poisson(rng, 1.0, Exponential(1.0), 2000)),
     ]
+    # the contour y <= 0 that the half grid leaves out: its tracked log is
+    # the conjugate, and each map must give the conjugate values there
+    reflected = SimpleNamespace(points=np.conj(grid.points), n_points=grid.n_points)
     for transform_map, ss in cases:
         got = apply_map(transform_map, ss, grid).values
-        center = got[grid.center_index]
-        assert abs(center.imag) <= 1e-12
-        assert 0.0 < center.real <= 1.0 + 1e-12
-        assert np.allclose(got, np.conj(got[::-1]), atol=1e-12)
+        assert abs(got[0].imag) <= 1e-12
+        assert 0.0 < got[0].real <= 1.0 + 1e-12
+        log_path = track_log(partial(empirical_transform_eval, ss), grid,
+                             values=empirical_transform_grid(ss, grid).values)
+        lower = transform_map.values(
+            TransformValues(reflected, np.conj(log_path.values)), ss)
+        assert np.allclose(lower, np.conj(got), atol=1e-12)
 
 
 def test_estimated_transform_tracks_analytic_one():

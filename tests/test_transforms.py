@@ -145,41 +145,37 @@ def test_grid_evaluation_long_contour_with_zero_atom():
     x = rng.exponential(0.05, 2000)
     x[rng.random(x.size) < 0.3] = 0.0
     grid = build_grid(1.0, 400.0, 1.0)
-    assert grid.n_points == 16001
+    assert grid.n_points == 8001
     got, direct = grid_and_direct(SampleSet(x), grid)
     assert np.max(np.abs(got - direct) / np.abs(direct)) <= 1e-10
 
 
 # Largest absolute error of the grid transform against direct evaluation,
 # as stated in the transforms docstrings: samples of Exp(mean 0.05), whose
-# phases all sit near 0, reached 1.39e-14 over seeds 0-4 at 401 to 64 001
+# phases all sit near 0, reached 1.39e-14 over seeds 0-4 at 201 to 32 001
 # points; Exp(mean 1) and Gamma(20, 0.05) samples stayed below 4.1e-15.
 GRID_ERROR_BOUND = 1.5e-14
 
 
 def test_grid_evaluation_widest_mode_range():
-    # 32 001 modes on the upper half at T = 400: the FFT, not the spreading,
-    # dominates, and the top modes carry the largest deconvolution factor
+    # 32 001 modes at T = 400: the FFT, not the spreading, dominates, and
+    # the top modes carry the largest deconvolution factor
     rng = np.random.default_rng(17)
     ss = SampleSet(rng.exponential(0.05, 2000))
     grid = ContourGrid(1.0, 400.0, 32000)
-    assert grid.n_points == 64001
-    mid = grid.center_index
-    got = empirical_transform_grid(ss, grid).values[mid:]
-    direct = empirical_transform_eval(ss, grid.points[mid:])
+    assert grid.n_points == 32001
+    got, direct = grid_and_direct(ss, grid)
     assert np.max(np.abs(got - direct)) <= GRID_ERROR_BOUND
 
 
-@pytest.mark.parametrize("t_max, points", [(10.0, 401), (100.0, 4001),
-                                           (400.0, 16001)])
+@pytest.mark.parametrize("t_max, points", [(10.0, 201), (100.0, 2001),
+                                           (400.0, 8001)])
 def test_grid_error_bound_for_samples_near_zero(t_max, points):
     grid = build_grid(1.0, t_max, 1.0)
     assert grid.n_points == points
-    mid = grid.center_index
     for seed in range(5):
         ss = SampleSet(np.random.default_rng(seed).exponential(0.05, 2000))
-        got = empirical_transform_grid(ss, grid).values[mid:]
-        direct = empirical_transform_eval(ss, grid.points[mid:])
+        got, direct = grid_and_direct(ss, grid)
         assert np.max(np.abs(got - direct)) <= GRID_ERROR_BOUND
 
 
@@ -208,8 +204,7 @@ def test_grid_evaluation_extreme_values(values, t_max, w):
     grid = build_grid(1.0, t_max, w)
     got, direct = grid_and_direct(ss, grid)
     assert np.max(np.abs(got)) <= 1.0 + 1e-12
-    assert got[grid.center_index].imag == 0.0
-    assert np.array_equal(got, np.conj(got[::-1]))
+    assert got[0].imag == 0.0
     assert np.max(np.abs(got - direct)) <= 1e-12
 
 
@@ -244,14 +239,7 @@ def test_grid_evaluation_examples():
     ones = empirical_transform_grid(SampleSet([0.0]), grid).values
     assert np.all(ones == 1.0 + 0j)
     single = empirical_transform_grid(SampleSet([1.0]), grid).values
-    assert single[grid.center_index] == pytest.approx(math.exp(-1.0))
-
-
-def test_grid_evaluation_conjugate_symmetric_exactly():
-    rng = np.random.default_rng(11)
-    ss = SampleSet(rng.exponential(1.0, 64))
-    vals = empirical_transform_grid(ss, grid_for()).values
-    assert np.array_equal(vals, np.conj(vals[::-1]))
+    assert single[0] == pytest.approx(math.exp(-1.0))
 
 
 # --- contour grid ----------------------------------------------------------
@@ -259,10 +247,8 @@ def test_grid_evaluation_conjugate_symmetric_exactly():
 def test_grid_validation():
     g = ContourGrid(c=1.0, t_max=5.0, m=10)
     assert g.spacing == 0.5
-    assert g.n_points == 21 and g.center_index == 10
-    assert g.ys[0] == -5.0 and g.ys[-1] == 5.0
-    assert g.ys[g.center_index] == 0.0
-    assert np.array_equal(g.ys, -g.ys[::-1])
+    assert g.n_points == 11
+    assert g.ys[0] == 0.0 and g.ys[-1] == 5.0
     assert np.all(np.diff(g.ys) > 0)
     assert not g.ys.flags.writeable and not g.points.flags.writeable
     for c, t_max in ((0.0, 5.0), (-1.0, 5.0), (math.inf, 5.0),
@@ -279,9 +265,8 @@ def test_grid_spacing_reproduces_the_points():
     # the NUFFT places point k at k * spacing; a neighbour difference would
     # carry the rounding of t_max and drift by ~4e-10 over 8000 steps
     grid = build_grid(1.0, 400.0, 1.0)
-    mid = grid.center_index
-    k = np.arange(grid.n_points - mid)
-    assert np.max(np.abs(grid.ys[mid:] - k * grid.spacing)) <= 1e-12
+    k = np.arange(grid.n_points)
+    assert np.max(np.abs(grid.ys - k * grid.spacing)) <= 1e-12
 
 
 # --- analytic models -------------------------------------------------------
