@@ -117,4 +117,4 @@ def track_log(evaluator: Callable, grid: ContourGrid,
     out = np.empty(vals.size, dtype=complex)
     out[0] = np.log(f_c.real)
     out[1:] = out[0] + np.cumsum(incs)
-    return TransformValues(grid, out)
+    return TransformValues._adopt(grid, out)

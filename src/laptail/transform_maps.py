@@ -177,4 +177,4 @@ def apply_map(transform_map: TransformMap, samples: SampleSet,
     observed = empirical_transform_grid(samples, grid)
     log_path = track_log(partial(empirical_transform_eval, samples), grid,
                          values=observed.values)
-    return TransformValues(grid, transform_map.values(log_path, samples))
+    return TransformValues._adopt(grid, transform_map.values(log_path, samples))

@@ -7,22 +7,30 @@ They are transforms of real measures, so psi(c - iy) = conj psi(c + iy) and
 a contour grid covers only y >= 0: the half grid s_k = c + i k h for
 k = 0 .. m, with t_max = m h.
 
-On that grid the empirical transform is a type-1
-non-uniform DFT, (1/n) sum_j a_j e^{-i k theta_j} with real weights
-a_j = e^{-c x_j} and theta_j = h x_j mod 2 pi. ``empirical_transform_grid``
-evaluates it with a Gaussian-gridding NUFFT (Greengard & Lee, SIAM Review
-46(3), 2004; Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1993) in
-O(n W + K log K) for K grid points and a kernel spread over W grid cells,
-instead of O(n K) products. The K modes k = 0 .. K-1 are taken as the upper
-half of a centred range of 2K modes, so the weights stay real: each sample
-is spread once with a real kernel and one real FFT gives every mode. The
-kernel is spread only over the arc of the circle that the phases occupy,
-often a small part of it since h x is small on a fine grid, and that arc
-is folded onto the periodic grid by cell index, so no phase factor is
-needed.
+On that grid the empirical transform is a type-1 non-uniform DFT,
+(1/n) sum_j a_j e^{-i k theta_j} with real weights a_j = e^{-c x_j} and
+theta_j = h x_j mod 2 pi. ``empirical_transform_grid`` evaluates it with a
+Gaussian-gridding NUFFT (Greengard & Lee, SIAM Review 46(3), 2004; Dutt &
+Rokhlin, SIAM J. Sci. Comput. 14, 1993) in O(n P + B W P + K log K) for n
+samples in B occupied cells, K grid points and a kernel spread over W = 32
+cells, instead of O(n K) products. The K modes k = 0 .. K-1 are taken as
+the upper half of a centred range of 2K modes, so the weights stay real and
+one real FFT gives every mode.
+
+The kernel is never evaluated per sample. Within one cell each of its W
+columns is a polynomial of degree P = 14 in the sample's position, fitted
+once per grid size at Chebyshev nodes, as in FINUFFT's piecewise-polynomial
+kernel evaluation (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput.
+41(5), 2019). So the samples of a cell enter only through their P + 1
+weighted moments, and the kernel is applied once per occupied cell. Only
+occupied cells get moments, and the spread covers only the arc of the
+circle that the phases occupy, often a small part of it since h x is small
+on a fine grid; the arc is folded onto the periodic grid by cell index, so
+no phase factor is needed.
+
 Against direct evaluation the error stays below 1.5e-14 absolute and does
-not grow with K: 1.4e-14 at most for samples of Exp(mean 0.05), whose
-phases all sit near 0, and 4.1e-15 for Exp(mean 1) and Gamma(20, 0.05),
+not grow with K: 9.9e-15 at most for samples of Exp(mean 0.05), whose
+phases all sit near 0, and 3.3e-15 for Exp(mean 1) and Gamma(20, 0.05),
 over five seeds of 2000 samples at 201 to 32 001 points.
 """
 from __future__ import annotations
@@ -31,8 +39,10 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy import special
 
 from .errors import ParameterError, SampleFileError
@@ -48,14 +58,37 @@ _EXP_NONZERO = 700.0
 # Gaussian-gridding NUFFT: each sample is spread over 2 * _SPREAD_HALF_WIDTH
 # cells of a grid with at least _OVERSAMPLE cells per mode of the centred mode
 # range, with the kernel width of Greengard & Lee. At half-width 16 the kernel
-# truncation and aliasing errors sit below rounding (max error 1.4e-14 on
+# truncation and aliasing errors sit below rounding (max error 7.7e-15 on
 # 8 001 points for 2000 exponential samples of mean 0.05); half-width 12 gave
 # 4e-13 and 8 gave 2e-9 on the same case.
 _SPREAD_HALF_WIDTH = 16
 _OVERSAMPLE = 2
 _SPREAD_OFFSETS = np.arange(1 - _SPREAD_HALF_WIDTH, _SPREAD_HALF_WIDTH + 1)
-# Samples spread per block; a block's arrays stay near 128 KiB each.
-_SPREAD_BLOCK = 512
+# Degree P of the polynomial that replaces the kernel within one cell. Its
+# monomial coefficients stay below 1 and degree 14 fits every column within
+# 1e-15. Degree 12 fits as well but took the grid transform to 1.3e-14 of
+# its 1.5e-14 bound; degree 10 fits only to 3.6e-14.
+_KERNEL_DEGREE = 14
+_CHEB_NODES = np.cos(math.pi * (np.arange(_KERNEL_DEGREE + 1) + 0.5)
+                     / (_KERNEL_DEGREE + 1))
+_CHEB_VANDER = chebyshev.chebvander(_CHEB_NODES, _KERNEL_DEGREE)
+
+
+def _cheb_to_mono(degree: int) -> np.ndarray:
+    """Column j holds the monomial coefficients of the Chebyshev polynomial
+    T_j, from T_j = 2 t T_{j-1} - T_{j-2}; they are integers, so exact.
+    (``chebyshev.cheb2poly`` gives the same columns but took 4 ms at import.)
+    """
+    out = np.zeros((degree + 1, degree + 1))
+    out[0, 0] = 1.0
+    out[1, 1] = 1.0
+    for j in range(2, degree + 1):
+        out[1:, j] = 2.0 * out[:-1, j - 1]
+        out[:, j] -= out[:, j - 2]
+    return out
+
+
+_CHEB_TO_MONO = _cheb_to_mono(_KERNEL_DEGREE)
 
 
 def _require_right_half_plane(s: complex | np.ndarray) -> np.ndarray:
@@ -189,10 +222,20 @@ class TransformValues:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        self._own(np.array(self.values, dtype=complex))
+
+    @classmethod
+    def _adopt(cls, grid: ContourGrid, values: np.ndarray) -> TransformValues:
+        """Wrap a freshly computed array that no caller holds, without the
+        copy the constructor makes: the array is made read-only in place."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "grid", grid)
+        out._own(np.asarray(values, dtype=complex))
+        return out
+
+    def _own(self, vals: np.ndarray) -> None:
         if vals.shape != (self.grid.n_points,):
             raise ParameterError("one value per grid point required")
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -388,17 +431,71 @@ def _fft_length(n: int) -> int:
     return best
 
 
+class _Kernel(NamedTuple):
+    """The NUFFT's spreading kernel for one mode count.
+
+    ``size`` is the number of cells of the periodic grid and ``alpha`` the
+    kernel exponent in cells squared. Column o of the (P + 1) x 32 ``poly``
+    holds the monomial coefficients in t = 2u - 1 of e^{-alpha (u - o)^2}
+    for a sample at fraction u in [0, 1) of its cell. ``deconv`` takes the
+    FFT of the spread grid to mode k, k = 0 .. n_modes-1.
+    """
+
+    size: int
+    alpha: float
+    poly: np.ndarray
+    deconv: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel(n_modes: int) -> _Kernel:
+    """Greengard & Lee's Gaussian for ``n_modes`` upper modes, and its fit.
+
+    All 32 columns are evaluated at the P + 1 Chebyshev nodes in one
+    ``exp``, interpolated in the Chebyshev basis and taken to monomials by
+    the fixed ``_CHEB_TO_MONO``; the fit matches every column within 1e-15
+    on [0, 1). The result is shared between calls and read-only.
+    """
+    modes = 2 * n_modes
+    size = _fft_length(_OVERSAMPLE * modes)
+    # Greengard & Lee's tau = pi half_width / (M^2 R (R - 1/2)) with
+    # M = modes and R = size / M
+    tau = 2.0 * math.pi * _SPREAD_HALF_WIDTH / (size * (2.0 * size - modes))
+    alpha = math.pi * (2.0 * size - modes) / (2.0 * size * _SPREAD_HALF_WIDTH)
+    u = 0.5 * (_CHEB_NODES[:, None] + 1.0) - _SPREAD_OFFSETS
+    poly = _CHEB_TO_MONO @ np.linalg.solve(_CHEB_VANDER, np.exp(-alpha * u * u))
+    k = np.arange(n_modes)
+    deconv = np.exp(k * k * tau)
+    deconv *= math.sqrt(math.pi / tau) / size
+    poly.flags.writeable = False
+    deconv.flags.writeable = False
+    return _Kernel(size, alpha, poly, deconv)
+
+
 def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndarray:
     """sum_j a_j e^{-i k h x_j} for k = 0 .. n_modes-1, by NUFFT; a_j real.
 
     The modes are the upper half of the centred range [-n_modes, n_modes),
     on a periodic grid of ``size`` >= 4 n_modes cells. The cell position
-    h x_j mod 2 pi of every sample is computed once. Each weight a_j is
-    spread with a Gaussian kernel over the 2 half_width cells around its
-    position, into a buffer that spans only the occupied arc: from
-    half_width - 1 cells below the lowest occupied cell to half_width cells
-    above the highest. The buffer is folded onto the periodic grid in index
-    space, buffer cell e adding to cell (first + e) mod size, so the
+    h x_j mod 2 pi of every sample is computed once: cell b_j and fraction
+    u_j in [0, 1). A sample adds a_j e^{-alpha (u_j - o)^2} to cell b_j + o
+    for the 2 half_width offsets o = 1 - half_width .. half_width. With the
+    kernel's degree-P fit sum_p C[p, o] t^p in t = 2u - 1 (``_kernel``),
+    all samples of one cell add sum_p C[p, o] M[b, p] to cell b + o, where
+    M[b, p] = sum_{j in b} a_j t_j^p. So the samples enter only through
+    P + 1 weighted ``bincount``s, and the kernel is evaluated once per
+    occupied cell, not per sample. The moments are taken over the occupied
+    cells only, compacted in order, so a sparse sample on a large grid needs
+    no moment row per empty cell. Their product with C is taken by
+    ``einsum`` in the calling thread, not by BLAS: for 3 360 occupied cells
+    a BLAS product with its default two threads took from 0.08 ms on an idle
+    host to 5 ms on a busy one, where its second thread waits for a core,
+    against 0.5 to 0.7 ms for ``einsum``.
+
+    The cells are spread into a buffer that spans only the occupied arc:
+    from half_width - 1 cells below the lowest occupied cell to half_width
+    cells above the highest. The buffer is folded onto the periodic grid in
+    index space, buffer cell e adding to cell (first + e) mod size, so the
     buffer's offset needs no phase factor on the modes. One real FFT of the
     folded grid gives mode k at index k, and multiplying by the real
     e^{k^2 tau} undoes the kernel. For |k| < n_modes that factor stays below
@@ -407,38 +504,35 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
     """
     if x.size == 0:
         return np.zeros(n_modes, dtype=complex)
-    modes = 2 * n_modes
-    size = _fft_length(_OVERSAMPLE * modes)
-    # Greengard & Lee's tau = pi half_width / (M^2 R (R - 1/2)) with
-    # M = modes and R = size / M; alpha is the kernel exponent in units of
-    # grid cells squared.
-    tau = 2.0 * math.pi * _SPREAD_HALF_WIDTH / (size * (2.0 * size - modes))
-    alpha = math.pi * (2.0 * size - modes) / (2.0 * size * _SPREAD_HALF_WIDTH)
+    kernel = _kernel(n_modes)
+    size = kernel.size
     u = np.mod(h * x, 2.0 * math.pi)
     u *= size / (2.0 * math.pi)
     base = np.floor(u)
     u -= base
-    # a sample in cell b covers cells b + _SPREAD_OFFSETS; buffer cell e is
-    # periodic cell first + e
-    first = int(base.min()) + _SPREAD_OFFSETS[0]
-    length = int(base.max()) + _SPREAD_OFFSETS[-1] + 1 - first
-    cells = base.astype(np.intp) - first
-    spread = np.zeros(length)
-    for start in range(0, x.size, _SPREAD_BLOCK):
-        stop = start + _SPREAD_BLOCK
-        kernel = u[start:stop, None] - _SPREAD_OFFSETS
-        kernel *= kernel
-        kernel *= -alpha
-        np.exp(kernel, out=kernel)
-        kernel *= a[start:stop, None]
-        index = (cells[start:stop, None] + _SPREAD_OFFSETS).ravel()
-        spread += np.bincount(index, kernel.ravel(), length)
+    t = 2.0 * u - 1.0
+    low = int(base.min())
+    cells = base.astype(np.intp) - low
+    occupied = np.bincount(cells) > 0
+    rows = np.cumsum(occupied) - 1
+    n_rows = int(rows[-1]) + 1
+    rows = rows[cells]
+    moments = np.empty((_KERNEL_DEGREE + 1, n_rows))
+    term = a.copy()
+    for p in range(_KERNEL_DEGREE + 1):
+        moments[p] = np.bincount(rows, term, n_rows)
+        term *= t
+    values = np.einsum("pb,po->ob", moments, kernel.poly)
+    # occupied cell b covers buffer cells b + 0 .. 2 half_width - 1; buffer
+    # cell e is periodic cell first + e
+    first = low + _SPREAD_OFFSETS[0]
+    length = occupied.size + _SPREAD_OFFSETS.size - 1
+    index = np.arange(_SPREAD_OFFSETS.size)[:, None] + np.flatnonzero(occupied)
+    spread = np.bincount(index.ravel(), values.ravel(), length)
     folded = np.bincount((first + np.arange(length)) % size, spread, size)
     del spread  # before the FFT allocates, to keep peak memory down
-    k = np.arange(n_modes)
     out = np.fft.rfft(folded)[:n_modes]
-    out *= np.exp(k * k * tau)
-    out *= math.sqrt(math.pi / tau) / size
+    out *= kernel.deconv
     return out
 
 
@@ -452,7 +546,7 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     their fraction to every point, and the anchor y = 0 is the real mean of
     e^{-c x}. Against direct evaluation (``empirical_transform_eval`` on
     ``grid.points``) the error stays below 1.5e-14 absolute, independent of
-    the grid size: the largest measured, 1.4e-14, is for samples of
+    the grid size: the largest measured, 9.9e-15, is for samples of
     Exp(mean 0.05), whose phases all sit near 0. It is largest at the top
     modes, where the deconvolution factor is largest, and smallest near
     y = 0. Both this and the direct sum carry the rounding of each phase
@@ -469,7 +563,7 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     values /= x.size
     values += np.count_nonzero(x == 0.0) / x.size
     values[0] = a.mean()
-    return TransformValues(grid, values)
+    return TransformValues._adopt(grid, values)
 
 
 # --------------------------------------------------------------------------

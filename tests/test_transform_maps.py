@@ -129,6 +129,21 @@ def test_all_zero_samples_give_unit_workload_transform():
     assert np.allclose(got.values, 1.0, atol=1e-12)
 
 
+def test_pipeline_layers_hand_back_read_only_values():
+    # the grid transform, the tracked log and the mapped values are wrapped
+    # without a copy; each must still be read-only
+    ss = sample_compound_poisson(replication_rng(34, 0), 1.0, Exponential(20.0), 200)
+    grid = build_grid(1.0, 10.0, 1.0)
+    observed = empirical_transform_grid(ss, grid)
+    log_path = track_log(partial(empirical_transform_eval, ss), grid,
+                         values=observed.values)
+    mapped = apply_map(Mg1Workload(0.1), ss, grid)
+    for got in (observed, log_path, mapped):
+        assert got.grid is grid and got.values.shape == (grid.n_points,)
+        with pytest.raises(ValueError):
+            got.values[0] = 0.0
+
+
 def test_applied_maps_real_at_anchor_and_symmetric():
     rng = replication_rng(32, 0)
     grid = build_grid(1.0, 10.0, 1.0)

@@ -1,18 +1,20 @@
 """Empirical and analytic transform behavior, sample sets, sample files."""
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from laptail.errors import ParameterError, SampleFileError
 from laptail.inversion import build_grid
 from laptail.simulation import BinomialCounts, sample_compound
-from laptail.transforms import (CompoundPoisson, ContourGrid, Deterministic,
-                                Exponential, Gamma, SampleSet,
+from laptail.transforms import (_SPREAD_OFFSETS, CompoundPoisson, ContourGrid,
+                                Deterministic, Exponential, Gamma, SampleSet,
+                                TransformValues, _kernel,
                                 empirical_transform_eval,
                                 empirical_transform_grid, load_samples,
                                 save_samples)
@@ -152,8 +154,8 @@ def test_grid_evaluation_long_contour_with_zero_atom():
 
 # Largest absolute error of the grid transform against direct evaluation,
 # as stated in the transforms docstrings: samples of Exp(mean 0.05), whose
-# phases all sit near 0, reached 1.39e-14 over seeds 0-4 at 201 to 32 001
-# points; Exp(mean 1) and Gamma(20, 0.05) samples stayed below 4.1e-15.
+# phases all sit near 0, reached 9.9e-15 over seeds 0-4 at 201 to 32 001
+# points; Exp(mean 1) and Gamma(20, 0.05) samples stayed below 3.3e-15.
 GRID_ERROR_BOUND = 1.5e-14
 
 
@@ -199,6 +201,9 @@ extreme_arrays = arrays(np.float64, st.integers(1, 30), elements=st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(extreme_arrays, st.floats(0.5, 100.0), st.floats(0.05, 5.0))
+# a lone sample on the smallest grid of the fuzz, which broke a kernel fit
+# whose coefficient columns came out with different lengths
+@example(np.array([5.49197081e-10]), 1.75, 1.0)
 def test_grid_evaluation_extreme_values(values, t_max, w):
     ss = SampleSet(values)
     grid = build_grid(1.0, t_max, w)
@@ -232,6 +237,47 @@ def test_grid_evaluation_on_every_arc(case):
     x = ARC_CASES[case](2.0 * math.pi / grid.spacing, np.random.default_rng(18))
     got, direct = grid_and_direct(SampleSet(x), grid)
     assert np.max(np.abs(got - direct)) <= 1e-13
+
+
+@pytest.mark.parametrize("t_max", [1.75, 400.0])
+def test_kernel_fit_matches_every_column(t_max):
+    # the polynomial that spreads a cell's moments stands in for the
+    # Gaussian kernel at every offset o and every fraction u of the cell
+    kernel = _kernel(build_grid(1.0, t_max, 1.0).n_points)
+    u = np.linspace(0.0, 1.0, 20001)
+    t = 2.0 * u - 1.0
+    fitted = np.vander(t, kernel.poly.shape[0], increasing=True) @ kernel.poly
+    exact = np.exp(-kernel.alpha * (u[:, None] - _SPREAD_OFFSETS) ** 2)
+    assert fitted.shape == exact.shape == (u.size, 32)
+    assert np.max(np.abs(fitted - exact)) <= 1e-15
+
+
+def test_grid_transform_memory_is_not_dense_in_the_arc():
+    # two samples at opposite ends of the circle: the arc is the whole
+    # grid but only two cells are occupied. Moments for every cell of the
+    # arc would take 15 x 8 bytes per cell; the buffer, fold and FFT need
+    # a few
+    grid = ContourGrid(1.0, 1e6, 10**6)
+    period = 2.0 * math.pi / grid.spacing
+    ss = SampleSet([0.01 * period, 0.99 * period])
+    size = _kernel(grid.n_points).size
+    tracemalloc.start()
+    try:
+        empirical_transform_grid(ss, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * size
+
+
+def test_transform_values_copies_a_caller_array():
+    grid = grid_for()
+    caller = np.ones(grid.n_points, dtype=complex)
+    wrapped = TransformValues(grid, caller)
+    caller[:] = 2.0
+    assert np.all(wrapped.values == 1.0)
+    with pytest.raises(ValueError):
+        wrapped.values[0] = 0.0
 
 
 def test_grid_evaluation_examples():
