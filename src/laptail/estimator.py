@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (CapacityError, DomainError, DomainEventFailed, EmptyResult,
                      NearZeroTransform, ParameterError)
-from .inversion import InversionResult, bromwich_details, build_grid
+from .inversion import bromwich_details, build_grid
 from .transform_maps import TransformMap, apply_map, domain_check
 from .transforms import SampleSet
 
@@ -94,9 +94,7 @@ def _fallback(config: EstimatorConfig, n: int, reason: str) -> EstimateResult:
                           fallback_reason=reason)
 
 
-def _finish(details: InversionResult, config: EstimatorConfig,
-            n: int) -> EstimateResult:
-    raw = details.value
+def _finish(raw: float, config: EstimatorConfig, n: int) -> EstimateResult:
     if not math.isfinite(raw):
         return _fallback(config, n, "nonfinite")
     if config.clip:
@@ -122,10 +120,10 @@ def estimate_cdf_batch(samples: SampleSet, transform_map: TransformMap,
     """Estimate F(w) of the mapped hidden law at each w in ``ws``.
 
     One grid is sized for the largest w (the tightest step bound) and
-    built once, and every w inverts the same mapped transform values. The
-    step bound does not increase with w, so the grid is fine enough for
-    every smaller w. Results come back in the order of ``ws``; the w of
-    ``base_config`` is not used.
+    built once, and one inversion pass evaluates every w on the same mapped
+    transform values. The step bound does not increase with w, so the grid
+    is fine enough for every smaller w. Results come back in the order of
+    ``ws``; the w of ``base_config`` is not used.
 
     Never raises on statistical or numerical failure; see EstimateResult.
     Programming errors (wrong types) still surface normally.
@@ -149,8 +147,8 @@ def estimate_cdf_batch(samples: SampleSet, transform_map: TransformMap,
         except (NearZeroTransform, DomainError):
             return [_fallback(base_config, n, "log_tracking") for _ in ws]
         plateau = transform_map.plateau(samples)
-        inverted = [bromwich_details(psi, w, plateau=plateau) for w in ws]
-    return [_finish(details, base_config, n) for details in inverted]
+        inverted = bromwich_details(psi, ws, plateau=plateau)
+    return [_finish(raw, base_config, n) for raw in inverted.values]
 
 
 # --------------------------------------------------------------------------

@@ -500,7 +500,8 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
     folded grid gives mode k at index k, and multiplying by the real
     e^{k^2 tau} undoes the kernel. For |k| < n_modes that factor stays below
     e^{pi half_width / 12}, about 66. When the phases cover the whole
-    circle the buffer is at most size + 2 half_width - 1 cells long.
+    circle the buffer is at most size + 2 half_width - 1 cells long, so the
+    fold is at most three slice adds and builds no index array.
     """
     if x.size == 0:
         return np.zeros(n_modes, dtype=complex)
@@ -529,8 +530,12 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
     length = occupied.size + _SPREAD_OFFSETS.size - 1
     index = np.arange(_SPREAD_OFFSETS.size)[:, None] + np.flatnonzero(occupied)
     spread = np.bincount(index.ravel(), values.ravel(), length)
-    folded = np.bincount((first + np.arange(length)) % size, spread, size)
-    del spread  # before the FFT allocates, to keep peak memory down
+    folded = np.zeros(size)
+    start = first % size
+    for piece in np.split(spread, np.arange(size - start, length, size)):
+        folded[start:start + piece.size] += piece
+        start = 0
+    del spread, piece  # before the FFT allocates, to keep peak memory down
     out = np.fft.rfft(folded)[:n_modes]
     out *= kernel.deconv
     return out

@@ -166,8 +166,8 @@ def test_grid_transform_matches_direct_at_estimate_level():
     def estimate(values):
         log_path = track_log(partial(empirical_transform_eval, ss), grid, values=values)
         psi = mg1_workload_values(log_path, ss.mean, mg1.delta)
-        return bromwich_details(TransformValues(grid, psi), w,
-                                plateau=mg1.plateau(ss)).value
+        return bromwich_details(TransformValues(grid, psi), [w],
+                                plateau=mg1.plateau(ss)).values[0]
 
     via_grid = estimate(empirical_transform_grid(ss, grid).values)
     via_direct = estimate(empirical_transform_eval(ss, grid.points))

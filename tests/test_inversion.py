@@ -16,6 +16,31 @@ def exp_psi(grid):
     return TransformValues(grid, 1.0 / (1.0 + grid.points))
 
 
+def noisy_psi(grid, seed):
+    rng = np.random.default_rng(seed)
+    noise = 1e-3 * (rng.standard_normal(grid.n_points)
+                    + 1j * rng.standard_normal(grid.n_points))
+    return TransformValues(grid, exp_psi(grid).values + noise)
+
+
+def direct_half_simpson(psi, w, plateau=0.0):
+    """The inversion at w as the direct half-grid Simpson sum, and the same
+    sum over the moduli of its terms."""
+    grid = psi.grid
+    integrand = np.exp(grid.points * w) * (psi.values - plateau) / grid.points
+    weights = simpson_weights(grid.m)
+    scale = (grid.spacing / 3.0) / math.pi
+    return (plateau + scale * (integrand.real @ weights),
+            scale * (np.abs(integrand) @ weights))
+
+
+def rounding_bound(grid, w, magnitude):
+    """Deviation of the factored sum from the direct one that
+    ``bromwich_details`` states: eps (sqrt(K) + T w) times ``magnitude``."""
+    eps = np.finfo(float).eps
+    return eps * (math.sqrt(grid.n_points) + grid.t_max * w) * magnitude
+
+
 def simpson_weights(intervals):
     weights = np.ones(intervals + 1)
     weights[1:-1:2] = 4.0
@@ -62,13 +87,13 @@ def test_degenerate_at_zero():
     """psi = 1 is the transform of a unit mass at 0, so F(w) = 1 for w > 0."""
     grid = build_grid(1.0, 100.0, 1.0)
     ones = TransformValues(grid, np.ones(grid.n_points, dtype=complex))
-    value = bromwich_details(ones, 1.0).value
+    value = bromwich_details(ones, [1.0]).values[0]
     assert 0.99 <= value <= 1.01
 
 
 def test_exponential_half_life():
     grid = build_grid(1.0, 200.0, math.log(2.0))
-    value = bromwich_details(exp_psi(grid), math.log(2.0)).value
+    value = bromwich_details(exp_psi(grid), [math.log(2.0)]).values[0]
     assert value == pytest.approx(0.5, abs=0.01)
 
 
@@ -99,7 +124,7 @@ def test_truncation_error_decays_once_over_t():
 def test_halving_the_step_barely_moves_the_result():
     a = invert_cdf_known(Exponential(1.0), math.log(2.0), t_max=200.0)
     fine = ContourGrid(1.0, 200.0, 8000)  # step 0.025, half the default
-    b = bromwich_details(exp_psi(fine), math.log(2.0)).value
+    b = bromwich_details(exp_psi(fine), [math.log(2.0)]).values[0]
     assert abs(a - b) <= 1e-4
 
 
@@ -144,25 +169,55 @@ def test_half_grid_equals_full_grid_simpson():
     psi = lambda s: 1.0 / (1.0 + s)
     for plateau in (0.0, 0.3):
         full = full_contour_simpson(psi, grid, 1.0, plateau)
-        half = bromwich_details(TransformValues(grid, psi(grid.points)), 1.0,
-                                plateau=plateau).value
+        half = bromwich_details(TransformValues(grid, psi(grid.points)), [1.0],
+                                plateau=plateau).values[0]
         assert abs(full.imag) <= 1e-15
         assert abs(half - (plateau + full.real)) <= 1e-12
 
 
 def test_value_is_the_upper_half_of_the_full_integrand():
     # the value is the half-grid Simpson sum of the real part of the
-    # integrand, bit for bit
+    # integrand, up to the rounding of the factored phases
     grid = build_grid(1.0, 50.0, 1.0)
-    rng = np.random.default_rng(21)
-    noise = 1e-3 * (rng.standard_normal(grid.n_points)
-                    + 1j * rng.standard_normal(grid.n_points))
-    for psi, plateau in ((exp_psi(grid), 0.0),
-                         (TransformValues(grid, exp_psi(grid).values + noise), 0.3)):
-        integrand = np.exp(grid.points * 1.0) * (psi.values - plateau) / grid.points
-        weights = simpson_weights(grid.m)
-        want = plateau + (grid.spacing / 3.0) * (integrand.real @ weights) / math.pi
-        assert bromwich_details(psi, 1.0, plateau=plateau).value == want
+    for psi, plateau in ((exp_psi(grid), 0.0), (noisy_psi(grid, 21), 0.3)):
+        want, magnitude = direct_half_simpson(psi, 1.0, plateau)
+        got = bromwich_details(psi, [1.0], plateau=plateau).values[0]
+        assert abs(got - want) <= rounding_bound(grid, 1.0, magnitude)
+
+
+# --- one pass over a batch of w ------------------------------------------------
+
+BATCH_WS = (0.05, 1.0, 6.86, 12.0)
+
+
+@pytest.mark.parametrize("t_max", [10.0, 400.0, 2000.0])
+@pytest.mark.parametrize("plateau", [0.0, 0.3])
+def test_batch_matches_the_direct_sum(t_max, plateau):
+    grid = build_grid(1.0, t_max, max(BATCH_WS))
+    psi = noisy_psi(grid, 7)
+    got = bromwich_details(psi, BATCH_WS, plateau=plateau).values
+    assert len(got) == len(BATCH_WS)
+    for w, value in zip(BATCH_WS, got):
+        want, magnitude = direct_half_simpson(psi, w, plateau)
+        assert abs(value - want) <= rounding_bound(grid, w, magnitude)
+
+
+def test_batch_values_follow_the_order_of_ws():
+    grid = build_grid(1.0, 400.0, max(BATCH_WS))
+    psi = noisy_psi(grid, 8)
+    forward = bromwich_details(psi, BATCH_WS, plateau=0.3).values
+    backward = bromwich_details(psi, BATCH_WS[::-1], plateau=0.3).values
+    assert backward == forward[::-1]
+    assert len(set(forward)) == len(BATCH_WS)
+
+
+def test_value_at_w_does_not_depend_on_the_batch():
+    grid = build_grid(1.0, 400.0, max(BATCH_WS))
+    psi = noisy_psi(grid, 9)
+    batch = bromwich_details(psi, BATCH_WS, plateau=0.3).values
+    for w, value in zip(BATCH_WS, batch):
+        assert bromwich_details(psi, [w], plateau=0.3).values[0] == value
+        assert bromwich_details(psi, [w, 0.5], plateau=0.3).values[0] == value
 
 
 def test_raw_values_stay_near_unit_range():
@@ -177,7 +232,15 @@ def test_raw_values_stay_near_unit_range():
 def test_rejects_nonpositive_w():
     grid = build_grid(1.0, 10.0, 1.0)
     with pytest.raises(ParameterError):
-        bromwich_details(exp_psi(grid), 0.0)
+        bromwich_details(exp_psi(grid), [0.0])
+
+
+@pytest.mark.parametrize("ws", [[1.0, 0.0], [0.5, -1.0, 1.0], [1.0, math.nan],
+                                [math.inf, 1.0], [], 1.0])
+def test_one_bad_w_rejects_the_batch(ws):
+    grid = build_grid(1.0, 10.0, 1.0)
+    with pytest.raises(ParameterError):
+        bromwich_details(exp_psi(grid), ws)
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,13 +253,16 @@ def test_grid_for_the_largest_w_fits_every_w(c, t_max, ws):
     ones = TransformValues(grid, np.ones(grid.n_points, dtype=complex))
     with np.errstate(all="ignore"):
         for w in ws:
-            bromwich_details(ones, w)
+            bromwich_details(ones, [w])
 
 
 def test_grid_too_coarse_for_larger_w():
     grid = build_grid(1.0, 10.0, 1.0)  # step 0.05, fine for w <= pi/(8*0.05)
     with pytest.raises(GridTooCoarse):
-        bromwich_details(exp_psi(grid), 50.0)
+        bromwich_details(exp_psi(grid), [50.0])
     # step 5 against the bound 0.05 at w = 1
     with pytest.raises(GridTooCoarse):
-        bromwich_details(exp_psi(ContourGrid(1.0, 10.0, 2)), 1.0)
+        bromwich_details(exp_psi(ContourGrid(1.0, 10.0, 2)), [1.0])
+    # one w too large for the grid rejects the whole batch
+    with pytest.raises(GridTooCoarse):
+        bromwich_details(exp_psi(grid), [0.5, 50.0, 1.0])

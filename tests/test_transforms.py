@@ -255,8 +255,8 @@ def test_kernel_fit_matches_every_column(t_max):
 def test_grid_transform_memory_is_not_dense_in_the_arc():
     # two samples at opposite ends of the circle: the arc is the whole
     # grid but only two cells are occupied. Moments for every cell of the
-    # arc would take 15 x 8 bytes per cell; the buffer, fold and FFT need
-    # a few
+    # arc would take 15 x 8 bytes per cell. The buffer and the folded grid,
+    # then the folded grid and the FFT output, need about 2.1
     grid = ContourGrid(1.0, 1e6, 10**6)
     period = 2.0 * math.pi / grid.spacing
     ss = SampleSet([0.01 * period, 0.99 * period])
@@ -267,7 +267,7 @@ def test_grid_transform_memory_is_not_dense_in_the_arc():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 8 * size
+    assert peak < 3 * 8 * size
 
 
 def test_transform_values_copies_a_caller_array():
