@@ -78,6 +78,11 @@ def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
     intervals, at least 2 and rounded up to even so composite Simpson
     applies, giving m + 1 points. CapacityError when the grid would have
     more than 5 * 10^6 points.
+
+    Equal (c, t_max, m) give the same immutable grid, so its ordinates and
+    points are built once; the last 4 grids are kept. With its Simpson
+    weights over the points (``_simpson_over_points``) a kept grid holds
+    40 bytes per point: at most 4 grids of up to 5 * 10^6 points.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ParameterError("t_max must be positive and finite")
@@ -88,7 +93,11 @@ def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
     if m + 1 > _MAX_POINTS:
         raise CapacityError(
             f"inversion grid needs {m + 1} points, cap {_MAX_POINTS}")
-    return ContourGrid(c, t_max, m)
+    return _shared_grid(float(c), float(t_max), m)
+
+
+# The grids build_grid hands out, shared with _simpson_over_points.
+_shared_grid = functools.lru_cache(maxsize=4)(ContourGrid)
 
 
 @functools.lru_cache(maxsize=4)
@@ -98,7 +107,7 @@ def _simpson_over_points(c: float, t_max: float, m: int) -> np.ndarray:
     weights = np.ones(m + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    out = weights / ContourGrid(c, t_max, m).points
+    out = weights / _shared_grid(c, t_max, m).points
     out.flags.writeable = False
     return out
 

@@ -106,10 +106,8 @@ def track_log(evaluator: Callable, grid: ContourGrid,
     # increments for the easy steps in one vectorized pass, then patch the
     # few wide ones by bisection
     ratios = vals[1:] / vals[:-1]
-    incs = np.empty(ratios.shape, dtype=complex)
     near = np.abs(ratios - 1.0) <= _RATIO_RADIUS
-    if np.any(near):
-        incs[near] = _log_near_one(ratios[near])
+    incs = _log_near_one(np.where(near, ratios, 1.0))
     for k in np.flatnonzero(~near):
         incs[k] = _refined_log_ratio(
             evaluator, complex(pts[k]), complex(vals[k]),

@@ -145,12 +145,15 @@ def convergence_rows(seed: int, ns=(100, 1000, 10000), rho: float = 0.5,
     The contour truncation follows the estimator default sqrt(n), so the
     slope reflects the estimator as actually configured. The slope column
     repeats the single fitted value on every row and is None when the
-    ladder has one rung.
+    ladder has one rung. ParameterError when a sample size repeats.
     """
     if reps < 1:
         raise ParameterError("need at least one replication")
     if len(ns) < 1:
         raise ParameterError("need at least one sample size")
+    if len(set(ns)) != len(ns):
+        # the slope would be fitted through coincident points
+        raise ParameterError("sample sizes must be distinct")
     lam = rho * mu
     if w is None:
         w = mm1_percentile(lam, mu, percentile)

@@ -160,6 +160,11 @@ class ContourGrid:
     ordinates y_k = k t_max / m, with the real anchor y = 0 at index 0. The
     transforms here are of real measures, so psi(c - iy) = conj psi(c + iy)
     and the lower half of the contour carries no information.
+
+    A grid is immutable, so one instance can be shared: ``build_grid`` hands
+    out the same grid for equal arguments and keeps the last 4, each with
+    its ordinates (8 bytes per point), points (16) and Simpson weights over
+    the points (16), 40 bytes per point in all.
     """
 
     c: float
@@ -500,14 +505,22 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
     folded grid gives mode k at index k, and multiplying by the real
     e^{k^2 tau} undoes the kernel. For |k| < n_modes that factor stays below
     e^{pi half_width / 12}, about 66. When the phases cover the whole
-    circle the buffer is at most size + 2 half_width - 1 cells long, so the
-    fold is at most three slice adds and builds no index array.
+    circle the buffer is at most size + 2 half_width cells long, so the
+    fold is at most 2 + ceil((2 half_width - 1) / size) slice adds and builds
+    no index array: three on grids of 31 cells or more, four or five on the
+    smaller grids of m <= 6 (12 to 30 cells).
+
+    The phases are reduced modulo 2 pi only when the largest reaches 2 pi.
+    They are nonnegative, and below 2 pi the reduction is the identity, so
+    skipping it changes no bit.
     """
     if x.size == 0:
         return np.zeros(n_modes, dtype=complex)
     kernel = _kernel(n_modes)
     size = kernel.size
-    u = np.mod(h * x, 2.0 * math.pi)
+    u = h * x
+    if u.max() >= 2.0 * math.pi:
+        np.mod(u, 2.0 * math.pi, out=u)
     u *= size / (2.0 * math.pi)
     base = np.floor(u)
     u -= base
@@ -531,11 +544,12 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
     index = np.arange(_SPREAD_OFFSETS.size)[:, None] + np.flatnonzero(occupied)
     spread = np.bincount(index.ravel(), values.ravel(), length)
     folded = np.zeros(size)
-    start = first % size
-    for piece in np.split(spread, np.arange(size - start, length, size)):
-        folded[start:start + piece.size] += piece
-        start = 0
-    del spread, piece  # before the FFT allocates, to keep peak memory down
+    start, done = first % size, 0
+    while done < length:
+        stop = min(length, done + size - start)
+        folded[start:start + stop - done] += spread[done:stop]
+        start, done = 0, stop
+    del spread  # before the FFT allocates, to keep peak memory down
     out = np.fft.rfft(folded)[:n_modes]
     out *= kernel.deconv
     return out

@@ -256,6 +256,14 @@ def test_convergence_single_rung_has_no_slope(capsys):
     assert rows[0]["slope"] == ""
 
 
+def test_convergence_repeated_sample_size_exit_3(capsys):
+    code, out, err = run(["convergence", "--n", "100", "--n", "100",
+                          "--reps", "3"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "sample sizes must be distinct" in err
+
+
 def test_fixed_seed_output_is_identical(capsys):
     args = ["convergence", "--n", "100", "--reps", "8", "--seed", "77"]
     _, first, _ = run(args, capsys)

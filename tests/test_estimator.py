@@ -16,8 +16,9 @@ from laptail.simulation import (mm1_percentile, replication_rng,
 from laptail.inversion import bromwich_details, build_grid
 from laptail.logtrack import track_log
 from laptail.transform_maps import (Mg1Workload, PoissonDecompound,
-                                    mg1_workload_values)
-from laptail.transforms import (Exponential, SampleSet, TransformValues,
+                                    apply_map, mg1_workload_values)
+from laptail.transforms import (ContourGrid, Exponential, SampleSet,
+                                TransformValues,
                                 empirical_transform_eval,
                                 empirical_transform_grid)
 
@@ -72,6 +73,13 @@ def test_fallback_on_unstable_mean():
     assert not res.clipped
 
 
+def test_domain_event_is_named_before_grid_capacity():
+    # at w = 1e300 the grid would also be over its cap
+    res = estimate_cdf(SampleSet([0.2, 0.3]), Mg1Workload(0.1),
+                       EstimatorConfig(w=1e300))
+    assert res.fallback_reason == "domain_event"
+
+
 def test_fallback_on_all_zero_decompounding():
     res = estimate_cdf(SampleSet(np.zeros(5)), PoissonDecompound(),
                        EstimatorConfig(w=1.0))
@@ -99,6 +107,20 @@ def test_capacity_failure_falls_back():
     res = estimate_cdf(simulated_totals(3, 100), Mg1Workload(0.1), cfg)
     assert not res.on_domain_event
     assert res.fallback_reason == "capacity"
+
+
+def test_estimate_on_the_shared_grid_equals_a_fresh_grid():
+    totals = simulated_totals(6, 1000)
+    mg1 = Mg1Workload(0.1)
+    config = EstimatorConfig(w=W_90, t_max_override=40.0)
+    shared = build_grid(1.0, 40.0, W_90)
+    fresh = ContourGrid(shared.c, shared.t_max, shared.m)
+    assert fresh is not shared
+    values = [bromwich_details(apply_map(mg1, totals, grid), [W_90],
+                               plateau=mg1.plateau(totals)).values[0]
+              for grid in (shared, fresh)]
+    assert values[0] == values[1]
+    assert estimate_cdf(totals, mg1, config).value == min(1.0, max(0.0, values[1]))
 
 
 def test_batch_matches_single_calls():

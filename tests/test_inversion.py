@@ -1,4 +1,5 @@
 """Contour inversion: grids, quadrature, truncation behavior."""
+import dataclasses
 import math
 
 import numpy as np
@@ -79,6 +80,21 @@ def test_build_grid_budget():
     with pytest.raises(CapacityError):
         build_grid(1.0, 2.5e6, 1.0)
     assert build_grid(1.0, 2.5e5 - 1.0, 1.0).n_points < 5 * 10**6
+
+
+def test_build_grid_shares_one_immutable_grid():
+    grid = build_grid(1.0, 100.0, 2.0)
+    assert build_grid(1, 100, 2.0) is grid
+    assert isinstance(grid.c, float) and isinstance(grid.t_max, float)
+    assert not grid.ys.flags.writeable and not grid.points.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.m = 4
+    # w enters only through the step, 0.05 for every w up to 7.8
+    assert build_grid(1.0, 100.0, 0.5) is grid
+    others = [build_grid(2.0, 100.0, 2.0), build_grid(1.0, 50.0, 2.0),
+              build_grid(1.0, 100.0, 20.0)]
+    assert all(other is not grid for other in others)
+    assert len({(g.c, g.t_max, g.m) for g in [grid, *others]}) == 4
 
 
 # --- inversion oracle values --------------------------------------------------

@@ -239,6 +239,30 @@ def test_grid_evaluation_on_every_arc(case):
     assert np.max(np.abs(got - direct)) <= 1e-13
 
 
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_grid_evaluation_on_grids_smaller_than_the_kernel(m):
+    # 12 to 30 cells, fewer than the 32 the kernel spans, so the spread
+    # buffer of phases around the whole circle folds in up to five pieces
+    grid = ContourGrid(0.1, 20.0, m)
+    assert _kernel(grid.n_points).size < _SPREAD_OFFSETS.size
+    period = 2.0 * math.pi / grid.spacing
+    x = np.random.default_rng(19).uniform(0.0, 3.0 * period, 500)
+    got, direct = grid_and_direct(SampleSet(x), grid)
+    assert np.max(np.abs(got - direct)) <= GRID_ERROR_BOUND
+
+
+@pytest.mark.parametrize("largest_phase_below_2pi", [True, False])
+def test_grid_evaluation_at_the_phase_reduction_threshold(largest_phase_below_2pi):
+    # phases h x are reduced modulo 2 pi only once the largest reaches 2 pi
+    grid = ContourGrid(0.1, 20.0, 52)
+    period = 2.0 * math.pi / grid.spacing
+    top = period * (1.0 - 1e-12 if largest_phase_below_2pi else 1.0 + 1e-12)
+    x = np.append(np.random.default_rng(20).uniform(0.0, period, 300), top)
+    assert (grid.spacing * x.max() < 2.0 * math.pi) == largest_phase_below_2pi
+    got, direct = grid_and_direct(SampleSet(x), grid)
+    assert np.max(np.abs(got - direct)) <= 1e-13
+
+
 @pytest.mark.parametrize("t_max", [1.75, 400.0])
 def test_kernel_fit_matches_every_column(t_max):
     # the polynomial that spreads a cell's moments stands in for the
