@@ -14,8 +14,7 @@ from .errors import (CapacityError, DomainError, DomainEventFailed,
 from .estimator import (EstimateResult, EstimatorConfig, censored_increments,
                         empirical_workload_estimator, estimate_cdf,
                         estimate_cdf_batch)
-from .inversion import (InversionResult, bromwich_details, build_grid,
-                        invert_cdf_known)
+from .inversion import InversionResult, bromwich_details, build_grid
 from .logtrack import track_log
 from .simulation import (BinomialCounts, NegBinomialCounts, PoissonCounts,
                          QueueSpec, mm1_percentile, mm1_stationary_cdf,
@@ -25,9 +24,8 @@ from .simulation import (BinomialCounts, NegBinomialCounts, PoissonCounts,
 from .transform_maps import (BinomialDecompound, Mg1Workload,
                              NegBinomialDecompound, PoissonDecompound,
                              apply_map, domain_check)
-from .transforms import (CompoundPoisson, ContourGrid, Deterministic,
-                         Exponential, Gamma, SampleSet, TransformValues,
-                         empirical_transform_eval, empirical_transform_grid,
-                         load_samples, save_samples)
+from .transforms import (ContourGrid, Deterministic, Exponential, Gamma,
+                         SampleSet, TransformValues, empirical_transform_eval,
+                         empirical_transform_grid, load_samples, save_samples)
 
 __version__ = "0.1.0"

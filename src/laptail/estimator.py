@@ -6,9 +6,9 @@ transform through the branch-tracked log, and inverts the mapped values at
 every w. estimate_cdf is its one-point case; a tail probability is
 1 - value. The defining contract is that neither raises: any failure
 (domain event, log tracking, grid capacity, non-finite arithmetic) folds
-into a configured fallback value with diagnostics saying which path was
-taken. The comparison estimators used in the queueing study (direct
-empirical tail, censored increments) live here too.
+into the value 0 with diagnostics saying which path was taken, and every
+other value is clipped to [0, 1]. The comparison estimators used in the
+queueing study (direct empirical tail, censored increments) live here too.
 """
 from __future__ import annotations
 
@@ -31,16 +31,12 @@ class EstimatorConfig:
     w is the evaluation point of estimate_cdf; estimate_cdf_batch takes its
     points separately and ignores it. t_max_override replaces the default
     contour truncation sqrt(n); the default tracks the sample size so that
-    truncation error and sampling error shrink together. fallback_value is
-    returned whenever estimation is impossible; clip projects the raw
-    inversion output onto [0, 1].
+    truncation error and sampling error shrink together.
     """
 
     w: float
     c: float = 1.0
     t_max_override: float | None = None
-    fallback_value: float = 0.0
-    clip: bool = True
 
     def __post_init__(self):
         if not (self.w > 0 and math.isfinite(self.w)):
@@ -50,8 +46,6 @@ class EstimatorConfig:
         if self.t_max_override is not None and not (
                 self.t_max_override > 0 and math.isfinite(self.t_max_override)):
             raise ParameterError("t_max_override must be positive and finite")
-        if not 0.0 <= self.fallback_value <= 1.0:
-            raise ParameterError("fallback_value must be in [0, 1]")
 
     def t_max_for(self, n: int) -> float:
         return self.t_max_override if self.t_max_override is not None else math.sqrt(n)
@@ -62,10 +56,10 @@ class EstimateResult:
     """One estimate with full diagnostics.
 
     on_domain_event is False exactly when the fallback path was taken; then
-    value equals the configured fallback, raw_value is None and
-    fallback_reason says why ('domain_event', 'log_tracking', 'capacity' or
-    'nonfinite'). raw_value records the pre-clip inversion output whenever
-    clipping changed it.
+    value is 0.0, raw_value is None and fallback_reason says why
+    ('domain_event', 'log_tracking', 'capacity' or 'nonfinite'). Otherwise
+    value is the inversion output clipped to [0, 1], and raw_value records
+    the unclipped output whenever clipping changed it.
     """
 
     value: float
@@ -88,7 +82,7 @@ class EstimateResult:
 
 
 def _fallback(config: EstimatorConfig, n: int, reason: str) -> EstimateResult:
-    return EstimateResult(value=config.fallback_value, raw_value=None,
+    return EstimateResult(value=0.0, raw_value=None,
                           on_domain_event=False, clipped=False,
                           t_max_used=config.t_max_for(n), n=n,
                           fallback_reason=reason)
@@ -97,10 +91,7 @@ def _fallback(config: EstimatorConfig, n: int, reason: str) -> EstimateResult:
 def _finish(raw: float, config: EstimatorConfig, n: int) -> EstimateResult:
     if not math.isfinite(raw):
         return _fallback(config, n, "nonfinite")
-    if config.clip:
-        value = min(1.0, max(0.0, raw))
-    else:
-        value = raw
+    value = min(1.0, max(0.0, raw))
     clipped = value != raw
     return EstimateResult(value=value, raw_value=raw if clipped else value,
                           on_domain_event=True, clipped=clipped,

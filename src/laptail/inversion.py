@@ -31,12 +31,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, GridTooCoarse, ParameterError
-from .transforms import AnalyticModel, ContourGrid, TransformValues
+from .transforms import ContourGrid, TransformValues
 
 # Step policy of the contour integral; see the module docstring.
 _MAX_STEP = 0.05
@@ -175,17 +175,3 @@ def bromwich_details(psi: TransformValues, ws: Sequence[float],
         values.append(float(plateau + (h / 3.0) * np.exp(grid.c * w)
                             * total.real / math.pi))
     return InversionResult(values=tuple(values))
-
-
-def invert_cdf_known(transform: AnalyticModel | Callable, w: float,
-                     c: float = 1.0, t_max: float = 200.0,
-                     plateau: float = 0.0) -> float:
-    """Invert a known transform at w, for oracle checks and sanity runs.
-
-    ``transform`` is either an analytic model or a callable s -> psi(s)
-    accepting complex arrays.
-    """
-    grid = build_grid(c, t_max, w)
-    evaluate = transform if callable(transform) else transform.transform
-    values = TransformValues(grid, evaluate(grid.points))
-    return bromwich_details(values, [w], plateau).values[0]

@@ -156,31 +156,28 @@ def _stationary_initial_workload(rng: np.random.Generator,
     return rng.exponential(1.0 / gap)
 
 
-def simulate_mg1_workload(rng: np.random.Generator, spec: QueueSpec, n: int,
-                          warmup_time: float | None = None) -> SampleSet:
+def simulate_mg1_workload(rng: np.random.Generator, spec: QueueSpec,
+                          n: int) -> SampleSet:
     """Workload of the event-driven queue read at delta-spaced instants.
 
     Work arrives in Poisson-timed jumps and drains at rate 1; readings are
-    Y(warmup_time + i*delta) for i = 1..n, exact between events. With
-    warmup_time None, exponential jobs start from the exact stationary law
-    with no warm-up and other jobs get a warm-up of 50 mean services per
-    unit of spare capacity. ParameterError when the load is 1 or more.
+    Y(t0 + i*delta) for i = 1..n, exact between events, after a warm-up t0.
+    Exponential jobs start from the exact stationary law with t0 = 0; other
+    jobs start empty with t0 = 50 mean services per unit of spare capacity.
+    ParameterError when the load is 1 or more.
     """
     if n < 1:
         raise ParameterError("need at least one reading")
     if spec.rho >= 1.0:
         raise ParameterError(f"load {spec.rho:g} >= 1 has no stationary regime")
-    if warmup_time is not None and warmup_time < 0:
-        raise ParameterError("warmup_time must be nonnegative")
     if spec.lam == 0.0:
         return SampleSet(np.zeros(n))
-    initial = 0.0
-    if warmup_time is None:
-        if isinstance(spec.jobs, Exponential):
-            warmup_time = 0.0
-            initial = _stationary_initial_workload(rng, spec)
-        else:
-            warmup_time = _WARMUP_RELAXATIONS * spec.jobs.mean / (1.0 - spec.rho)
+    if isinstance(spec.jobs, Exponential):
+        warmup_time = 0.0
+        initial = _stationary_initial_workload(rng, spec)
+    else:
+        warmup_time = _WARMUP_RELAXATIONS * spec.jobs.mean / (1.0 - spec.rho)
+        initial = 0.0
     horizon = warmup_time + n * spec.delta
     sample_times = warmup_time + spec.delta * np.arange(1, n + 1)
 

@@ -83,7 +83,7 @@ def _table2_replication(args) -> list[list[float]]:
     try:
         recovered = censored_increments(readings, delta)
     except EmptyResult:
-        cen = [1.0 - config.fallback_value for _ in ws]
+        cen = [1.0] * len(ws)
     else:
         cen = [1.0 - r.value for r in estimate_cdf_batch(recovered, mg1, ws, config)]
     # one row per w: relative errors of the laplace, empirical and censored tails

@@ -170,10 +170,10 @@ def apply_map(transform_map: TransformMap, samples: SampleSet,
               grid: ContourGrid) -> TransformValues:
     """Empirical transform -> tracked log -> mapped transform values.
 
-    Raises DomainEventFailed when the sample fails the map's domain event
-    and propagates log-tracking failures (NearZeroTransform, DomainError).
+    The caller checks the map's domain event first (``domain_check``); on a
+    sample outside it the formula's values mean nothing. Log-tracking
+    failures (NearZeroTransform, DomainError) propagate.
     """
-    domain_check(transform_map, samples)
     observed = empirical_transform_grid(samples, grid)
     log_path = track_log(partial(empirical_transform_eval, samples), grid,
                          values=observed.values)

@@ -106,10 +106,6 @@ class SampleSet:
     ----------
     values : array_like
         Nonnegative finite reals, at least one.
-    zero_tol : float, optional
-        Absolute threshold below which a value counts as zero. The default
-        0.0 means exact floating equality with 0.0, which is the right
-        choice for simulated data where zeros are exact.
 
     Attributes
     ----------
@@ -118,13 +114,13 @@ class SampleSet:
     mean : float
         Arithmetic mean of the values.
     zero_fraction : float
-        Fraction of values counted as zero.
+        Fraction of values exactly equal to 0.0. Zeros of simulated data
+        are exact, and the grid transform treats the same values as zeros.
     max_value : float
         Largest value.
     """
 
     values: np.ndarray
-    zero_tol: float = 0.0
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -136,18 +132,13 @@ class SampleSet:
             raise ParameterError("sample values must be finite")
         if np.any(vals < 0):
             raise ParameterError("sample values must be nonnegative")
-        if self.zero_tol < 0:
-            raise ParameterError("zero_tol must be nonnegative")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "n", int(vals.size))
         object.__setattr__(self, "mean", float(vals.mean()))
         object.__setattr__(self, "max_value", float(vals.max()))
-        if self.zero_tol == 0.0:
-            zeros = int(np.count_nonzero(vals == 0.0))
-        else:
-            zeros = int(np.count_nonzero(vals <= self.zero_tol))
+        zeros = int(np.count_nonzero(vals == 0.0))
         object.__setattr__(self, "zero_fraction", zeros / vals.size)
 
 
@@ -354,33 +345,6 @@ class Gamma:
 JobModel = Exponential | Deterministic | Gamma
 
 
-@dataclass(frozen=True)
-class CompoundPoisson:
-    """Poisson(intensity) sum of i.i.d. draws from a job model."""
-
-    intensity: float
-    jobs: JobModel
-
-    def __post_init__(self):
-        if not self.intensity > 0:
-            raise ParameterError("compound Poisson intensity must be positive")
-
-    @property
-    def mean(self) -> float:
-        return self.intensity * self.jobs.mean
-
-    @property
-    def second_moment(self) -> float:
-        m = self.mean
-        return self.intensity * self.jobs.second_moment + m * m
-
-    def transform(self, s):
-        return np.exp(self.intensity * (self.jobs.transform(s) - 1.0))
-
-
-AnalyticModel = JobModel | CompoundPoisson
-
-
 # --------------------------------------------------------------------------
 # Empirical transforms
 # --------------------------------------------------------------------------
@@ -561,7 +525,7 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     The values are a type-1 non-uniform DFT of the nonzero samples with real
     weights e^{-c x}, evaluated by the real-weight NUFFT of ``_phase_sums``
     (see the module docstring); samples whose weight underflows to 0 are
-    left out. Exact zeros (``x == 0.0``, whatever ``zero_tol`` says) add
+    left out. Exact zeros (``x == 0.0``, the zeros of ``SampleSet``) add
     their fraction to every point, and the anchor y = 0 is the real mean of
     e^{-c x}. Against direct evaluation (``empirical_transform_eval`` on
     ``grid.points``) the error stays below 1.5e-14 absolute, independent of
@@ -601,14 +565,14 @@ def _parse_value(token: str, path: str, line: int) -> float:
     return value
 
 
-def load_samples(path: str, column: str | None = None,
-                 zero_tol: float = 0.0) -> SampleSet:
+def load_samples(path: str, column: str | None = None) -> SampleSet:
     """Read a sample file.
 
     Plain text by default: one nonnegative decimal per line, blank lines and
     lines starting with '#' ignored. With ``column`` given the file is read
     as CSV and that column is extracted. Negative, non-finite or unparseable
-    entries raise SampleFileError carrying the line number.
+    entries raise SampleFileError carrying the line number. A value counts
+    as zero only when it parses to exactly 0.0.
     """
     values: list[float] = []
     if column is None:
@@ -630,7 +594,7 @@ def load_samples(path: str, column: str | None = None,
                 values.append(_parse_value(token, path, reader.line_num))
     if not values:
         raise SampleFileError(path, 1, "file contains no samples")
-    return SampleSet(np.asarray(values), zero_tol=zero_tol)
+    return SampleSet(np.asarray(values))
 
 
 def save_samples(samples: SampleSet, path: str) -> None:

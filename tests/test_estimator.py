@@ -1,4 +1,5 @@
 """End-to-end estimator, fallback discipline, comparison estimators."""
+import math
 from functools import partial
 
 import numpy as np
@@ -37,8 +38,6 @@ def test_config_validation():
         EstimatorConfig(w=0.0)
     with pytest.raises(ParameterError):
         EstimatorConfig(w=1.0, c=-1.0)
-    with pytest.raises(ParameterError):
-        EstimatorConfig(w=1.0, fallback_value=1.5)
     with pytest.raises(ParameterError):
         EstimatorConfig(w=1.0, t_max_override=0.0)
     with pytest.raises(ParameterError):
@@ -80,19 +79,37 @@ def test_domain_event_is_named_before_grid_capacity():
     assert res.fallback_reason == "domain_event"
 
 
+def test_domain_is_checked_once_per_estimate():
+    checks = []
+
+    def counting(map_class):
+        class Counting(map_class):
+            def check(self, samples):
+                checks.append(samples)
+                super().check(samples)
+        return Counting
+
+    mg1, poisson = counting(Mg1Workload)(0.1), counting(PoissonDecompound)()
+    compound = sample_compound_poisson(replication_rng(7, 0), 1.0,
+                                       Exponential(1.0), 500)
+    cases = [(mg1, simulated_totals(7, 500), True),
+             (mg1, SampleSet([0.2, 0.3]), False),
+             (poisson, compound, True),
+             (poisson, SampleSet(np.zeros(5)), False)]
+    for transform_map, samples, passes in cases:
+        checks.clear()
+        out = estimate_cdf_batch(samples, transform_map, [0.5, 1.0],
+                                 EstimatorConfig(w=0.5))
+        assert [r.fallback_reason is None for r in out] == [passes, passes]
+        assert len(checks) == 1
+
+
 def test_fallback_on_all_zero_decompounding():
     res = estimate_cdf(SampleSet(np.zeros(5)), PoissonDecompound(),
                        EstimatorConfig(w=1.0))
     assert not res.on_domain_event
     assert res.value == 0.0
     assert res.fallback_reason == "domain_event"
-
-
-def test_fallback_value_is_configurable():
-    ss = SampleSet([0.2, 0.3])
-    res = estimate_cdf(ss, Mg1Workload(0.1),
-                       EstimatorConfig(w=1.0, fallback_value=0.25))
-    assert res.value == 0.25
 
 
 def test_all_zero_workload_samples_estimate_unit_cdf():
@@ -169,9 +186,12 @@ def test_clipping_records_raw_value():
             assert res.value in (0.0, 1.0)
             assert res.raw_value is not None
             assert res.raw_value != res.value
-            unclipped = estimate_cdf(ss, Mg1Workload(0.1),
-                                     EstimatorConfig(w=3.0, clip=False))
-            assert unclipped.value == pytest.approx(res.raw_value)
+            # raw_value is the unclipped inversion, bit for bit
+            mg1 = Mg1Workload(0.1)
+            grid = build_grid(1.0, math.sqrt(ss.n), 3.0)
+            direct = bromwich_details(apply_map(mg1, ss, grid), [3.0],
+                                      plateau=mg1.plateau(ss)).values[0]
+            assert res.raw_value == direct
             return
     pytest.fail("no clipped replication found")
 

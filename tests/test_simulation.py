@@ -144,13 +144,6 @@ def test_workload_rejects_unstable_load():
         QueueSpec(-1.0, Exponential(20.0), 0.1)
 
 
-def test_explicit_warmup_is_accepted():
-    spec = QueueSpec(10.0, Exponential(20.0), 0.1)
-    ss = simulate_mg1_workload(replication_rng(3, 6), spec, 100,
-                               warmup_time=5.0)
-    assert ss.n == 100
-
-
 @given(arrays(np.float64, st.integers(1, 60), elements=st.floats(0.0, 1.0)),
        st.floats(0.05, 0.5))
 @settings(max_examples=60)
