@@ -15,7 +15,11 @@ Rokhlin, SIAM J. Sci. Comput. 14, 1993) in O(n P + B W P + K log K) for n
 samples in B occupied cells, K grid points and a kernel spread over W = 32
 cells, instead of O(n K) products. The K modes k = 0 .. K-1 are taken as
 the upper half of a centred range of 2K modes, so the weights stay real and
-one real FFT gives every mode.
+one real FFT over a periodic grid of at least 4K cells gives every mode.
+The last term is that FFT. When the phases occupy a short arc of A cells
+of a large grid, it is pruned to the arc: about 2K / A transforms of about
+A cells, O(K log A), since the weights are real and the other 2K / A rows
+mirror these (see ``_phase_sums``).
 
 The kernel is never evaluated per sample. Within one cell each of its W
 columns is a polynomial of degree P = 14 in the sample's position, fitted
@@ -26,10 +30,10 @@ weighted moments, and the kernel is applied once per occupied cell. Only
 occupied cells get moments, and the spread covers only the arc of the
 circle that the phases occupy, often a small part of it since h x is small
 on a fine grid; the arc is folded onto the periodic grid by cell index, so
-no phase factor is needed.
+a whole-grid FFT needs no phase factor.
 
 Against direct evaluation the error stays below 1.5e-14 absolute and does
-not grow with K: 9.9e-15 at most for samples of Exp(mean 0.05), whose
+not grow with K: 8.9e-15 at most for samples of Exp(mean 0.05), whose
 phases all sit near 0, and 3.3e-15 for Exp(mean 1) and Gamma(20, 0.05),
 over five seeds of 2000 samples at 201 to 32 001 points.
 """
@@ -58,7 +62,7 @@ _EXP_NONZERO = 700.0
 # Gaussian-gridding NUFFT: each sample is spread over 2 * _SPREAD_HALF_WIDTH
 # cells of a grid with at least _OVERSAMPLE cells per mode of the centred mode
 # range, with the kernel width of Greengard & Lee. At half-width 16 the kernel
-# truncation and aliasing errors sit below rounding (max error 7.7e-15 on
+# truncation and aliasing errors sit below rounding (max error 6.2e-15 on
 # 8 001 points for 2000 exponential samples of mean 0.05); half-width 12 gave
 # 4e-13 and 8 gave 2e-9 on the same case.
 _SPREAD_HALF_WIDTH = 16
@@ -72,6 +76,18 @@ _KERNEL_DEGREE = 14
 _CHEB_NODES = np.cos(math.pi * (np.arange(_KERNEL_DEGREE + 1) + 0.5)
                      / (_KERNEL_DEGREE + 1))
 _CHEB_VANDER = chebyshev.chebvander(_CHEB_NODES, _KERNEL_DEGREE)
+# The final FFT is pruned to the occupied arc (see ``_phase_sums``) only
+# where that was measured to pay: on grids of 24 000 cells or more, and for
+# arcs short enough to give 16 rows or more. Timed on the grid transform of
+# 200 samples, pruning cost up to 8% on 12 150 cells and saved at most 4%
+# there; on 24 300 cells it cost 12% at 8 rows, broke even at 12 and saved
+# 6% at 16 and 17% at 64; on 32 400 cells it saved 27% at 8 rows and 50% at
+# 150. Above 2^17 cells it is not used, so the twiddle tables kept, at most
+# 2 of 2^16 + 1 complex values, stay within 2.1 MB whatever the grid size.
+_PRUNE_MIN_CELLS = 24_000
+_PRUNE_MAX_CELLS = 1 << 17
+_PRUNE_MIN_ROWS = 16
+_TWIDDLE_TABLES = 2
 
 
 def _cheb_to_mono(degree: int) -> np.ndarray:
@@ -155,7 +171,9 @@ class ContourGrid:
     A grid is immutable, so one instance can be shared: ``build_grid`` hands
     out the same grid for equal arguments and keeps the last 4, each with
     its ordinates (8 bytes per point), points (16) and Simpson weights over
-    the points (16), 40 bytes per point in all.
+    the points (16), 40 bytes per point in all. The grid transform on 5 833
+    to 32 768 points also keeps a twiddle table of about 32 bytes per point
+    (``_twiddles``), for the last 2 such grid sizes: 2.1 MB at most.
     """
 
     c: float
@@ -407,13 +425,17 @@ class _Kernel(NamedTuple):
     kernel exponent in cells squared. Column o of the (P + 1) x 32 ``poly``
     holds the monomial coefficients in t = 2u - 1 of e^{-alpha (u - o)^2}
     for a sample at fraction u in [0, 1) of its cell. ``deconv`` takes the
-    FFT of the spread grid to mode k, k = 0 .. n_modes-1.
+    FFT of the spread grid to mode k, k = 0 .. n_modes-1. ``widths`` lists,
+    ascending, the row lengths a pruned FFT of the grid may use (see
+    ``_phase_sums``): the divisors of ``size`` that leave at least 16 rows,
+    and none where pruning does not pay.
     """
 
     size: int
     alpha: float
     poly: np.ndarray
     deconv: np.ndarray
+    widths: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -436,9 +458,13 @@ def _kernel(n_modes: int) -> _Kernel:
     k = np.arange(n_modes)
     deconv = np.exp(k * k * tau)
     deconv *= math.sqrt(math.pi / tau) / size
+    prunable = _PRUNE_MIN_CELLS <= size <= _PRUNE_MAX_CELLS
+    widths = np.arange(1, size // _PRUNE_MIN_ROWS + 1 if prunable else 1)
+    widths = widths[size % widths == 0]
     poly.flags.writeable = False
     deconv.flags.writeable = False
-    return _Kernel(size, alpha, poly, deconv)
+    widths.flags.writeable = False
+    return _Kernel(size, alpha, poly, deconv, widths)
 
 
 def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndarray:
@@ -461,18 +487,50 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
     host to 5 ms on a busy one, where its second thread waits for a core,
     against 0.5 to 0.7 ms for ``einsum``.
 
-    The cells are spread into a buffer that spans only the occupied arc:
-    from half_width - 1 cells below the lowest occupied cell to half_width
-    cells above the highest. The buffer is folded onto the periodic grid in
-    index space, buffer cell e adding to cell (first + e) mod size, so the
-    buffer's offset needs no phase factor on the modes. One real FFT of the
-    folded grid gives mode k at index k, and multiplying by the real
-    e^{k^2 tau} undoes the kernel. For |k| < n_modes that factor stays below
+    The cells are spread into a buffer g that spans only the occupied arc:
+    L cells from half_width - 1 cells below the lowest occupied cell to
+    half_width cells above the highest, buffer cell e being periodic cell
+    first + e. What is wanted is its DFT at the lowest n_modes <= size / 4
+    frequencies, X[k] = sum_e g_e v^{k (first + e)} with v = e^{-2 pi i /
+    size}, and the FFT is pruned to that (Markel, IEEE Trans. Audio
+    Electroacoust. 19(4), 1971; Sorensen & Burrus, IEEE Trans. Signal
+    Process. 41(3), 1993). Let M be the smallest divisor of size with
+    M >= L, and R = size / M. Then for k = r + R q
+
+        X[r + R q] = v^{r first} FFT_M(row_r)[q],
+        row_r[(first + e) mod M] = g_e v^{r e},
+
+    so R transforms of M cells replace one of size cells, and only the first
+    and last ceil(n_modes / R) entries of each are used. g is real, so
+    X[size - k] is conj X[k], which on the rows reads
+
+        X[(R - r) + R q] = conj X[r + R (M - 1 - q)]:
+
+    only rows 0 .. R/2 are transformed. Row 0 is g itself, rotated, and takes
+    a real FFT; row R/2 of an even R is its own mirror. The twiddles
+    v^{r e} have r e < size / 2 and are taken from one table per grid size
+    (``_twiddles``). This costs O(size log M) against O(size log size).
+    It was measured to save time only with R >= 16 rows on grids of 24 000
+    cells or more, and above 2^17 cells the kept twiddle table would grow
+    with the grid. So on grids of 24 000 to 2^17 cells M is the smallest
+    divisor with M >= L that leaves at least 16 rows (``_Kernel.widths``),
+    if there is one; otherwise M = size and R = 1, one real FFT of the
+    folded grid. With 8 001 modes (32 400 cells) the 180 grid transforms of
+    30 ``table2`` replications (M/G/1 slot totals, n = 10^4) all took rows
+    of M = 144 to 300 cells, so R = 108 to 225.
+
+    Row 0 is the buffer folded onto M cells in index space, buffer cell e
+    adding to cell (first + e) mod M, so the buffer's offset needs no phase
+    factor in that row. Multiplying mode k by the real e^{k^2 tau} undoes
+    the kernel. For |k| < n_modes that factor stays below
     e^{pi half_width / 12}, about 66. When the phases cover the whole
     circle the buffer is at most size + 2 half_width cells long, so the
-    fold is at most 2 + ceil((2 half_width - 1) / size) slice adds and builds
-    no index array: three on grids of 31 cells or more, four or five on the
-    smaller grids of m <= 6 (12 to 30 cells).
+    fold (then R = 1) is at most 2 + ceil((2 half_width - 1) / size) slice
+    adds and builds no index array: three on grids of 31 cells or more,
+    four or five on the smaller grids of m <= 6 (12 to 30 cells). A pruned
+    arc fits in M cells, so its fold is a rotation of at most two slices.
+    Its R/2 complex rows of M cells and their FFT peak at about 2 x 8 size
+    bytes, as the folded grid and its FFT do when R = 1.
 
     The phases are reduced modulo 2 pi only when the largest reaches 2 pi.
     They are nonnegative, and below 2 pi the reduction is the identity, so
@@ -507,16 +565,63 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
     length = occupied.size + _SPREAD_OFFSETS.size - 1
     index = np.arange(_SPREAD_OFFSETS.size)[:, None] + np.flatnonzero(occupied)
     spread = np.bincount(index.ravel(), values.ravel(), length)
-    folded = np.zeros(size)
-    start, done = first % size, 0
+    fits = np.searchsorted(kernel.widths, length)
+    width = int(kernel.widths[fits]) if fits < kernel.widths.size else size
+    folded = np.zeros(width)
+    start, done = first % width, 0
     while done < length:
-        stop = min(length, done + size - start)
+        stop = min(length, done + width - start)
         folded[start:start + stop - done] += spread[done:stop]
         start, done = 0, stop
     del spread  # before the FFT allocates, to keep peak memory down
-    out = np.fft.rfft(folded)[:n_modes]
+    out = np.fft.rfft(folded)
+    n_fft_rows = size // width
+    if n_fft_rows > 1:
+        # the arc fits in one row, so column j of row r holds buffer cell
+        # e = (j - first) mod width, or 0, times e^{-2 pi i r e / size}
+        cell = (np.arange(width) - first) % width
+        r = np.arange(1, n_fft_rows // 2 + 1)
+        fft_rows = _twiddles(size).take(r[:, None] * cell)
+        fft_rows *= folded
+        fft_rows = np.fft.fft(fft_rows)
+        out = _interleave(out, fft_rows, first, size, n_modes)
+    out = out[:n_modes]
     out *= kernel.deconv
     return out
+
+
+def _interleave(row0: np.ndarray, rows: np.ndarray, first: int, size: int,
+                n_modes: int) -> np.ndarray:
+    """Modes k = r + R q, k < n_modes, of a pruned FFT with R rows, from
+    the transforms of its rows (see ``_phase_sums``): ``row0`` the real FFT
+    of row 0 and ``rows`` the FFTs of rows 1 .. R/2, of size / R cells each.
+
+    Mode r + R q is e^{-2 pi i r first / size} times entry q of row r, and
+    mode (R - r) + R q, for the rows above R/2, is the conjugate of mode
+    r + R (width - 1 - q).
+    """
+    width = rows.shape[1]
+    n_rows = size // width
+    half = rows.shape[0] + 1
+    per_row = -(-n_modes // n_rows)
+    shift = np.exp((-2j * math.pi / size) * (np.arange(1, half) * first % size))
+    out = np.empty((per_row, n_rows), dtype=complex)
+    out[:, 0] = row0[:per_row]
+    out[:, 1:half] = (rows[:, :per_row] * shift[:, None]).T
+    mirror = n_rows - half
+    out[:, half:] = (rows[:mirror][::-1, width - per_row:][:, ::-1]
+                     * shift[:mirror][::-1, None]).T.conj()
+    return out.ravel()
+
+
+@functools.lru_cache(maxsize=_TWIDDLE_TABLES)
+def _twiddles(size: int) -> np.ndarray:
+    """e^{-2 pi i j / size} for j = 0 .. size // 2, read-only: every twiddle
+    of a pruned FFT, 8 bytes per cell. Only grids of at most 2^17 cells are
+    pruned, so the 2 tables kept take at most 2.1 MB."""
+    table = np.exp((-2j * math.pi / size) * np.arange(size // 2 + 1))
+    table.flags.writeable = False
+    return table
 
 
 def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> TransformValues:
@@ -529,7 +634,7 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     their fraction to every point, and the anchor y = 0 is the real mean of
     e^{-c x}. Against direct evaluation (``empirical_transform_eval`` on
     ``grid.points``) the error stays below 1.5e-14 absolute, independent of
-    the grid size: the largest measured, 9.9e-15, is for samples of
+    the grid size: the largest measured, 8.9e-15, is for samples of
     Exp(mean 0.05), whose phases all sit near 0. It is largest at the top
     modes, where the deconvolution factor is largest, and smallest near
     y = 0. Both this and the direct sum carry the rounding of each phase
