@@ -3,13 +3,19 @@
 The principal logarithm jumps when a curve crosses the negative real axis;
 the estimators here need the branch that is continuous along the contour and
 real at y = 0. We build it by summing the principal logs of consecutive
-ratios, bisecting any step whose ratio strays too far from 1. Within
-|ratio - 1| <= 1/2 the principal log is the continuous increment, since
-that disk keeps the ratio in the right half-plane, away from the cut. Each
-increment is computed in real arithmetic: with u = ratio - 1, its real part
-is log1p(u.re (2 + u.re) + u.im^2) / 2 and its imaginary part
-arctan2(ratio.im, ratio.re), several times faster than the complex log on
-these near-one ratios and as accurate.
+ratios. Within |ratio - 1| <= 1/2 the principal log is the continuous
+increment, since that disk keeps the ratio in the right half-plane, away
+from the cut. Each increment is computed in real arithmetic: with
+u = ratio - 1, its real part is log1p(u.re (2 + u.re) + u.im^2) / 2 and its
+imaginary part arctan2(ratio.im, ratio.re), several times faster than the
+complex log on these near-one ratios and as accurate.
+
+A grid step whose ratio leaves the disk is bisected until every piece is
+in it. The bisection runs in passes, one per level: each pass halves every
+pending piece of every wide step and evaluates all the midpoints in one
+call of the evaluator, so an evaluator that works on arrays, such as the
+empirical transform's cell path, pays its fixed cost once per level rather
+than once per midpoint. Most grids have no wide step and make no call.
 
 The log is tracked on the half grid y in [0, T] only, upward from the
 anchor y = 0: the transforms are of real measures, so on y < 0 the branch
@@ -29,7 +35,8 @@ from .transforms import ContourGrid, TransformValues
 # from the branch cut, while tolerating genuinely fast-varying transforms.
 _RATIO_RADIUS = 0.5
 
-# Most levels of bisection of one grid step before log tracking gives up.
+# Most bisection passes, each halving every pending piece once, before log
+# tracking gives up.
 _REFINE_LIMIT = 40
 
 # Relative tolerance for the imaginary part of the transform at the real
@@ -38,7 +45,7 @@ _ANCHOR_IMAG_TOL = 1e-9
 
 
 def _log_near_one(z):
-    """Principal log of z (a complex scalar or array) for |z - 1| <= 1/2.
+    """Principal log of the complex array z for |z - 1| <= 1/2.
 
     With u = z - 1, log|z| = log1p(u.re (2 + u.re) + u.im^2) / 2 and
     arg z = arctan2(z.im, z.re); on this disk it agrees with ``np.log``
@@ -52,23 +59,49 @@ def _log_near_one(z):
     return out
 
 
-def _refined_log_ratio(evaluator: Callable, s_from: complex, f_from: complex,
-                       s_to: complex, f_to: complex, depth: int) -> complex:
-    """Continuous log of f_to/f_from, bisecting until each ratio is near 1."""
-    if abs(f_from) == 0.0 or abs(f_to) == 0.0:
-        raise NearZeroTransform(f"transform vanishes near s = {s_to}")
-    ratio = f_to / f_from
-    if abs(ratio - 1.0) <= _RATIO_RADIUS:
-        return complex(_log_near_one(ratio))
-    if depth <= 0:
-        raise NearZeroTransform(
-            f"log tracking failed to converge between {s_from} and {s_to}; "
-            "the transform is too close to zero on the contour")
-    s_mid = 0.5 * (s_from + s_to)
-    f_mid = complex(evaluator(s_mid))
-    left = _refined_log_ratio(evaluator, s_from, f_from, s_mid, f_mid, depth - 1)
-    right = _refined_log_ratio(evaluator, s_mid, f_mid, s_to, f_to, depth - 1)
-    return left + right
+def _bisected_log_ratios(evaluator: Callable, s_from: np.ndarray,
+                         f_from: np.ndarray, s_to: np.ndarray,
+                         f_to: np.ndarray) -> np.ndarray:
+    """Continuous log of f_to / f_from for each wide step from s_from to
+    s_to, by bisection in passes.
+
+    Each pass halves every pending piece at its midpoint, evaluates all the
+    midpoints in one ``evaluator`` call, and accepts each half whose ratio
+    lies in the disk |z - 1| <= 1/2, adding its log to its step's sum; the
+    other halves are pending in the next pass. A zero value at a midpoint
+    raises NearZeroTransform naming it, and so does a piece still pending
+    after _REFINE_LIMIT passes, naming its ends.
+    """
+    total = np.zeros(s_from.size, dtype=complex)
+    step = np.arange(s_from.size)
+    for _ in range(_REFINE_LIMIT):
+        s_mid = 0.5 * (s_from + s_to)
+        f_mid = np.asarray(evaluator(s_mid), dtype=complex)
+        if np.any(f_mid == 0.0):
+            k = int(np.flatnonzero(f_mid == 0.0)[0])
+            raise NearZeroTransform(f"transform vanishes near s = {s_mid[k]}")
+        # the left halves, then the right halves
+        s_from = np.concatenate([s_from, s_mid])
+        s_to = np.concatenate([s_mid, s_to])
+        f_from = np.concatenate([f_from, f_mid])
+        f_to = np.concatenate([f_mid, f_to])
+        step = np.concatenate([step, step])
+        ratios = f_to / f_from
+        near = np.abs(ratios - 1.0) <= _RATIO_RADIUS
+        # halves of one step can be accepted in the same pass, so their
+        # logs are summed by bincount, not by fancy-index assignment
+        logs = _log_near_one(ratios[near])
+        done = step[near]
+        total.real += np.bincount(done, logs.real, total.size)
+        total.imag += np.bincount(done, logs.imag, total.size)
+        if near.all():
+            return total
+        wide = ~near
+        s_from, f_from = s_from[wide], f_from[wide]
+        s_to, f_to, step = s_to[wide], f_to[wide], step[wide]
+    raise NearZeroTransform(
+        f"log tracking failed to converge between {s_from[0]} and {s_to[0]}; "
+        "the transform is too close to zero on the contour")
 
 
 def track_log(evaluator: Callable, grid: ContourGrid,
@@ -78,12 +111,14 @@ def track_log(evaluator: Callable, grid: ContourGrid,
     Starting from the real anchor s = c (index 0) with log f(c) = ln f(c),
     the log is continued up the m + 1 points y in [0, t_max]: each increment
     is the principal log of the ratio z of consecutive transform values,
-    taken in real arithmetic by the helper the bisection also uses, with
-    recursive bisection (extra evaluator calls, at most _REFINE_LIMIT
-    levels) whenever the ratio leaves the disk |z - 1| <= 1/2. Ratios whose
-    modulus is zero, and steps that never settle, raise NearZeroTransform.
-    ``values`` may carry precomputed transform values on the grid to avoid
-    re-evaluation.
+    taken in real arithmetic in one vectorized pass. A step whose ratio
+    leaves the disk |z - 1| <= 1/2 is bisected until every piece is in it,
+    in at most _REFINE_LIMIT passes; each pass calls ``evaluator`` once,
+    with the array of all its midpoints, so ``evaluator`` must accept a
+    1-d complex array. Grids without such a step make no call beyond the
+    grid values. A zero value on the grid or at a midpoint, and a step
+    that never settles, raise NearZeroTransform. ``values`` may carry
+    precomputed transform values on the grid to avoid re-evaluation.
 
     The anchor value f(c) must be real positive (relative imaginary part
     within 1e-9), else DomainError: transforms of nonnegative measures are
@@ -103,15 +138,15 @@ def track_log(evaluator: Callable, grid: ContourGrid,
     if np.any(vals == 0.0):
         k = int(np.flatnonzero(vals == 0.0)[0])
         raise NearZeroTransform(f"transform vanishes at s = {pts[k]}")
-    # increments for the easy steps in one vectorized pass, then patch the
-    # few wide ones by bisection
+    # increments for the easy steps in one vectorized pass, then replace the
+    # few wide ones by their bisected sums
     ratios = vals[1:] / vals[:-1]
     near = np.abs(ratios - 1.0) <= _RATIO_RADIUS
     incs = _log_near_one(np.where(near, ratios, 1.0))
-    for k in np.flatnonzero(~near):
-        incs[k] = _refined_log_ratio(
-            evaluator, complex(pts[k]), complex(vals[k]),
-            complex(pts[k + 1]), complex(vals[k + 1]), _REFINE_LIMIT)
+    wide = np.flatnonzero(~near)
+    if wide.size:
+        incs[wide] = _bisected_log_ratios(evaluator, pts[wide], vals[wide],
+                                          pts[wide + 1], vals[wide + 1])
     out = np.empty(vals.size, dtype=complex)
     out[0] = np.log(f_c.real)
     out[1:] = out[0] + np.cumsum(incs)

@@ -6,6 +6,13 @@ The files under ``tests/golden`` are the CSV output of
     laptail decompound --reps 10 --seed 1
     laptail table2 --reps 10 --seed 1
 
+for ``decompound_binomial.csv``, of the binomial case, whose transform
+comes close enough to 0 on the contour that the tracked log bisects:
+
+    laptail decompound --map binomial --big-m 4 --p-success 0.75 \
+        --job gamma --job-params 20,0.05 --n 2000 --reps 10 --seed 1 \
+        --w 0.5 --w 1 --w 1.5
+
 and, for ``estimate.csv``, of the README quick start:
 
     laptail simulate --lambda 10 --mu 20 --delta 0.1 --n 10000 --seed 1 --out totals.txt
@@ -30,6 +37,10 @@ GOLDEN = Path(__file__).parent / "golden"
 RUNS = {
     "convergence": ["convergence", "--reps", "20", "--seed", "1"],
     "decompound": ["decompound", "--reps", "10", "--seed", "1"],
+    "decompound_binomial": [
+        "decompound", "--map", "binomial", "--big-m", "4", "--p-success",
+        "0.75", "--job", "gamma", "--job-params", "20,0.05", "--n", "2000",
+        "--reps", "10", "--seed", "1", "--w", "0.5", "--w", "1", "--w", "1.5"],
     "table2": ["table2", "--reps", "10", "--seed", "1"],
 }
 

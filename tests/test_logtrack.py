@@ -37,7 +37,7 @@ def test_log_near_one_matches_complex_log():
     assert np.max(np.abs(z - 1.0)) <= 0.5 + 1e-15
     got = _log_near_one(z)
     assert np.max(np.abs(got - np.log(z))) <= 1e-15
-    # the scalar path, used at bisection steps, gives the same values
+    # a scalar gives the value it gets inside an array
     for k in range(0, z.size, 97):
         assert complex(_log_near_one(complex(z[k]))) == got[k]
 
@@ -114,6 +114,43 @@ def test_refinement_handles_fast_rotation():
     coarse = ContourGrid(grid.c, grid.t_max, grid.m // 4)
     path = track_log(lambda s: np.exp(-8.0 * s), coarse)
     assert np.max(np.abs(path.values - (-8.0 * coarse.points))) <= 1e-8
+
+
+def test_bisection_calls_the_evaluator_once_per_pass():
+    # the coarse grid of the test above: each of its 20 steps turns
+    # exp(-8 s) by 8 h = 1.6 rad, its halves by 0.8 rad (|z - 1| = 0.78,
+    # still wide) and its quarters by 0.4 rad (0.40, accepted). So two
+    # passes, of 20 and 40 midpoints, where one call per midpoint made 60
+    coarse = ContourGrid(1.0, 4.0, 20)
+    calls = []
+
+    def counting(s):
+        calls.append(np.shape(s))
+        return np.exp(-8.0 * np.asarray(s))
+
+    path = track_log(counting, coarse, values=np.exp(-8.0 * coarse.points))
+    assert np.max(np.abs(path.values - (-8.0 * coarse.points))) <= 1e-8
+    assert calls == [(20,), (40,)]
+
+
+def test_bisection_failures_raise_near_zero():
+    grid = ContourGrid(1.0, 1.0, 2)
+    # both steps turn by pi; every midpoint value -1 leaves one half of
+    # each step turning by pi, pass after pass
+    values = np.array([1.0, -1.0, 1.0])
+    calls = []
+
+    def never_settles(s):
+        calls.append(np.size(s))
+        return np.full(np.shape(s), -1.0 + 0j)
+
+    with pytest.raises(NearZeroTransform, match="failed to converge between"):
+        track_log(never_settles, grid, values=values)
+    # 40 passes, each with the one pending half of each step
+    assert calls == [2] * 40
+    with pytest.raises(NearZeroTransform, match=r"vanishes near s = \(1\+0\.25j\)"):
+        track_log(lambda s: np.zeros(np.shape(s), dtype=complex), grid,
+                  values=values)
 
 
 def test_vanishing_transform_raises():

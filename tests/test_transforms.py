@@ -2,10 +2,11 @@
 import cmath
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,6 +20,7 @@ from laptail.transforms import (_SPREAD_OFFSETS, ContourGrid, Deterministic,
                                 empirical_transform_eval,
                                 empirical_transform_grid, load_samples,
                                 save_samples)
+from oracles import direct_transform
 
 # Oracle for samples [1, 2] at s = 1, computed independently by hand:
 # (exp(-1) + exp(-2)) / 2.
@@ -128,10 +130,88 @@ def test_empirical_real_axis_monotone(values, s1, gap):
     assert hi <= lo + 1e-12
 
 
+def cell_path_spy():
+    """Context manager that counts the calls of the point evaluator's cell
+    path, ``transforms._cell_sums``."""
+    return mock.patch.object(transforms, "_cell_sums", wraps=transforms._cell_sums)
+
+
+# Laws of the samples the cell path of ``empirical_transform_eval`` is
+# checked on, drawn from a numpy generator.
+CELL_LAWS = {
+    "Exp(1)": lambda rng, n: rng.exponential(1.0, n),
+    "Gamma(20, 0.05)": lambda rng, n: rng.gamma(20.0, 0.05, n),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CELL_LAWS)), st.sampled_from([0.1, 1.0, 10.0]),
+       st.integers(200, 3000), st.integers(2, 40), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_point_evaluation_by_cells_matches_direct(law, c, n, points, underflow,
+                                                  seed):
+    rng = np.random.default_rng(seed)
+    if underflow:
+        # 10 samples whose weights e^{-c x} are below the smallest double;
+        # with them in, the samples span few enough cells only for n in
+        # the thousands and |s| near c
+        n *= 4
+    x = CELL_LAWS[law](rng, n)
+    x[rng.random(n) < 0.4] = 0.0
+    if underflow:
+        x[:10] = rng.uniform(750.0, 760.0, 10) / c
+    ss = SampleSet(x)
+    # the largest |s| at which the samples surely span at most n / 4 cells
+    reach = 0.5 * transforms._CELL_PHASE * transforms._CELL_MAX_SPAN * n / ss.max_value
+    assume(reach > 1.01 * c)
+    top = min(60.0, math.sqrt(reach**2 - c**2))
+    points = max(points, -(-transforms._CELL_MIN_TERMS // n))
+    s = c + 1j * rng.uniform(0.0, top, points)
+    with cell_path_spy() as cells:
+        got = empirical_transform_eval(ss, s)
+    assert cells.call_count == 1
+    assert np.max(np.abs(got - direct_transform(ss, s))) <= 1e-15
+
+
+def test_point_evaluation_at_zeros_is_exact_by_cells():
+    # zeros sit on the centre of cell 0, where the series is exactly 1
+    ss = SampleSet(np.zeros(3000))
+    with cell_path_spy() as cells:
+        got = empirical_transform_eval(ss, np.array([1.0 + 2.0j, 3.0 + 40.0j]))
+    assert cells.call_count == 1
+    assert np.all(got == 1.0 + 0.0j)
+
+
+@pytest.mark.parametrize("case", ["wide sample", "huge value", "infinite s",
+                                  "subnormal s", "single point"])
+def test_point_evaluation_falls_back_to_the_direct_sum(case):
+    # the cell path is decided from max_value and max|s| before anything is
+    # allocated: a value far out would need millions of cells, and an
+    # infinite or subnormal |s| has no finite cell width
+    x = np.random.default_rng(22).exponential(1.0, 3000)
+    s = np.array([1.0 + 10.0j, 1.0 + 20.0j])
+    if case == "wide sample":
+        x[0] = 513461.0
+    elif case == "huge value":
+        x[0] = 1e300
+    elif case == "infinite s":
+        s = np.array([np.inf + 0j, 1.0 + 0j])
+    elif case == "subnormal s":
+        s = np.array([5e-324 + 0j, 0j])
+    else:
+        s = s[:1]
+    ss = SampleSet(x)
+    with cell_path_spy() as cells:
+        got = empirical_transform_eval(ss, s)
+    assert cells.call_count == 0
+    finite = np.isfinite(s)
+    assert np.max(np.abs(got[finite] - direct_transform(ss, s[finite]))) <= 1e-15
+
+
 def grid_and_direct(ss: SampleSet, grid: ContourGrid):
     """NUFFT grid values and the direct oracle on the same points."""
     return (empirical_transform_grid(ss, grid).values,
-            empirical_transform_eval(ss, grid.points))
+            direct_transform(ss, grid.points))
 
 
 def test_grid_evaluation_matches_direct():
@@ -152,11 +232,32 @@ def test_grid_evaluation_long_contour_with_zero_atom():
     assert np.max(np.abs(got - direct) / np.abs(direct)) <= 1e-10
 
 
-# Largest absolute error of the grid transform against direct evaluation,
-# as stated in the transforms docstrings: samples of Exp(mean 0.05), whose
-# phases all sit near 0, reached 8.9e-15 over seeds 0-4 at 201 to 32 001
-# points; Exp(mean 1) and Gamma(20, 0.05) samples stayed below 3.3e-15.
+# Largest absolute error of the grid transform against direct evaluation
+# for samples of continuous laws, as stated in the transforms docstrings:
+# samples of Exp(mean 0.05), whose phases all sit near 0, reached 8.9e-15
+# over seeds 0-4 at 201 to 32 001 points; Exp(mean 1) and Gamma(20, 0.05)
+# samples stayed below 3.3e-15.
 GRID_ERROR_BOUND = 1.5e-14
+
+
+# Tied samples share a cell, and every moment sum adds a cell's samples one
+# after another, so its rounding grows with their number; the transforms
+# docstrings state this bound for 10^4 tied samples at T = 400 (measured:
+# 1.1e-13 for the grid transform, 3.8e-14 for the cell path).
+TIED_ERROR_BOUND = 2e-13
+
+
+def test_tied_samples_error_bound():
+    grid = build_grid(1.0, 400.0, 1.0)
+    assert grid.n_points == 8001
+    ss = SampleSet(np.full(10**4, 0.3))
+    exact = np.exp(-0.3 * grid.points)
+    got = empirical_transform_grid(ss, grid).values
+    assert np.max(np.abs(got - exact)) <= TIED_ERROR_BOUND
+    with cell_path_spy() as cells:
+        got = empirical_transform_eval(ss, grid.points)
+    assert cells.call_count == 1
+    assert np.max(np.abs(got - exact)) <= TIED_ERROR_BOUND
 
 
 def test_grid_evaluation_widest_mode_range():
