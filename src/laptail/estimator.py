@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -106,19 +107,21 @@ def estimate_cdf(samples: SampleSet, transform_map: TransformMap,
 
 
 def estimate_cdf_batch(samples: SampleSet, transform_map: TransformMap,
-                       ws: list[float],
+                       ws: Sequence[float],
                        base_config: EstimatorConfig) -> list[EstimateResult]:
     """Estimate F(w) of the mapped hidden law at each w in ``ws``.
 
     One grid is sized for the largest w (the tightest step bound) and
     built once, and one inversion pass evaluates every w on the same mapped
     transform values. The step bound does not increase with w, so the grid
-    is fine enough for every smaller w. Results come back in the order of
-    ``ws``; the w of ``base_config`` is not used.
+    is fine enough for every smaller w. ``ws`` may be any one-dimensional
+    sequence, a numpy array too; results come back in its order, and an
+    empty one gives an empty list. The w of ``base_config`` is not used.
 
     Never raises on statistical or numerical failure; see EstimateResult.
     Programming errors (wrong types) still surface normally.
     """
+    ws = list(ws)
     if not ws:
         return []
     if any(not (w > 0 and math.isfinite(w)) for w in ws):

@@ -135,14 +135,18 @@ def bromwich_details(psi: TransformValues, ws: Sequence[float],
         sum_k a_k z^k = sum_q z^{qB} (A z_B)_q,   z_B = (z^0, ..., z^{B-1}),
 
     so each w costs about 2 sqrt(K) complex exponentials and one Q x B
-    matrix-vector product instead of K exponentials. The phases r h w and
+    matrix-vector product instead of K exponentials. The phase steps r and
+    qB are cached per grid size. The products A z_B of every w are taken in
+    one ``einsum`` and e^{cw} as one vector; the giant step, a dot product
+    of Q terms, is taken one w at a time. The phases r h w and
     (qB) h w are rounded differently from the direct y_k w, so the result
     differs from the direct sum by up to eps * (sqrt(K) + T w) times
     (1/pi) * Simpson of |e^{sw} (psi(s) - plateau) / s|, eps the double
     epsilon. Over 400 random noisy transforms with T in [5, 3000] and w in
     [0.01, 12] the deviation stayed below 0.1 of that bound, at most
     18 eps times the sum. Each w is evaluated by the same operations
-    whatever else ``ws`` holds, so its value does not depend on the batch.
+    whatever else ``ws`` holds: the ``einsum`` sums each row of A z_B in the
+    order one w alone would, so a value does not depend on its batch.
 
     ParameterError is raised for any w that is not positive and finite, and
     GridTooCoarse when the grid spacing exceeds the step bound of the
@@ -151,30 +155,41 @@ def bromwich_details(psi: TransformValues, ws: Sequence[float],
     ws = np.asarray(ws, dtype=float)
     if ws.ndim != 1 or ws.size == 0:
         raise ParameterError("inversion points must be a nonempty sequence")
-    if not np.all((ws > 0) & np.isfinite(ws)):
+    listed = ws.tolist()
+    if not all(w > 0 and math.isfinite(w) for w in listed):
         raise ParameterError("every inversion point w must be positive")
     grid = psi.grid
     h = grid.spacing
-    w_max = float(ws.max())
+    w_max = max(listed)
     bound = _step_for(w_max)
     if h > bound * _STEP_SLACK:
         raise GridTooCoarse(
             f"grid step {h:.6g} exceeds bound {bound:.6g} for w = {w_max:g}")
     k = grid.n_points
-    b = math.isqrt(k - 1) + 1
-    q = -(-k // b)
+    b, q, steps = _phase_steps(grid.m)
     coeffs = np.zeros(q * b, dtype=complex)
     np.subtract(psi.values, plateau, out=coeffs[:k])
     coeffs[:k] *= _simpson_over_points(grid.c, grid.t_max, grid.m)
-    table = coeffs.reshape(q, b)
-    steps = np.concatenate([np.arange(b), np.arange(0, q * b, b)])
     powers = np.exp(1j * np.multiply.outer(h * ws, steps))
-    # one w at a time, with einsum rather than BLAS: a threaded gemv of this
-    # size is slower than the product itself, and a batched product would
-    # round each w differently depending on its batch
-    values = []
-    for w, row in zip(ws, powers):
-        total = np.einsum("qr,r->q", table, row[:b]) @ row[b:]
-        values.append(float(plateau + (h / 3.0) * np.exp(grid.c * w)
-                            * total.real / math.pi))
-    return InversionResult(values=tuple(values))
+    # einsum rather than BLAS: a threaded product of this size is slower
+    # than the product itself. The giant steps stay one product per w: in
+    # one einsum for every w they rounded most values differently.
+    baby = np.einsum("qr,wr->wq", coeffs.reshape(q, b), powers[:, :b])
+    scales = np.exp(grid.c * ws)
+    return InversionResult(values=tuple(
+        float(plateau + (h / 3.0) * scale * (row @ giant).real / math.pi)
+        for scale, row, giant in zip(scales, baby, powers[:, b:])))
+
+
+@functools.lru_cache(maxsize=4)
+def _phase_steps(m: int) -> tuple[int, int, np.ndarray]:
+    """B = ceil(sqrt(K)) and Q = ceil(K / B) for the K = m + 1 points of a
+    grid, and the phase steps of ``bromwich_details``: the baby steps
+    0 .. B-1, then the giant steps 0, B, .., (Q - 1) B (read-only, cached
+    per grid size)."""
+    k = m + 1
+    b = math.isqrt(k - 1) + 1
+    q = -(-k // b)
+    steps = np.concatenate([np.arange(b), np.arange(0, q * b, b)])
+    steps.flags.writeable = False
+    return b, q, steps

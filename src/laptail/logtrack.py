@@ -15,7 +15,9 @@ in it. The bisection runs in passes, one per level: each pass halves every
 pending piece of every wide step and evaluates all the midpoints in one
 call of the evaluator, so an evaluator that works on arrays, such as the
 empirical transform's cell path, pays its fixed cost once per level rather
-than once per midpoint. Most grids have no wide step and make no call.
+than once per midpoint. The cell path also keeps its moment sums for the
+last sample, so of one log's passes only the first forms them. Most grids
+have no wide step and make no call.
 
 The log is tracked on the half grid y in [0, T] only, upward from the
 anchor y = 0: the transforms are of real measures, so on y < 0 the branch
@@ -116,9 +118,11 @@ def track_log(evaluator: Callable, grid: ContourGrid,
     in at most _REFINE_LIMIT passes; each pass calls ``evaluator`` once,
     with the array of all its midpoints, so ``evaluator`` must accept a
     1-d complex array. Grids without such a step make no call beyond the
-    grid values. A zero value on the grid or at a midpoint, and a step
-    that never settles, raise NearZeroTransform. ``values`` may carry
-    precomputed transform values on the grid to avoid re-evaluation.
+    grid values and take the increments of every ratio as they are. A zero
+    value on the grid or at a midpoint, and a step that never settles,
+    raise NearZeroTransform. ``values`` may carry precomputed transform
+    values on the grid to avoid re-evaluation. The log is the running sum
+    of the increments from ln f(c), formed in the output array itself.
 
     The anchor value f(c) must be real positive (relative imaginary part
     within 1e-9), else DomainError: transforms of nonnegative measures are
@@ -135,19 +139,20 @@ def track_log(evaluator: Callable, grid: ContourGrid,
     if not (f_c.real > 0.0) or abs(f_c.imag) > _ANCHOR_IMAG_TOL * abs(f_c):
         raise DomainError(
             f"transform at s = {grid.c} must be real and positive, got {f_c}")
-    if np.any(vals == 0.0):
+    if not vals.all():
         k = int(np.flatnonzero(vals == 0.0)[0])
         raise NearZeroTransform(f"transform vanishes at s = {pts[k]}")
     # increments for the easy steps in one vectorized pass, then replace the
     # few wide ones by their bisected sums
     ratios = vals[1:] / vals[:-1]
     near = np.abs(ratios - 1.0) <= _RATIO_RADIUS
-    incs = _log_near_one(np.where(near, ratios, 1.0))
     wide = np.flatnonzero(~near)
+    incs = _log_near_one(np.where(near, ratios, 1.0) if wide.size else ratios)
     if wide.size:
         incs[wide] = _bisected_log_ratios(evaluator, pts[wide], vals[wide],
                                           pts[wide + 1], vals[wide + 1])
     out = np.empty(vals.size, dtype=complex)
     out[0] = np.log(f_c.real)
-    out[1:] = out[0] + np.cumsum(incs)
+    np.cumsum(incs, out=out[1:])
+    out[1:] += out[0]
     return TransformValues._adopt(grid, out)

@@ -431,14 +431,19 @@ def empirical_transform_eval(samples: SampleSet, s):
     most n / 4 cells of width pi / (2 max|s|), rounded down to a power of
     two; that is decided from ``max_value`` before anything is allocated,
     so a wide sample, a huge value or an infinite or subnormal |s| takes
-    the direct sum. Zeros sit exactly on the centre of cell 0 and add
-    exactly 1 / n each. Against a plain sum of exponentials the cell path
-    stayed within 6.0e-16 absolute for Exp(1) and Gamma(20, 0.05) samples with
-    40% zeros, with or without weights that underflow, at c = 0.1, 1 and
-    10; against extended precision it was off by 2.8e-16 where the plain
-    sum was off by 2.1e-16. Tied samples off a cell centre add their
-    rounding within one moment sum: 3.8e-14 for 10^4 copies of 0.3 on the
-    8 001 points of T = 400, 4.3e-13 for 10^5.
+    the direct sum. The cell path's 18 moment sums over the samples are
+    kept, read-only, for the last sample and cell width only, until a call
+    with another sample or width replaces them, so the bisection passes of
+    one tracked log share them. They take at most 36 n + 144 bytes, and
+    keep that sample's 8 n bytes alive. Zeros sit exactly on the centre of
+    cell 0 and add exactly 1 / n each. Against a plain sum of exponentials
+    the cell path stayed within 4.5e-16 absolute for Exp(1) and
+    Gamma(20, 0.05) samples with 40% zeros, with or without weights that
+    underflow, at c = 0.1, 1 and 10; against extended precision it was off
+    by 2.3e-16 where the plain sum was off by 2.2e-16. Each moment sum adds
+    its cell's samples pairwise, so tied samples off a cell centre cost
+    little: 5.4e-15 for 10^4 and for 10^5 copies of 0.3 on the 8 001
+    points of T = 400.
     """
     s = _require_right_half_plane(s)
     x = samples.values
@@ -485,25 +490,15 @@ def _cell_sums(samples: SampleSet, s: np.ndarray, width: float) -> np.ndarray:
         M[b, p] = sum_{j in b} t_j^p,
 
     the Taylor series cut after degree _CELL_DEGREE. The samples enter only
-    through the moments, and only the cells take an exponential. Because
+    through the moments, kept for the last sample and width
+    (``_cell_moments``), and only the cells take an exponential. Because
     the width is a power of two, x_j / width, t_j and sigma are exact. The
     cells run from 0 to round(max_value / width), empty ones included, at
     most n / 4 + 1 of them where this is called. The m x B terms are
     formed in blocks of at most 2^22, as the direct sum forms its own.
     """
-    x = samples.values
-    u = x / width
-    cell = np.rint(u)
-    t = u - cell
-    t *= 2.0
-    index = cell.astype(np.intp)
-    n_cells = int(round(samples.max_value / width)) + 1
-    moments = np.empty((_CELL_DEGREE + 1, n_cells))
-    moments[0] = np.bincount(index, minlength=n_cells)
-    term = t.copy()
-    for p in range(1, _CELL_DEGREE + 1):
-        moments[p] = np.bincount(index, term, n_cells)
-        term *= t
+    moments = _cell_moments(samples, width)
+    n_cells = moments.shape[1]
     # z^p / p! for p = 1 .. degree, one row per point
     sigma = width * s
     powers = np.cumprod((-0.5 * sigma)[:, None] * _INVERSE_ORDERS, axis=1)
@@ -531,8 +526,47 @@ def _cell_sums(samples: SampleSet, s: np.ndarray, width: float) -> np.ndarray:
         series *= _exp_terms(head[block, None], steps, largest)
         series *= np.exp(-tail[block, None] * steps)
         out[block] = series.sum(axis=1)
-    out /= x.size
+    out /= samples.n
     return out
+
+
+@functools.lru_cache(maxsize=1)
+def _cell_moments(samples: SampleSet, width: float) -> np.ndarray:
+    """The (_CELL_DEGREE + 1) x B moments M[b, p] = sum_{j in b} t_j^p of
+    ``_cell_sums``, over the cells 0 .. round(max_value / width) of the
+    given width (read-only).
+
+    Only the last (sample, width) is kept: the bisection passes of one
+    tracked log after the first reuse it, and another sample or width
+    replaces it, so an estimate on a new sample computes it afresh. It
+    holds at most n / 4 + 1 cells where ``_cell_sums`` is called, so
+    18 x 8 (n / 4 + 1) bytes, 36 n + 144; the sample it keeps alive holds
+    8 n more.
+
+    The offsets are sorted by cell (stably, so the bits do not depend on
+    the sort) and each cell's powers are summed by ``np.add.reduceat``,
+    which adds pairwise: a sum that adds a cell's samples one after
+    another, as ``np.bincount`` does, grows its rounding with the samples
+    in the cell, and one cell may hold nearly all of them.
+    """
+    u = samples.values / width
+    cell = np.rint(u)
+    t = u - cell
+    t *= 2.0
+    index = cell.astype(np.intp)
+    n_cells = int(round(samples.max_value / width)) + 1
+    counts = np.bincount(index, minlength=n_cells)
+    occupied = np.flatnonzero(counts)
+    starts = np.cumsum(counts[occupied]) - counts[occupied]
+    t = t[np.argsort(index, kind="stable")]
+    moments = np.zeros((_CELL_DEGREE + 1, n_cells))
+    moments[0] = counts
+    term = t.copy()
+    for p in range(1, _CELL_DEGREE + 1):
+        moments[p, occupied] = np.add.reduceat(term, starts)
+        term *= t
+    moments.flags.writeable = False
+    return moments
 
 
 def _fft_length(n: int) -> int:
@@ -778,11 +812,13 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     x = samples.values
     a = np.exp(-grid.c * x)
     # zeros are added exactly below; samples whose weight underflows add
-    # nothing and could overflow h * x
-    gridded = (x != 0.0) & (a > 0.0)
-    values = _phase_sums(x[gridded], a[gridded], grid.spacing, grid.n_points)
+    # nothing and could overflow h * x. One index and two takes cost about
+    # a third of two boolean gathers.
+    gridded = np.flatnonzero((x != 0.0) & (a > 0.0))
+    values = _phase_sums(x.take(gridded), a.take(gridded), grid.spacing,
+                         grid.n_points)
     values /= x.size
-    values += np.count_nonzero(x == 0.0) / x.size
+    values += samples.zero_fraction
     values[0] = a.mean()
     return TransformValues._adopt(grid, values)
 

@@ -2,6 +2,7 @@
 
 A plain helper module, not a test file: test modules import it by name.
 """
+import math
 from typing import Callable
 
 import numpy as np
@@ -41,3 +42,31 @@ def invert_cdf_known(transform: JobModel | Callable, w: float,
     evaluate = transform if callable(transform) else transform.transform
     values = TransformValues(grid, evaluate(grid.points))
     return bromwich_details(values, [w], plateau).values[0]
+
+
+def bromwich_loop(psi: TransformValues, ws, plateau: float = 0.0) -> tuple:
+    """Values of ``bromwich_details`` by the same baby-step / giant-step
+    sums, one w at a time, with an ``einsum`` of its own for the baby steps
+    of each w. The library takes those of every w in one ``einsum`` and
+    must round every value the same."""
+    ws = np.asarray(ws, dtype=float)
+    grid = psi.grid
+    h = grid.spacing
+    k = grid.n_points
+    b = math.isqrt(k - 1) + 1
+    q = -(-k // b)
+    weights = np.ones(k)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    coeffs = np.zeros(q * b, dtype=complex)
+    np.subtract(psi.values, plateau, out=coeffs[:k])
+    coeffs[:k] *= weights / grid.points
+    table = coeffs.reshape(q, b)
+    steps = np.concatenate([np.arange(b), np.arange(0, q * b, b)])
+    powers = np.exp(1j * np.multiply.outer(h * ws, steps))
+    values = []
+    for w, row in zip(ws, powers):
+        total = np.einsum("qr,r->q", table, row[:b]) @ row[b:]
+        values.append(float(plateau + (h / 3.0) * np.exp(grid.c * w)
+                            * total.real / math.pi))
+    return tuple(values)

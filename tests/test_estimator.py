@@ -153,6 +153,21 @@ def test_batch_matches_single_calls():
         assert got.value == pytest.approx(single.value, abs=1e-12)
 
 
+@pytest.mark.parametrize("transform_map", [Mg1Workload(0.1),
+                                           PoissonDecompound()])
+def test_array_batch_equals_the_list_batch(transform_map):
+    totals = simulated_totals(6, 2000)
+    cfg = EstimatorConfig(w=0.1)
+    ws = [0.25, 0.1, 0.9, 0.25]
+    want = estimate_cdf_batch(totals, transform_map, ws, cfg)
+    assert estimate_cdf_batch(totals, transform_map, np.array(ws), cfg) == want
+    assert estimate_cdf_batch(totals, transform_map, np.array([]), cfg) == []
+    with pytest.raises(ParameterError):
+        estimate_cdf_batch(totals, transform_map, np.array([0.5, 0.0]), cfg)
+    with pytest.raises(ParameterError):
+        estimate_cdf_batch(totals, transform_map, np.array([0.5, math.inf]), cfg)
+
+
 def test_batch_propagates_fallback():
     ss = SampleSet([0.2, 0.3])
     out = estimate_cdf_batch(ss, Mg1Workload(0.1), [0.5, 1.0],

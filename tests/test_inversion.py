@@ -11,7 +11,7 @@ from laptail.errors import CapacityError, GridTooCoarse, ParameterError
 from laptail.inversion import bromwich_details, build_grid
 from laptail.transforms import (ContourGrid, Exponential, Gamma,
                                 TransformValues)
-from oracles import invert_cdf_known
+from oracles import bromwich_loop, invert_cdf_known
 
 
 def exp_psi(grid):
@@ -235,6 +235,20 @@ def test_value_at_w_does_not_depend_on_the_batch():
     for w, value in zip(BATCH_WS, batch):
         assert bromwich_details(psi, [w], plateau=0.3).values[0] == value
         assert bromwich_details(psi, [w, 0.5], plateau=0.3).values[0] == value
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(5.0, 2000.0),
+       st.lists(st.floats(0.01, 12.0), min_size=1, max_size=4),
+       st.lists(st.integers(0, 3), min_size=1, max_size=8),
+       st.sampled_from([0.0, 0.3]), st.integers(0, 2**32 - 1))
+def test_batch_equals_one_w_at_a_time(t_max, distinct, picks, plateau, seed):
+    # any order, repeats included: every value equals the per-w loop's
+    ws = [distinct[i % len(distinct)] for i in picks]
+    grid = build_grid(1.0, t_max, max(ws))
+    psi = noisy_psi(grid, seed)
+    assert (bromwich_details(psi, ws, plateau=plateau).values
+            == bromwich_loop(psi, ws, plateau))
 
 
 def test_raw_values_stay_near_unit_range():

@@ -148,6 +148,8 @@ CELL_LAWS = {
 @given(st.sampled_from(sorted(CELL_LAWS)), st.sampled_from([0.1, 1.0, 10.0]),
        st.integers(200, 3000), st.integers(2, 40), st.booleans(),
        st.integers(0, 2**32 - 1))
+# nearly all samples in cell 0: a per-sample moment sum was 1.0e-15 off
+@example("Gamma(20, 0.05)", 0.1, 2956, 10, True, 1017540266)
 def test_point_evaluation_by_cells_matches_direct(law, c, n, points, underflow,
                                                   seed):
     rng = np.random.default_rng(seed)
@@ -180,6 +182,37 @@ def test_point_evaluation_at_zeros_is_exact_by_cells():
         got = empirical_transform_eval(ss, np.array([1.0 + 2.0j, 3.0 + 40.0j]))
     assert cells.call_count == 1
     assert np.all(got == 1.0 + 0.0j)
+
+
+def test_cell_moments_are_kept_for_the_last_sample_and_width():
+    # the cell path forms its moment sums once per sample and width; a
+    # warm call gives the bits of a cold one, and another sample or width
+    # replaces the single entry
+    rng = np.random.default_rng(23)
+    ss = SampleSet(rng.gamma(20.0, 0.05, 2000))
+    twin = SampleSet(ss.values)
+    s = 1.0 + 1j * rng.uniform(0.0, 20.0, 8)
+    moments = transforms._cell_moments
+    moments.cache_clear()
+    with cell_path_spy() as cells:
+        cold = empirical_transform_eval(ss, s)
+        warm = empirical_transform_eval(ss, s)
+        assert moments.cache_info()[:2] == (1, 1)  # hits, misses
+        finer = empirical_transform_eval(ss, 2.0 * s)
+        assert moments.cache_info().currsize <= 1
+        other = empirical_transform_eval(twin, s)
+        assert moments.cache_info().currsize <= 1
+        again = empirical_transform_eval(ss, s)
+    assert cells.call_count == 5
+    assert moments.cache_info()[:2] == (1, 4)
+    assert warm.tobytes() == cold.tobytes()
+    assert other.tobytes() == cold.tobytes()
+    assert again.tobytes() == cold.tobytes()
+    assert np.max(np.abs(finer - direct_transform(ss, 2.0 * s))) <= 1e-15
+    kept = moments(ss, transforms._cell_width(ss, s))
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("case", ["wide sample", "huge value", "infinite s",
@@ -240,10 +273,11 @@ def test_grid_evaluation_long_contour_with_zero_atom():
 GRID_ERROR_BOUND = 1.5e-14
 
 
-# Tied samples share a cell, and every moment sum adds a cell's samples one
-# after another, so its rounding grows with their number; the transforms
-# docstrings state this bound for 10^4 tied samples at T = 400 (measured:
-# 1.1e-13 for the grid transform, 3.8e-14 for the cell path).
+# Tied samples share a cell. The grid transform's moment sums add a cell's
+# samples one after another, so their rounding grows with their number; the
+# cell path's add them pairwise. The transforms docstrings state this bound
+# for 10^4 tied samples at T = 400 (measured: 1.1e-13 for the grid
+# transform, 5.4e-15 for the cell path).
 TIED_ERROR_BOUND = 2e-13
 
 
