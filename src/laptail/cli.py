@@ -5,11 +5,19 @@ Reports are CSV rows with a fixed header per command (or a JSON array with
 --json); sample data moves through the plain one-value-per-line file format.
 Exit codes: 0 success, 2 I/O or sample-file failure, 3 invalid parameters.
 Precedence: command-line flags over --config JSON over built-in defaults.
+
+Two tables declare the commands. ``_COMMANDS`` names each subcommand once
+with its handler and its settings' defaults; each setting is a flag typed
+by ``_FLAGS``, which repeats when its default is a list. ``_MAPS`` names
+each transform map with the setting it requires and the count law its
+decompounding study samples. Handlers take the merged, typed settings.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -27,8 +35,24 @@ from .transform_maps import (BinomialDecompound, Mg1Workload,
 from .transforms import (Deterministic, Exponential, Gamma, load_samples,
                          save_samples)
 
-# Config keys whose JSON spelling differs from the argparse destination.
+# Config keys whose JSON spelling differs from the setting's key; the flag
+# is spelled the JSON way.
 _CONFIG_ALIASES = {"lambda": "lam"}
+_OPTIONS = {key: f"--{alias}" for alias, key in _CONFIG_ALIASES.items()}
+
+# Each transform map: its class with the setting it requires, and the count
+# law its decompounding study samples with the settings that law takes.
+_MAPS = {
+    "mg1": ((Mg1Workload, "delta"), None),
+    "poisson": ((PoissonDecompound,), (PoissonCounts, "lam")),
+    "binomial": ((BinomialDecompound, "big_m"),
+                 (BinomialCounts, "big_m", "p_success")),
+    "negbinomial": ((NegBinomialDecompound, "big_m"),
+                    (NegBinomialCounts, "big_m", "p_success")),
+}
+
+# Job-size laws by --job name; --job-params lists their fields in order.
+_JOBS = {"exp": Exponential, "det": Deterministic, "gamma": Gamma}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,10 +61,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """Apply precedence: flags > config file > defaults."""
-    eff = dict(defaults)
-    if getattr(args, "config", None):
+def _option(key: str) -> str:
+    return _OPTIONS.get(key, "--" + key.replace("_", "-"))
+
+
+def _merged(args: argparse.Namespace) -> dict:
+    """Apply precedence: flags > config file > defaults.
+
+    A null config value, or an empty list for a repeating flag, keeps the
+    default.
+    """
+    eff = dict(args.defaults)
+    if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
@@ -50,11 +82,11 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
             if key not in eff:
                 raise ParameterError(f"unknown config key {raw_key!r}")
             if value is not None:
-                eff[key] = _config_value(raw_key, value, args.flags[key])
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            eff[key] = value
+                value = _config_value(raw_key, value, args.flags[key])
+            if value not in (None, []):
+                eff[key] = value
+    eff.update({key: value for key, value in vars(args).items()
+                if key in eff and value is not None})
     return eff
 
 
@@ -64,8 +96,8 @@ def _config_value(raw_key: str, value, flag: dict):
     ``--json`` takes true or false. A repeatable flag takes a list or one
     bare value. Any other value is a string or a number, converted by the
     flag's type from the text it would have on the command line, so
-    {"n": 1000.0} fails as --n 1000.0 does. A mismatch is a ParameterError
-    that names the key.
+    {"n": 1000.0} fails as --n 1000.0 does, and it must be one of the
+    flag's choices. A mismatch is a ParameterError that names the key.
     """
     action = flag.get("action")
     if action == "store_true":
@@ -77,32 +109,28 @@ def _config_value(raw_key: str, value, flag: dict):
                 for item in items]
     elif isinstance(value, str) or type(value) in (int, float):
         try:
-            return flag.get("type", str)(
+            typed = flag.get("type", str)(
                 value if isinstance(value, str) else repr(value))
         except ValueError:
             pass
+        else:
+            if typed in flag.get("choices", [typed]):
+                return typed
     raise ParameterError(f"config key {raw_key!r} cannot take {value!r}")
 
 
 def _emit(rows: list[dict], out_path: str | None, as_json: bool) -> None:
-    def write(stream):
+    with (open(out_path, "w", newline="") if out_path
+          else contextlib.nullcontext(sys.stdout)) as stream:
         if as_json:
             json.dump(rows, stream, indent=2)
             stream.write("\n")
-            return
-        if not rows:
-            return
-        writer = csv.writer(stream, lineterminator="\n")
-        header = list(rows[0])
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(row[k]) for k in header])
-
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
+        elif rows:
+            writer = csv.writer(stream, lineterminator="\n")
+            header = list(rows[0])
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_cell(row[k]) for k in header])
 
 
 def _cell(value) -> str:
@@ -120,218 +148,156 @@ def _job_model(name: str, params: str):
         values = [float(tok) for tok in params.split(",") if tok.strip() != ""]
     except ValueError:
         raise ParameterError(f"bad --job-params {params!r}") from None
-    if name == "exp":
-        if len(values) != 1:
-            raise ParameterError("exp job takes one parameter: rate")
-        return Exponential(values[0])
-    if name == "det":
-        if len(values) != 1:
-            raise ParameterError("det job takes one parameter: point")
-        return Deterministic(values[0])
-    if name == "gamma":
-        if len(values) != 2:
-            raise ParameterError("gamma job takes two parameters: shape,scale")
-        return Gamma(values[0], values[1])
-    raise ParameterError(f"unknown job model {name!r}")
+    model = _JOBS[name]
+    fields = [field.name for field in dataclasses.fields(model)]
+    if len(values) != len(fields):
+        takes = ("one parameter", "two parameters")[len(fields) - 1]
+        raise ParameterError(f"{name} job takes {takes}: {','.join(fields)}")
+    return model(*values)
 
 
-def _transform_map(name: str, delta, big_m):
-    if name == "mg1":
-        if delta is None:
-            raise ParameterError("map mg1 requires --delta")
-        return Mg1Workload(float(delta))
-    if name == "poisson":
-        return PoissonDecompound()
-    if name in ("binomial", "negbinomial"):
-        if big_m is None:
-            raise ParameterError(f"map {name} requires --big-m")
-        cls = BinomialDecompound if name == "binomial" else NegBinomialDecompound
-        return cls(int(big_m))
-    raise ParameterError(f"unknown map {name!r}")
+def _build(name: str, spec: tuple, eff: dict):
+    """Instantiate the class of a ``_MAPS`` entry from the settings it names."""
+    cls, *keys = spec
+    for key in keys:
+        if eff[key] is None:
+            raise ParameterError(f"map {name} requires {_option(key)}")
+    return cls(*(eff[key] for key in keys))
 
 
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
 
-_ESTIMATE_DEFAULTS = dict(samples=None, map="mg1", delta=None, big_m=None,
-                          w=None, c=1.0, t_max=None, out=None, json=False)
-
-
-def cmd_estimate(args: argparse.Namespace) -> int:
-    eff = _merged(args, _ESTIMATE_DEFAULTS)
+def cmd_estimate(eff: dict) -> list[dict]:
     if not eff["samples"]:
         raise ParameterError("estimate requires --samples")
     if not eff["w"]:
         raise ParameterError("estimate requires at least one --w")
-    transform_map = _transform_map(eff["map"], eff["delta"], eff["big_m"])
+    transform_map = _build(eff["map"], _MAPS[eff["map"]][0], eff)
     samples = load_samples(eff["samples"])
-    ws = [float(w) for w in eff["w"]]
-    config = EstimatorConfig(w=ws[0], c=float(eff["c"]),
-                             t_max_override=eff["t_max"])
-    rows = []
-    for w, res in zip(ws, estimate_cdf_batch(samples, transform_map, ws, config)):
-        rows.append({"w": w, "cdf": res.value, "tail": 1.0 - res.value,
-                     "on_domain_event": res.on_domain_event,
-                     "clipped": res.clipped,
-                     "t_max_used": res.t_max_used, "n": res.n,
-                     "fallback_reason": res.fallback_reason})
-    _emit(rows, eff["out"], eff["json"])
-    return 0
+    ws = eff["w"]
+    config = EstimatorConfig(w=ws[0], c=eff["c"], t_max_override=eff["t_max"])
+    return [{"w": w, "cdf": res.value, "tail": 1.0 - res.value,
+             "on_domain_event": res.on_domain_event, "clipped": res.clipped,
+             "t_max_used": res.t_max_used, "n": res.n,
+             "fallback_reason": res.fallback_reason}
+            for w, res in zip(ws, estimate_cdf_batch(samples, transform_map,
+                                                     ws, config))]
 
 
-_SIMULATE_DEFAULTS = dict(what="totals", lam=10.0, mu=20.0, job=None,
-                          job_params=None, delta=0.1, n=10**4, seed=1,
-                          out=None)
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    eff = _merged(args, _SIMULATE_DEFAULTS)
+def cmd_simulate(eff: dict) -> None:
     if eff["job"] is not None:
         jobs = _job_model(eff["job"], eff["job_params"] or "")
     else:
-        jobs = Exponential(float(eff["mu"]))
-    rng = replication_rng(int(eff["seed"]), 0)
-    n = int(eff["n"])
-    lam = float(eff["lam"])
-    delta = float(eff["delta"])
+        jobs = Exponential(eff["mu"])
+    rng = replication_rng(eff["seed"], 0)
     if eff["what"] == "totals":
-        if lam <= 0:
+        if eff["lam"] <= 0:
             raise ParameterError("totals need a positive arrival rate")
-        samples = sample_compound_poisson(rng, lam * delta, jobs, n)
-    elif eff["what"] == "workload":
-        samples = simulate_mg1_workload(rng, QueueSpec(lam, jobs, delta), n)
+        samples = sample_compound_poisson(rng, eff["lam"] * eff["delta"],
+                                          jobs, eff["n"])
     else:
-        raise ParameterError(f"unknown simulation target {eff['what']!r}")
+        samples = simulate_mg1_workload(
+            rng, QueueSpec(eff["lam"], jobs, eff["delta"]), eff["n"])
     if eff["out"]:
         save_samples(samples, eff["out"])
     else:
-        for v in samples.values:
-            sys.stdout.write(f"{float(v)!r}\n")
-    return 0
+        sys.stdout.writelines(f"{v!r}\n" for v in samples.values.tolist())
 
 
-_TABLE1_DEFAULTS = dict(mu=20.0, rho=None, p=None, out=None, json=False)
+def cmd_table1(eff: dict) -> list[dict]:
+    return table1_rows(eff["mu"], eff["rho"], eff["p"])
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
-    eff = _merged(args, _TABLE1_DEFAULTS)
-    rhos = [float(r) for r in (eff["rho"] or DEFAULT_RHOS)]
-    ps = [float(p) for p in (eff["p"] or DEFAULT_PERCENTILES)]
-    rows = table1_rows(float(eff["mu"]), rhos, ps)
-    _emit(rows, eff["out"], eff["json"])
-    return 0
+def cmd_table2(eff: dict) -> list[dict]:
+    return table2_rows(seed=eff["seed"], rhos=eff["rho"], percentiles=eff["p"],
+                       mu=eff["mu"], delta=eff["delta"], n=eff["n"],
+                       reps=eff["reps"], c=eff["c"], t_max=eff["t_max"],
+                       workers=eff["workers"])
 
 
-_TABLE2_DEFAULTS = dict(mu=20.0, rho=None, p=None, delta=0.1, n=10**4,
-                        reps=100, seed=1, c=1.0, t_max=TABLE2_T_MAX,
-                        workers=1, out=None, json=False)
-
-
-def cmd_table2(args: argparse.Namespace) -> int:
-    eff = _merged(args, _TABLE2_DEFAULTS)
-    rows = table2_rows(seed=int(eff["seed"]),
-                       rhos=[float(r) for r in (eff["rho"] or DEFAULT_RHOS)],
-                       percentiles=[float(p) for p in (eff["p"] or DEFAULT_PERCENTILES)],
-                       mu=float(eff["mu"]), delta=float(eff["delta"]),
-                       n=int(eff["n"]), reps=int(eff["reps"]),
-                       c=float(eff["c"]), t_max=float(eff["t_max"]),
-                       workers=int(eff["workers"]))
-    _emit(rows, eff["out"], eff["json"])
-    return 0
-
-
-_CONVERGENCE_DEFAULTS = dict(n=None, rho=0.5, mu=20.0, delta=0.1, p=0.9,
-                             w=None, reps=200, seed=1, c=1.0, workers=1,
-                             out=None, json=False)
-
-
-def cmd_convergence(args: argparse.Namespace) -> int:
-    eff = _merged(args, _CONVERGENCE_DEFAULTS)
+def cmd_convergence(eff: dict) -> list[dict]:
     ws = eff["w"]
-    if ws is not None and len(ws) != 1:
+    if len(ws) > 1:
         raise ParameterError("convergence takes a single --w")
-    rows = convergence_rows(seed=int(eff["seed"]),
-                            ns=[int(n) for n in (eff["n"] or (100, 1000, 10000))],
-                            rho=float(eff["rho"]), mu=float(eff["mu"]),
-                            delta=float(eff["delta"]),
-                            percentile=float(eff["p"]),
-                            w=None if ws is None else float(ws[0]),
-                            reps=int(eff["reps"]), c=float(eff["c"]),
-                            workers=int(eff["workers"]))
-    _emit(rows, eff["out"], eff["json"])
-    return 0
+    return convergence_rows(seed=eff["seed"], ns=eff["n"], rho=eff["rho"],
+                            mu=eff["mu"], delta=eff["delta"],
+                            percentile=eff["p"], w=ws[0] if ws else None,
+                            reps=eff["reps"], c=eff["c"],
+                            workers=eff["workers"])
 
 
-_DECOMPOUND_DEFAULTS = dict(map="poisson", lam=1.0, p_success=0.5, big_m=None,
-                            job="exp", job_params="1", n=10**4, reps=50,
-                            w=None, seed=1, c=1.0, workers=1, out=None,
-                            json=False)
-
-
-def cmd_decompound(args: argparse.Namespace) -> int:
-    eff = _merged(args, _DECOMPOUND_DEFAULTS)
-    name = eff["map"]
-    if name == "mg1":
+def cmd_decompound(eff: dict) -> list[dict]:
+    map_spec, count_spec = _MAPS[eff["map"]]
+    if count_spec is None:
         raise ParameterError("decompound works with the counting maps, not mg1")
-    transform_map = _transform_map(name, None, eff["big_m"])
+    transform_map = _build(eff["map"], map_spec, eff)
     jobs = _job_model(eff["job"], eff["job_params"])
-    if name == "poisson":
-        counts = PoissonCounts(float(eff["lam"]))
-    elif name == "binomial":
-        counts = BinomialCounts(int(eff["big_m"]), float(eff["p_success"]))
-    else:
-        counts = NegBinomialCounts(int(eff["big_m"]), float(eff["p_success"]))
-    ws = [float(w) for w in (eff["w"] or [math.log(2.0)])]
-    rows = decompound_rows(seed=int(eff["seed"]), counts=counts, jobs=jobs,
-                           transform_map=transform_map, ws=ws,
-                           n=int(eff["n"]), reps=int(eff["reps"]),
-                           c=float(eff["c"]), workers=int(eff["workers"]))
-    _emit(rows, eff["out"], eff["json"])
-    return 0
+    counts = _build(eff["map"], count_spec, eff)
+    return decompound_rows(seed=eff["seed"], counts=counts, jobs=jobs,
+                           transform_map=transform_map, ws=eff["w"],
+                           n=eff["n"], reps=eff["reps"], c=eff["c"],
+                           workers=eff["workers"])
 
 
 # --------------------------------------------------------------------------
 # Parser wiring
 # --------------------------------------------------------------------------
 
-# Flags the subcommands pick from: name -> (option strings, add_argument
-# keywords). Config values are checked against the same keywords.
+# add_argument keywords of each setting's flag; config values are checked
+# against the same keywords.
 _FLAGS = {
-    "samples": (("--samples",), dict(metavar="PATH")),
-    "map": (("--map",), dict(choices=["mg1", "poisson", "binomial", "negbinomial"])),
-    "delta": (("--delta",), dict(type=float)),
-    "big_m": (("--big-m",), dict(dest="big_m", type=int)),
-    "w": (("--w",), dict(type=float, action="append")),
-    "c": (("--c",), dict(type=float)),
-    "n": (("--n",), dict(type=int)),
-    "n_list": (("--n",), dict(type=int, action="append")),
-    "reps": (("--reps",), dict(type=int)),
-    "seed": (("--seed",), dict(type=int)),
-    "lam": (("--lambda",), dict(dest="lam", type=float)),
-    "mu": (("--mu",), dict(type=float)),
-    "job": (("--job",), dict(choices=["exp", "det", "gamma"])),
-    "job_params": (("--job-params",), dict(dest="job_params")),
-    "t_max": (("--t-max",), dict(dest="t_max", type=float)),
-    "out": (("--out",), dict(metavar="PATH")),
-    "json": (("--json",), dict(action="store_true", default=None)),
-    "config": (("--config",), dict(metavar="PATH")),
-    "rho": (("--rho",), dict(type=float, action="append")),
-    "rho_one": (("--rho",), dict(type=float)),
-    "p": (("--p",), dict(type=float, action="append")),
-    "p_one": (("--p",), dict(type=float)),
-    "p_success": (("--p-success",), dict(dest="p_success", type=float)),
-    "workers": (("--workers",), dict(type=int)),
-    "what": (("--what",), dict(choices=["totals", "workload"])),
+    "samples": dict(metavar="PATH"),
+    "map": dict(choices=list(_MAPS)),
+    "delta": dict(type=float),
+    "big_m": dict(type=int),
+    "w": dict(type=float),
+    "c": dict(type=float),
+    "n": dict(type=int),
+    "reps": dict(type=int),
+    "seed": dict(type=int),
+    "lam": dict(type=float),
+    "mu": dict(type=float),
+    "job": dict(choices=list(_JOBS)),
+    "job_params": dict(),
+    "t_max": dict(type=float),
+    "out": dict(metavar="PATH"),
+    "json": dict(action="store_true", default=None),
+    "rho": dict(type=float),
+    "p": dict(type=float),
+    "p_success": dict(type=float),
+    "workers": dict(type=int),
+    "what": dict(choices=["totals", "workload"]),
 }
 
-
-def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
-    flags = {}
-    for name in names:
-        options, keywords = _FLAGS[name]
-        flags[sub.add_argument(*options, **keywords).dest] = keywords
-    sub.set_defaults(flags=flags)
+# Each subcommand: handler, help line, and its settings in flag order with
+# their defaults. Every subcommand also takes --config.
+_COMMANDS = {
+    "estimate": (cmd_estimate, "estimate a CDF from a sample file",
+                 dict(samples=None, map="mg1", delta=None, big_m=None, w=[],
+                      c=1.0, t_max=None, out=None, json=False)),
+    "simulate": (cmd_simulate, "generate sample files",
+                 dict(what="totals", lam=10.0, mu=20.0, job=None,
+                      job_params=None, delta=0.1, n=10**4, seed=1, out=None)),
+    "table1": (cmd_table1, "stationary percentile table",
+               dict(mu=20.0, rho=list(DEFAULT_RHOS),
+                    p=list(DEFAULT_PERCENTILES), out=None, json=False)),
+    "table2": (cmd_table2, "estimator comparison study",
+               dict(mu=20.0, rho=list(DEFAULT_RHOS),
+                    p=list(DEFAULT_PERCENTILES), delta=0.1, n=10**4,
+                    reps=100, seed=1, c=1.0, t_max=TABLE2_T_MAX, workers=1,
+                    out=None, json=False)),
+    "convergence": (cmd_convergence, "error decay in sample size",
+                    dict(n=[100, 1000, 10000], rho=0.5, mu=20.0, delta=0.1,
+                         p=0.9, w=[], reps=200, seed=1, c=1.0, workers=1,
+                         out=None, json=False)),
+    "decompound": (cmd_decompound, "jump-size recovery study",
+                   dict(map="poisson", lam=1.0, p_success=0.5, big_m=None,
+                        job="exp", job_params="1", n=10**4, reps=50,
+                        w=[math.log(2.0)], seed=1, c=1.0, workers=1, out=None,
+                        json=False)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,44 +307,27 @@ def build_parser() -> argparse.ArgumentParser:
                                  "decompounding studies.")
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=_Parser)
-
-    est = subs.add_parser("estimate", help="estimate a CDF from a sample file")
-    _add_common(est, "samples", "map", "delta", "big_m", "w", "c", "t_max",
-                "out", "json", "config")
-    est.set_defaults(handler=cmd_estimate)
-
-    sim = subs.add_parser("simulate", help="generate sample files")
-    _add_common(sim, "what", "lam", "mu", "job", "job_params", "delta", "n",
-                "seed", "out", "config")
-    sim.set_defaults(handler=cmd_simulate)
-
-    t1 = subs.add_parser("table1", help="stationary percentile table")
-    _add_common(t1, "mu", "rho", "p", "out", "json", "config")
-    t1.set_defaults(handler=cmd_table1)
-
-    t2 = subs.add_parser("table2", help="estimator comparison study")
-    _add_common(t2, "mu", "rho", "p", "delta", "n", "reps", "seed", "c",
-                "t_max", "workers", "out", "json", "config")
-    t2.set_defaults(handler=cmd_table2)
-
-    conv = subs.add_parser("convergence", help="error decay in sample size")
-    _add_common(conv, "n_list", "rho_one", "mu", "delta", "p_one", "w", "reps",
-                "seed", "c", "workers", "out", "json", "config")
-    conv.set_defaults(handler=cmd_convergence)
-
-    dec = subs.add_parser("decompound", help="jump-size recovery study")
-    _add_common(dec, "map", "lam", "p_success", "big_m", "job", "job_params",
-                "n", "reps", "w", "seed", "c", "workers", "out", "json",
-                "config")
-    dec.set_defaults(handler=cmd_decompound)
+    for command, (handler, help_line, defaults) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_line)
+        flags = {}
+        for key, default in defaults.items():
+            flags[key] = dict(_FLAGS[key], dest=key)
+            if isinstance(default, list):
+                flags[key]["action"] = "append"
+            sub.add_argument(_option(key), **flags[key])
+        sub.add_argument("--config", metavar="PATH")
+        sub.set_defaults(handler=handler, defaults=defaults, flags=flags)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        eff = _merged(args)
+        rows = args.handler(eff)
+        if rows is not None:
+            _emit(rows, eff["out"], eff["json"])
+        return 0
     except SampleFileError as exc:
         print(str(exc), file=sys.stderr)
         return 2

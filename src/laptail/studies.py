@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import EmptyResult, ParameterError
 from .estimator import (EstimatorConfig, empirical_workload_estimator,
-                        censored_increments, estimate_cdf, estimate_cdf_batch)
-from .simulation import (CountModel, mm1_percentile, mm1_stationary_cdf,
-                         replication_rng, sample_compound,
+                        censored_increments, estimate_cdf_batch)
+from .simulation import (CountModel, PoissonCounts, mm1_percentile,
+                         mm1_stationary_cdf, replication_rng, sample_compound,
                          sample_compound_poisson, workload_on_grid)
 from .transform_maps import Mg1Workload, TransformMap
 from .transforms import Exponential, JobModel
@@ -49,6 +49,19 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     if values.size < 2:
         return m, 0.0
     return m, float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+def _estimate_replication(args) -> list[float]:
+    """Estimates at each w from one compound sample, then 1.0 if any fell
+    back, else 0.0."""
+    (seed, rep, stream, counts, jobs, transform_map, n, ws, c) = args
+    rng = replication_rng(seed, rep, stream)
+    samples = sample_compound(rng, counts, jobs, n)
+    config = EstimatorConfig(w=ws[0], c=c)
+    results = estimate_cdf_batch(samples, transform_map, ws, config)
+    values = [r.value for r in results]
+    fell_back = float(any(not r.on_domain_event for r in results))
+    return values + [fell_back]
 
 
 # --------------------------------------------------------------------------
@@ -126,15 +139,6 @@ def table2_rows(seed: int, rhos=DEFAULT_RHOS, percentiles=DEFAULT_PERCENTILES,
 # Error decay in the sample size
 # --------------------------------------------------------------------------
 
-def _convergence_replication(args) -> float:
-    (seed, rep, stream, lam, mu, delta, n, w, truth, c) = args
-    rng = replication_rng(seed, rep, stream)
-    totals = sample_compound_poisson(rng, lam * delta, Exponential(mu), n)
-    config = EstimatorConfig(w=w, c=c)
-    result = estimate_cdf(totals, Mg1Workload(delta), config)
-    return abs(result.value - truth)
-
-
 def convergence_rows(seed: int, ns=(100, 1000, 10000), rho: float = 0.5,
                      mu: float = 20.0, delta: float = 0.1,
                      percentile: float = 0.9, w: float | None = None,
@@ -158,13 +162,16 @@ def convergence_rows(seed: int, ns=(100, 1000, 10000), rho: float = 0.5,
     if w is None:
         w = mm1_percentile(lam, mu, percentile)
     truth = mm1_stationary_cdf(lam, mu, w)
+    mg1 = Mg1Workload(delta)
+    counts = PoissonCounts(lam * delta)
+    jobs = Exponential(mu)
     means = []
     stderrs = []
     for k, n in enumerate(ns):
-        args = [(seed, r, k, lam, mu, delta, n, w, truth, c)
+        args = [(seed, r, k, counts, jobs, mg1, n, [w], c)
                 for r in range(reps)]
-        errs = np.asarray(_run_replications(_convergence_replication, args, workers))
-        mean, stderr = _mean_stderr(errs)
+        per_rep = np.asarray(_run_replications(_estimate_replication, args, workers))
+        mean, stderr = _mean_stderr(np.abs(per_rep[:, 0] - truth))
         means.append(mean)
         stderrs.append(stderr)
     slope = None
@@ -180,17 +187,6 @@ def convergence_rows(seed: int, ns=(100, 1000, 10000), rho: float = 0.5,
 # Jump-size recovery from compound counts
 # --------------------------------------------------------------------------
 
-def _decompound_replication(args) -> list[float]:
-    (seed, rep, counts, jobs, transform_map, n, ws, c) = args
-    rng = replication_rng(seed, rep, _STREAM_DECOMPOUND)
-    samples = sample_compound(rng, counts, jobs, n)
-    config = EstimatorConfig(w=ws[0], c=c)
-    results = estimate_cdf_batch(samples, transform_map, ws, config)
-    values = [r.value for r in results]
-    fell_back = float(any(not r.on_domain_event for r in results))
-    return values + [fell_back]
-
-
 def decompound_rows(seed: int, counts: CountModel, jobs: JobModel,
                     transform_map: TransformMap, ws: list[float],
                     n: int = 10**4, reps: int = 50, c: float = 1.0,
@@ -200,9 +196,9 @@ def decompound_rows(seed: int, counts: CountModel, jobs: JobModel,
         raise ParameterError("need at least one replication")
     if not ws:
         raise ParameterError("need at least one evaluation point")
-    args = [(seed, r, counts, jobs, transform_map, n, ws, c)
+    args = [(seed, r, _STREAM_DECOMPOUND, counts, jobs, transform_map, n, ws, c)
             for r in range(reps)]
-    per_rep = np.asarray(_run_replications(_decompound_replication, args, workers))
+    per_rep = np.asarray(_run_replications(_estimate_replication, args, workers))
     values = per_rep[:, :len(ws)]
     fallback_count = int(per_rep[:, -1].sum())
     rows = []

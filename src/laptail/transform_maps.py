@@ -13,8 +13,9 @@ itself through three methods:
   |s| -> infinity along the contour, which the inversion subtracts;
 - ``values(log_path, samples)`` applies the map's formula to a tracked log.
 
-The formulas themselves are module functions that take plain sample
-summaries, so they can be checked against exact transforms.
+Each map's formula lives in its ``values``; of the sample it reads only a
+summary (``mean`` or ``zero_fraction``), so a stand-in with that attribute
+checks the formula against exact transforms.
 """
 from __future__ import annotations
 
@@ -55,7 +56,10 @@ class Mg1Workload:
         return 1.0 - samples.mean / self.delta
 
     def values(self, log_path: TransformValues, samples: SampleSet) -> np.ndarray:
-        return mg1_workload_values(log_path, samples.mean, self.delta)
+        """psi(s) = s (1 - mean/delta) / (s + log_transform(s) / delta)."""
+        s = log_path.grid.points
+        return (s * (1.0 - samples.mean / self.delta)
+                / (s + log_path.values / self.delta))
 
 
 class _Decompound:
@@ -83,7 +87,9 @@ class PoissonDecompound(_Decompound):
     """
 
     def values(self, log_path: TransformValues, samples: SampleSet) -> np.ndarray:
-        return poisson_decompound_values(log_path, samples.zero_fraction)
+        """psi(s) = 1 + log_transform(s) / lambda_hat, lambda_hat = -ln(zero_frac)."""
+        lam_hat = -np.log(samples.zero_fraction)
+        return 1.0 + log_path.values / lam_hat
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,14 @@ class BinomialDecompound(_Decompound):
             raise ParameterError("big_m must be an integer >= 1")
 
     def values(self, log_path: TransformValues, samples: SampleSet) -> np.ndarray:
-        return binomial_decompound_values(log_path, samples.zero_fraction, self.big_m)
+        """Invert transform(s) = (q + (1-q) psi(s))^M with q^M = zero_frac.
+
+        The continuous M-th root exp(log/M) keeps psi continuous on the
+        contour.
+        """
+        root_q = samples.zero_fraction ** (1.0 / self.big_m)
+        root = np.exp(log_path.values / self.big_m)
+        return (root - root_q) / (1.0 - root_q)
 
 
 @dataclass(frozen=True)
@@ -111,50 +124,13 @@ class NegBinomialDecompound(_Decompound):
             raise ParameterError("big_m must be an integer >= 1")
 
     def values(self, log_path: TransformValues, samples: SampleSet) -> np.ndarray:
-        return negbinomial_decompound_values(log_path, samples.zero_fraction,
-                                             self.big_m)
+        """Invert transform(s) = ((1-p) / (1 - p psi(s)))^M with (1-p)^M = zero_frac."""
+        root_q = samples.zero_fraction ** (1.0 / self.big_m)
+        inv_root = np.exp(-log_path.values / self.big_m)
+        return (1.0 - root_q * inv_root) / (1.0 - root_q)
 
 
 TransformMap = Mg1Workload | PoissonDecompound | BinomialDecompound | NegBinomialDecompound
-
-
-# --------------------------------------------------------------------------
-# Value-level maps: tracked log in, transform values out
-# --------------------------------------------------------------------------
-
-def mg1_workload_values(log_path: TransformValues, mean: float,
-                        delta: float) -> np.ndarray:
-    """psi(s) = s (1 - mean/delta) / (s + log_transform(s) / delta)."""
-    if not delta > 0:
-        raise ParameterError("delta must be positive")
-    s = log_path.grid.points
-    return s * (1.0 - mean / delta) / (s + log_path.values / delta)
-
-
-def poisson_decompound_values(log_path: TransformValues,
-                              zero_frac: float) -> np.ndarray:
-    """psi(s) = 1 + log_transform(s) / lambda_hat, lambda_hat = -ln(zero_frac)."""
-    lam_hat = -np.log(zero_frac)
-    return 1.0 + log_path.values / lam_hat
-
-
-def binomial_decompound_values(log_path: TransformValues, zero_frac: float,
-                               big_m: int) -> np.ndarray:
-    """Invert transform(s) = (q + (1-q) psi(s))^M with q^M = zero_frac.
-
-    The continuous M-th root exp(log/M) keeps psi continuous on the contour.
-    """
-    root_q = zero_frac ** (1.0 / big_m)
-    root = np.exp(log_path.values / big_m)
-    return (root - root_q) / (1.0 - root_q)
-
-
-def negbinomial_decompound_values(log_path: TransformValues, zero_frac: float,
-                                  big_m: int) -> np.ndarray:
-    """Invert transform(s) = ((1-p) / (1 - p psi(s)))^M with (1-p)^M = zero_frac."""
-    root_q = zero_frac ** (1.0 / big_m)
-    inv_root = np.exp(-log_path.values / big_m)
-    return (1.0 - root_q * inv_root) / (1.0 - root_q)
 
 
 # --------------------------------------------------------------------------

@@ -306,10 +306,6 @@ class Exponential:
     def mean(self) -> float:
         return 1.0 / self.rate
 
-    @property
-    def second_moment(self) -> float:
-        return 2.0 / self.rate**2
-
     def transform(self, s):
         s = _require_right_half_plane(s)
         return self.rate / (self.rate + s)
@@ -340,10 +336,6 @@ class Deterministic:
     def mean(self) -> float:
         return self.point
 
-    @property
-    def second_moment(self) -> float:
-        return self.point**2
-
     def transform(self, s):
         s = _require_right_half_plane(s)
         return np.exp(-s * self.point)
@@ -373,10 +365,6 @@ class Gamma:
     @property
     def mean(self) -> float:
         return self.shape * self.scale
-
-    @property
-    def second_moment(self) -> float:
-        return self.shape * (self.shape + 1.0) * self.scale**2
 
     def transform(self, s):
         # principal power; 1 + scale*s stays in the right half-plane on C+
@@ -422,11 +410,12 @@ def empirical_transform_eval(samples: SampleSet, s):
 
     ``s`` may be a complex scalar or an array with Re(s) >= 0; the result has
     modulus at most 1 and is conjugate-symmetric in s. Samples whose factor
-    e^{-Re(s) x_i} underflows add exactly 0.
+    e^{-Re(s) x_i} underflows add exactly 0. A scalar is evaluated as an
+    array of one point.
 
-    A scalar, and an array for which the cell path does not pay, is summed
-    directly, one exponential per sample and point, in blocks of at most
-    2^22 terms. An array of m >= 2 points with m n >= 6 000 is evaluated
+    An array for which the cell path does not pay, a single point among
+    them, is summed directly, one exponential per sample and point, in
+    blocks of at most 2^22 terms. An array of m >= 2 points with m n >= 6 000 is evaluated
     from per-cell Taylor moments (``_cell_sums``) when the samples span at
     most n / 4 cells of width pi / (2 max|s|), rounded down to a power of
     two; that is decided from ``max_value`` before anything is allocated,
@@ -446,21 +435,19 @@ def empirical_transform_eval(samples: SampleSet, s):
     points of T = 400.
     """
     s = _require_right_half_plane(s)
-    x = samples.values
-    if s.ndim == 0:
-        largest = float(s.real) * samples.max_value
-        return complex(np.mean(_exp_terms(s, x, largest)))
     flat = s.ravel()
     width = _cell_width(samples, flat)
     if width is not None:
-        return _cell_sums(samples, flat, width).reshape(s.shape)
-    largest = float(flat.real.max(initial=0.0)) * samples.max_value
-    out = np.empty(flat.size, dtype=complex)
-    rows = max(1, _DIRECT_BLOCK // max(x.size, 1))
-    for start in range(0, flat.size, rows):
-        block = flat[start:start + rows, None]
-        out[start:start + rows] = _exp_terms(block, x, largest).mean(axis=1)
-    return out.reshape(s.shape)
+        out = _cell_sums(samples, flat, width)
+    else:
+        x = samples.values
+        largest = float(flat.real.max(initial=0.0)) * samples.max_value
+        out = np.empty(flat.size, dtype=complex)
+        rows = max(1, _DIRECT_BLOCK // max(x.size, 1))
+        for start in range(0, flat.size, rows):
+            block = flat[start:start + rows, None]
+            out[start:start + rows] = _exp_terms(block, x, largest).mean(axis=1)
+    return complex(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
 def _cell_width(samples: SampleSet, s: np.ndarray) -> float | None:

@@ -9,6 +9,7 @@ import csv
 import io
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,11 +22,8 @@ from laptail.simulation import replication_rng, sample_compound_poisson
 from laptail.studies import decompound_rows
 from laptail.simulation import PoissonCounts
 from laptail.transform_maps import (BinomialDecompound, Mg1Workload,
-                                    PoissonDecompound, apply_map,
-                                    binomial_decompound_values,
-                                    mg1_workload_values,
-                                    negbinomial_decompound_values,
-                                    poisson_decompound_values)
+                                    NegBinomialDecompound, PoissonDecompound,
+                                    apply_map)
 from laptail.transforms import (Exponential, SampleSet,
                                 empirical_transform_grid)
 from oracles import invert_cdf_known
@@ -83,20 +81,22 @@ def test_criterion_3_map_round_trips():
 
     worst = 0.0
     path = track_log(lambda z: np.exp(1.0 * (b20(z) - 1.0)), grid)
-    got = mg1_workload_values(path, mean=0.05, delta=0.1)
+    got = Mg1Workload(0.1).values(path, SimpleNamespace(mean=0.05))
     want = s * 0.5 / (s - 10.0 + 10.0 * b20(s))
     worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
 
     path = track_log(lambda z: np.exp(2.0 * (bt(z) - 1.0)), grid)
-    got = poisson_decompound_values(path, math.exp(-2.0))
+    got = PoissonDecompound().values(
+        path, SimpleNamespace(zero_fraction=math.exp(-2.0)))
     worst = max(worst, float(np.max(np.abs(got - bt(s)) / np.abs(bt(s)))))
 
     path = track_log(lambda z: (0.5 * bt(z) + 0.5) ** 2, grid)
-    got = binomial_decompound_values(path, 0.25, 2)
+    got = BinomialDecompound(2).values(path, SimpleNamespace(zero_fraction=0.25))
     worst = max(worst, float(np.max(np.abs(got - bt(s)) / np.abs(bt(s)))))
 
     path = track_log(lambda z: 0.5 / (1.0 - 0.5 * bt(z)), grid)
-    got = negbinomial_decompound_values(path, 0.5, 1)
+    got = NegBinomialDecompound(1).values(path,
+                                          SimpleNamespace(zero_fraction=0.5))
     worst = max(worst, float(np.max(np.abs(got - bt(s)) / np.abs(bt(s)))))
 
     ok = worst <= 1e-6

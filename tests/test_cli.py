@@ -1,12 +1,18 @@
 """Command-line behavior: schemas, exit codes, config precedence, determinism."""
+import argparse
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from laptail.cli import main
+import laptail
+from laptail.cli import build_parser, main
 
 W_90 = 0.16094379124341003
 
@@ -82,6 +88,18 @@ def test_simulate_to_stdout(capsys):
     code, out, _ = run(["simulate", "--n", "5", "--seed", "5"], capsys)
     assert code == 0
     assert len(out.strip().splitlines()) == 5
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["simulate", "--n", "5", "--seed", "3"],
+     "0.0\n0.0\n0.03903155486041823\n0.022563019137758163\n0.0\n"),
+    # gamma jobs start the queue empty and run a warm-up
+    (["simulate", "--what", "workload", "--n", "5", "--seed", "3",
+      "--job", "gamma", "--job-params", "2,0.025"],
+     "0.006039423306837932\n0.0\n0.0\n0.0\n0.0\n"),
+], ids=["totals", "workload-warm-up"])
+def test_simulate_output_bits(argv, want, capsys):
+    assert run(argv, capsys) == (0, want, "")
 
 
 def test_estimate_empty_file_exit_2(tmp_path, capsys):
@@ -182,6 +200,12 @@ def test_config_unknown_key_exit_3(tmp_path, capsys):
     (["table1"], {"mu": {"rate": 20}}, "mu"),
     (["estimate", "--samples", "x.txt"], {"map": ["mg1"]}, "map"),
     (["simulate"], {"job_params": [1, 2]}, "job_params"),
+    # a value outside the flag's choices, as argparse rejects it on the
+    # command line
+    (["estimate", "--samples", "x.txt"], {"map": "bogus"}, "map"),
+    (["decompound"], {"map": "bogus"}, "map"),
+    (["simulate"], {"job": "bogus"}, "job"),
+    (["simulate"], {"what": "bogus"}, "what"),
 ])
 def test_config_value_of_wrong_shape_exit_3(tmp_path, capsys, command, config,
                                             key):
@@ -315,3 +339,122 @@ def test_workers_flag_matches_sequential(capsys):
     _, seq, _ = run(base, capsys)
     _, par, _ = run(base + ["--workers", "2"], capsys)
     assert seq == par
+
+
+# --- the command surface ----------------------------------------------------------
+
+# Every subcommand's flags in parser order: option, dest, type, choices and
+# kind ("one" value, "repeat"able, or a "switch" that takes no value).
+FLAG_SURFACE = {
+    "estimate": [
+        ("--samples", "samples", None, None, "one"),
+        ("--map", "map", None,
+         ["mg1", "poisson", "binomial", "negbinomial"], "one"),
+        ("--delta", "delta", float, None, "one"),
+        ("--big-m", "big_m", int, None, "one"),
+        ("--w", "w", float, None, "repeat"),
+        ("--c", "c", float, None, "one"),
+        ("--t-max", "t_max", float, None, "one"),
+        ("--out", "out", None, None, "one"),
+        ("--json", "json", None, None, "switch"),
+        ("--config", "config", None, None, "one"),
+    ],
+    "simulate": [
+        ("--what", "what", None, ["totals", "workload"], "one"),
+        ("--lambda", "lam", float, None, "one"),
+        ("--mu", "mu", float, None, "one"),
+        ("--job", "job", None, ["exp", "det", "gamma"], "one"),
+        ("--job-params", "job_params", None, None, "one"),
+        ("--delta", "delta", float, None, "one"),
+        ("--n", "n", int, None, "one"),
+        ("--seed", "seed", int, None, "one"),
+        ("--out", "out", None, None, "one"),
+        ("--config", "config", None, None, "one"),
+    ],
+    "table1": [
+        ("--mu", "mu", float, None, "one"),
+        ("--rho", "rho", float, None, "repeat"),
+        ("--p", "p", float, None, "repeat"),
+        ("--out", "out", None, None, "one"),
+        ("--json", "json", None, None, "switch"),
+        ("--config", "config", None, None, "one"),
+    ],
+    "table2": [
+        ("--mu", "mu", float, None, "one"),
+        ("--rho", "rho", float, None, "repeat"),
+        ("--p", "p", float, None, "repeat"),
+        ("--delta", "delta", float, None, "one"),
+        ("--n", "n", int, None, "one"),
+        ("--reps", "reps", int, None, "one"),
+        ("--seed", "seed", int, None, "one"),
+        ("--c", "c", float, None, "one"),
+        ("--t-max", "t_max", float, None, "one"),
+        ("--workers", "workers", int, None, "one"),
+        ("--out", "out", None, None, "one"),
+        ("--json", "json", None, None, "switch"),
+        ("--config", "config", None, None, "one"),
+    ],
+    "convergence": [
+        ("--n", "n", int, None, "repeat"),
+        ("--rho", "rho", float, None, "one"),
+        ("--mu", "mu", float, None, "one"),
+        ("--delta", "delta", float, None, "one"),
+        ("--p", "p", float, None, "one"),
+        ("--w", "w", float, None, "repeat"),
+        ("--reps", "reps", int, None, "one"),
+        ("--seed", "seed", int, None, "one"),
+        ("--c", "c", float, None, "one"),
+        ("--workers", "workers", int, None, "one"),
+        ("--out", "out", None, None, "one"),
+        ("--json", "json", None, None, "switch"),
+        ("--config", "config", None, None, "one"),
+    ],
+    "decompound": [
+        ("--map", "map", None,
+         ["mg1", "poisson", "binomial", "negbinomial"], "one"),
+        ("--lambda", "lam", float, None, "one"),
+        ("--p-success", "p_success", float, None, "one"),
+        ("--big-m", "big_m", int, None, "one"),
+        ("--job", "job", None, ["exp", "det", "gamma"], "one"),
+        ("--job-params", "job_params", None, None, "one"),
+        ("--n", "n", int, None, "one"),
+        ("--reps", "reps", int, None, "one"),
+        ("--w", "w", float, None, "repeat"),
+        ("--seed", "seed", int, None, "one"),
+        ("--c", "c", float, None, "one"),
+        ("--workers", "workers", int, None, "one"),
+        ("--out", "out", None, None, "one"),
+        ("--json", "json", None, None, "switch"),
+        ("--config", "config", None, None, "one"),
+    ],
+}
+
+_KINDS = {argparse._StoreAction: "one", argparse._AppendAction: "repeat",
+          argparse._StoreTrueAction: "switch"}
+
+
+def test_flag_surface_of_every_subcommand():
+    parser = build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    got = {name: [(" ".join(a.option_strings), a.dest, a.type, a.choices,
+                   _KINDS[type(a)])
+                  for a in sub._actions
+                  if not isinstance(a, argparse._HelpAction)]
+           for name, sub in subs.choices.items()}
+    assert list(got) == list(FLAG_SURFACE)
+    for name, flags in FLAG_SURFACE.items():
+        assert got[name] == flags, name
+
+
+def test_python_dash_m_runs_main(capsys):
+    assert main(["table1"]) == 0
+    want = capsys.readouterr().out
+    package_root = str(Path(laptail.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "laptail", "table1"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")

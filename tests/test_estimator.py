@@ -17,7 +17,7 @@ from laptail.simulation import (mm1_percentile, replication_rng,
 from laptail.inversion import bromwich_details, build_grid
 from laptail.logtrack import track_log
 from laptail.transform_maps import (Mg1Workload, PoissonDecompound,
-                                    apply_map, mg1_workload_values)
+                                    apply_map)
 from laptail.transforms import (ContourGrid, Exponential, SampleSet,
                                 TransformValues,
                                 empirical_transform_eval,
@@ -223,7 +223,7 @@ def test_grid_transform_matches_direct_at_estimate_level():
 
     def estimate(values):
         log_path = track_log(partial(empirical_transform_eval, ss), grid, values=values)
-        psi = mg1_workload_values(log_path, ss.mean, mg1.delta)
+        psi = mg1.values(log_path, ss)
         return bromwich_details(TransformValues(grid, psi), [w],
                                 plateau=mg1.plateau(ss)).values[0]
 

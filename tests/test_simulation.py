@@ -111,7 +111,7 @@ def test_workload_mean_for_gamma_jobs():
     jobs = Gamma(2.0, 0.025)  # mean 0.05, second moment 0.00375
     spec = QueueSpec(10.0, jobs, 0.1)
     ss = simulate_mg1_workload(replication_rng(3, 1), spec, 4 * 10**4)
-    want = 10.0 * jobs.second_moment / (2.0 * (1.0 - spec.rho))
+    want = 10.0 * 0.00375 / (2.0 * (1.0 - spec.rho))
     assert abs(ss.mean - want) <= 0.004
     assert abs(ss.zero_fraction - 0.5) <= 0.03
 

@@ -12,10 +12,7 @@ from laptail.logtrack import track_log
 from laptail.simulation import replication_rng, sample_compound_poisson
 from laptail.transform_maps import (BinomialDecompound, Mg1Workload,
                                     NegBinomialDecompound, PoissonDecompound,
-                                    apply_map, binomial_decompound_values,
-                                    domain_check, mg1_workload_values,
-                                    negbinomial_decompound_values,
-                                    poisson_decompound_values)
+                                    apply_map, domain_check)
 from laptail.transforms import (Exponential, SampleSet, TransformValues,
                                 empirical_transform_eval,
                                 empirical_transform_grid)
@@ -38,7 +35,7 @@ def test_mg1_matches_workload_formula():
     mu, lam, delta = 20.0, 10.0, 0.1
     ev = lambda s: np.exp(lam * delta * (mu / (mu + s) - 1.0))
     path = track_log(ev, ROUND_TRIP_GRID)
-    got = mg1_workload_values(path, mean=lam * delta / mu, delta=delta)
+    got = Mg1Workload(delta).values(path, SimpleNamespace(mean=lam * delta / mu))
     s = ROUND_TRIP_GRID.points
     want = s * (1.0 - 0.5) / (s - lam + lam * mu / (mu + s))
     assert rel_err(got, want) <= 1e-6
@@ -47,7 +44,8 @@ def test_mg1_matches_workload_formula():
 def test_poisson_round_trip():
     ev = lambda s: np.exp(2.0 * (job_transform(s) - 1.0))
     path = track_log(ev, ROUND_TRIP_GRID)
-    got = poisson_decompound_values(path, math.exp(-2.0))
+    got = PoissonDecompound().values(
+        path, SimpleNamespace(zero_fraction=math.exp(-2.0)))
     assert rel_err(got, job_transform(ROUND_TRIP_GRID.points)) <= 1e-6
 
 
@@ -55,14 +53,14 @@ def test_binomial_round_trip():
     # forward: N ~ binomial(2, 1/2), X = sum of N jobs
     ev = lambda s: (0.5 * job_transform(s) + 0.5) ** 2
     path = track_log(ev, ROUND_TRIP_GRID)
-    got = binomial_decompound_values(path, 0.25, 2)
+    got = BinomialDecompound(2).values(path, SimpleNamespace(zero_fraction=0.25))
     assert rel_err(got, job_transform(ROUND_TRIP_GRID.points)) <= 1e-6
 
 
 def test_negbinomial_round_trip():
     ev = lambda s: 0.5 / (1.0 - 0.5 * job_transform(s))
     path = track_log(ev, ROUND_TRIP_GRID)
-    got = negbinomial_decompound_values(path, 0.5, 1)
+    got = NegBinomialDecompound(1).values(path, SimpleNamespace(zero_fraction=0.5))
     assert rel_err(got, job_transform(ROUND_TRIP_GRID.points)) <= 1e-6
 
 

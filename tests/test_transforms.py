@@ -597,13 +597,11 @@ def test_analytic_transform_examples():
 def test_model_moments_and_cdfs():
     g = Gamma(2.0, 0.5)
     assert g.mean == pytest.approx(1.0)
-    assert g.second_moment == pytest.approx(1.5)
     assert g.cdf(0.0) == 0.0
     d = Deterministic(0.3)
     assert d.cdf(0.29) == 0.0 and d.cdf(0.3) == 1.0
     e = Exponential(2.0)
     assert e.cdf(1.0) == pytest.approx(1.0 - math.exp(-2.0))
-    assert e.second_moment == pytest.approx(0.5)
 
 
 def test_gamma_transform_on_contour_matches_samples():
