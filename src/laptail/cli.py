@@ -177,7 +177,7 @@ def cmd_estimate(eff: dict) -> list[dict]:
     transform_map = _build(eff["map"], _MAPS[eff["map"]][0], eff)
     samples = load_samples(eff["samples"])
     ws = eff["w"]
-    config = EstimatorConfig(w=ws[0], c=eff["c"], t_max_override=eff["t_max"])
+    config = EstimatorConfig(w=ws[0], t_max_override=eff["t_max"])
     return [{"w": w, "cdf": res.value, "tail": 1.0 - res.value,
              "on_domain_event": res.on_domain_event, "clipped": res.clipped,
              "t_max_used": res.t_max_used, "n": res.n,
@@ -213,7 +213,7 @@ def cmd_table1(eff: dict) -> list[dict]:
 def cmd_table2(eff: dict) -> list[dict]:
     return table2_rows(seed=eff["seed"], rhos=eff["rho"], percentiles=eff["p"],
                        mu=eff["mu"], delta=eff["delta"], n=eff["n"],
-                       reps=eff["reps"], c=eff["c"], t_max=eff["t_max"],
+                       reps=eff["reps"], t_max=eff["t_max"],
                        workers=eff["workers"])
 
 
@@ -224,8 +224,7 @@ def cmd_convergence(eff: dict) -> list[dict]:
     return convergence_rows(seed=eff["seed"], ns=eff["n"], rho=eff["rho"],
                             mu=eff["mu"], delta=eff["delta"],
                             percentile=eff["p"], w=ws[0] if ws else None,
-                            reps=eff["reps"], c=eff["c"],
-                            workers=eff["workers"])
+                            reps=eff["reps"], workers=eff["workers"])
 
 
 def cmd_decompound(eff: dict) -> list[dict]:
@@ -237,7 +236,7 @@ def cmd_decompound(eff: dict) -> list[dict]:
     counts = _build(eff["map"], count_spec, eff)
     return decompound_rows(seed=eff["seed"], counts=counts, jobs=jobs,
                            transform_map=transform_map, ws=eff["w"],
-                           n=eff["n"], reps=eff["reps"], c=eff["c"],
+                           n=eff["n"], reps=eff["reps"],
                            workers=eff["workers"])
 
 
@@ -253,7 +252,6 @@ _FLAGS = {
     "delta": dict(type=float),
     "big_m": dict(type=int),
     "w": dict(type=float),
-    "c": dict(type=float),
     "n": dict(type=int),
     "reps": dict(type=int),
     "seed": dict(type=int),
@@ -276,7 +274,7 @@ _FLAGS = {
 _COMMANDS = {
     "estimate": (cmd_estimate, "estimate a CDF from a sample file",
                  dict(samples=None, map="mg1", delta=None, big_m=None, w=[],
-                      c=1.0, t_max=None, out=None, json=False)),
+                      t_max=None, out=None, json=False)),
     "simulate": (cmd_simulate, "generate sample files",
                  dict(what="totals", lam=10.0, mu=20.0, job=None,
                       job_params=None, delta=0.1, n=10**4, seed=1, out=None)),
@@ -286,16 +284,16 @@ _COMMANDS = {
     "table2": (cmd_table2, "estimator comparison study",
                dict(mu=20.0, rho=list(DEFAULT_RHOS),
                     p=list(DEFAULT_PERCENTILES), delta=0.1, n=10**4,
-                    reps=100, seed=1, c=1.0, t_max=TABLE2_T_MAX, workers=1,
+                    reps=100, seed=1, t_max=TABLE2_T_MAX, workers=1,
                     out=None, json=False)),
     "convergence": (cmd_convergence, "error decay in sample size",
                     dict(n=[100, 1000, 10000], rho=0.5, mu=20.0, delta=0.1,
-                         p=0.9, w=[], reps=200, seed=1, c=1.0, workers=1,
+                         p=0.9, w=[], reps=200, seed=1, workers=1,
                          out=None, json=False)),
     "decompound": (cmd_decompound, "jump-size recovery study",
                    dict(map="poisson", lam=1.0, p_success=0.5, big_m=None,
                         job="exp", job_params="1", n=10**4, reps=50,
-                        w=[math.log(2.0)], seed=1, c=1.0, workers=1, out=None,
+                        w=[math.log(2.0)], seed=1, workers=1, out=None,
                         json=False)),
 }
 
@@ -308,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=_Parser)
     for command, (handler, help_line, defaults) in _COMMANDS.items():
-        sub = subs.add_parser(command, help=help_line)
+        # no abbreviations: an unknown --c is an error, not --config
+        sub = subs.add_parser(command, help=help_line, allow_abbrev=False)
         flags = {}
         for key, default in defaults.items():
             flags[key] = dict(_FLAGS[key], dest=key)

@@ -1,14 +1,15 @@
 """Plug-in distribution estimators built from interval-total samples.
 
 estimate_cdf_batch is the one estimator body. It checks the map's domain
-event, builds one contour grid sized for the largest w, maps the empirical
-transform through the branch-tracked log, and inverts the mapped values at
-every w. estimate_cdf is its one-point case; a tail probability is
-1 - value. The defining contract is that neither raises: any failure
-(domain event, log tracking, grid capacity, non-finite arithmetic) folds
-into the value 0 with diagnostics saying which path was taken, and every
-other value is clipped to [0, 1]. The comparison estimators used in the
-queueing study (direct empirical tail, censored increments) live here too.
+event, builds one contour grid on Re s = CONTOUR_C sized for the largest w,
+maps the empirical transform through the branch-tracked log, and inverts
+the mapped values at every w. estimate_cdf is its one-point case; a tail
+probability is 1 - value. The defining contract is that neither raises:
+any failure (domain event, log tracking, grid capacity, non-finite
+arithmetic) folds into the value 0 with diagnostics saying which path was
+taken, and every other value is clipped to [0, 1]. The comparison
+estimators used in the queueing study (direct empirical tail, censored
+increments) live here too.
 """
 from __future__ import annotations
 
@@ -24,6 +25,10 @@ from .inversion import bromwich_details, build_grid
 from .transform_maps import TransformMap, apply_map, domain_check
 from .transforms import SampleSet
 
+# Abscissa c of the line Re s = c every estimate inverts along; any fixed
+# c > 0 gives the O(n^{-1/2} log(n + 1)) rate, and the goldens use c = 1.
+CONTOUR_C = 1.0
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -32,18 +37,16 @@ class EstimatorConfig:
     w is the evaluation point of estimate_cdf; estimate_cdf_batch takes its
     points separately and ignores it. t_max_override replaces the default
     contour truncation sqrt(n); the default tracks the sample size so that
-    truncation error and sampling error shrink together.
+    truncation error and sampling error shrink together. The contour
+    abscissa is CONTOUR_C for every estimate, not a setting.
     """
 
     w: float
-    c: float = 1.0
     t_max_override: float | None = None
 
     def __post_init__(self):
         if not (self.w > 0 and math.isfinite(self.w)):
             raise ParameterError("evaluation point w must be positive")
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ParameterError("contour abscissa c must be positive")
         if self.t_max_override is not None and not (
                 self.t_max_override > 0 and math.isfinite(self.t_max_override)):
             raise ParameterError("t_max_override must be positive and finite")
@@ -132,7 +135,7 @@ def estimate_cdf_batch(samples: SampleSet, transform_map: TransformMap,
     with np.errstate(all="ignore"):
         try:
             domain_check(transform_map, samples)
-            grid = build_grid(base_config.c, base_config.t_max_for(n), max(ws))
+            grid = build_grid(CONTOUR_C, base_config.t_max_for(n), max(ws))
             psi = apply_map(transform_map, samples, grid)
         except DomainEventFailed:
             return [_fallback(base_config, n, "domain_event") for _ in ws]

@@ -80,12 +80,12 @@ def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
     more than 5 * 10^6 points.
 
     Equal (c, t_max, m) give the same immutable grid, so its ordinates and
-    points are built once; the last 4 grids are kept. With its Simpson
-    weights over the points (``_simpson_over_points``) a kept grid holds
-    40 bytes per point: at most 4 grids of up to 5 * 10^6 points. The grid
-    transform on 5 833 to 32 768 points keeps a twiddle table of about 32
-    bytes per point as well, for the last 2 such grid sizes: 2.1 MB at most
-    (``transforms._twiddles``).
+    points are built once; the last 4 grids are kept. With its inversion
+    plan (``_plan``: Simpson weights over the points, and about 2 sqrt(K)
+    phase steps) a kept grid holds 40 bytes per point: at most 4 grids of
+    up to 5 * 10^6 points. The grid transform on 5 833 to 32 768 points
+    keeps a twiddle table of about 32 bytes per point as well, for the last
+    2 such grid sizes: 2.1 MB at most (``transforms._twiddles``).
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ParameterError("t_max must be positive and finite")
@@ -99,20 +99,28 @@ def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
     return _shared_grid(float(c), float(t_max), m)
 
 
-# The grids build_grid hands out, shared with _simpson_over_points.
+# The grids build_grid hands out, shared with _plan.
 _shared_grid = functools.lru_cache(maxsize=4)(ContourGrid)
 
 
 @functools.lru_cache(maxsize=4)
-def _simpson_over_points(c: float, t_max: float, m: int) -> np.ndarray:
-    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 divided by the points
-    s of the grid ContourGrid(c, t_max, m) (read-only, cached per grid)."""
+def _plan(c: float, t_max: float,
+          m: int) -> tuple[np.ndarray, int, int, np.ndarray]:
+    """The Simpson weights 1, 4, 2, ..., 2, 4, 1 over the points s of the
+    grid ContourGrid(c, t_max, m); B = ceil(sqrt(K)) and Q = ceil(K / B) for
+    its K = m + 1 points; and the phase steps of ``bromwich_details``, the
+    baby steps 0 .. B-1 then the giant steps 0, B, .., (Q - 1) B. Cached per
+    grid; the arrays are read-only."""
     weights = np.ones(m + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    out = weights / _shared_grid(c, t_max, m).points
-    out.flags.writeable = False
-    return out
+    over_points = weights / _shared_grid(c, t_max, m).points
+    b = math.isqrt(m) + 1
+    q = -(-(m + 1) // b)
+    steps = np.concatenate([np.arange(b), np.arange(0, q * b, b)])
+    over_points.flags.writeable = False
+    steps.flags.writeable = False
+    return over_points, b, q, steps
 
 
 def bromwich_details(psi: TransformValues, ws: Sequence[float],
@@ -136,11 +144,11 @@ def bromwich_details(psi: TransformValues, ws: Sequence[float],
 
     so each w costs about 2 sqrt(K) complex exponentials and one Q x B
     matrix-vector product instead of K exponentials. The phase steps r and
-    qB are cached per grid size. The products A z_B of every w are taken in
-    one ``einsum`` and e^{cw} as one vector; the giant step, a dot product
-    of Q terms, is taken one w at a time. The phases r h w and
-    (qB) h w are rounded differently from the direct y_k w, so the result
-    differs from the direct sum by up to eps * (sqrt(K) + T w) times
+    qB are cached per grid with the Simpson weights. The products A z_B of
+    every w are taken in one ``einsum`` and e^{cw} as one vector; the giant
+    step, a dot product of Q terms, is taken one w at a time. The phases
+    r h w and (qB) h w are rounded differently from the direct y_k w, so
+    the result differs from the direct sum by up to eps * (sqrt(K) + T w) times
     (1/pi) * Simpson of |e^{sw} (psi(s) - plateau) / s|, eps the double
     epsilon. Over 400 random noisy transforms with T in [5, 3000] and w in
     [0.01, 12] the deviation stayed below 0.1 of that bound, at most
@@ -166,10 +174,10 @@ def bromwich_details(psi: TransformValues, ws: Sequence[float],
         raise GridTooCoarse(
             f"grid step {h:.6g} exceeds bound {bound:.6g} for w = {w_max:g}")
     k = grid.n_points
-    b, q, steps = _phase_steps(grid.m)
+    over_points, b, q, steps = _plan(grid.c, grid.t_max, grid.m)
     coeffs = np.zeros(q * b, dtype=complex)
     np.subtract(psi.values, plateau, out=coeffs[:k])
-    coeffs[:k] *= _simpson_over_points(grid.c, grid.t_max, grid.m)
+    coeffs[:k] *= over_points
     powers = np.exp(1j * np.multiply.outer(h * ws, steps))
     # einsum rather than BLAS: a threaded product of this size is slower
     # than the product itself. The giant steps stay one product per w: in
@@ -180,16 +188,3 @@ def bromwich_details(psi: TransformValues, ws: Sequence[float],
         float(plateau + (h / 3.0) * scale * (row @ giant).real / math.pi)
         for scale, row, giant in zip(scales, baby, powers[:, b:])))
 
-
-@functools.lru_cache(maxsize=4)
-def _phase_steps(m: int) -> tuple[int, int, np.ndarray]:
-    """B = ceil(sqrt(K)) and Q = ceil(K / B) for the K = m + 1 points of a
-    grid, and the phase steps of ``bromwich_details``: the baby steps
-    0 .. B-1, then the giant steps 0, B, .., (Q - 1) B (read-only, cached
-    per grid size)."""
-    k = m + 1
-    b = math.isqrt(k - 1) + 1
-    q = -(-k // b)
-    steps = np.concatenate([np.arange(b), np.arange(0, q * b, b)])
-    steps.flags.writeable = False
-    return b, q, steps

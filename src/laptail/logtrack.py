@@ -107,34 +107,32 @@ def _bisected_log_ratios(evaluator: Callable, s_from: np.ndarray,
 
 
 def track_log(evaluator: Callable, grid: ContourGrid,
-              values: np.ndarray | None = None) -> TransformValues:
+              values: np.ndarray) -> TransformValues:
     """Track the continuous logarithm of ``evaluator`` on the half grid.
 
-    Starting from the real anchor s = c (index 0) with log f(c) = ln f(c),
-    the log is continued up the m + 1 points y in [0, t_max]: each increment
-    is the principal log of the ratio z of consecutive transform values,
-    taken in real arithmetic in one vectorized pass. A step whose ratio
-    leaves the disk |z - 1| <= 1/2 is bisected until every piece is in it,
-    in at most _REFINE_LIMIT passes; each pass calls ``evaluator`` once,
-    with the array of all its midpoints, so ``evaluator`` must accept a
-    1-d complex array. Grids without such a step make no call beyond the
-    grid values and take the increments of every ratio as they are. A zero
-    value on the grid or at a midpoint, and a step that never settles,
-    raise NearZeroTransform. ``values`` may carry precomputed transform
-    values on the grid to avoid re-evaluation. The log is the running sum
-    of the increments from ln f(c), formed in the output array itself.
+    ``values`` holds the evaluator's values at the m + 1 grid points, in
+    their order; ParameterError when its shape is not the grid's. Starting
+    from the real anchor s = c (index 0) with log f(c) = ln f(c), the log
+    is continued up the points y in [0, t_max]: each increment is the
+    principal log of the ratio z of consecutive values, taken in real
+    arithmetic in one vectorized pass. A step whose ratio leaves the disk
+    |z - 1| <= 1/2 is bisected until every piece is in it, in at most
+    _REFINE_LIMIT passes; each pass calls ``evaluator`` once, with the
+    array of all its midpoints, so ``evaluator`` must accept a 1-d complex
+    array. Grids without such a step make no call and take the increments
+    of every ratio as they are. A zero value on the grid or at a midpoint,
+    and a step that never settles, raise NearZeroTransform. The log is the
+    running sum of the increments from ln f(c), formed in the output array
+    itself.
 
     The anchor value f(c) must be real positive (relative imaginary part
     within 1e-9), else DomainError: transforms of nonnegative measures are
     real on the real axis, so anything else means the evaluator is not one.
     """
     pts = grid.points
-    if values is None:
-        vals = np.asarray(evaluator(pts), dtype=complex)
-    else:
-        vals = np.asarray(values, dtype=complex)
-        if vals.shape != pts.shape:
-            raise ParameterError("values must match the grid")
+    vals = np.asarray(values, dtype=complex)
+    if vals.shape != pts.shape:
+        raise ParameterError("values must match the grid")
     f_c = complex(vals[0])
     if not (f_c.real > 0.0) or abs(f_c.imag) > _ANCHOR_IMAG_TOL * abs(f_c):
         raise DomainError(

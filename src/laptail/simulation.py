@@ -96,8 +96,8 @@ class PoissonCounts:
 
 
 @dataclass(frozen=True)
-class BinomialCounts:
-    """Per-slot count model N ~ Binomial(big_m, p)."""
+class _TrialCounts:
+    """Fields and checks shared by the count models with big_m trials."""
 
     big_m: int
     p: float
@@ -107,23 +107,19 @@ class BinomialCounts:
             raise ParameterError("big_m must be an integer >= 1")
         if not 0.0 < self.p < 1.0:
             raise ParameterError("success probability must be in (0, 1)")
+
+
+@dataclass(frozen=True)
+class BinomialCounts(_TrialCounts):
+    """Per-slot count model N ~ Binomial(big_m, p)."""
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.binomial(self.big_m, self.p, n)
 
 
 @dataclass(frozen=True)
-class NegBinomialCounts:
+class NegBinomialCounts(_TrialCounts):
     """Per-slot count model, negative binomial: P(N=k) ~ C(k+M-1,k)(1-p)^M p^k."""
-
-    big_m: int
-    p: float
-
-    def __post_init__(self):
-        if not (isinstance(self.big_m, int) and self.big_m >= 1):
-            raise ParameterError("big_m must be an integer >= 1")
-        if not 0.0 < self.p < 1.0:
-            raise ParameterError("success probability must be in (0, 1)")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # numpy's convention counts failures with success probability its

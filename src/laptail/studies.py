@@ -37,8 +37,15 @@ DEFAULT_PERCENTILES = (0.9, 0.99, 0.999)
 TABLE2_T_MAX = 400.0
 
 
+def _check_counts(reps: int, workers: int) -> None:
+    if reps < 1:
+        raise ParameterError("need at least one replication")
+    if workers < 1:
+        raise ParameterError("need at least one worker")
+
+
 def _run_replications(worker: Callable, args: list, workers: int) -> list:
-    if workers <= 1:
+    if workers == 1:
         return [worker(a) for a in args]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args))
@@ -54,10 +61,10 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 def _estimate_replication(args) -> list[float]:
     """Estimates at each w from one compound sample, then 1.0 if any fell
     back, else 0.0."""
-    (seed, rep, stream, counts, jobs, transform_map, n, ws, c) = args
+    (seed, rep, stream, counts, jobs, transform_map, n, ws) = args
     rng = replication_rng(seed, rep, stream)
     samples = sample_compound(rng, counts, jobs, n)
-    config = EstimatorConfig(w=ws[0], c=c)
+    config = EstimatorConfig(w=ws[0])
     results = estimate_cdf_batch(samples, transform_map, ws, config)
     values = [r.value for r in results]
     fell_back = float(any(not r.on_domain_event for r in results))
@@ -85,10 +92,10 @@ def table1_rows(mu: float = 20.0, rhos=DEFAULT_RHOS,
 # --------------------------------------------------------------------------
 
 def _table2_replication(args) -> list[list[float]]:
-    (seed, rep, stream, lam, mu, delta, n, ws, truths, c, t_max) = args
+    (seed, rep, stream, lam, mu, delta, n, ws, truths, t_max) = args
     rng = replication_rng(seed, rep, stream)
     totals = sample_compound_poisson(rng, lam * delta, Exponential(mu), n)
-    config = EstimatorConfig(w=ws[0], c=c, t_max_override=t_max)
+    config = EstimatorConfig(w=ws[0], t_max_override=t_max)
     mg1 = Mg1Workload(delta)
     lap = [1.0 - r.value for r in estimate_cdf_batch(totals, mg1, ws, config)]
     readings = workload_on_grid(totals, delta)
@@ -106,7 +113,7 @@ def _table2_replication(args) -> list[list[float]]:
 
 def table2_rows(seed: int, rhos=DEFAULT_RHOS, percentiles=DEFAULT_PERCENTILES,
                 mu: float = 20.0, delta: float = 0.1, n: int = 10**4,
-                reps: int = 100, c: float = 1.0, t_max: float = TABLE2_T_MAX,
+                reps: int = 100, t_max: float = TABLE2_T_MAX,
                 workers: int = 1) -> list[dict]:
     """Mean relative tail-probability errors of the three estimators.
 
@@ -114,15 +121,15 @@ def table2_rows(seed: int, rhos=DEFAULT_RHOS, percentiles=DEFAULT_PERCENTILES,
     transform-based estimator uses the totals directly, the empirical and
     censored estimators read the discrete-review workload built from the
     same totals. Truth is the closed-form exponential-job tail.
+    ParameterError when reps or workers is below 1.
     """
-    if reps < 1:
-        raise ParameterError("need at least one replication")
+    _check_counts(reps, workers)
     rows = []
     for rho_index, rho in enumerate(rhos):
         lam = rho * mu
         ws = [mm1_percentile(lam, mu, p) for p in percentiles]
         truths = [1.0 - mm1_stationary_cdf(lam, mu, w) for w in ws]
-        args = [(seed, r, rho_index, lam, mu, delta, n, ws, truths, c, t_max)
+        args = [(seed, r, rho_index, lam, mu, delta, n, ws, truths, t_max)
                 for r in range(reps)]
         per_rep = _run_replications(_table2_replication, args, workers)
         errors = np.asarray(per_rep)  # (reps, n_ws, 3)
@@ -142,17 +149,16 @@ def table2_rows(seed: int, rhos=DEFAULT_RHOS, percentiles=DEFAULT_PERCENTILES,
 def convergence_rows(seed: int, ns=(100, 1000, 10000), rho: float = 0.5,
                      mu: float = 20.0, delta: float = 0.1,
                      percentile: float = 0.9, w: float | None = None,
-                     reps: int = 200, c: float = 1.0,
-                     workers: int = 1) -> list[dict]:
+                     reps: int = 200, workers: int = 1) -> list[dict]:
     """Mean |estimate - truth| per sample size plus the log-log slope.
 
     The contour truncation follows the estimator default sqrt(n), so the
     slope reflects the estimator as actually configured. The slope column
     repeats the single fitted value on every row and is None when the
-    ladder has one rung. ParameterError when a sample size repeats.
+    ladder has one rung. ParameterError when a sample size repeats, or when
+    reps or workers is below 1.
     """
-    if reps < 1:
-        raise ParameterError("need at least one replication")
+    _check_counts(reps, workers)
     if len(ns) < 1:
         raise ParameterError("need at least one sample size")
     if len(set(ns)) != len(ns):
@@ -168,8 +174,7 @@ def convergence_rows(seed: int, ns=(100, 1000, 10000), rho: float = 0.5,
     means = []
     stderrs = []
     for k, n in enumerate(ns):
-        args = [(seed, r, k, counts, jobs, mg1, n, [w], c)
-                for r in range(reps)]
+        args = [(seed, r, k, counts, jobs, mg1, n, [w]) for r in range(reps)]
         per_rep = np.asarray(_run_replications(_estimate_replication, args, workers))
         mean, stderr = _mean_stderr(np.abs(per_rep[:, 0] - truth))
         means.append(mean)
@@ -189,14 +194,15 @@ def convergence_rows(seed: int, ns=(100, 1000, 10000), rho: float = 0.5,
 
 def decompound_rows(seed: int, counts: CountModel, jobs: JobModel,
                     transform_map: TransformMap, ws: list[float],
-                    n: int = 10**4, reps: int = 50, c: float = 1.0,
+                    n: int = 10**4, reps: int = 50,
                     workers: int = 1) -> list[dict]:
-    """Estimate the jump-size CDF at each w against its analytic value."""
-    if reps < 1:
-        raise ParameterError("need at least one replication")
+    """Estimate the jump-size CDF at each w against its analytic value.
+
+    ParameterError when reps or workers is below 1 or ws is empty."""
+    _check_counts(reps, workers)
     if not ws:
         raise ParameterError("need at least one evaluation point")
-    args = [(seed, r, _STREAM_DECOMPOUND, counts, jobs, transform_map, n, ws, c)
+    args = [(seed, r, _STREAM_DECOMPOUND, counts, jobs, transform_map, n, ws)
             for r in range(reps)]
     per_rep = np.asarray(_run_replications(_estimate_replication, args, workers))
     values = per_rep[:, :len(ws)]

@@ -93,14 +93,23 @@ class PoissonDecompound(_Decompound):
 
 
 @dataclass(frozen=True)
-class BinomialDecompound(_Decompound):
-    """Jump sizes of a binomial(big_m) compound sum observed per slot."""
+class _TrialDecompound(_Decompound):
+    """The trial count big_m of the binomial-type decompounding maps, and
+    the M-th root of the zero fraction that both their formulas take."""
 
     big_m: int
 
     def __post_init__(self):
         if not (isinstance(self.big_m, int) and self.big_m >= 1):
             raise ParameterError("big_m must be an integer >= 1")
+
+    def _root_q(self, samples: SampleSet) -> float:
+        return samples.zero_fraction ** (1.0 / self.big_m)
+
+
+@dataclass(frozen=True)
+class BinomialDecompound(_TrialDecompound):
+    """Jump sizes of a binomial(big_m) compound sum observed per slot."""
 
     def values(self, log_path: TransformValues, samples: SampleSet) -> np.ndarray:
         """Invert transform(s) = (q + (1-q) psi(s))^M with q^M = zero_frac.
@@ -108,24 +117,18 @@ class BinomialDecompound(_Decompound):
         The continuous M-th root exp(log/M) keeps psi continuous on the
         contour.
         """
-        root_q = samples.zero_fraction ** (1.0 / self.big_m)
+        root_q = self._root_q(samples)
         root = np.exp(log_path.values / self.big_m)
         return (root - root_q) / (1.0 - root_q)
 
 
 @dataclass(frozen=True)
-class NegBinomialDecompound(_Decompound):
+class NegBinomialDecompound(_TrialDecompound):
     """Jump sizes of a negative binomial(big_m) compound sum per slot."""
-
-    big_m: int
-
-    def __post_init__(self):
-        if not (isinstance(self.big_m, int) and self.big_m >= 1):
-            raise ParameterError("big_m must be an integer >= 1")
 
     def values(self, log_path: TransformValues, samples: SampleSet) -> np.ndarray:
         """Invert transform(s) = ((1-p) / (1 - p psi(s)))^M with (1-p)^M = zero_frac."""
-        root_q = samples.zero_fraction ** (1.0 / self.big_m)
+        root_q = self._root_q(samples)
         inv_root = np.exp(-log_path.values / self.big_m)
         return (1.0 - root_q * inv_root) / (1.0 - root_q)
 

@@ -204,8 +204,9 @@ class ContourGrid:
 
     A grid is immutable, so one instance can be shared: ``build_grid`` hands
     out the same grid for equal arguments and keeps the last 4, each with
-    its ordinates (8 bytes per point), points (16) and Simpson weights over
-    the points (16), 40 bytes per point in all. The grid transform on 5 833
+    its ordinates (8 bytes per point), points (16) and inversion plan: the
+    Simpson weights over the points (16) and about 2 sqrt(K) phase steps of
+    the K points, 40 bytes per point in all. The grid transform on 5 833
     to 32 768 points also keeps a twiddle table of about 32 bytes per point
     (``_twiddles``), for the last 2 such grid sizes: 2.1 MB at most.
     """

@@ -79,22 +79,25 @@ def test_criterion_3_map_round_trips():
     bt = lambda z: 1.0 / (1.0 + z)
     b20 = lambda z: 20.0 / (20.0 + z)
 
+    def tracked(ev):
+        return track_log(ev, grid, ev(s))
+
     worst = 0.0
-    path = track_log(lambda z: np.exp(1.0 * (b20(z) - 1.0)), grid)
+    path = tracked(lambda z: np.exp(1.0 * (b20(z) - 1.0)))
     got = Mg1Workload(0.1).values(path, SimpleNamespace(mean=0.05))
     want = s * 0.5 / (s - 10.0 + 10.0 * b20(s))
     worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
 
-    path = track_log(lambda z: np.exp(2.0 * (bt(z) - 1.0)), grid)
+    path = tracked(lambda z: np.exp(2.0 * (bt(z) - 1.0)))
     got = PoissonDecompound().values(
         path, SimpleNamespace(zero_fraction=math.exp(-2.0)))
     worst = max(worst, float(np.max(np.abs(got - bt(s)) / np.abs(bt(s)))))
 
-    path = track_log(lambda z: (0.5 * bt(z) + 0.5) ** 2, grid)
+    path = tracked(lambda z: (0.5 * bt(z) + 0.5) ** 2)
     got = BinomialDecompound(2).values(path, SimpleNamespace(zero_fraction=0.25))
     worst = max(worst, float(np.max(np.abs(got - bt(s)) / np.abs(bt(s)))))
 
-    path = track_log(lambda z: 0.5 / (1.0 - 0.5 * bt(z)), grid)
+    path = tracked(lambda z: 0.5 / (1.0 - 0.5 * bt(z)))
     got = NegBinomialDecompound(1).values(path,
                                           SimpleNamespace(zero_fraction=0.5))
     worst = max(worst, float(np.max(np.abs(got - bt(s)) / np.abs(bt(s)))))
@@ -107,7 +110,7 @@ def test_criterion_3_map_round_trips():
 def test_criterion_4_winding():
     t0 = time.time()
     grid = build_grid(0.5, 20.0, 1.0)
-    path = track_log(lambda z: np.exp(-z), grid)
+    path = track_log(lambda z: np.exp(-z), grid, np.exp(-grid.points))
     endpoint = path.values[-1].imag
     ok = abs(endpoint - (-20.0)) <= 1e-9 and endpoint < -math.pi
     assert report(4, ok, f"tracked log of exp(-s) reaches imag {endpoint:.6f} "

@@ -341,6 +341,22 @@ def test_workers_flag_matches_sequential(capsys):
     assert seq == par
 
 
+@pytest.mark.parametrize("command", [
+    ["table2", "--reps", "1", "--n", "200"],
+    ["convergence", "--n", "100", "--reps", "2"],
+    ["decompound", "--n", "200", "--reps", "2"],
+])
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_exit_3(tmp_path, capsys, command, workers):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": workers}))
+    for extra in (["--workers", str(workers)], ["--config", str(cfg)]):
+        code, out, err = run(command + extra, capsys)
+        assert code == 3
+        assert out == ""
+        assert "need at least one worker" in err
+
+
 # --- the command surface ----------------------------------------------------------
 
 # Every subcommand's flags in parser order: option, dest, type, choices and
@@ -353,7 +369,6 @@ FLAG_SURFACE = {
         ("--delta", "delta", float, None, "one"),
         ("--big-m", "big_m", int, None, "one"),
         ("--w", "w", float, None, "repeat"),
-        ("--c", "c", float, None, "one"),
         ("--t-max", "t_max", float, None, "one"),
         ("--out", "out", None, None, "one"),
         ("--json", "json", None, None, "switch"),
@@ -387,7 +402,6 @@ FLAG_SURFACE = {
         ("--n", "n", int, None, "one"),
         ("--reps", "reps", int, None, "one"),
         ("--seed", "seed", int, None, "one"),
-        ("--c", "c", float, None, "one"),
         ("--t-max", "t_max", float, None, "one"),
         ("--workers", "workers", int, None, "one"),
         ("--out", "out", None, None, "one"),
@@ -403,7 +417,6 @@ FLAG_SURFACE = {
         ("--w", "w", float, None, "repeat"),
         ("--reps", "reps", int, None, "one"),
         ("--seed", "seed", int, None, "one"),
-        ("--c", "c", float, None, "one"),
         ("--workers", "workers", int, None, "one"),
         ("--out", "out", None, None, "one"),
         ("--json", "json", None, None, "switch"),
@@ -421,7 +434,6 @@ FLAG_SURFACE = {
         ("--reps", "reps", int, None, "one"),
         ("--w", "w", float, None, "repeat"),
         ("--seed", "seed", int, None, "one"),
-        ("--c", "c", float, None, "one"),
         ("--workers", "workers", int, None, "one"),
         ("--out", "out", None, None, "one"),
         ("--json", "json", None, None, "switch"),
@@ -445,6 +457,25 @@ def test_flag_surface_of_every_subcommand():
     assert list(got) == list(FLAG_SURFACE)
     for name, flags in FLAG_SURFACE.items():
         assert got[name] == flags, name
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "--samples", "x.txt", "--w", "0.5"],
+    ["table2", "--reps", "1"],
+    ["convergence", "--reps", "1"],
+    ["decompound", "--reps", "1"],
+])
+def test_contour_abscissa_is_not_a_setting(tmp_path, capsys, command):
+    # neither as a flag, nor as an abbreviation of --config, nor in a config
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--c", "1"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --c" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c": 1}))
+    code, out, err = run(command + ["--config", str(cfg)], capsys)
+    assert (code, out) == (3, "")
+    assert "unknown config key 'c'" in err
 
 
 def test_python_dash_m_runs_main(capsys):

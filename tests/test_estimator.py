@@ -38,11 +38,12 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         EstimatorConfig(w=0.0)
     with pytest.raises(ParameterError):
-        EstimatorConfig(w=1.0, c=-1.0)
-    with pytest.raises(ParameterError):
         EstimatorConfig(w=1.0, t_max_override=0.0)
     with pytest.raises(ParameterError):
         EstimatorConfig(w=1.0, t_max_override=float("inf"))
+    # the contour abscissa is the estimator's constant, not a field
+    with pytest.raises(TypeError):
+        EstimatorConfig(w=1.0, c=1.0)
 
 
 def test_default_truncation_follows_sample_size():

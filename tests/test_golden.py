@@ -26,13 +26,19 @@ regenerates the files with the commands above and says why.
 import csv
 import io
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import laptail
 from laptail.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 RUNS = {
     "convergence": ["convergence", "--reps", "20", "--seed", "1"],
@@ -71,12 +77,36 @@ def test_study_output_matches_golden(name, capsys):
     assert_matches_golden(name, capsys.readouterr().out)
 
 
-def test_quick_start_estimate_matches_golden(tmp_path, capsys):
-    totals = tmp_path / "totals.txt"
+def simulate_quick_start_totals(totals: Path) -> None:
     assert main(["simulate", "--lambda", "10", "--mu", "20", "--delta", "0.1",
                  "--n", "10000", "--seed", "1", "--out", str(totals)]) == 0
+
+
+def test_quick_start_estimate_matches_golden(tmp_path, capsys):
+    totals = tmp_path / "totals.txt"
+    simulate_quick_start_totals(totals)
     out = tmp_path / "estimate.csv"
     assert main(["estimate", "--samples", str(totals), "--map", "mg1",
                  "--delta", "0.1", "--w", "0.1609", "--w", "0.3912",
                  "--out", str(out)]) == 0
     assert_matches_golden("estimate", out.read_text())
+
+
+def test_readme_python_quick_start_matches_golden(tmp_path):
+    # the README's Python block, run as its own program next to the quick
+    # start's totals.txt, prints the first cdf of the quick start
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S)[1]
+    simulate_quick_start_totals(tmp_path / "totals.txt")
+    package_root = str(Path(laptail.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path,
+                          capture_output=True, text=True, env=env,
+                          timeout=60, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    value, on_domain_event, reason = proc.stdout.split()
+    with open(GOLDEN / "estimate.csv", newline="") as fh:
+        want = float(next(csv.DictReader(fh))["cdf"])
+    assert math.isclose(float(value), want, rel_tol=1e-8, abs_tol=0.0)
+    assert (on_domain_event, reason) == ("True", "None")

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from laptail.errors import DomainError, NearZeroTransform
+from laptail.errors import DomainError, NearZeroTransform, ParameterError
 from laptail.inversion import build_grid
 from laptail.logtrack import _log_near_one, track_log
 from laptail.transforms import (ContourGrid, SampleSet, empirical_transform_eval,
@@ -63,21 +63,22 @@ def test_tracked_empirical_log_matches_complex_log_path():
 
 def test_constant_transform_tracks_to_zero():
     grid = build_grid(1.0, 10.0, 1.0)
-    path = track_log(lambda s: np.ones_like(s), grid)
+    path = track_log(lambda s: np.ones_like(s), grid, np.ones_like(grid.points))
     assert np.all(path.values == 0.0)
 
 
 def test_compound_transform_identity():
     """Tracked log of exp(a(B-1)) must equal a(B-1), not its wrapped version."""
     grid = build_grid(1.0, 10.0, 1.0)
-    path = track_log(compound_evaluator(2.0, 1.0), grid)
+    ev = compound_evaluator(2.0, 1.0)
+    path = track_log(ev, grid, ev(grid.points))
     expected = 2.0 * (exp_jobs_transform(1.0)(grid.points) - 1.0)
     assert np.max(np.abs(path.values - expected)) <= 1e-8
 
 
 def test_unit_point_mass_winds():
     grid = build_grid(0.5, 20.0, 1.0)
-    path = track_log(lambda s: np.exp(-s), grid)
+    path = track_log(lambda s: np.exp(-s), grid, np.exp(-grid.points))
     assert np.max(np.abs(path.values - (-grid.points))) <= 1e-8
     assert path.values[-1].imag == pytest.approx(-20.0, abs=1e-9)
     # a principal log would have reported a phase inside (-pi, pi]
@@ -87,7 +88,7 @@ def test_unit_point_mass_winds():
 def test_agrees_with_principal_log_when_no_winding():
     grid = build_grid(1.0, 5.0, 1.0)
     ev = compound_evaluator(0.8, 1.0)
-    path = track_log(ev, grid)
+    path = track_log(ev, grid, ev(grid.points))
     assert np.allclose(path.values, np.log(ev(grid.points)), atol=1e-10)
 
 
@@ -112,7 +113,8 @@ def test_refinement_handles_fast_rotation():
     grid = build_grid(1.0, 4.0, 1.0)
     # every 4th point of the grid, still a valid uniform half grid
     coarse = ContourGrid(grid.c, grid.t_max, grid.m // 4)
-    path = track_log(lambda s: np.exp(-8.0 * s), coarse)
+    path = track_log(lambda s: np.exp(-8.0 * s), coarse,
+                     np.exp(-8.0 * coarse.points))
     assert np.max(np.abs(path.values - (-8.0 * coarse.points))) <= 1e-8
 
 
@@ -161,12 +163,20 @@ def test_vanishing_transform_raises():
         return np.asarray(1.0 - y / 5.0, dtype=complex)
 
     with pytest.raises(NearZeroTransform):
-        track_log(crossing, grid)
+        track_log(crossing, grid, crossing(grid.points))
+
+
+def test_values_of_another_shape_raise():
+    grid = build_grid(1.0, 5.0, 1.0)
+    with pytest.raises(ParameterError, match="values must match the grid"):
+        track_log(np.exp, grid, np.ones(grid.n_points - 1))
 
 
 def test_non_real_anchor_raises():
     grid = build_grid(1.0, 5.0, 1.0)
     with pytest.raises(DomainError):
-        track_log(lambda s: np.full(np.shape(s), 1j), grid)
+        track_log(lambda s: np.full(np.shape(s), 1j), grid,
+                  np.full(grid.n_points, 1j))
     with pytest.raises(DomainError):
-        track_log(lambda s: np.full(np.shape(s), -1.0 + 0j), grid)
+        track_log(lambda s: np.full(np.shape(s), -1.0 + 0j), grid,
+                  np.full(grid.n_points, -1.0 + 0j))

@@ -34,7 +34,7 @@ def test_mg1_matches_workload_formula():
     """The map on the exact inflow transform is the classical workload law."""
     mu, lam, delta = 20.0, 10.0, 0.1
     ev = lambda s: np.exp(lam * delta * (mu / (mu + s) - 1.0))
-    path = track_log(ev, ROUND_TRIP_GRID)
+    path = track_log(ev, ROUND_TRIP_GRID, ev(ROUND_TRIP_GRID.points))
     got = Mg1Workload(delta).values(path, SimpleNamespace(mean=lam * delta / mu))
     s = ROUND_TRIP_GRID.points
     want = s * (1.0 - 0.5) / (s - lam + lam * mu / (mu + s))
@@ -43,7 +43,7 @@ def test_mg1_matches_workload_formula():
 
 def test_poisson_round_trip():
     ev = lambda s: np.exp(2.0 * (job_transform(s) - 1.0))
-    path = track_log(ev, ROUND_TRIP_GRID)
+    path = track_log(ev, ROUND_TRIP_GRID, ev(ROUND_TRIP_GRID.points))
     got = PoissonDecompound().values(
         path, SimpleNamespace(zero_fraction=math.exp(-2.0)))
     assert rel_err(got, job_transform(ROUND_TRIP_GRID.points)) <= 1e-6
@@ -52,14 +52,14 @@ def test_poisson_round_trip():
 def test_binomial_round_trip():
     # forward: N ~ binomial(2, 1/2), X = sum of N jobs
     ev = lambda s: (0.5 * job_transform(s) + 0.5) ** 2
-    path = track_log(ev, ROUND_TRIP_GRID)
+    path = track_log(ev, ROUND_TRIP_GRID, ev(ROUND_TRIP_GRID.points))
     got = BinomialDecompound(2).values(path, SimpleNamespace(zero_fraction=0.25))
     assert rel_err(got, job_transform(ROUND_TRIP_GRID.points)) <= 1e-6
 
 
 def test_negbinomial_round_trip():
     ev = lambda s: 0.5 / (1.0 - 0.5 * job_transform(s))
-    path = track_log(ev, ROUND_TRIP_GRID)
+    path = track_log(ev, ROUND_TRIP_GRID, ev(ROUND_TRIP_GRID.points))
     got = NegBinomialDecompound(1).values(path, SimpleNamespace(zero_fraction=0.5))
     assert rel_err(got, job_transform(ROUND_TRIP_GRID.points)) <= 1e-6
 
