@@ -26,8 +26,9 @@ class DomainEventFailed(EstimationError):
 
 
 class GridTooCoarse(EstimationError):
-    """A contour grid violates the quadrature step bounds for the
-    requested evaluation point."""
+    """A contour grid's step exceeds min(c/4, pi/w) for the requested
+    evaluation point w, so the trapezoid rule's aliasing error is not
+    bounded by e^{-8 pi}."""
 
 
 class CapacityError(EstimationError):

@@ -114,10 +114,10 @@ def estimate_cdf_batch(samples: SampleSet, transform_map: TransformMap,
                        base_config: EstimatorConfig) -> list[EstimateResult]:
     """Estimate F(w) of the mapped hidden law at each w in ``ws``.
 
-    One grid is sized for the largest w (the tightest step bound) and
-    built once, and one inversion pass evaluates every w on the same mapped
-    transform values. The step bound does not increase with w, so the grid
-    is fine enough for every smaller w. ``ws`` may be any one-dimensional
+    One grid is built, with step min(c/4, pi/w) at the largest w, and one
+    inversion pass evaluates every w on the same mapped transform values.
+    That bound does not increase with w, so the grid is fine enough for
+    every smaller w. ``ws`` may be any one-dimensional
     sequence, a numpy array too; results come back in its order, and an
     empty one gives an empty list. The w of ``base_config`` is not used.
 

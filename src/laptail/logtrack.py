@@ -10,14 +10,21 @@ u = ratio - 1, its real part is log1p(u.re (2 + u.re) + u.im^2) / 2 and its
 imaginary part arctan2(ratio.im, ratio.re), several times faster than the
 complex log on these near-one ratios and as accurate.
 
-A grid step whose ratio leaves the disk is bisected until every piece is
-in it. The bisection runs in passes, one per level: each pass halves every
-pending piece of every wide step and evaluates all the midpoints in one
-call of the evaluator, so an evaluator that works on arrays, such as the
-empirical transform's cell path, pays its fixed cost once per level rather
-than once per midpoint. The cell path also keeps its moment sums for the
-last sample, so of one log's passes only the first forms them. Most grids
-have no wide step and make no call.
+A grid step whose ratio leaves the disk is wide. When the caller can give
+the transform on any grid, as the empirical transform's grid evaluation
+can, a grid with a wide step is tracked instead on the grid 8 times finer
+over the same [0, T], and every 8th value of that log is kept: at the
+quadrature's coarse step most wide steps of a transform near zero are
+narrow again on that grid, which costs about as much as the coarse one.
+The steps still wide there, and those of a grid tracked without such a
+caller, are bisected until every piece is in the disk. The bisection runs
+in passes, one per level: each pass halves every pending piece of every
+wide step and evaluates all the midpoints in one call of the evaluator, so
+an evaluator that works on arrays, such as the empirical transform's cell
+path, pays its fixed cost once per level rather than once per midpoint.
+The cell path also keeps its moment sums for the last sample, so of one
+log's passes only the first forms them. Most grids have no wide step: they
+are neither refined nor bisected.
 
 The log is tracked on the half grid y in [0, T] only, upward from the
 anchor y = 0: the transforms are of real measures, so on y < 0 the branch
@@ -36,6 +43,12 @@ from .transforms import ContourGrid, TransformValues
 # steps are bisected. 1/2 keeps every accepted ratio in Re(z) >= 1/2, far
 # from the branch cut, while tolerating genuinely fast-varying transforms.
 _RATIO_RADIUS = 0.5
+
+# A grid with a wide step is tracked on the grid this many times finer, if
+# that grid has at most _REFINE_MAX_POINTS points, the quadrature grid's cap;
+# past it the wide steps are only bisected.
+_REFINE_FACTOR = 8
+_REFINE_MAX_POINTS = 5 * 10**6
 
 # Most bisection passes, each halving every pending piece once, before log
 # tracking gives up.
@@ -106,8 +119,19 @@ def _bisected_log_ratios(evaluator: Callable, s_from: np.ndarray,
         "the transform is too close to zero on the contour")
 
 
-def track_log(evaluator: Callable, grid: ContourGrid,
-              values: np.ndarray) -> TransformValues:
+def _ratios(pts: np.ndarray,
+            vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ratios of consecutive values and whether each lies in the disk
+    |z - 1| <= 1/2; NearZeroTransform when a value is zero."""
+    if not vals.all():
+        k = int(np.flatnonzero(vals == 0.0)[0])
+        raise NearZeroTransform(f"transform vanishes at s = {pts[k]}")
+    ratios = vals[1:] / vals[:-1]
+    return ratios, np.abs(ratios - 1.0) <= _RATIO_RADIUS
+
+
+def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
+              on_grid: Callable | None = None) -> TransformValues:
     """Track the continuous logarithm of ``evaluator`` on the half grid.
 
     ``values`` holds the evaluator's values at the m + 1 grid points, in
@@ -115,15 +139,21 @@ def track_log(evaluator: Callable, grid: ContourGrid,
     from the real anchor s = c (index 0) with log f(c) = ln f(c), the log
     is continued up the points y in [0, t_max]: each increment is the
     principal log of the ratio z of consecutive values, taken in real
-    arithmetic in one vectorized pass. A step whose ratio leaves the disk
-    |z - 1| <= 1/2 is bisected until every piece is in it, in at most
-    _REFINE_LIMIT passes; each pass calls ``evaluator`` once, with the
+    arithmetic in one vectorized pass. That pass decides which steps are
+    wide, their ratio outside the disk |z - 1| <= 1/2. Grids without one
+    take the increments of every ratio as they are.
+
+    ``on_grid``, if given, maps a ContourGrid to the same transform's values
+    at its points. A grid with a wide step is then tracked instead on
+    ContourGrid(c, t_max, 8 m), from ``on_grid`` of it, and every 8th value
+    of that log is returned; not if that grid would have more than
+    5 * 10^6 points, the cap of ``build_grid``. The steps still wide, on
+    whichever grid is tracked, are bisected until every piece is in the
+    disk, in at most _REFINE_LIMIT passes; each pass calls ``evaluator`` once, with the
     array of all its midpoints, so ``evaluator`` must accept a 1-d complex
-    array. Grids without such a step make no call and take the increments
-    of every ratio as they are. A zero value on the grid or at a midpoint,
-    and a step that never settles, raise NearZeroTransform. The log is the
-    running sum of the increments from ln f(c), formed in the output array
-    itself.
+    array. A zero value on a tracked grid or at a midpoint, and a step that
+    never settles, raise NearZeroTransform. The log is the running sum of
+    the increments from ln f(c), formed in the output array itself.
 
     The anchor value f(c) must be real positive (relative imaginary part
     within 1e-9), else DomainError: transforms of nonnegative measures are
@@ -137,13 +167,17 @@ def track_log(evaluator: Callable, grid: ContourGrid,
     if not (f_c.real > 0.0) or abs(f_c.imag) > _ANCHOR_IMAG_TOL * abs(f_c):
         raise DomainError(
             f"transform at s = {grid.c} must be real and positive, got {f_c}")
-    if not vals.all():
-        k = int(np.flatnonzero(vals == 0.0)[0])
-        raise NearZeroTransform(f"transform vanishes at s = {pts[k]}")
+    ratios, near = _ratios(pts, vals)
+    keep = 1
+    if (on_grid is not None and not near.all()
+            and _REFINE_FACTOR * grid.m < _REFINE_MAX_POINTS):
+        keep = _REFINE_FACTOR
+        fine = ContourGrid(grid.c, grid.t_max, keep * grid.m)
+        pts = fine.points
+        vals = np.asarray(on_grid(fine), dtype=complex)
+        ratios, near = _ratios(pts, vals)
     # increments for the easy steps in one vectorized pass, then replace the
     # few wide ones by their bisected sums
-    ratios = vals[1:] / vals[:-1]
-    near = np.abs(ratios - 1.0) <= _RATIO_RADIUS
     wide = np.flatnonzero(~near)
     incs = _log_near_one(np.where(near, ratios, 1.0) if wide.size else ratios)
     if wide.size:
@@ -153,4 +187,4 @@ def track_log(evaluator: Callable, grid: ContourGrid,
     out[0] = np.log(f_c.real)
     np.cumsum(incs, out=out[1:])
     out[1:] += out[0]
-    return TransformValues._adopt(grid, out)
+    return TransformValues._adopt(grid, out[::keep])

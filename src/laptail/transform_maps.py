@@ -149,11 +149,15 @@ def apply_map(transform_map: TransformMap, samples: SampleSet,
               grid: ContourGrid) -> TransformValues:
     """Empirical transform -> tracked log -> mapped transform values.
 
-    The caller checks the map's domain event first (``domain_check``); on a
-    sample outside it the formula's values mean nothing. Log-tracking
-    failures (NearZeroTransform, DomainError) propagate.
+    The log is tracked on the grid transform; where that has a wide step,
+    ``track_log`` tracks it on the grid transform of the grid 8 times finer
+    and bisects what is still wide by point evaluations. The caller checks
+    the map's domain event first (``domain_check``); on a sample outside it
+    the formula's values mean nothing. Log-tracking failures
+    (NearZeroTransform, DomainError) propagate.
     """
     observed = empirical_transform_grid(samples, grid)
-    log_path = track_log(partial(empirical_transform_eval, samples), grid,
-                         values=observed.values)
+    log_path = track_log(
+        partial(empirical_transform_eval, samples), grid, observed.values,
+        lambda fine: empirical_transform_grid(samples, fine).values)
     return TransformValues._adopt(grid, transform_map.values(log_path, samples))

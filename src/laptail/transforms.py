@@ -197,15 +197,16 @@ class ContourGrid:
     """Uniform half grid on the vertical contour Re(s) = c.
 
     ``m`` intervals of length t_max / m over y in [0, t_max], an even number
-    so composite Simpson applies; grid points are s = c + i*y for the m + 1
-    ordinates y_k = k t_max / m, with the real anchor y = 0 at index 0. The
-    transforms here are of real measures, so psi(c - iy) = conj psi(c + iy)
-    and the lower half of the contour carries no information.
+    so the first m / 2 + 1 points are a grid over [0, t_max / 2]; grid
+    points are s = c + i*y for the m + 1 ordinates y_k = k t_max / m, with
+    the real anchor y = 0 at index 0. The transforms here are of real
+    measures, so psi(c - iy) = conj psi(c + iy) and the lower half of the
+    contour carries no information.
 
     A grid is immutable, so one instance can be shared: ``build_grid`` hands
     out the same grid for equal arguments and keeps the last 4, each with
     its ordinates (8 bytes per point), points (16) and inversion plan: the
-    Simpson weights over the points (16) and about 2 sqrt(K) phase steps of
+    trapezoid weights over the points (16) and about 2 sqrt(K) phase steps of
     the K points, 40 bytes per point in all. The grid transform on 5 833
     to 32 768 points also keeps a twiddle table of about 32 bytes per point
     (``_twiddles``), for the last 2 such grid sizes: 2.1 MB at most.
@@ -668,8 +669,9 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
     divisor with M >= L that leaves at least 16 rows (``_Kernel.widths``),
     if there is one; otherwise M = size and R = 1, one real FFT of the
     folded grid. With 8 001 modes (32 400 cells) the 180 grid transforms of
-    30 ``table2`` replications (M/G/1 slot totals, n = 10^4) all took rows
-    of M = 144 to 300 cells, so R = 108 to 225.
+    the slot totals of 30 ``table2`` replications (M/G/1, n = 10^4) all took
+    rows of M = 144 to 300 cells, so R = 108 to 225; ``table2`` itself now
+    inverts at T = 400 on 1 601 points (6 480 cells), which are not pruned.
 
     Row 0 is the buffer folded onto M cells in index space, buffer cell e
     adding to cell (first + e) mod M, so the buffer's offset needs no phase

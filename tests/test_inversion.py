@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from laptail.errors import CapacityError, GridTooCoarse, ParameterError
 from laptail.inversion import bromwich_details, build_grid
-from laptail.transforms import (ContourGrid, Exponential, Gamma,
+from laptail.transforms import (ContourGrid, Deterministic, Exponential, Gamma,
                                 TransformValues)
-from oracles import bromwich_loop, invert_cdf_known
+from oracles import bromwich_loop, invert_cdf_known, simpson_inversion
 
 
 def exp_psi(grid):
@@ -25,13 +25,13 @@ def noisy_psi(grid, seed):
     return TransformValues(grid, exp_psi(grid).values + noise)
 
 
-def direct_half_simpson(psi, w, plateau=0.0):
-    """The inversion at w as the direct half-grid Simpson sum, and the same
-    sum over the moduli of its terms."""
+def direct_half_trapezoid(psi, w, plateau=0.0):
+    """The inversion at w as the direct half-grid trapezoid sum, and the
+    same sum over the moduli of its terms."""
     grid = psi.grid
     integrand = np.exp(grid.points * w) * (psi.values - plateau) / grid.points
-    weights = simpson_weights(grid.m)
-    scale = (grid.spacing / 3.0) / math.pi
+    weights = trapezoid_weights(grid.m)
+    scale = grid.spacing / math.pi
     return (plateau + scale * (integrand.real @ weights),
             scale * (np.abs(integrand) @ weights))
 
@@ -43,44 +43,54 @@ def rounding_bound(grid, w, magnitude):
     return eps * (math.sqrt(grid.n_points) + grid.t_max * w) * magnitude
 
 
-def simpson_weights(intervals):
+def trapezoid_weights(intervals):
     weights = np.ones(intervals + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
+    weights[[0, -1]] = 0.5
     return weights
 
 
-def full_contour_simpson(psi, grid, w, plateau=0.0):
-    """Composite Simpson of psi over the whole contour [-T, T], divided by
+def full_contour_trapezoid(psi, grid, w, plateau=0.0):
+    """The trapezoid rule for psi over the whole contour [-T, T], divided by
     2 pi, on the symmetric ordinates the half grid ``grid`` reflects to."""
     ys = np.concatenate([-grid.ys[:0:-1], grid.ys])
     s = grid.c + 1j * ys
     integrand = np.exp(s * w) * (psi(s) - plateau) / s
-    weights = simpson_weights(2 * grid.m)
-    return (grid.spacing / 3.0) * (integrand @ weights) / (2.0 * math.pi)
+    weights = trapezoid_weights(2 * grid.m)
+    return grid.spacing * (integrand @ weights) / (2.0 * math.pi)
 
 
 # --- grid construction -------------------------------------------------------
 
 def test_build_grid_shape():
-    # t_max / 0.05 = 20.6 intervals, rounded up to 21, then to even
+    # t_max / 0.25 = 4.12 intervals, rounded up to 5, then to even
     grid = build_grid(1.0, 1.03, 1.0)
-    assert grid.m == 22 and grid.n_points == 23
+    assert grid.m == 6 and grid.n_points == 7
     assert grid.ys[0] == 0.0 and grid.ys[-1] == 1.03
-    assert grid.spacing <= 0.05
+    assert grid.spacing <= 0.25
 
 
-def test_build_grid_phase_bound_scales_with_w():
-    grid = build_grid(1.0, 100.0, 10.0)
-    assert grid.spacing <= math.pi / 80 + 1e-15
+def test_build_grid_step_is_the_aliasing_bound():
+    # h = min(c/4, pi/w): c/4 up to w = 4 pi / c, including w = 0, and
+    # pi/w beyond it; bromwich_details refuses a grid over the same bound
+    for c in (0.5, 1.0, 2.0):
+        turn = 4.0 * math.pi / c
+        for w in (0.0, 1e-300, 0.5, turn):
+            grid = build_grid(c, 100.0, w)
+            assert grid.m == 400 / c and grid.spacing == c / 4.0
+        for w in (1.01 * turn, 2.0 * turn, 8.0 * turn):
+            grid = build_grid(c, 100.0, w)
+            assert math.pi / w * 0.99 <= grid.spacing <= math.pi / w
+            assert bromwich_details(exp_psi(grid), [w]).values
+            with pytest.raises(GridTooCoarse):
+                bromwich_details(exp_psi(grid), [w * 1.01])
 
 
 def test_build_grid_budget():
-    # 50 000 001 points at step 0.05 is over the 5 * 10^6-point cap, which
-    # raises before anything is allocated
+    # 5 000 001 points at step 0.25 is over the 5 * 10^6-point cap, which
+    # raises before anything is allocated; one interval less is not
     with pytest.raises(CapacityError):
-        build_grid(1.0, 2.5e6, 1.0)
-    assert build_grid(1.0, 2.5e5 - 1.0, 1.0).n_points < 5 * 10**6
+        build_grid(1.0, 1.25e6, 1.0)
+    assert build_grid(1.0, 1.25e6 - 0.5, 1.0).n_points == 5 * 10**6 - 1
 
 
 def test_build_grid_shares_one_immutable_grid():
@@ -90,7 +100,7 @@ def test_build_grid_shares_one_immutable_grid():
     assert not grid.ys.flags.writeable and not grid.points.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         grid.m = 4
-    # w enters only through the step, 0.05 for every w up to 7.8
+    # w enters only through the step, 0.25 for every w up to 4 pi
     assert build_grid(1.0, 100.0, 0.5) is grid
     others = [build_grid(2.0, 100.0, 2.0), build_grid(1.0, 50.0, 2.0),
               build_grid(1.0, 100.0, 20.0)]
@@ -140,7 +150,7 @@ def test_truncation_error_decays_once_over_t():
 
 def test_halving_the_step_barely_moves_the_result():
     a = invert_cdf_known(Exponential(1.0), math.log(2.0), t_max=200.0)
-    fine = ContourGrid(1.0, 200.0, 8000)  # step 0.025, half the default
+    fine = ContourGrid(1.0, 200.0, 8000)  # step 0.025, a tenth of the default
     b = bromwich_details(exp_psi(fine), [math.log(2.0)]).values[0]
     assert abs(a - b) <= 1e-4
 
@@ -177,15 +187,72 @@ def test_plateau_subtraction_shrinks_worst_case_error():
     assert max(split_errs) < 0.02
 
 
+# --- trapezoid against Simpson -----------------------------------------------
+
+def inverted(transform, t_max, w, plateau=0.0):
+    """The library's inversion at w of a known transform, on the grid that
+    ``build_grid`` sizes for w."""
+    grid = build_grid(1.0, t_max, w)
+    return bromwich_details(TransformValues(grid, transform(grid.points)), [w],
+                            plateau).values[0], grid
+
+
+@pytest.mark.parametrize("t_max", [100.0, 200.0, 400.0])
+def test_trapezoid_equals_simpson_at_a_fifth_of_the_step(t_max):
+    # Gamma(20, 0.05) decays so fast on the contour that the truncation
+    # tail and the endpoint terms of either rule sit below rounding: what
+    # is left of their difference is the trapezoid rule's aliasing,
+    # e^{-8 pi} = 1.2e-11 at h = 1/4
+    jobs = Gamma(20.0, 0.05)
+    for w in (0.5, 1.0, 2.0, 5.0):
+        got, grid = inverted(jobs.transform, t_max, w)
+        fine = ContourGrid(1.0, t_max, 5 * grid.m)
+        assert abs(got - simpson_inversion(jobs.transform, fine, w)) <= 1e-9
+
+
+def former_step(w):
+    """The composite Simpson step the inversion was tested at before the
+    trapezoid rule: min(0.05, (pi/8) / max(w, 1))."""
+    return min(0.05, math.pi / 8.0 / max(w, 1.0))
+
+
+RHO = 0.9
+EXACT_CASES = {
+    "Exp(1)": (Exponential(1.0).transform, lambda w: 1.0 - math.exp(-w), 0.0,
+               (0.5, math.log(2.0), 1.0, 2.0)),
+    # the M/M/1 workload at load 0.9 with unit service rate, atom 1 - rho
+    "M/M/1 rho 0.9": (lambda s: (1.0 - RHO) * (1.0 + s) / (1.0 - RHO + s),
+                      lambda w: 1.0 - RHO * math.exp(-(1.0 - RHO) * w),
+                      1.0 - RHO, (1.0, 5.0, 10.0)),
+    "Deterministic(1)": (Deterministic(1.0).transform,
+                         lambda w: float(Deterministic(1.0).cdf(w)), 0.0,
+                         (0.5, 0.9, 1.1, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+@pytest.mark.parametrize("t_max", [100.0, 200.0, 400.0])
+def test_trapezoid_error_is_no_larger_than_simpson(case, t_max):
+    # the error on exact transforms is truncation: the coarser trapezoid
+    # grid may not add to it (measured: at most 1.000 times Simpson's)
+    transform, cdf, plateau, ws = EXACT_CASES[case]
+    for w in ws:
+        got, _ = inverted(transform, t_max, w, plateau)
+        m = math.ceil(t_max / former_step(w))
+        former = ContourGrid(1.0, t_max, m + m % 2)
+        simpson = simpson_inversion(transform, former, w, plateau)
+        assert abs(got - cdf(w)) <= 1.01 * abs(simpson - cdf(w))
+
+
 # --- half grid against the full contour --------------------------------------
 
-def test_half_grid_equals_full_grid_simpson():
-    # the full-contour Simpson sum of a conjugate-symmetric psi is real and
-    # equals the half-grid value, with and without a plateau
+def test_half_grid_equals_full_grid_trapezoid():
+    # the full-contour trapezoid sum of a conjugate-symmetric psi is real
+    # and equals the half-grid value, with and without a plateau
     grid = build_grid(1.0, 50.0, 1.0)
     psi = lambda s: 1.0 / (1.0 + s)
     for plateau in (0.0, 0.3):
-        full = full_contour_simpson(psi, grid, 1.0, plateau)
+        full = full_contour_trapezoid(psi, grid, 1.0, plateau)
         half = bromwich_details(TransformValues(grid, psi(grid.points)), [1.0],
                                 plateau=plateau).values[0]
         assert abs(full.imag) <= 1e-15
@@ -193,11 +260,11 @@ def test_half_grid_equals_full_grid_simpson():
 
 
 def test_value_is_the_upper_half_of_the_full_integrand():
-    # the value is the half-grid Simpson sum of the real part of the
+    # the value is the half-grid trapezoid sum of the real part of the
     # integrand, up to the rounding of the factored phases
     grid = build_grid(1.0, 50.0, 1.0)
     for psi, plateau in ((exp_psi(grid), 0.0), (noisy_psi(grid, 21), 0.3)):
-        want, magnitude = direct_half_simpson(psi, 1.0, plateau)
+        want, magnitude = direct_half_trapezoid(psi, 1.0, plateau)
         got = bromwich_details(psi, [1.0], plateau=plateau).values[0]
         assert abs(got - want) <= rounding_bound(grid, 1.0, magnitude)
 
@@ -215,7 +282,7 @@ def test_batch_matches_the_direct_sum(t_max, plateau):
     got = bromwich_details(psi, BATCH_WS, plateau=plateau).values
     assert len(got) == len(BATCH_WS)
     for w, value in zip(BATCH_WS, got):
-        want, magnitude = direct_half_simpson(psi, w, plateau)
+        want, magnitude = direct_half_trapezoid(psi, w, plateau)
         assert abs(value - want) <= rounding_bound(grid, w, magnitude)
 
 
@@ -288,10 +355,10 @@ def test_grid_for_the_largest_w_fits_every_w(c, t_max, ws):
 
 
 def test_grid_too_coarse_for_larger_w():
-    grid = build_grid(1.0, 10.0, 1.0)  # step 0.05, fine for w <= pi/(8*0.05)
+    grid = build_grid(1.0, 10.0, 1.0)  # step 0.25, fine for w <= pi/0.25
     with pytest.raises(GridTooCoarse):
         bromwich_details(exp_psi(grid), [50.0])
-    # step 5 against the bound 0.05 at w = 1
+    # step 5 against the bound 0.25 at w = 1
     with pytest.raises(GridTooCoarse):
         bromwich_details(exp_psi(ContourGrid(1.0, 10.0, 2)), [1.0])
     # one w too large for the grid rejects the whole batch

@@ -8,7 +8,9 @@ import pytest
 from laptail.errors import DomainError, NearZeroTransform, ParameterError
 from laptail.inversion import build_grid
 from laptail.logtrack import _log_near_one, track_log
-from laptail.transforms import (ContourGrid, SampleSet, empirical_transform_eval,
+from laptail.simulation import BinomialCounts, sample_compound
+from laptail.transforms import (ContourGrid, Gamma, SampleSet,
+                                empirical_transform_eval,
                                 empirical_transform_grid)
 
 
@@ -49,8 +51,7 @@ def test_tracked_empirical_log_matches_complex_log_path():
     x = rng.exponential(0.05, 10_000)
     x[rng.random(x.size) < 0.5] = 0.0
     ss = SampleSet(x)
-    grid = build_grid(1.0, 400.0, 1.0)
-    assert grid.n_points == 8001
+    grid = ContourGrid(1.0, 400.0, 8000)
     vals = empirical_transform_grid(ss, grid).values
     ratios = vals[1:] / vals[:-1]
     assert np.all(np.abs(ratios - 1.0) <= 0.5)
@@ -133,6 +134,83 @@ def test_bisection_calls_the_evaluator_once_per_pass():
     path = track_log(counting, coarse, values=np.exp(-8.0 * coarse.points))
     assert np.max(np.abs(path.values - (-8.0 * coarse.points))) <= 1e-8
     assert calls == [(20,), (40,)]
+
+
+# --- refinement on the finer grid ------------------------------------------
+
+def binomial_totals(seed: int) -> SampleSet:
+    """2 000 compound binomial (M = 4, p = 0.75) totals of Gamma(20, 0.05)
+    jumps: their transform nearly vanishes near the contour c = 1."""
+    rng = np.random.default_rng(seed)
+    return sample_compound(rng, BinomialCounts(4, 0.75), Gamma(20.0, 0.05),
+                           2000)
+
+
+def wide_steps(values) -> int:
+    return int(np.count_nonzero(np.abs(values[1:] / values[:-1] - 1.0) > 0.5))
+
+
+def refined_log(ss: SampleSet, grid: ContourGrid, grids: list, calls: list):
+    """``track_log`` as ``apply_map`` calls it, recording the grids it asks
+    the grid transform for and the sizes of its point evaluations."""
+    def on_grid(fine):
+        grids.append(fine)
+        return empirical_transform_grid(ss, fine).values
+
+    def evaluator(s):
+        calls.append(np.size(s))
+        return empirical_transform_eval(ss, s)
+
+    values = empirical_transform_grid(ss, grid).values
+    return track_log(evaluator, grid, values, on_grid)
+
+
+def test_refined_log_equals_the_log_bisected_at_a_fifth_of_the_step():
+    # T = 45: the quadrature grid of 181 points (h = 1/4) has every 5th
+    # point of the 901 at h = 1/20, where the log is tracked by bisection
+    # alone. Every seed has a wide step at h = 1/4, so it is tracked on the
+    # 1 441 points at h = 1/32; six of the seeds still bisect there.
+    grid = build_grid(1.0, 45.0, 1.5)
+    assert grid.m == 180
+    step_20 = ContourGrid(1.0, 45.0, 900)
+    bisected_too = 0
+    for seed in range(12):
+        ss = binomial_totals(seed)
+        grids, calls = [], []
+        got = refined_log(ss, grid, grids, calls)
+        assert wide_steps(empirical_transform_grid(ss, grid).values) > 0
+        assert [(g.c, g.t_max, g.m) for g in grids] == [(1.0, 45.0, 1440)]
+        bisected_too += bool(calls)
+        want = track_log(partial(empirical_transform_eval, ss), step_20,
+                         empirical_transform_grid(ss, step_20).values)
+        assert got.grid is grid
+        assert np.max(np.abs(got.values - want.values[::5])) <= 1e-11
+    assert bisected_too == 6
+
+
+def test_refinement_runs_only_on_a_grid_with_a_wide_step():
+    # Poisson totals of Exp(1) jumps keep their transform far from zero:
+    # no step is wide and the finer grid is never asked for
+    rng = np.random.default_rng(31)
+    ss = SampleSet(rng.gamma(rng.poisson(1.0, 2000), 1.0))
+    grid = build_grid(1.0, 45.0, 1.5)
+    grids, calls = [], []
+    got = refined_log(ss, grid, grids, calls)
+    assert grids == [] and calls == []
+    want = track_log(np.exp, grid, empirical_transform_grid(ss, grid).values)
+    assert np.array_equal(got.values, want.values)
+
+
+def test_no_refinement_past_the_grid_cap():
+    # every step of exp(-s) at h = 1 is wide, but the grid 8 times finer
+    # would have 5 000 001 points, over build_grid's cap: the steps are
+    # bisected instead, and the finer grid is never asked for
+    grid = ContourGrid(1.0, 625_000.0, 625_000)
+    grids = []
+    got = track_log(lambda s: np.exp(-s), grid, np.exp(-grid.points),
+                    grids.append)
+    assert grids == []
+    assert np.max(np.abs(got.values + grid.points)) <= 1e-9
 
 
 def test_bisection_failures_raise_near_zero():

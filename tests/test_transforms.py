@@ -259,8 +259,7 @@ def test_grid_evaluation_long_contour_with_zero_atom():
     rng = np.random.default_rng(15)
     x = rng.exponential(0.05, 2000)
     x[rng.random(x.size) < 0.3] = 0.0
-    grid = build_grid(1.0, 400.0, 1.0)
-    assert grid.n_points == 8001
+    grid = ContourGrid(1.0, 400.0, 8000)
     got, direct = grid_and_direct(SampleSet(x), grid)
     assert np.max(np.abs(got - direct) / np.abs(direct)) <= 1e-10
 
@@ -282,8 +281,7 @@ TIED_ERROR_BOUND = 2e-13
 
 
 def test_tied_samples_error_bound():
-    grid = build_grid(1.0, 400.0, 1.0)
-    assert grid.n_points == 8001
+    grid = ContourGrid(1.0, 400.0, 8000)
     ss = SampleSet(np.full(10**4, 0.3))
     exact = np.exp(-0.3 * grid.points)
     got = empirical_transform_grid(ss, grid).values
@@ -308,8 +306,7 @@ def test_grid_evaluation_widest_mode_range():
 @pytest.mark.parametrize("t_max, points", [(10.0, 201), (100.0, 2001),
                                            (400.0, 8001)])
 def test_grid_error_bound_for_samples_near_zero(t_max, points):
-    grid = build_grid(1.0, t_max, 1.0)
-    assert grid.n_points == points
+    grid = ContourGrid(1.0, t_max, points - 1)
     for seed in range(5):
         ss = SampleSet(np.random.default_rng(seed).exponential(0.05, 2000))
         got, direct = grid_and_direct(ss, grid)
@@ -439,7 +436,7 @@ PRUNED_CASES = {
 
 @pytest.mark.parametrize("case", sorted(PRUNED_CASES))
 def test_grid_evaluation_on_pruned_layouts(case, monkeypatch):
-    grid = build_grid(1.0, 400.0, 1.0)
+    grid = ContourGrid(1.0, 400.0, 8000)
     size = _kernel(grid.n_points).size
     assert size == 32400 and size >= transforms._PRUNE_MIN_CELLS
     rows_wanted, across_the_wrap, sampler = PRUNED_CASES[case]
@@ -467,14 +464,17 @@ def test_grid_evaluation_on_pruned_layouts(case, monkeypatch):
 @pytest.mark.parametrize("t_max", [1.75, 400.0])
 def test_kernel_fit_matches_every_column(t_max):
     # the polynomial that spreads a cell's moments stands in for the
-    # Gaussian kernel at every offset o and every fraction u of the cell
-    kernel = _kernel(build_grid(1.0, t_max, 1.0).n_points)
+    # Gaussian kernel at every offset o and every fraction u of the cell,
+    # on the grid build_grid gives and on one at step 0.05
     u = np.linspace(0.0, 1.0, 20001)
     t = 2.0 * u - 1.0
-    fitted = np.vander(t, kernel.poly.shape[0], increasing=True) @ kernel.poly
-    exact = np.exp(-kernel.alpha * (u[:, None] - _SPREAD_OFFSETS) ** 2)
-    assert fitted.shape == exact.shape == (u.size, 32)
-    assert np.max(np.abs(fitted - exact)) <= 1e-15
+    for grid in (build_grid(1.0, t_max, 1.0),
+                 ContourGrid(1.0, t_max, 2 * math.ceil(10.0 * t_max))):
+        kernel = _kernel(grid.n_points)
+        fitted = np.vander(t, kernel.poly.shape[0], increasing=True) @ kernel.poly
+        exact = np.exp(-kernel.alpha * (u[:, None] - _SPREAD_OFFSETS) ** 2)
+        assert fitted.shape == exact.shape == (u.size, 32)
+        assert np.max(np.abs(fitted - exact)) <= 1e-15
 
 
 def test_grid_transform_memory_is_not_dense_in_the_arc():
@@ -582,7 +582,7 @@ def test_grid_validation():
 def test_grid_spacing_reproduces_the_points():
     # the NUFFT places point k at k * spacing; a neighbour difference would
     # carry the rounding of t_max and drift by ~4e-10 over 8000 steps
-    grid = build_grid(1.0, 400.0, 1.0)
+    grid = ContourGrid(1.0, 400.0, 8000)
     k = np.arange(grid.n_points)
     assert np.max(np.abs(grid.ys - k * grid.spacing)) <= 1e-12
 
