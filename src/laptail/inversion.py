@@ -38,10 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, GridTooCoarse, ParameterError
-from .transforms import ContourGrid, TransformValues
-
-# Hard cap on grid size so a huge w or T cannot silently allocate gigabytes.
-_MAX_POINTS = 5 * 10**6
+from .transforms import _MAX_GRID_POINTS, ContourGrid, TransformValues
 
 # Relative slack when validating that a supplied grid respects the step
 # bounds, so grids built by build_grid itself always pass.
@@ -82,9 +79,7 @@ def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
     points are built once; the last 4 grids are kept. With its inversion
     plan (``_plan``: trapezoid weights over the points, and about 2 sqrt(K)
     phase steps) a kept grid holds 40 bytes per point: at most 4 grids of
-    up to 5 * 10^6 points. The grid transform on 5 833 to 32 768 points
-    keeps a twiddle table of about 32 bytes per point as well, for the last
-    2 such grid sizes: 2.1 MB at most (``transforms._twiddles``).
+    up to 5 * 10^6 points.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ParameterError("t_max must be positive and finite")
@@ -92,9 +87,9 @@ def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
         raise ParameterError("w must be nonnegative and finite")
     m = max(2, math.ceil(t_max / _step_for(c, w)))
     m += m % 2
-    if m + 1 > _MAX_POINTS:
+    if m + 1 > _MAX_GRID_POINTS:
         raise CapacityError(
-            f"inversion grid needs {m + 1} points, cap {_MAX_POINTS}")
+            f"inversion grid needs {m + 1} points, cap {_MAX_GRID_POINTS}")
     return _shared_grid(float(c), float(t_max), m)
 
 

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NearZeroTransform, ParameterError
-from .transforms import ContourGrid, TransformValues
+from .transforms import _MAX_GRID_POINTS, ContourGrid, TransformValues
 
 # A ratio step is accepted only when |ratio - 1| <= _RATIO_RADIUS; larger
 # steps are bisected. 1/2 keeps every accepted ratio in Re(z) >= 1/2, far
@@ -45,10 +45,9 @@ from .transforms import ContourGrid, TransformValues
 _RATIO_RADIUS = 0.5
 
 # A grid with a wide step is tracked on the grid this many times finer, if
-# that grid has at most _REFINE_MAX_POINTS points, the quadrature grid's cap;
+# that grid has at most _MAX_GRID_POINTS points, the quadrature grid's cap;
 # past it the wide steps are only bisected.
 _REFINE_FACTOR = 8
-_REFINE_MAX_POINTS = 5 * 10**6
 
 # Most bisection passes, each halving every pending piece once, before log
 # tracking gives up.
@@ -170,7 +169,7 @@ def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
     ratios, near = _ratios(pts, vals)
     keep = 1
     if (on_grid is not None and not near.all()
-            and _REFINE_FACTOR * grid.m < _REFINE_MAX_POINTS):
+            and _REFINE_FACTOR * grid.m < _MAX_GRID_POINTS):
         keep = _REFINE_FACTOR
         fine = ContourGrid(grid.c, grid.t_max, keep * grid.m)
         pts = fine.points

@@ -88,8 +88,8 @@ class PoissonCounts:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ParameterError("count rate must be positive")
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise ParameterError("count rate must be positive and finite")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.poisson(self.rate, n)

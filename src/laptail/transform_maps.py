@@ -19,6 +19,7 @@ checks the formula against exact transforms.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -42,8 +43,8 @@ class Mg1Workload:
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ParameterError("drain per slot delta must be positive")
+        if not (self.delta > 0 and math.isfinite(self.delta)):
+            raise ParameterError("drain per slot delta must be positive and finite")
 
     def check(self, samples: SampleSet) -> None:
         """Stability event: estimated load below 1, i.e. 0 <= mean < delta."""

@@ -16,10 +16,7 @@ samples in B occupied cells, K grid points and a kernel spread over W = 32
 cells, instead of O(n K) products. The K modes k = 0 .. K-1 are taken as
 the upper half of a centred range of 2K modes, so the weights stay real and
 one real FFT over a periodic grid of at least 4K cells gives every mode.
-The last term is that FFT. When the phases occupy a short arc of A cells
-of a large grid, it is pruned to the arc: about 2K / A transforms of about
-A cells, O(K log A), since the weights are real and the other 2K / A rows
-mirror these (see ``_phase_sums``).
+The last term is that FFT.
 
 The kernel is never evaluated per sample. Within one cell each of its W
 columns is a polynomial of degree P = 14 in the sample's position, fitted
@@ -30,7 +27,7 @@ weighted moments, and the kernel is applied once per occupied cell. Only
 occupied cells get moments, and the spread covers only the arc of the
 circle that the phases occupy, often a small part of it since h x is small
 on a fine grid; the arc is folded onto the periodic grid by cell index, so
-a whole-grid FFT needs no phase factor.
+the FFT needs no phase factor.
 
 For samples of continuous laws the error against direct evaluation stays
 below 1.5e-14 absolute and does not grow with K: 8.9e-15 at most for
@@ -73,6 +70,11 @@ _DIRECT_BLOCK = 1 << 22
 # Re(s) x stays below it is never flushed to 0 (that happens near 745).
 _EXP_NONZERO = 700.0
 
+# Most points of a contour grid that the estimator builds, for inversion
+# (``inversion.build_grid``) or to track a log on (``logtrack.track_log``),
+# so a huge w or T cannot silently allocate gigabytes.
+_MAX_GRID_POINTS = 5 * 10**6
+
 # Gaussian-gridding NUFFT: each sample is spread over 2 * _SPREAD_HALF_WIDTH
 # cells of a grid with at least _OVERSAMPLE cells per mode of the centred mode
 # range, with the kernel width of Greengard & Lee. At half-width 16 the kernel
@@ -90,18 +92,6 @@ _KERNEL_DEGREE = 14
 _CHEB_NODES = np.cos(math.pi * (np.arange(_KERNEL_DEGREE + 1) + 0.5)
                      / (_KERNEL_DEGREE + 1))
 _CHEB_VANDER = chebyshev.chebvander(_CHEB_NODES, _KERNEL_DEGREE)
-# The final FFT is pruned to the occupied arc (see ``_phase_sums``) only
-# where that was measured to pay: on grids of 24 000 cells or more, and for
-# arcs short enough to give 16 rows or more. Timed on the grid transform of
-# 200 samples, pruning cost up to 8% on 12 150 cells and saved at most 4%
-# there; on 24 300 cells it cost 12% at 8 rows, broke even at 12 and saved
-# 6% at 16 and 17% at 64; on 32 400 cells it saved 27% at 8 rows and 50% at
-# 150. Above 2^17 cells it is not used, so the twiddle tables kept, at most
-# 2 of 2^16 + 1 complex values, stay within 2.1 MB whatever the grid size.
-_PRUNE_MIN_CELLS = 24_000
-_PRUNE_MAX_CELLS = 1 << 17
-_PRUNE_MIN_ROWS = 16
-_TWIDDLE_TABLES = 2
 
 
 # Point evaluation by per-cell Taylor moments (``_cell_sums``). A cell is
@@ -207,9 +197,7 @@ class ContourGrid:
     out the same grid for equal arguments and keeps the last 4, each with
     its ordinates (8 bytes per point), points (16) and inversion plan: the
     trapezoid weights over the points (16) and about 2 sqrt(K) phase steps of
-    the K points, 40 bytes per point in all. The grid transform on 5 833
-    to 32 768 points also keeps a twiddle table of about 32 bytes per point
-    (``_twiddles``), for the last 2 such grid sizes: 2.1 MB at most.
+    the K points, 40 bytes per point in all.
     """
 
     c: float
@@ -301,8 +289,8 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ParameterError("exponential rate must be positive")
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise ParameterError("exponential rate must be positive and finite")
 
     @property
     def mean(self) -> float:
@@ -361,8 +349,9 @@ class Gamma:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise ParameterError("gamma shape and scale must be positive")
+        if not (self.shape > 0 and self.scale > 0
+                and math.isfinite(self.shape) and math.isfinite(self.scale)):
+            raise ParameterError("gamma shape and scale must be positive and finite")
 
     @property
     def mean(self) -> float:
@@ -578,17 +567,13 @@ class _Kernel(NamedTuple):
     kernel exponent in cells squared. Column o of the (P + 1) x 32 ``poly``
     holds the monomial coefficients in t = 2u - 1 of e^{-alpha (u - o)^2}
     for a sample at fraction u in [0, 1) of its cell. ``deconv`` takes the
-    FFT of the spread grid to mode k, k = 0 .. n_modes-1. ``widths`` lists,
-    ascending, the row lengths a pruned FFT of the grid may use (see
-    ``_phase_sums``): the divisors of ``size`` that leave at least 16 rows,
-    and none where pruning does not pay.
+    FFT of the spread grid to mode k, k = 0 .. n_modes-1.
     """
 
     size: int
     alpha: float
     poly: np.ndarray
     deconv: np.ndarray
-    widths: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -611,13 +596,9 @@ def _kernel(n_modes: int) -> _Kernel:
     k = np.arange(n_modes)
     deconv = np.exp(k * k * tau)
     deconv *= math.sqrt(math.pi / tau) / size
-    prunable = _PRUNE_MIN_CELLS <= size <= _PRUNE_MAX_CELLS
-    widths = np.arange(1, size // _PRUNE_MIN_ROWS + 1 if prunable else 1)
-    widths = widths[size % widths == 0]
     poly.flags.writeable = False
     deconv.flags.writeable = False
-    widths.flags.writeable = False
-    return _Kernel(size, alpha, poly, deconv, widths)
+    return _Kernel(size, alpha, poly, deconv)
 
 
 def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndarray:
@@ -643,48 +624,17 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
     The cells are spread into a buffer g that spans only the occupied arc:
     L cells from half_width - 1 cells below the lowest occupied cell to
     half_width cells above the highest, buffer cell e being periodic cell
-    first + e. What is wanted is its DFT at the lowest n_modes <= size / 4
-    frequencies, X[k] = sum_e g_e v^{k (first + e)} with v = e^{-2 pi i /
-    size}, and the FFT is pruned to that (Markel, IEEE Trans. Audio
-    Electroacoust. 19(4), 1971; Sorensen & Burrus, IEEE Trans. Signal
-    Process. 41(3), 1993). Let M be the smallest divisor of size with
-    M >= L, and R = size / M. Then for k = r + R q
-
-        X[r + R q] = v^{r first} FFT_M(row_r)[q],
-        row_r[(first + e) mod M] = g_e v^{r e},
-
-    so R transforms of M cells replace one of size cells, and only the first
-    and last ceil(n_modes / R) entries of each are used. g is real, so
-    X[size - k] is conj X[k], which on the rows reads
-
-        X[(R - r) + R q] = conj X[r + R (M - 1 - q)]:
-
-    only rows 0 .. R/2 are transformed. Row 0 is g itself, rotated, and takes
-    a real FFT; row R/2 of an even R is its own mirror. The twiddles
-    v^{r e} have r e < size / 2 and are taken from one table per grid size
-    (``_twiddles``). This costs O(size log M) against O(size log size).
-    It was measured to save time only with R >= 16 rows on grids of 24 000
-    cells or more, and above 2^17 cells the kept twiddle table would grow
-    with the grid. So on grids of 24 000 to 2^17 cells M is the smallest
-    divisor with M >= L that leaves at least 16 rows (``_Kernel.widths``),
-    if there is one; otherwise M = size and R = 1, one real FFT of the
-    folded grid. With 8 001 modes (32 400 cells) the 180 grid transforms of
-    the slot totals of 30 ``table2`` replications (M/G/1, n = 10^4) all took
-    rows of M = 144 to 300 cells, so R = 108 to 225; ``table2`` itself now
-    inverts at T = 400 on 1 601 points (6 480 cells), which are not pruned.
-
-    Row 0 is the buffer folded onto M cells in index space, buffer cell e
-    adding to cell (first + e) mod M, so the buffer's offset needs no phase
-    factor in that row. Multiplying mode k by the real e^{k^2 tau} undoes
-    the kernel. For |k| < n_modes that factor stays below
-    e^{pi half_width / 12}, about 66. When the phases cover the whole
-    circle the buffer is at most size + 2 half_width cells long, so the
-    fold (then R = 1) is at most 2 + ceil((2 half_width - 1) / size) slice
-    adds and builds no index array: three on grids of 31 cells or more,
-    four or five on the smaller grids of m <= 6 (12 to 30 cells). A pruned
-    arc fits in M cells, so its fold is a rotation of at most two slices.
-    Its R/2 complex rows of M cells and their FFT peak at about 2 x 8 size
-    bytes, as the folded grid and its FFT do when R = 1.
+    first + e. It is folded onto the ``size`` cells of the periodic grid in
+    index space, buffer cell e adding to cell (first + e) mod size, so its
+    offset needs no phase factor, and one real FFT of the folded grid gives
+    the lowest n_modes <= size / 4 frequencies. Multiplying mode k by the
+    real e^{k^2 tau} undoes the kernel. For |k| < n_modes that factor stays
+    below e^{pi half_width / 12}, about 66. The buffer is at most
+    size + 2 half_width - 1 cells long, so the fold is at most
+    2 + ceil((2 half_width - 1) / size) slice adds and builds no index
+    array: three on grids of 31 cells or more, four or five on the smaller
+    grids of m <= 6 (12 to 30 cells). The folded grid and its FFT peak at
+    about 2 x 8 size bytes.
 
     The phases are reduced modulo 2 pi only when the largest reaches 2 pi.
     They are nonnegative, and below 2 pi the reduction is the identity, so
@@ -719,63 +669,16 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
     length = occupied.size + _SPREAD_OFFSETS.size - 1
     index = np.arange(_SPREAD_OFFSETS.size)[:, None] + np.flatnonzero(occupied)
     spread = np.bincount(index.ravel(), values.ravel(), length)
-    fits = np.searchsorted(kernel.widths, length)
-    width = int(kernel.widths[fits]) if fits < kernel.widths.size else size
-    folded = np.zeros(width)
-    start, done = first % width, 0
+    folded = np.zeros(size)
+    start, done = first % size, 0
     while done < length:
-        stop = min(length, done + width - start)
+        stop = min(length, done + size - start)
         folded[start:start + stop - done] += spread[done:stop]
         start, done = 0, stop
     del spread  # before the FFT allocates, to keep peak memory down
-    out = np.fft.rfft(folded)
-    n_fft_rows = size // width
-    if n_fft_rows > 1:
-        # the arc fits in one row, so column j of row r holds buffer cell
-        # e = (j - first) mod width, or 0, times e^{-2 pi i r e / size}
-        cell = (np.arange(width) - first) % width
-        r = np.arange(1, n_fft_rows // 2 + 1)
-        fft_rows = _twiddles(size).take(r[:, None] * cell)
-        fft_rows *= folded
-        fft_rows = np.fft.fft(fft_rows)
-        out = _interleave(out, fft_rows, first, size, n_modes)
-    out = out[:n_modes]
+    out = np.fft.rfft(folded)[:n_modes]
     out *= kernel.deconv
     return out
-
-
-def _interleave(row0: np.ndarray, rows: np.ndarray, first: int, size: int,
-                n_modes: int) -> np.ndarray:
-    """Modes k = r + R q, k < n_modes, of a pruned FFT with R rows, from
-    the transforms of its rows (see ``_phase_sums``): ``row0`` the real FFT
-    of row 0 and ``rows`` the FFTs of rows 1 .. R/2, of size / R cells each.
-
-    Mode r + R q is e^{-2 pi i r first / size} times entry q of row r, and
-    mode (R - r) + R q, for the rows above R/2, is the conjugate of mode
-    r + R (width - 1 - q).
-    """
-    width = rows.shape[1]
-    n_rows = size // width
-    half = rows.shape[0] + 1
-    per_row = -(-n_modes // n_rows)
-    shift = np.exp((-2j * math.pi / size) * (np.arange(1, half) * first % size))
-    out = np.empty((per_row, n_rows), dtype=complex)
-    out[:, 0] = row0[:per_row]
-    out[:, 1:half] = (rows[:, :per_row] * shift[:, None]).T
-    mirror = n_rows - half
-    out[:, half:] = (rows[:mirror][::-1, width - per_row:][:, ::-1]
-                     * shift[:mirror][::-1, None]).T.conj()
-    return out.ravel()
-
-
-@functools.lru_cache(maxsize=_TWIDDLE_TABLES)
-def _twiddles(size: int) -> np.ndarray:
-    """e^{-2 pi i j / size} for j = 0 .. size // 2, read-only: every twiddle
-    of a pruned FFT, 8 bytes per cell. Only grids of at most 2^17 cells are
-    pruned, so the 2 tables kept take at most 2.1 MB."""
-    table = np.exp((-2j * math.pi / size) * np.arange(size // 2 + 1))
-    table.flags.writeable = False
-    return table
 
 
 def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> TransformValues:

@@ -118,11 +118,15 @@ def test_estimate_missing_file_exit_2(capsys):
 
 
 def test_estimate_bad_delta_exit_3(tmp_path, capsys):
+    # an infinite delta would read as a load of 0 and give cdf 1
     f = tmp_path / "s.txt"
     f.write_text("0.1\n0.2\n")
-    code, _, _ = run(["estimate", "--samples", str(f), "--map", "mg1",
-                      "--delta", "-0.1", "--w", "0.2"], capsys)
-    assert code == 3
+    for delta in ("-0.1", "inf", "nan"):
+        code, out, err = run(["estimate", "--samples", str(f), "--map", "mg1",
+                              "--delta", delta, "--w", "0.2"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "delta must be positive and finite" in err
 
 
 def test_estimate_requires_w(tmp_path, capsys):
@@ -322,6 +326,22 @@ def test_decompound_fallback_rows_flagged(capsys):
     assert code == 0
     rows = parse_csv(out)
     assert int(rows[0]["fallback_reps"]) >= 1
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "{}"],
+    ["--job", "exp", "--job-params", "{}"],
+    ["--job", "gamma", "--job-params", "{},1"],
+    ["--job", "gamma", "--job-params", "1,{}"],
+], ids=["count-rate", "exp-rate", "gamma-shape", "gamma-scale"])
+def test_decompound_non_finite_parameter_exit_3(capsys, flags, value):
+    # each is refused where its model is built, before any sample is drawn
+    code, out, err = run(["decompound", "--n", "200", "--reps", "2"]
+                         + [flag.format(value) for flag in flags], capsys)
+    assert code == 3
+    assert out == ""
+    assert "must be positive and finite" in err
 
 
 def test_decompound_binomial_path(capsys):

@@ -16,7 +16,7 @@ from laptail.simulation import BinomialCounts, sample_compound
 import laptail.transforms as transforms
 from laptail.transforms import (_SPREAD_OFFSETS, ContourGrid, Deterministic,
                                 Exponential, Gamma, SampleSet,
-                                TransformValues, _kernel, _twiddles,
+                                TransformValues, _kernel,
                                 empirical_transform_eval,
                                 empirical_transform_grid, load_samples,
                                 save_samples)
@@ -395,70 +395,49 @@ def test_grid_evaluation_at_the_phase_reduction_threshold(largest_phase_below_2p
     assert np.max(np.abs(got - direct)) <= 1e-13
 
 
-# Pruned final FFTs on the 32 400-cell grid of 8 001 points (h = 0.05).
+# Arcs of the 32 400-cell grid of 8 001 points (h = 0.05), where the
+# largest deconvolution factors meet a buffer far shorter than the grid.
 # Samples at the centres of chosen cells give a spread buffer of exactly
-# L = (highest cell - lowest cell + 1) + 31 cells, and with it the row
-# length M, the smallest listed divisor of the grid >= L, and R = size / M
-# rows. Each case names the rows it must take, 1 being the whole-grid FFT,
-# and whether its buffer starts below cell 0, across the wrap.
+# L = (highest cell - lowest cell + 1) + 31 cells, folded onto the grid.
 def cells_from(low: int, span: int, count: int, rng) -> np.ndarray:
     """``count`` cells from low to low + span, both ends included."""
     inner = rng.integers(low, low + span + 1, max(count - 2, 0))
     return np.concatenate([[low, low + span], inner])[:count]
 
 
-PRUNED_CASES = {
-    # L = 240 is a divisor: M = 240, 135 rows, odd, so every row above
-    # 67 is a mirror
-    "arc of a divisor, odd rows": (135, False, lambda rng, cell: (
-        cells_from(1000, 208, 300, rng) + 0.5) * cell),
-    # L = 241, one cell more: M = 270, 120 rows, even, so row 60 is its
-    # own mirror
-    "arc one cell more, even rows": (120, False, lambda rng, cell: (
-        cells_from(1000, 209, 300, rng) + 0.5) * cell),
+LARGE_GRID_ARCS = {
+    # L = 240
+    "arc of 240 cells": lambda rng, cell: (
+        cells_from(1000, 208, 300, rng) + 0.5) * cell,
+    # L = 241
+    "arc of 241 cells": lambda rng, cell: (
+        cells_from(1000, 209, 300, rng) + 0.5) * cell,
     # slot totals of an M/G/1 queue at load 0.5 (Poisson(1) Exp(mean 0.05)
-    # jobs), zeros left out: phases from 0 up. L = 162, M = 162
-    "M/G/1 totals across the wrap": (200, True, lambda rng, cell: rng.gamma(
-        rng.poisson(1.0, 2000), 0.05)),
-    # L = 136, M = 144
-    "away from the wrap": (225, False, lambda rng, cell: 3.0 + rng.exponential(
-        0.05, 2000)),
-    # one occupied cell, L = 32: M = 36, the smallest divisor >= 32. The
-    # rounding of the phases y x, about 1e-16 y x e^{-x} in the direct sum
-    # and the NUFFT alike, reaches 3e-14 for a lone sample at x = 1; at
-    # x = 5 it stays near 2e-15
-    "single sample": (900, False, lambda rng, cell: np.array([5.0])),
-    # a buffer of about 10 500 cells, longer than the longest row of 2 025
-    # cells (16 rows): the whole grid is transformed
-    "wide arc": (1, False, lambda rng, cell: rng.exponential(5.0, 2000)),
+    # jobs), zeros left out: phases from 0 up, so the buffer starts below
+    # cell 0 and wraps. L = 162
+    "M/G/1 totals across the wrap": lambda rng, cell: rng.gamma(
+        rng.poisson(1.0, 2000), 0.05),
+    # L = 136
+    "away from the wrap": lambda rng, cell: 3.0 + rng.exponential(0.05, 2000),
+    # one occupied cell, L = 32. The rounding of the phases y x, about
+    # 1e-16 y x e^{-x} in the direct sum and the NUFFT alike, reaches
+    # 3e-14 for a lone sample at x = 1; at x = 5 it stays near 2e-15
+    "single sample": lambda rng, cell: np.array([5.0]),
+    # a buffer of about 10 500 cells, a third of the grid
+    "wide arc": lambda rng, cell: rng.exponential(5.0, 2000),
 }
 
 
-@pytest.mark.parametrize("case", sorted(PRUNED_CASES))
-def test_grid_evaluation_on_pruned_layouts(case, monkeypatch):
+@pytest.mark.parametrize("case", sorted(LARGE_GRID_ARCS))
+def test_grid_evaluation_on_arcs_of_a_large_grid(case):
     grid = ContourGrid(1.0, 400.0, 8000)
     size = _kernel(grid.n_points).size
-    assert size == 32400 and size >= transforms._PRUNE_MIN_CELLS
-    rows_wanted, across_the_wrap, sampler = PRUNED_CASES[case]
-    x = sampler(np.random.default_rng(21), 2.0 * math.pi / (grid.spacing * size))
+    assert size == 32400
+    x = LARGE_GRID_ARCS[case](np.random.default_rng(21),
+                              2.0 * math.pi / (grid.spacing * size))
     x = x[x > 0.0]
-    taken = []
-    interleave = transforms._interleave
-
-    def spy(row0, rows, first, size, n_modes):
-        taken.append((size // rows.shape[1], first))
-        return interleave(row0, rows, first, size, n_modes)
-
-    monkeypatch.setattr(transforms, "_interleave", spy)
     got, direct = grid_and_direct(SampleSet(x), grid)
     assert np.max(np.abs(got - direct)) <= GRID_ERROR_BOUND
-    if rows_wanted == 1:
-        assert taken == []
-    else:
-        assert len(taken) == 1
-        rows, first = taken[0]
-        assert rows == rows_wanted
-        assert (first < 0) == across_the_wrap
 
 
 @pytest.mark.parametrize("t_max", [1.75, 400.0])
@@ -495,20 +474,15 @@ def test_grid_transform_memory_is_not_dense_in_the_arc():
     assert peak < 3 * 8 * size
 
 
-# 10^6 points (4.05e6 cells), above the pruning range, and 32 767 points
-# (2^17 cells), the largest grid that is pruned
+# 10^6 points (4.05e6 cells) and 32 767 points (2^17 cells)
 @pytest.mark.parametrize("m", [10**6, 32766])
 def test_grid_transform_memory_on_a_narrow_arc(m):
-    # two samples three cells apart: a buffer of 35 cells. On 2^17 cells
-    # the FFT is pruned to 2 048 rows of 64 cells, of which 1 024 complex
-    # rows are transformed; the rows, then the rows and their FFT, need about
-    # 2. The twiddle table is kept, and bounded by the next test, so it is
-    # built before the measurement, as the kernel is
+    # two samples three cells apart: a buffer of 35 cells, folded onto the
+    # whole grid; the folded grid, then it and its FFT, need about 2 x 8
+    # bytes per cell. The kernel is kept, so it is built before the
+    # measurement
     grid = ContourGrid(1.0, 1e6, m)
-    kernel = _kernel(grid.n_points)
-    size = kernel.size
-    if kernel.widths.size:
-        _twiddles(size)
+    size = _kernel(grid.n_points).size
     period = 2.0 * math.pi / grid.spacing
     ss = SampleSet([(0.5 + cell / size) * period for cell in (0.5, 3.5)])
     tracemalloc.start()
@@ -520,16 +494,13 @@ def test_grid_transform_memory_on_a_narrow_arc(m):
     assert peak < 3 * 8 * size
 
 
-def test_kept_twiddle_memory_is_bounded():
-    # twiddle tables are kept only for grids the FFT is pruned on, of at
-    # most 2^17 cells, and only for the last 2 sizes: at most
-    # 2 x (2^16 + 1) complex values, 2.1 MB, however large the grids. Here
-    # 3 pruned sizes, of 131 072, 121 500 and 112 500 cells, then one of
-    # 4.05e6 cells that a table of its own would take 32 MB for
+def test_grid_transform_keeps_nothing_grid_sized():
+    # apart from the kernels, the grid transform keeps nothing between
+    # calls. The grids have 131 072, 121 500, 112 500 and 4.05e6 cells, so
+    # even 1 byte per cell of the smallest would take 110 KB
     grids = [ContourGrid(1.0, 1e4, m) for m in (32766, 30000, 28000, 10**6)]
     for grid in grids:
         _kernel(grid.n_points)  # kept on their own, outside the measurement
-    _twiddles.cache_clear()
     ss = SampleSet([0.16, 0.1605])
     tracemalloc.start()
     try:
@@ -538,8 +509,7 @@ def test_kept_twiddle_memory_is_bounded():
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kept <= 2 * 16 * (2**16 + 1)
-    assert _twiddles.cache_info().currsize == 2
+    assert kept <= 64 * 1024
 
 
 def test_transform_values_copies_a_caller_array():
