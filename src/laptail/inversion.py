@@ -79,7 +79,9 @@ def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
     points are built once; the last 4 grids are kept. With its inversion
     plan (``_plan``: trapezoid weights over the points, and about 2 sqrt(K)
     phase steps) a kept grid holds 40 bytes per point: at most 4 grids of
-    up to 5 * 10^6 points.
+    up to 5 * 10^6 points. The grid transform on such a grid also keeps its
+    NUFFT kernel, 8 bytes per point, for the last 8 point counts
+    (``transforms._kernel``): up to 320 MB more at the cap.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ParameterError("t_max must be positive and finite")

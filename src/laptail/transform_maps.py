@@ -151,11 +151,12 @@ def apply_map(transform_map: TransformMap, samples: SampleSet,
     """Empirical transform -> tracked log -> mapped transform values.
 
     The log is tracked on the grid transform; where that has a wide step,
-    ``track_log`` tracks it on the grid transform of the grid 8 times finer
-    and bisects what is still wide by point evaluations. The caller checks
-    the map's domain event first (``domain_check``); on a sample outside it
-    the formula's values mean nothing. Log-tracking failures
-    (NearZeroTransform, DomainError) propagate.
+    ``track_log`` tracks it on the grid transform of the grid 16 times
+    finer and bisects what is still wide by direct sums at the midpoints
+    (``empirical_transform_eval``). The caller checks the map's domain
+    event first (``domain_check``); on a sample outside it the formula's
+    values mean nothing. Log-tracking failures (NearZeroTransform,
+    DomainError) propagate.
     """
     observed = empirical_transform_grid(samples, grid)
     log_path = track_log(

@@ -40,13 +40,8 @@ was 2.7e-14 for 2 000 copies of x = 1, 1.1e-13 for 10^4 copies of 0.3 and
 1.15e-12 for 10^5 copies of 0.3; for 10^4 tied samples it stays below
 2e-13.
 
-At single points ``empirical_transform_eval`` sums one exponential per
-sample. At two or more points it can use the same idea as the NUFFT's
-spreading, the expansion about cell centres of Dutt & Rokhlin, applied to
-point evaluation: cells of width about pi / (2 max|s|), a Taylor series of
-degree 17 in each, and the samples entered through per-cell moments. That
-costs O(n P + m B P) for m points and B cells instead of m n exponentials,
-and is used where it was measured to pay (see ``_cell_sums``).
+Off a grid, ``empirical_transform_eval`` sums one exponential per sample
+and point.
 """
 from __future__ import annotations
 
@@ -92,26 +87,6 @@ _KERNEL_DEGREE = 14
 _CHEB_NODES = np.cos(math.pi * (np.arange(_KERNEL_DEGREE + 1) + 0.5)
                      / (_KERNEL_DEGREE + 1))
 _CHEB_VANDER = chebyshev.chebvander(_CHEB_NODES, _KERNEL_DEGREE)
-
-
-# Point evaluation by per-cell Taylor moments (``_cell_sums``). A cell is
-# the largest power of two within _CELL_PHASE / max|s| wide, so |s| times
-# half a cell stays within pi / 4, where the Taylor series of e^{-s x} cut
-# after degree 17 is off by at most (pi/4)^18 / 18! e^{pi/4}, 4e-18 of each
-# term. Its fixed cost, 18 moment sums over the samples, was measured to
-# pay only with at least 2 points and 6 000 sample-point pairs, and only
-# while the samples span at most 1/4 cell per sample, since every cell
-# takes two exponentials per point. Cell path over direct sum, time per
-# call, for samples spanning 0.1 cell per sample: n = 2000 at 2 / 4 / 8
-# points 1.18 / 0.48 / 0.30; n = 500 at 4 / 8 / 16 points 1.09 / 0.64 /
-# 0.40; n = 200 at 8 / 16 points 1.30 / 0.73. At 1/4 cell per sample and
-# n = 2000, 4 points took 0.77; at 1/2, 4 points took 1.14 and 8 took 0.85.
-_CELL_PHASE = 0.5 * math.pi
-_CELL_DEGREE = 17
-_CELL_MAX_SPAN = 0.25
-_CELL_MIN_POINTS = 2
-_CELL_MIN_TERMS = 6000
-_INVERSE_ORDERS = 1.0 / np.arange(1, _CELL_DEGREE + 1)
 
 
 def _cheb_to_mono(degree: int) -> np.ndarray:
@@ -197,7 +172,10 @@ class ContourGrid:
     out the same grid for equal arguments and keeps the last 4, each with
     its ordinates (8 bytes per point), points (16) and inversion plan: the
     trapezoid weights over the points (16) and about 2 sqrt(K) phase steps of
-    the K points, 40 bytes per point in all.
+    the K points, 40 bytes per point in all. Apart from the grids, the grid
+    transform keeps the NUFFT kernel of each of the last 8 point counts it
+    was called for (``_kernel``), 8 bytes per point each: up to 320 MB at
+    the cap of 5 * 10^6 points.
     """
 
     c: float
@@ -338,7 +316,9 @@ class Deterministic:
         return np.full(size, self.point)
 
     def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
-        return counts.astype(float) * self.point
+        # a product that overflows is an infinite sum, which SampleSet refuses
+        with np.errstate(over="ignore"):
+            return counts.astype(float) * self.point
 
 
 @dataclass(frozen=True)
@@ -370,7 +350,10 @@ class Gamma:
         return rng.gamma(self.shape, self.scale, size)
 
     def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
-        return rng.gamma(counts * self.shape, self.scale)
+        # a shape that overflows draws an infinite sum, which SampleSet refuses
+        with np.errstate(over="ignore"):
+            shapes = counts * self.shape
+        return rng.gamma(shapes, self.scale)
 
 
 JobModel = Exponential | Deterministic | Gamma
@@ -400,151 +383,22 @@ def empirical_transform_eval(samples: SampleSet, s):
     """Empirical Laplace transform (1/n) sum_i exp(-s x_i).
 
     ``s`` may be a complex scalar or an array with Re(s) >= 0; the result has
-    modulus at most 1 and is conjugate-symmetric in s. Samples whose factor
-    e^{-Re(s) x_i} underflows add exactly 0. A scalar is evaluated as an
-    array of one point.
-
-    An array for which the cell path does not pay, a single point among
-    them, is summed directly, one exponential per sample and point, in
-    blocks of at most 2^22 terms. An array of m >= 2 points with m n >= 6 000 is evaluated
-    from per-cell Taylor moments (``_cell_sums``) when the samples span at
-    most n / 4 cells of width pi / (2 max|s|), rounded down to a power of
-    two; that is decided from ``max_value`` before anything is allocated,
-    so a wide sample, a huge value or an infinite or subnormal |s| takes
-    the direct sum. The cell path's 18 moment sums over the samples are
-    kept, read-only, for the last sample and cell width only, until a call
-    with another sample or width replaces them, so the bisection passes of
-    one tracked log share them. They take at most 36 n + 144 bytes, and
-    keep that sample's 8 n bytes alive. Zeros sit exactly on the centre of
-    cell 0 and add exactly 1 / n each. Against a plain sum of exponentials
-    the cell path stayed within 4.5e-16 absolute for Exp(1) and
-    Gamma(20, 0.05) samples with 40% zeros, with or without weights that
-    underflow, at c = 0.1, 1 and 10; against extended precision it was off
-    by 2.3e-16 where the plain sum was off by 2.2e-16. Each moment sum adds
-    its cell's samples pairwise, so tied samples off a cell centre cost
-    little: 5.4e-15 for 10^4 and for 10^5 copies of 0.3 on the 8 001
-    points of T = 400.
+    modulus at most 1 and is conjugate-symmetric in s. It is summed
+    directly, one exponential per sample and point, in blocks of at most
+    2^22 terms, so m points cost m n exponentials and nothing is kept
+    between calls. Samples whose factor e^{-Re(s) x_i} underflows add
+    exactly 0. A scalar is evaluated as an array of one point.
     """
     s = _require_right_half_plane(s)
     flat = s.ravel()
-    width = _cell_width(samples, flat)
-    if width is not None:
-        out = _cell_sums(samples, flat, width)
-    else:
-        x = samples.values
-        largest = float(flat.real.max(initial=0.0)) * samples.max_value
-        out = np.empty(flat.size, dtype=complex)
-        rows = max(1, _DIRECT_BLOCK // max(x.size, 1))
-        for start in range(0, flat.size, rows):
-            block = flat[start:start + rows, None]
-            out[start:start + rows] = _exp_terms(block, x, largest).mean(axis=1)
+    x = samples.values
+    largest = float(flat.real.max(initial=0.0)) * samples.max_value
+    out = np.empty(flat.size, dtype=complex)
+    rows = max(1, _DIRECT_BLOCK // x.size)
+    for start in range(0, flat.size, rows):
+        block = flat[start:start + rows, None]
+        out[start:start + rows] = _exp_terms(block, x, largest).mean(axis=1)
     return complex(out[0]) if s.ndim == 0 else out.reshape(s.shape)
-
-
-def _cell_width(samples: SampleSet, s: np.ndarray) -> float | None:
-    """Cell width of the cell path at the points of a 1-d ``s``, or None
-    where the direct sum is used: the largest power of two within
-    _CELL_PHASE / max|s|, if the samples span at most _CELL_MAX_SPAN cells
-    of it per sample and the call is large enough to pay."""
-    if s.size < _CELL_MIN_POINTS or s.size * samples.n < _CELL_MIN_TERMS:
-        return None
-    top = float(np.abs(s).max())
-    bound = _CELL_PHASE / top if top > 0.0 else math.inf
-    if not 0.0 < bound < math.inf:
-        return None
-    width = math.ldexp(0.5, math.frexp(bound)[1])
-    return width if samples.max_value <= _CELL_MAX_SPAN * samples.n * width else None
-
-
-def _cell_sums(samples: SampleSet, s: np.ndarray, width: float) -> np.ndarray:
-    """(1/n) sum_j e^{-s x_j} at the points of a 1-d ``s``, from per-cell
-    Taylor moments; ``width`` is a power of two with |s| width <= pi / 2.
-
-    Sample j sits in cell b_j = round(x_j / width), centred on b_j width,
-    at offset t_j width / 2 with t_j in [-1, 1]. With sigma = s width and
-    z = -sigma / 2, so |z| <= pi / 4,
-
-        sum_j e^{-s x_j} = sum_b e^{-sigma b} sum_p z^p / p! M[b, p],
-        M[b, p] = sum_{j in b} t_j^p,
-
-    the Taylor series cut after degree _CELL_DEGREE. The samples enter only
-    through the moments, kept for the last sample and width
-    (``_cell_moments``), and only the cells take an exponential. Because
-    the width is a power of two, x_j / width, t_j and sigma are exact. The
-    cells run from 0 to round(max_value / width), empty ones included, at
-    most n / 4 + 1 of them where this is called. The m x B terms are
-    formed in blocks of at most 2^22, as the direct sum forms its own.
-    """
-    moments = _cell_moments(samples, width)
-    n_cells = moments.shape[1]
-    # z^p / p! for p = 1 .. degree, one row per point
-    sigma = width * s
-    powers = np.cumprod((-0.5 * sigma)[:, None] * _INVERSE_ORDERS, axis=1)
-    # A rounded product sigma b repeats its rounding from cell to cell, and
-    # those errors added up to 1.1e-15 over the cells of 194 samples. So
-    # sigma is split into a head whose product with every b < 2^k is exact
-    # and a tail below 2^(k - 53), whose factor e^{-tail b} is near 1.
-    grain = math.ldexp(1.0, 52 - n_cells.bit_length())
-    head = np.rint(sigma * grain) / grain
-    tail = sigma - head
-    steps = np.arange(n_cells, dtype=float)
-    largest = float(head.real.max()) * steps[-1]
-    out = np.empty(s.size, dtype=complex)
-    rows = max(1, _DIRECT_BLOCK // n_cells)
-    for start in range(0, s.size, rows):
-        block = slice(start, start + rows)
-        # one real einsum over the real and imaginary rows, in the calling
-        # thread as in ``_phase_sums``: a complex BLAS product took about 5%
-        # less per call, but its first call alone added 0.6 MiB to peak RSS
-        part = powers[block]
-        both = np.einsum("mp,pb->mb", np.concatenate([part.real, part.imag]),
-                         moments[1:])
-        both[:len(part)] += moments[0]
-        series = both[:len(part)] + 1j * both[len(part):]
-        series *= _exp_terms(head[block, None], steps, largest)
-        series *= np.exp(-tail[block, None] * steps)
-        out[block] = series.sum(axis=1)
-    out /= samples.n
-    return out
-
-
-@functools.lru_cache(maxsize=1)
-def _cell_moments(samples: SampleSet, width: float) -> np.ndarray:
-    """The (_CELL_DEGREE + 1) x B moments M[b, p] = sum_{j in b} t_j^p of
-    ``_cell_sums``, over the cells 0 .. round(max_value / width) of the
-    given width (read-only).
-
-    Only the last (sample, width) is kept: the bisection passes of one
-    tracked log after the first reuse it, and another sample or width
-    replaces it, so an estimate on a new sample computes it afresh. It
-    holds at most n / 4 + 1 cells where ``_cell_sums`` is called, so
-    18 x 8 (n / 4 + 1) bytes, 36 n + 144; the sample it keeps alive holds
-    8 n more.
-
-    The offsets are sorted by cell (stably, so the bits do not depend on
-    the sort) and each cell's powers are summed by ``np.add.reduceat``,
-    which adds pairwise: a sum that adds a cell's samples one after
-    another, as ``np.bincount`` does, grows its rounding with the samples
-    in the cell, and one cell may hold nearly all of them.
-    """
-    u = samples.values / width
-    cell = np.rint(u)
-    t = u - cell
-    t *= 2.0
-    index = cell.astype(np.intp)
-    n_cells = int(round(samples.max_value / width)) + 1
-    counts = np.bincount(index, minlength=n_cells)
-    occupied = np.flatnonzero(counts)
-    starts = np.cumsum(counts[occupied]) - counts[occupied]
-    t = t[np.argsort(index, kind="stable")]
-    moments = np.zeros((_CELL_DEGREE + 1, n_cells))
-    moments[0] = counts
-    term = t.copy()
-    for p in range(1, _CELL_DEGREE + 1):
-        moments[p, occupied] = np.add.reduceat(term, starts)
-        term *= t
-    moments.flags.writeable = False
-    return moments
 
 
 def _fft_length(n: int) -> int:
@@ -584,6 +438,11 @@ def _kernel(n_modes: int) -> _Kernel:
     ``exp``, interpolated in the Chebyshev basis and taken to monomials by
     the fixed ``_CHEB_TO_MONO``; the fit matches every column within 1e-15
     on [0, 1). The result is shared between calls and read-only.
+
+    The last 8 kernels are kept. Each holds its ``deconv``, 8 bytes per
+    mode, and its ``poly`` of 3.8 KB, so at the 5 * 10^6-point cap of a
+    grid the 8 can keep 320 MB, beyond the 40 bytes per point of each kept
+    grid (``ContourGrid``).
     """
     modes = 2 * n_modes
     size = _fft_length(_OVERSAMPLE * modes)

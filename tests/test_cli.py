@@ -344,6 +344,21 @@ def test_decompound_non_finite_parameter_exit_3(capsys, flags, value):
     assert "must be positive and finite" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["decompound", "--reps", "2"],
+                                     ["simulate"]], ids=["decompound", "simulate"])
+@pytest.mark.parametrize("job", [["gamma", "1e308,10"], ["det", "1e308"]],
+                         ids=["gamma", "det"])
+def test_sums_that_overflow_exit_3_without_a_warning(capsys, command, job):
+    # finite parameters whose sums of two or more jobs overflow: the sums
+    # are infinite, and the sample set refuses them with one error line
+    code, out, err = run(command + ["--n", "200", "--job", job[0],
+                                    "--job-params", job[1]], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: sample values must be finite\n"
+
+
 def test_decompound_binomial_path(capsys):
     code, out, _ = run(["decompound", "--map", "binomial", "--big-m", "2",
                         "--p-success", "0.5", "--n", "2000", "--reps", "3",

@@ -8,7 +8,7 @@ The files under ``tests/golden`` are the CSV output of
 
 for ``decompound_binomial.csv``, of the binomial case, whose transform
 comes close enough to 0 on the contour that the tracked log is refined on
-the grid 8 times finer and bisected where that is still too coarse:
+the grid 16 times finer and bisected where that is still too coarse:
 
     laptail decompound --map binomial --big-m 4 --p-success 0.75 \
         --job gamma --job-params 20,0.05 --n 2000 --reps 10 --seed 1 \

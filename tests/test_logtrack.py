@@ -169,7 +169,7 @@ def test_refined_log_equals_the_log_bisected_at_a_fifth_of_the_step():
     # T = 45: the quadrature grid of 181 points (h = 1/4) has every 5th
     # point of the 901 at h = 1/20, where the log is tracked by bisection
     # alone. Every seed has a wide step at h = 1/4, so it is tracked on the
-    # 1 441 points at h = 1/32; six of the seeds still bisect there.
+    # 2 881 points at h = 1/64; four of the seeds still bisect there.
     grid = build_grid(1.0, 45.0, 1.5)
     assert grid.m == 180
     step_20 = ContourGrid(1.0, 45.0, 900)
@@ -179,13 +179,13 @@ def test_refined_log_equals_the_log_bisected_at_a_fifth_of_the_step():
         grids, calls = [], []
         got = refined_log(ss, grid, grids, calls)
         assert wide_steps(empirical_transform_grid(ss, grid).values) > 0
-        assert [(g.c, g.t_max, g.m) for g in grids] == [(1.0, 45.0, 1440)]
+        assert [(g.c, g.t_max, g.m) for g in grids] == [(1.0, 45.0, 2880)]
         bisected_too += bool(calls)
         want = track_log(partial(empirical_transform_eval, ss), step_20,
                          empirical_transform_grid(ss, step_20).values)
         assert got.grid is grid
         assert np.max(np.abs(got.values - want.values[::5])) <= 1e-11
-    assert bisected_too == 6
+    assert bisected_too == 4
 
 
 def test_refinement_runs_only_on_a_grid_with_a_wide_step():
@@ -202,8 +202,8 @@ def test_refinement_runs_only_on_a_grid_with_a_wide_step():
 
 
 def test_no_refinement_past_the_grid_cap():
-    # every step of exp(-s) at h = 1 is wide, but the grid 8 times finer
-    # would have 5 000 001 points, over build_grid's cap: the steps are
+    # every step of exp(-s) at h = 1 is wide, but the grid 16 times finer
+    # would have 10 000 001 points, over build_grid's cap: the steps are
     # bisected instead, and the finer grid is never asked for
     grid = ContourGrid(1.0, 625_000.0, 625_000)
     grids = []

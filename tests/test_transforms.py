@@ -2,18 +2,16 @@
 import cmath
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from laptail.errors import ParameterError, SampleFileError
 from laptail.inversion import build_grid
 from laptail.simulation import BinomialCounts, sample_compound
-import laptail.transforms as transforms
 from laptail.transforms import (_SPREAD_OFFSETS, ContourGrid, Deterministic,
                                 Exponential, Gamma, SampleSet,
                                 TransformValues, _kernel,
@@ -130,97 +128,11 @@ def test_empirical_real_axis_monotone(values, s1, gap):
     assert hi <= lo + 1e-12
 
 
-def cell_path_spy():
-    """Context manager that counts the calls of the point evaluator's cell
-    path, ``transforms._cell_sums``."""
-    return mock.patch.object(transforms, "_cell_sums", wraps=transforms._cell_sums)
-
-
-# Laws of the samples the cell path of ``empirical_transform_eval`` is
-# checked on, drawn from a numpy generator.
-CELL_LAWS = {
-    "Exp(1)": lambda rng, n: rng.exponential(1.0, n),
-    "Gamma(20, 0.05)": lambda rng, n: rng.gamma(20.0, 0.05, n),
-}
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(CELL_LAWS)), st.sampled_from([0.1, 1.0, 10.0]),
-       st.integers(200, 3000), st.integers(2, 40), st.booleans(),
-       st.integers(0, 2**32 - 1))
-# nearly all samples in cell 0: a per-sample moment sum was 1.0e-15 off
-@example("Gamma(20, 0.05)", 0.1, 2956, 10, True, 1017540266)
-def test_point_evaluation_by_cells_matches_direct(law, c, n, points, underflow,
-                                                  seed):
-    rng = np.random.default_rng(seed)
-    if underflow:
-        # 10 samples whose weights e^{-c x} are below the smallest double;
-        # with them in, the samples span few enough cells only for n in
-        # the thousands and |s| near c
-        n *= 4
-    x = CELL_LAWS[law](rng, n)
-    x[rng.random(n) < 0.4] = 0.0
-    if underflow:
-        x[:10] = rng.uniform(750.0, 760.0, 10) / c
-    ss = SampleSet(x)
-    # the largest |s| at which the samples surely span at most n / 4 cells
-    reach = 0.5 * transforms._CELL_PHASE * transforms._CELL_MAX_SPAN * n / ss.max_value
-    assume(reach > 1.01 * c)
-    top = min(60.0, math.sqrt(reach**2 - c**2))
-    points = max(points, -(-transforms._CELL_MIN_TERMS // n))
-    s = c + 1j * rng.uniform(0.0, top, points)
-    with cell_path_spy() as cells:
-        got = empirical_transform_eval(ss, s)
-    assert cells.call_count == 1
-    assert np.max(np.abs(got - direct_transform(ss, s))) <= 1e-15
-
-
-def test_point_evaluation_at_zeros_is_exact_by_cells():
-    # zeros sit on the centre of cell 0, where the series is exactly 1
-    ss = SampleSet(np.zeros(3000))
-    with cell_path_spy() as cells:
-        got = empirical_transform_eval(ss, np.array([1.0 + 2.0j, 3.0 + 40.0j]))
-    assert cells.call_count == 1
-    assert np.all(got == 1.0 + 0.0j)
-
-
-def test_cell_moments_are_kept_for_the_last_sample_and_width():
-    # the cell path forms its moment sums once per sample and width; a
-    # warm call gives the bits of a cold one, and another sample or width
-    # replaces the single entry
-    rng = np.random.default_rng(23)
-    ss = SampleSet(rng.gamma(20.0, 0.05, 2000))
-    twin = SampleSet(ss.values)
-    s = 1.0 + 1j * rng.uniform(0.0, 20.0, 8)
-    moments = transforms._cell_moments
-    moments.cache_clear()
-    with cell_path_spy() as cells:
-        cold = empirical_transform_eval(ss, s)
-        warm = empirical_transform_eval(ss, s)
-        assert moments.cache_info()[:2] == (1, 1)  # hits, misses
-        finer = empirical_transform_eval(ss, 2.0 * s)
-        assert moments.cache_info().currsize <= 1
-        other = empirical_transform_eval(twin, s)
-        assert moments.cache_info().currsize <= 1
-        again = empirical_transform_eval(ss, s)
-    assert cells.call_count == 5
-    assert moments.cache_info()[:2] == (1, 4)
-    assert warm.tobytes() == cold.tobytes()
-    assert other.tobytes() == cold.tobytes()
-    assert again.tobytes() == cold.tobytes()
-    assert np.max(np.abs(finer - direct_transform(ss, 2.0 * s))) <= 1e-15
-    kept = moments(ss, transforms._cell_width(ss, s))
-    assert not kept.flags.writeable
-    with pytest.raises(ValueError):
-        kept[0, 0] = 1.0
-
-
 @pytest.mark.parametrize("case", ["wide sample", "huge value", "infinite s",
                                   "subnormal s", "single point"])
-def test_point_evaluation_falls_back_to_the_direct_sum(case):
-    # the cell path is decided from max_value and max|s| before anything is
-    # allocated: a value far out would need millions of cells, and an
-    # infinite or subnormal |s| has no finite cell width
+def test_point_evaluation_matches_the_direct_sum(case):
+    # a sample spanning far, a huge value, an infinite or subnormal |s| and a
+    # single point: each is one plain sum of exponentials per point
     x = np.random.default_rng(22).exponential(1.0, 3000)
     s = np.array([1.0 + 10.0j, 1.0 + 20.0j])
     if case == "wide sample":
@@ -234,9 +146,7 @@ def test_point_evaluation_falls_back_to_the_direct_sum(case):
     else:
         s = s[:1]
     ss = SampleSet(x)
-    with cell_path_spy() as cells:
-        got = empirical_transform_eval(ss, s)
-    assert cells.call_count == 0
+    got = empirical_transform_eval(ss, s)
     finite = np.isfinite(s)
     assert np.max(np.abs(got[finite] - direct_transform(ss, s[finite]))) <= 1e-15
 
@@ -273,10 +183,10 @@ GRID_ERROR_BOUND = 1.5e-14
 
 
 # Tied samples share a cell. The grid transform's moment sums add a cell's
-# samples one after another, so their rounding grows with their number; the
-# cell path's add them pairwise. The transforms docstrings state this bound
-# for 10^4 tied samples at T = 400 (measured: 1.1e-13 for the grid
-# transform, 5.4e-15 for the cell path).
+# samples one after another, so their rounding grows with their number. The
+# transforms docstrings state this bound for 10^4 tied samples at T = 400
+# (measured: 1.1e-13 for the grid transform). The point evaluator sums
+# each point's terms pairwise and is held to the same bound.
 TIED_ERROR_BOUND = 2e-13
 
 
@@ -286,9 +196,7 @@ def test_tied_samples_error_bound():
     exact = np.exp(-0.3 * grid.points)
     got = empirical_transform_grid(ss, grid).values
     assert np.max(np.abs(got - exact)) <= TIED_ERROR_BOUND
-    with cell_path_spy() as cells:
-        got = empirical_transform_eval(ss, grid.points)
-    assert cells.call_count == 1
+    got = empirical_transform_eval(ss, grid.points)
     assert np.max(np.abs(got - exact)) <= TIED_ERROR_BOUND
 
 
