@@ -174,19 +174,23 @@ def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
         raise DomainError(
             f"transform at s = {grid.c} must be real and positive, got {f_c}")
     ratios, near = _ratios(pts, vals)
+    all_near = near.all()
     keep = 1
-    if (on_grid is not None and not near.all()
+    if (on_grid is not None and not all_near
             and _REFINE_FACTOR * grid.m < _MAX_GRID_POINTS):
         keep = _REFINE_FACTOR
         fine = ContourGrid(grid.c, grid.t_max, keep * grid.m)
         pts = fine.points
         vals = np.asarray(on_grid(fine), dtype=complex)
         ratios, near = _ratios(pts, vals)
-    # increments for the easy steps in one vectorized pass, then replace the
-    # few wide ones by their bisected sums
-    wide = np.flatnonzero(~near)
-    incs = _log_near_one(np.where(near, ratios, 1.0) if wide.size else ratios)
-    if wide.size:
+        all_near = near.all()
+    if all_near:
+        incs = _log_near_one(ratios)
+    else:
+        # increments for the easy steps in one vectorized pass, then
+        # replace the few wide ones by their bisected sums
+        wide = np.flatnonzero(~near)
+        incs = _log_near_one(np.where(near, ratios, 1.0))
         incs[wide] = _bisected_log_ratios(evaluator, pts[wide], vals[wide],
                                           pts[wide + 1], vals[wide + 1])
     out = np.empty(vals.size, dtype=complex)

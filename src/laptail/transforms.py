@@ -11,19 +11,23 @@ On that grid the empirical transform is a type-1 non-uniform DFT,
 (1/n) sum_j a_j e^{-i k theta_j} with real weights a_j = e^{-c x_j} and
 theta_j = h x_j mod 2 pi. ``empirical_transform_grid`` evaluates it with a
 Gaussian-gridding NUFFT (Greengard & Lee, SIAM Review 46(3), 2004; Dutt &
-Rokhlin, SIAM J. Sci. Comput. 14, 1993) in O(n P + B W P + K log K) for n
-samples in B occupied cells, K grid points and a kernel spread over W = 32
-cells, instead of O(n K) products. The K modes k = 0 .. K-1 are taken as
-the upper half of a centred range of 2K modes, so the weights stay real and
-one real FFT over a periodic grid of at least 4K cells gives every mode.
-The last term is that FFT.
+Rokhlin, SIAM J. Sci. Comput. 14, 1993) in O(n log n + n P + R W P +
+K log K) for n samples in R runs of one cell, K grid points and a kernel
+spread over W = 32 cells, instead of O(n K) products. The K modes
+k = 0 .. K-1 are taken as the upper half of a centred range of 2K modes, so
+the weights stay real and one real FFT over a periodic grid of at least 4K
+cells gives every mode. The first term is the sort of the samples, the
+last that FFT.
 
 The kernel is never evaluated per sample. Within one cell each of its W
 columns is a polynomial of degree P = 14 in the sample's position, fitted
 once per grid size at Chebyshev nodes, as in FINUFFT's piecewise-polynomial
 kernel evaluation (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput.
 41(5), 2019). So the samples of a cell enter only through their P + 1
-weighted moments, and the kernel is applied once per occupied cell. Only
+weighted moments, and the kernel is applied once per run of them. The
+transform is symmetric in the samples, so they are sorted once: the
+samples of a cell are then neighbours, one run per turn of the phases
+around the circle, and every run's moments are sums over a slice. Only
 occupied cells get moments, and the spread covers only the arc of the
 circle that the phases occupy, often a small part of it since h x is small
 on a fine grid; the arc is folded onto the periodic grid by cell index, so
@@ -33,12 +37,14 @@ For samples of continuous laws the error against direct evaluation stays
 below 1.5e-14 absolute and does not grow with K: 8.9e-15 at most for
 samples of Exp(mean 0.05), whose phases all sit near 0, and 3.3e-15 for
 Exp(mean 1) and Gamma(20, 0.05), over five seeds of 2000 samples at 201 to
-32 001 points. Tied samples fall into one cell, and each moment sum adds
-the samples of a cell one after another, so its rounding grows with their
-number. Against the exact e^{-s x} on the 8 001 points of T = 400 the error
-was 2.7e-14 for 2 000 copies of x = 1, 1.1e-13 for 10^4 copies of 0.3 and
-1.15e-12 for 10^5 copies of 0.3; for 10^4 tied samples it stays below
-2e-13.
+32 001 points. Tied samples fall into one cell, whose moments are summed
+pairwise, so their rounding barely grows with the number of ties. Against
+the exact e^{-s x} on the 8 001 points of T = 400 the error was 2.9e-14
+for 2 000 copies of x = 1, most of it the rounding of the phases y x, and
+1.4e-14, 1.5e-14 and 1.5e-14 for 10^4, 10^5 and 10^6 copies of 0.3; it
+stays below 5e-14. Summed one sample after another, as a weighted
+``bincount`` does, the same copies of 0.3 gave 1.1e-13, 1.15e-12 and
+1.6e-11.
 
 Off a grid, ``empirical_transform_eval`` sums one exponential per sample
 and point.
@@ -79,6 +85,9 @@ _MAX_GRID_POINTS = 5 * 10**6
 _SPREAD_HALF_WIDTH = 16
 _OVERSAMPLE = 2
 _SPREAD_OFFSETS = np.arange(1 - _SPREAD_HALF_WIDTH, _SPREAD_HALF_WIDTH + 1)
+# Samples whose kernel moments are formed at once (``_piece_moments``):
+# their table of 8 x 8 bytes each, 256 KiB, is built and summed per block.
+_MOMENT_BLOCK = 4096
 # Degree P of the polynomial that replaces the kernel within one cell. Its
 # monomial coefficients stay below 1 and degree 14 fits every column within
 # 1e-15. Degree 12 fits as well but took the grid transform to 1.3e-14 of
@@ -120,7 +129,7 @@ class SampleSet:
     Parameters
     ----------
     values : array_like
-        Nonnegative finite reals, at least one.
+        Nonnegative finite reals, at least one, whose sum is finite too.
 
     Attributes
     ----------
@@ -147,11 +156,15 @@ class SampleSet:
             raise ParameterError("sample values must be finite")
         if np.any(vals < 0):
             raise ParameterError("sample values must be nonnegative")
+        with np.errstate(over="ignore"):
+            mean = float(vals.mean())
+        if not math.isfinite(mean):
+            raise ParameterError("sample values must have a finite sum")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "n", int(vals.size))
-        object.__setattr__(self, "mean", float(vals.mean()))
+        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "max_value", float(vals.max()))
         zeros = int(np.count_nonzero(vals == 0.0))
         object.__setattr__(self, "zero_fraction", zeros / vals.size)
@@ -460,30 +473,73 @@ def _kernel(n_modes: int) -> _Kernel:
     return _Kernel(size, alpha, poly, deconv)
 
 
+def _piece_moments(a: np.ndarray, t: np.ndarray,
+                   pieces: np.ndarray) -> np.ndarray:
+    """M[p, r] = sum_j a_j t_j^p for p = 0 .. P over each piece r of the
+    samples, which starts at pieces[r] and ends where the next one starts.
+
+    No piece may span a multiple of _MOMENT_BLOCK: a block's table of
+    a t^p is built and summed before the next one's, so it takes
+    8 x 8 _MOMENT_BLOCK bytes whatever the sample size. The table holds
+    p = 0 .. 7, built by doubling, then in place p = 8 .. 14, the first
+    seven rows times t^8. ``np.add.reduceat`` sums each piece of a row
+    pairwise.
+    """
+    moments = np.empty((_KERNEL_DEGREE + 1, pieces.size))
+    width = min(a.size, _MOMENT_BLOCK)
+    table, square = np.empty((8, width)), np.empty(width)
+    block_starts = range(0, a.size, _MOMENT_BLOCK)
+    ends = [*pieces.searchsorted(block_starts[1:]).tolist(), pieces.size]
+    done = 0
+    for lo, end in zip(block_starts, ends):
+        hi = min(a.size, lo + _MOMENT_BLOCK)
+        rows, sq, tb = table[:, :hi - lo], square[:hi - lo], t[lo:hi]
+        starts = pieces[done:end] - lo
+        # t^2 and t^4 each scale the rows above them, then t^8 the first 7
+        rows[0] = a[lo:hi]
+        np.multiply(rows[0], tb, out=rows[1])
+        np.multiply(tb, tb, out=sq)
+        np.multiply(rows[0:2], sq, out=rows[2:4])
+        sq *= sq
+        np.multiply(rows[0:4], sq, out=rows[4:8])
+        np.add.reduceat(rows, starts, axis=1, out=moments[:8, done:end])
+        sq *= sq
+        rows[:7] *= sq
+        np.add.reduceat(rows[:7], starts, axis=1, out=moments[8:, done:end])
+        done = end
+    return moments
+
+
 def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndarray:
     """sum_j a_j e^{-i k h x_j} for k = 0 .. n_modes-1, by NUFFT; a_j real.
 
-    The modes are the upper half of the centred range [-n_modes, n_modes),
-    on a periodic grid of ``size`` >= 4 n_modes cells. The cell position
-    h x_j mod 2 pi of every sample is computed once: cell b_j and fraction
-    u_j in [0, 1). A sample adds a_j e^{-alpha (u_j - o)^2} to cell b_j + o
-    for the 2 half_width offsets o = 1 - half_width .. half_width. With the
-    kernel's degree-P fit sum_p C[p, o] t^p in t = 2u - 1 (``_kernel``),
-    all samples of one cell add sum_p C[p, o] M[b, p] to cell b + o, where
-    M[b, p] = sum_{j in b} a_j t_j^p. So the samples enter only through
-    P + 1 weighted ``bincount``s, and the kernel is evaluated once per
-    occupied cell, not per sample. The moments are taken over the occupied
-    cells only, compacted in order, so a sparse sample on a large grid needs
-    no moment row per empty cell. Their product with C is taken by
-    ``einsum`` in the calling thread, not by BLAS: for 3 360 occupied cells
-    a BLAS product with its default two threads took from 0.08 ms on an idle
-    host to 5 ms on a busy one, where its second thread waits for a core,
-    against 0.5 to 0.7 ms for ``einsum``.
+    ``x`` holds positive values in ascending order, and ``a`` their
+    positive weights. The modes are the upper half of the centred range
+    [-n_modes, n_modes), on a periodic grid of ``size`` >= 4 n_modes cells.
+    The cell position h x_j mod 2 pi of every sample is computed once: cell
+    b_j and fraction u_j in [0, 1). A sample adds a_j e^{-alpha (u_j - o)^2}
+    to cell b_j + o for the 2 half_width offsets o = 1 - half_width ..
+    half_width. With the kernel's degree-P fit sum_p C[p, o] t^p in
+    t = 2u - 1 (``_kernel``), the samples of one run, neighbours in one
+    cell b, add sum_p C[p, o] M[r, p] to cell b + o, where
+    M[r, p] = sum_{j in r} a_j t_j^p. Sorted values give each cell one run
+    per turn of the phases, the runs being found by one comparison of
+    neighbours, and ``_piece_moments`` sums every run's P + 1 moments
+    pairwise from a table of a t^p built in blocks of _MOMENT_BLOCK
+    samples; a run cut by a block boundary gets its pieces' moments summed
+    pairwise too. So the kernel is evaluated once per run, not per sample,
+    and a sparse sample on a large grid needs no moment row per empty cell.
+    The product of the moments with C is taken by ``einsum`` in the calling
+    thread, not by BLAS: for 3 360 occupied cells a BLAS product with its
+    default two threads took from 0.08 ms on an idle host to 5 ms on a busy
+    one, where its second thread waits for a core, against 0.5 to 0.7 ms
+    for ``einsum``.
 
-    The cells are spread into a buffer g that spans only the occupied arc:
+    The runs are spread into a buffer g that spans only the occupied arc:
     L cells from half_width - 1 cells below the lowest occupied cell to
     half_width cells above the highest, buffer cell e being periodic cell
-    first + e. It is folded onto the ``size`` cells of the periodic grid in
+    first + e. Runs of one cell from different turns add there. The buffer
+    is folded onto the ``size`` cells of the periodic grid in
     index space, buffer cell e adding to cell (first + e) mod size, so its
     offset needs no phase factor, and one real FFT of the folded grid gives
     the lowest n_modes <= size / 4 frequencies. Multiplying mode k by the
@@ -495,38 +551,45 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
     grids of m <= 6 (12 to 30 cells). The folded grid and its FFT peak at
     about 2 x 8 size bytes.
 
-    The phases are reduced modulo 2 pi only when the largest reaches 2 pi.
-    They are nonnegative, and below 2 pi the reduction is the identity, so
-    skipping it changes no bit.
+    The phases are reduced modulo 2 pi only when the largest, the last,
+    reaches 2 pi. They are nonnegative, and below 2 pi the reduction is the
+    identity, so skipping it changes no bit.
     """
     if x.size == 0:
         return np.zeros(n_modes, dtype=complex)
     kernel = _kernel(n_modes)
     size = kernel.size
     u = h * x
-    if u.max() >= 2.0 * math.pi:
+    if u[-1] >= 2.0 * math.pi:
         np.mod(u, 2.0 * math.pi, out=u)
     u *= size / (2.0 * math.pi)
-    base = np.floor(u)
-    u -= base
-    t = 2.0 * u - 1.0
-    low = int(base.min())
-    cells = base.astype(np.intp) - low
-    occupied = np.bincount(cells) > 0
-    rows = np.cumsum(occupied) - 1
-    n_rows = int(rows[-1]) + 1
-    rows = rows[cells]
-    moments = np.empty((_KERNEL_DEGREE + 1, n_rows))
-    term = a.copy()
-    for p in range(_KERNEL_DEGREE + 1):
-        moments[p] = np.bincount(rows, term, n_rows)
-        term *= t
+    # u >= 0, so truncation is the floor
+    cells = u.astype(np.intp)
+    u -= cells
+    u *= 2.0
+    u -= 1.0
+    t = u
+    # a run is a stretch of neighbours in one cell
+    new_run = np.empty(x.size, dtype=bool)
+    new_run[0] = True
+    np.not_equal(cells[1:], cells[:-1], out=new_run[1:])
+    starts = new_run.nonzero()[0]
+    run_cells = cells[starts]
+    del cells
+    # blocks cut the runs into pieces, whose moments are summed pairwise too
+    new_run[::_MOMENT_BLOCK] = True
+    pieces = new_run.nonzero()[0]
+    del new_run
+    moments = _piece_moments(a, t, pieces)
+    if pieces.size > starts.size:
+        moments = np.add.reduceat(moments, pieces.searchsorted(starts), axis=1)
     values = np.einsum("pb,po->ob", moments, kernel.poly)
-    # occupied cell b covers buffer cells b + 0 .. 2 half_width - 1; buffer
-    # cell e is periodic cell first + e
+    # the run in cell b adds to buffer cells b - first + o; buffer cell e is
+    # periodic cell first + e
+    low = int(run_cells.min())
     first = low + _SPREAD_OFFSETS[0]
-    length = occupied.size + _SPREAD_OFFSETS.size - 1
-    index = np.arange(_SPREAD_OFFSETS.size)[:, None] + np.flatnonzero(occupied)
+    length = int(run_cells.max()) - low + _SPREAD_OFFSETS.size
+    index = _SPREAD_OFFSETS[:, None] + (run_cells - first)
     spread = np.bincount(index.ravel(), values.ravel(), length)
     folded = np.zeros(size)
     start, done = first % size, 0
@@ -545,33 +608,32 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
 
     The values are a type-1 non-uniform DFT of the nonzero samples with real
     weights e^{-c x}, evaluated by the real-weight NUFFT of ``_phase_sums``
-    (see the module docstring); samples whose weight underflows to 0 are
-    left out. Exact zeros (``x == 0.0``, the zeros of ``SampleSet``) add
-    their fraction to every point, and the anchor y = 0 is the real mean of
-    e^{-c x}. For samples of continuous laws the error against direct
-    evaluation, one exponential per sample and point, stays below 1.5e-14
-    absolute, independent of the grid size: the largest measured, 8.9e-15,
-    is for samples of Exp(mean 0.05), whose phases all sit near 0. It is
-    largest at the top modes, where the deconvolution factor is largest,
-    and smallest near y = 0. Both this and the direct sum carry the
-    rounding of each phase y x, about 1e-16 |y x| e^{-c x} per sample,
-    which dominates for few samples far out: a lone sample at x = 10 with
-    c = 0.1 differs by 2e-13 at y = 400. Tied samples are summed into one
-    cell's moments one after another, so there the error grows with the
-    number of ties: 1.1e-13 for 10^4 copies of 0.3 on the 8 001 points of
-    T = 400, 1.15e-12 for 10^5 copies.
+    (see the module docstring) on the values sorted once: exact zeros
+    (``x == 0.0``, the zeros of ``SampleSet``) are then a leading slice,
+    and samples whose weight underflows to 0 a trailing one, both left out.
+    The zeros add their fraction to every point, and the anchor y = 0 is the
+    real mean of e^{-c x}. Everything is computed from the sorted values, so
+    the order of the samples changes no bit. For samples of continuous laws
+    the error against direct evaluation, one exponential per sample and
+    point, stays below 1.5e-14 absolute, independent of the grid size: the
+    largest measured, 8.9e-15, is for samples of Exp(mean 0.05), whose
+    phases all sit near 0. It is largest at the top modes, where the
+    deconvolution factor is largest, and smallest near y = 0. Both this and
+    the direct sum carry the rounding of each phase y x, about
+    1e-16 |y x| e^{-c x} per sample, which dominates for few samples far
+    out: a lone sample at x = 10 with c = 0.1 differs by 2e-13 at y = 400.
+    Tied samples are one run, whose moments are summed pairwise: 1.4e-14 to
+    1.5e-14 for 10^4 to 10^6 copies of 0.3 on the 8 001 points of T = 400.
     """
-    x = samples.values
+    x = np.sort(samples.values)
     a = np.exp(-grid.c * x)
-    # zeros are added exactly below; samples whose weight underflows add
-    # nothing and could overflow h * x. One index and two takes cost about
-    # a third of two boolean gathers.
-    gridded = np.flatnonzero((x != 0.0) & (a > 0.0))
-    values = _phase_sums(x.take(gridded), a.take(gridded), grid.spacing,
-                         grid.n_points)
+    # zeros lead and are added exactly below; underflowed weights trail,
+    # add nothing and could overflow h * x
+    gridded = slice(x.searchsorted(0.0, side="right"), np.count_nonzero(a))
+    values = _phase_sums(x[gridded], a[gridded], grid.spacing, grid.n_points)
     values /= x.size
     values += samples.zero_fraction
-    values[0] = a.mean()
+    values[0] = a.sum() / x.size
     return TransformValues._adopt(grid, values)
 
 

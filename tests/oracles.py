@@ -61,9 +61,9 @@ def simpson_inversion(transform: Callable, grid: ContourGrid, w: float,
 
 def bromwich_loop(psi: TransformValues, ws, plateau: float = 0.0) -> tuple:
     """Values of ``bromwich_details`` by the same baby-step / giant-step
-    sums, one w at a time, with an ``einsum`` of its own for the baby steps
-    of each w. The library takes those of every w in one ``einsum`` and
-    must round every value the same."""
+    sums, one w at a time, with ``einsum`` calls of its own for the baby
+    steps and the giant step of each w. The library takes those of every w
+    in one ``einsum`` each and must round every value the same."""
     ws = np.asarray(ws, dtype=float)
     grid = psi.grid
     h = grid.spacing
@@ -80,7 +80,8 @@ def bromwich_loop(psi: TransformValues, ws, plateau: float = 0.0) -> tuple:
     powers = np.exp(1j * np.multiply.outer(h * ws, steps))
     values = []
     for w, row in zip(ws, powers):
-        total = np.einsum("qr,r->q", table, row[:b]) @ row[b:]
+        baby = np.einsum("qr,r->q", table, row[:b])
+        total = np.einsum("wq,wq->w", baby[None], row[None, b:])[0]
         values.append(float(plateau + h * np.exp(grid.c * w)
                             * total.real / math.pi))
     return tuple(values)

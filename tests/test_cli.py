@@ -359,6 +359,17 @@ def test_sums_that_overflow_exit_3_without_a_warning(capsys, command, job):
     assert err == "error: sample values must be finite\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_samples_whose_sum_overflows_exit_3_without_a_warning(capsys):
+    # every total is finite, but 100 totals of about 1e307 sum past the
+    # largest double, so the sample set has no finite mean
+    code, out, err = run(["decompound", "--job", "gamma", "--job-params",
+                          "1e307,1", "--n", "100", "--reps", "1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: sample values must have a finite sum\n"
+
+
 def test_decompound_binomial_path(capsys):
     code, out, _ = run(["decompound", "--map", "binomial", "--big-m", "2",
                         "--p-success", "0.5", "--n", "2000", "--reps", "3",

@@ -11,9 +11,10 @@ from hypothesis.extra.numpy import arrays
 
 from laptail.errors import ParameterError, SampleFileError
 from laptail.inversion import build_grid
-from laptail.simulation import BinomialCounts, sample_compound
-from laptail.transforms import (_SPREAD_OFFSETS, ContourGrid, Deterministic,
-                                Exponential, Gamma, SampleSet,
+from laptail.simulation import (BinomialCounts, sample_compound,
+                                sample_compound_poisson)
+from laptail.transforms import (_MOMENT_BLOCK, _SPREAD_OFFSETS, ContourGrid,
+                                Deterministic, Exponential, Gamma, SampleSet,
                                 TransformValues, _kernel,
                                 empirical_transform_eval,
                                 empirical_transform_grid, load_samples,
@@ -46,6 +47,13 @@ def test_sampleset_rejects_bad_values():
     for bad in ([], [-1.0], [np.nan], [np.inf], [[1.0, 2.0]]):
         with pytest.raises(ParameterError):
             SampleSet(bad)
+
+
+def test_sampleset_refuses_values_whose_sum_overflows():
+    # each value is finite, their sum is not: the mean would be inf
+    with pytest.raises(ParameterError, match="finite sum"):
+        SampleSet([1e308, 1e308])
+    assert SampleSet([1e308, 0.0]).mean == 5e307
 
 
 def test_sampleset_is_immutable():
@@ -182,22 +190,42 @@ def test_grid_evaluation_long_contour_with_zero_atom():
 GRID_ERROR_BOUND = 1.5e-14
 
 
-# Tied samples share a cell. The grid transform's moment sums add a cell's
-# samples one after another, so their rounding grows with their number. The
-# transforms docstrings state this bound for 10^4 tied samples at T = 400
-# (measured: 1.1e-13 for the grid transform). The point evaluator sums
-# each point's terms pairwise and is held to the same bound.
-TIED_ERROR_BOUND = 2e-13
+# Tied samples share a cell. The grid transform sums each cell's moments
+# pairwise over the sorted samples, so their rounding barely grows with
+# the number of ties: against the exact e^{-0.3 s} at T = 400 it measured
+# 1.39e-14, 1.53e-14 and 1.45e-14 for 10^4, 10^5 and 10^6 copies of 0.3,
+# as the transforms docstrings state. The point evaluator sums each
+# point's terms pairwise and is held to the same bound.
+TIED_ERROR_BOUND = 5e-14
 
 
 def test_tied_samples_error_bound():
     grid = ContourGrid(1.0, 400.0, 8000)
-    ss = SampleSet(np.full(10**4, 0.3))
     exact = np.exp(-0.3 * grid.points)
-    got = empirical_transform_grid(ss, grid).values
+    for copies in (10**4, 10**5, 10**6):
+        ss = SampleSet(np.full(copies, 0.3))
+        got = empirical_transform_grid(ss, grid).values
+        assert np.max(np.abs(got - exact)) <= TIED_ERROR_BOUND, copies
+    # a direct sum of 10^4 samples at 8 001 points already takes seconds
+    got = empirical_transform_eval(SampleSet(np.full(10**4, 0.3)), grid.points)
     assert np.max(np.abs(got - exact)) <= TIED_ERROR_BOUND
-    got = empirical_transform_eval(ss, grid.points)
-    assert np.max(np.abs(got - exact)) <= TIED_ERROR_BOUND
+
+
+def test_grid_transform_is_symmetric_in_the_samples():
+    # the grid transform sorts the samples, so their order changes no bit:
+    # M/G/1 slot totals with their zeros, ties and samples whose weight
+    # underflows, more nonzero samples than one moment block holds
+    rng = np.random.default_rng(22)
+    x = np.concatenate([rng.gamma(rng.poisson(1.0, 8000), 0.05),
+                        np.full(500, 0.3), [800.0, 1e6, 1e12]])
+    assert np.count_nonzero(x) > _MOMENT_BLOCK
+    grid = build_grid(1.0, 400.0, 1.0)
+    want, direct = grid_and_direct(SampleSet(x), grid)
+    assert np.max(np.abs(want - direct)) <= GRID_ERROR_BOUND
+    for _ in range(3):
+        shuffled = SampleSet(rng.permutation(x))
+        assert np.array_equal(empirical_transform_grid(shuffled, grid).values,
+                              want)
 
 
 def test_grid_evaluation_widest_mode_range():
@@ -263,6 +291,11 @@ ARC_CASES = {
     "single sample": lambda period, rng: np.array([2.7]),
     "one cell": lambda period, rng: np.full(100, 3.0),
     "full circle": lambda period, rng: rng.uniform(0.0, 1.2 * period, 500),
+    # the cell of x = 3 on two turns, with other cells between: sorted, its
+    # samples form two runs, one from each turn
+    "one cell on two turns": lambda period, rng: np.concatenate([
+        3.0 + 1e-6 * rng.random(100), rng.uniform(3.5, period - 0.5, 300),
+        period + 3.0 + 1e-6 * rng.random(100)]),
 }
 
 
@@ -400,6 +433,26 @@ def test_grid_transform_memory_on_a_narrow_arc(m):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 8 * size
+
+
+def test_grid_transform_memory_per_sample():
+    # 10^5 M/G/1 slot totals at T = 400: sorted values, weights, phases,
+    # cells and run starts, and a moment table of at most _MOMENT_BLOCK
+    # samples, so the peak per sample does not grow with n. Measured: 27
+    # bytes per sample, and 103 with the table built for every sample at
+    # once. The kernel is kept, so it is built before the measurement
+    n = 10**5
+    ss = sample_compound_poisson(np.random.default_rng(23), 1.0,
+                                 Exponential(20.0), n)
+    grid = build_grid(1.0, 400.0, 1.0)
+    _kernel(grid.n_points)
+    tracemalloc.start()
+    try:
+        empirical_transform_grid(ss, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 72 * n
 
 
 def test_grid_transform_keeps_nothing_grid_sized():
