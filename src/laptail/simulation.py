@@ -73,12 +73,7 @@ def sample_compound_poisson(rng: np.random.Generator, intensity: float,
     Zero-count draws are exact floating 0.0, so zero_fraction estimates
     exp(-intensity) without tolerance games.
     """
-    if not intensity > 0:
-        raise ParameterError("intensity must be positive")
-    if n < 1:
-        raise ParameterError("need at least one draw")
-    counts = rng.poisson(intensity, n)
-    return SampleSet(jobs.sample_sums(rng, counts))
+    return sample_compound(rng, PoissonCounts(intensity), jobs, n)
 
 
 @dataclass(frozen=True)

@@ -39,12 +39,14 @@ samples of Exp(mean 0.05), whose phases all sit near 0, and 3.3e-15 for
 Exp(mean 1) and Gamma(20, 0.05), over five seeds of 2000 samples at 201 to
 32 001 points. Tied samples fall into one cell, whose moments are summed
 pairwise, so their rounding barely grows with the number of ties. Against
-the exact e^{-s x} on the 8 001 points of T = 400 the error was 2.9e-14
-for 2 000 copies of x = 1, most of it the rounding of the phases y x, and
-1.4e-14, 1.5e-14 and 1.5e-14 for 10^4, 10^5 and 10^6 copies of 0.3; it
-stays below 5e-14. Summed one sample after another, as a weighted
-``bincount`` does, the same copies of 0.3 gave 1.1e-13, 1.15e-12 and
-1.6e-11.
+the exact e^{-s x} at T = 400 the error was 2.8e-14 for 2 000 copies of
+x = 1 on 8 001 points, most of it the rounding of the phases y x. For
+10^4, 10^5 and 10^6 copies of 0.3 it was 1.4e-14, 1.9e-14 and 1.7e-14 on
+8 001 points, and 2.6e-14 for each on the 1 601 points that
+``inversion.build_grid`` gives every estimate at T = 400; it stays below
+5e-14. Summed one sample after another, as a weighted ``bincount`` does,
+the same copies of 0.3 gave 1.1e-13, 1.15e-12 and 1.6e-11 on 8 001
+points.
 
 Off a grid, ``empirical_transform_eval`` sums one exponential per sample
 and point.
@@ -58,7 +60,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import chebyshev
 from scipy import special
 
 from .errors import ParameterError, SampleFileError
@@ -86,7 +87,8 @@ _SPREAD_HALF_WIDTH = 16
 _OVERSAMPLE = 2
 _SPREAD_OFFSETS = np.arange(1 - _SPREAD_HALF_WIDTH, _SPREAD_HALF_WIDTH + 1)
 # Samples whose kernel moments are formed at once (``_piece_moments``):
-# their table of 8 x 8 bytes each, 256 KiB, is built and summed per block.
+# their table of (P + 1) x 8 bytes each, 480 KiB, is built and summed per
+# block.
 _MOMENT_BLOCK = 4096
 # Degree P of the polynomial that replaces the kernel within one cell. Its
 # monomial coefficients stay below 1 and degree 14 fits every column within
@@ -95,24 +97,6 @@ _MOMENT_BLOCK = 4096
 _KERNEL_DEGREE = 14
 _CHEB_NODES = np.cos(math.pi * (np.arange(_KERNEL_DEGREE + 1) + 0.5)
                      / (_KERNEL_DEGREE + 1))
-_CHEB_VANDER = chebyshev.chebvander(_CHEB_NODES, _KERNEL_DEGREE)
-
-
-def _cheb_to_mono(degree: int) -> np.ndarray:
-    """Column j holds the monomial coefficients of the Chebyshev polynomial
-    T_j, from T_j = 2 t T_{j-1} - T_{j-2}; they are integers, so exact.
-    (``chebyshev.cheb2poly`` gives the same columns but took 4 ms at import.)
-    """
-    out = np.zeros((degree + 1, degree + 1))
-    out[0, 0] = 1.0
-    out[1, 1] = 1.0
-    for j in range(2, degree + 1):
-        out[1:, j] = 2.0 * out[:-1, j - 1]
-        out[:, j] -= out[:, j - 2]
-    return out
-
-
-_CHEB_TO_MONO = _cheb_to_mono(_KERNEL_DEGREE)
 
 
 def _require_right_half_plane(s: complex | np.ndarray) -> np.ndarray:
@@ -448,9 +432,10 @@ def _kernel(n_modes: int) -> _Kernel:
     """Greengard & Lee's Gaussian for ``n_modes`` upper modes, and its fit.
 
     All 32 columns are evaluated at the P + 1 Chebyshev nodes in one
-    ``exp``, interpolated in the Chebyshev basis and taken to monomials by
-    the fixed ``_CHEB_TO_MONO``; the fit matches every column within 1e-15
-    on [0, 1). The result is shared between calls and read-only.
+    ``exp`` and interpolated there in monomials, by one solve with the
+    nodes' Vandermonde matrix. Its condition number is 1.2e5, but the
+    coefficients stay below 1, so the fit matches every column within
+    1e-15 on [0, 1). The result is shared between calls and read-only.
 
     The last 8 kernels are kept. Each holds its ``deconv``, 8 bytes per
     mode, and its ``poly`` of 3.8 KB, so at the 5 * 10^6-point cap of a
@@ -464,7 +449,8 @@ def _kernel(n_modes: int) -> _Kernel:
     tau = 2.0 * math.pi * _SPREAD_HALF_WIDTH / (size * (2.0 * size - modes))
     alpha = math.pi * (2.0 * size - modes) / (2.0 * size * _SPREAD_HALF_WIDTH)
     u = 0.5 * (_CHEB_NODES[:, None] + 1.0) - _SPREAD_OFFSETS
-    poly = _CHEB_TO_MONO @ np.linalg.solve(_CHEB_VANDER, np.exp(-alpha * u * u))
+    poly = np.linalg.solve(np.vander(_CHEB_NODES, _KERNEL_DEGREE + 1,
+                                     increasing=True), np.exp(-alpha * u * u))
     k = np.arange(n_modes)
     deconv = np.exp(k * k * tau)
     deconv *= math.sqrt(math.pi / tau) / size
@@ -480,32 +466,23 @@ def _piece_moments(a: np.ndarray, t: np.ndarray,
 
     No piece may span a multiple of _MOMENT_BLOCK: a block's table of
     a t^p is built and summed before the next one's, so it takes
-    8 x 8 _MOMENT_BLOCK bytes whatever the sample size. The table holds
-    p = 0 .. 7, built by doubling, then in place p = 8 .. 14, the first
-    seven rows times t^8. ``np.add.reduceat`` sums each piece of a row
-    pairwise.
+    (P + 1) x 8 _MOMENT_BLOCK bytes whatever the sample size. Row p + 1 of
+    the table is row p times t, and one ``np.add.reduceat`` sums each piece
+    of every row pairwise.
     """
     moments = np.empty((_KERNEL_DEGREE + 1, pieces.size))
-    width = min(a.size, _MOMENT_BLOCK)
-    table, square = np.empty((8, width)), np.empty(width)
+    table = np.empty((_KERNEL_DEGREE + 1, min(a.size, _MOMENT_BLOCK)))
     block_starts = range(0, a.size, _MOMENT_BLOCK)
     ends = [*pieces.searchsorted(block_starts[1:]).tolist(), pieces.size]
     done = 0
     for lo, end in zip(block_starts, ends):
         hi = min(a.size, lo + _MOMENT_BLOCK)
-        rows, sq, tb = table[:, :hi - lo], square[:hi - lo], t[lo:hi]
-        starts = pieces[done:end] - lo
-        # t^2 and t^4 each scale the rows above them, then t^8 the first 7
+        rows, tb = table[:, :hi - lo], t[lo:hi]
         rows[0] = a[lo:hi]
-        np.multiply(rows[0], tb, out=rows[1])
-        np.multiply(tb, tb, out=sq)
-        np.multiply(rows[0:2], sq, out=rows[2:4])
-        sq *= sq
-        np.multiply(rows[0:4], sq, out=rows[4:8])
-        np.add.reduceat(rows, starts, axis=1, out=moments[:8, done:end])
-        sq *= sq
-        rows[:7] *= sq
-        np.add.reduceat(rows[:7], starts, axis=1, out=moments[8:, done:end])
+        for p in range(_KERNEL_DEGREE):
+            np.multiply(rows[p], tb, out=rows[p + 1])
+        np.add.reduceat(rows, pieces[done:end] - lo, axis=1,
+                        out=moments[:, done:end])
         done = end
     return moments
 
@@ -623,7 +600,8 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     1e-16 |y x| e^{-c x} per sample, which dominates for few samples far
     out: a lone sample at x = 10 with c = 0.1 differs by 2e-13 at y = 400.
     Tied samples are one run, whose moments are summed pairwise: 1.4e-14 to
-    1.5e-14 for 10^4 to 10^6 copies of 0.3 on the 8 001 points of T = 400.
+    1.9e-14 for 10^4 to 10^6 copies of 0.3 on 8 001 points at T = 400, and
+    2.6e-14 on the 1 601 points of ``build_grid`` there.
     """
     x = np.sort(samples.values)
     a = np.exp(-grid.c * x)

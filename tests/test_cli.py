@@ -344,6 +344,17 @@ def test_decompound_non_finite_parameter_exit_3(capsys, flags, value):
     assert "must be positive and finite" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("flag", ["--lambda", "--delta"])
+def test_simulate_non_finite_rate_exit_3(capsys, flag, value):
+    # the totals' Poisson rate lambda * delta is refused by its count model
+    # before any sample is drawn
+    code, out, err = run(["simulate", "--n", "200", flag, value], capsys)
+    assert code == 3
+    assert out == ""
+    assert "must be positive and finite" in err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", [["decompound", "--reps", "2"],
                                      ["simulate"]], ids=["decompound", "simulate"])

@@ -13,9 +13,10 @@ from laptail.errors import ParameterError, SampleFileError
 from laptail.inversion import build_grid
 from laptail.simulation import (BinomialCounts, sample_compound,
                                 sample_compound_poisson)
-from laptail.transforms import (_MOMENT_BLOCK, _SPREAD_OFFSETS, ContourGrid,
-                                Deterministic, Exponential, Gamma, SampleSet,
-                                TransformValues, _kernel,
+from laptail.transforms import (_KERNEL_DEGREE, _MOMENT_BLOCK,
+                                _SPREAD_OFFSETS, ContourGrid, Deterministic,
+                                Exponential, Gamma, SampleSet,
+                                TransformValues, _kernel, _piece_moments,
                                 empirical_transform_eval,
                                 empirical_transform_grid, load_samples,
                                 save_samples)
@@ -193,22 +194,27 @@ GRID_ERROR_BOUND = 1.5e-14
 # Tied samples share a cell. The grid transform sums each cell's moments
 # pairwise over the sorted samples, so their rounding barely grows with
 # the number of ties: against the exact e^{-0.3 s} at T = 400 it measured
-# 1.39e-14, 1.53e-14 and 1.45e-14 for 10^4, 10^5 and 10^6 copies of 0.3,
-# as the transforms docstrings state. The point evaluator sums each
-# point's terms pairwise and is held to the same bound.
+# 1.4e-14 to 1.9e-14 on 8 001 points and 2.6e-14 on the 1 601 of
+# build_grid, for 10^4, 10^5 and 10^6 copies of 0.3, as the transforms
+# docstrings state. The point evaluator sums each point's terms pairwise
+# and is held to the same bound.
 TIED_ERROR_BOUND = 5e-14
 
 
 def test_tied_samples_error_bound():
-    grid = ContourGrid(1.0, 400.0, 8000)
-    exact = np.exp(-0.3 * grid.points)
-    for copies in (10**4, 10**5, 10**6):
-        ss = SampleSet(np.full(copies, 0.3))
-        got = empirical_transform_grid(ss, grid).values
-        assert np.max(np.abs(got - exact)) <= TIED_ERROR_BOUND, copies
+    # on 8 001 points, and on the 1 601 that build_grid gives every T = 400
+    # estimate
+    for grid in (ContourGrid(1.0, 400.0, 8000), build_grid(1.0, 400.0, 1.0)):
+        exact = np.exp(-0.3 * grid.points)
+        for copies in (10**4, 10**5, 10**6):
+            ss = SampleSet(np.full(copies, 0.3))
+            got = empirical_transform_grid(ss, grid).values
+            assert np.max(np.abs(got - exact)) <= TIED_ERROR_BOUND, \
+                (grid.n_points, copies)
     # a direct sum of 10^4 samples at 8 001 points already takes seconds
+    grid = ContourGrid(1.0, 400.0, 8000)
     got = empirical_transform_eval(SampleSet(np.full(10**4, 0.3)), grid.points)
-    assert np.max(np.abs(got - exact)) <= TIED_ERROR_BOUND
+    assert np.max(np.abs(got - np.exp(-0.3 * grid.points))) <= TIED_ERROR_BOUND
 
 
 def test_grid_transform_is_symmetric_in_the_samples():
@@ -381,7 +387,10 @@ def test_grid_evaluation_on_arcs_of_a_large_grid(case):
     assert np.max(np.abs(got - direct)) <= GRID_ERROR_BOUND
 
 
-@pytest.mark.parametrize("t_max", [1.75, 400.0])
+# build_grid gives 9, 41, 181, 1 601 and 2 881 points: 41 is the grid of
+# mg1-small at n = 100, 181 that of decompound-mix and 2 881 the latter
+# refined 16 times for log tracking
+@pytest.mark.parametrize("t_max", [1.75, 10.0, 45.0, 400.0, 720.0])
 def test_kernel_fit_matches_every_column(t_max):
     # the polynomial that spreads a cell's moments stands in for the
     # Gaussian kernel at every offset o and every fraction u of the cell,
@@ -395,6 +404,37 @@ def test_kernel_fit_matches_every_column(t_max):
         exact = np.exp(-kernel.alpha * (u[:, None] - _SPREAD_OFFSETS) ** 2)
         assert fitted.shape == exact.shape == (u.size, 32)
         assert np.max(np.abs(fitted - exact)) <= 1e-15
+
+
+def test_piece_moments_match_exact_sums():
+    # every row p of the moment table against a correctly rounded sum of
+    # the rounded terms a t^p over each piece: more than one block, pieces
+    # that end on a block boundary, one-sample pieces, and one piece that
+    # fills the whole second block. Each term is rounded once per power of
+    # t, and the pieces are summed pairwise: over 20 seeds the error reached
+    # 3.2 eps times the sum of |a t^p|
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(41)
+    block = _MOMENT_BLOCK
+    n = 3 * block + 300
+    a = rng.random(n)
+    t = rng.uniform(-1.0, 1.0, n)
+    cuts = np.concatenate([
+        [0, 1, 2, 3],
+        np.sort(rng.choice(np.arange(4, block - 1), 40, replace=False)),
+        [block - 1, block, 2 * block, 2 * block + 1],
+        np.sort(rng.choice(np.arange(2 * block + 2, 3 * block - 1), 40,
+                           replace=False)),
+        [3 * block - 1, 3 * block, 3 * block + 150, n - 2, n - 1]])
+    assert np.all(np.diff(cuts) > 0)
+    got = _piece_moments(a, t, cuts)
+    ends = [*cuts[1:], n]
+    for p in range(_KERNEL_DEGREE + 1):
+        terms = a * t**p
+        for r, (lo, hi) in enumerate(zip(cuts, ends)):
+            want = math.fsum(terms[lo:hi])
+            scale = float(np.abs(terms[lo:hi]).sum())
+            assert abs(got[p, r] - want) <= 8 * eps * scale, (p, lo, hi)
 
 
 def test_grid_transform_memory_is_not_dense_in_the_arc():
