@@ -168,8 +168,8 @@ def censored_increments(workload_samples: SampleSet, delta: float) -> SampleSet:
     dropped. Tiny negative values from float noise are snapped to 0.
     EmptyResult when no index qualifies.
     """
-    if not delta > 0:
-        raise ParameterError("delta must be positive")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ParameterError("delta must be positive and finite")
     y = workload_samples.values
     if y.size < 2:
         raise EmptyResult("need at least two workload readings")

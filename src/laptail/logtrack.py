@@ -10,22 +10,32 @@ u = ratio - 1, its real part is log1p(u.re (2 + u.re) + u.im^2) / 2 and its
 imaginary part arctan2(ratio.im, ratio.re), several times faster than the
 complex log on these near-one ratios and as accurate.
 
-A grid step whose ratio leaves the disk is wide. When the caller can give
-the transform on any grid, as the empirical transform's grid evaluation
-can, a grid with a wide step is tracked instead on the grid 16 times finer
-over the same [0, T], and every 16th value of that log is kept: at the
-quadrature's coarse step most wide steps of a transform near zero are
-narrow again on that grid. Its grid transform costs more than the coarse
-one, but not 16 times more: for 2 000 samples at T = 45 it took 0.48 ms on
-the 2 881 points against 0.29 ms on the 181 of the coarse grid. The steps
-still wide there, and those of a grid tracked without such a caller, are
-bisected until every piece is in the disk. The bisection runs in passes,
-one per level: each pass halves every pending piece of every wide step and
-evaluates all the midpoints in one call of the evaluator. The empirical
-transform's evaluator sums every sample at every midpoint and keeps
-nothing between calls, so a midpoint costs n exponentials; the finer grid
-leaves few midpoints. Most grids have no wide step: they are neither
-refined nor bisected.
+A grid step whose ratio leaves the disk is wide. A wide step is settled
+without any evaluation when the caller bounds |f''| along the contour, as
+the empirical transform's M2 = (1/n) sum x^2 e^{-c x} does: over a step of
+width h, f then stays within M2 h^2 / 8 of the chord from one value to the
+next, so a chord farther than that from 0, plus a rounding margin, proves
+that f misses 0 on the step and turns as the chord does, by the principal
+Arg of the ratio. Such a step is certified, and its increment is the
+principal complex log of its ratio. When the caller can give the
+transform on any grid, as the empirical transform's grid evaluation can,
+a grid with a wide step that is not certified is tracked instead on the
+grid _REFINE_FACTOR times finer over the same [0, T], and every
+_REFINE_FACTOR-th value of that log is kept: there most steps of a
+transform near zero are narrow again, and the certificate, whose reach
+grows as h^2 shrinks, settles most of the rest. Its grid transform costs
+more than the coarse one, but far less than _REFINE_FACTOR times more:
+for 2 000 samples at T = 45 it took 0.16 ms on the 721 points against
+0.14 ms on the 181 of the coarse grid. The steps still wide and
+uncertified there, and those of a grid tracked without such a caller, are
+bisected until every piece is in the disk or certified at its own width.
+The bisection runs in passes, one per level: each pass halves every
+pending piece of every such step and evaluates all the midpoints in one
+call of the evaluator. The empirical transform's evaluator sums every
+sample at every midpoint and keeps nothing between calls, so a midpoint
+costs n exponentials; the finer grid and the certificate leave few
+midpoints. Most grids have no wide step: they are neither certified,
+refined nor bisected, and the bound is never formed.
 
 The log is tracked on the half grid y in [0, T] only, upward from the
 anchor y = 0: the transforms are of real measures, so on y < 0 the branch
@@ -40,19 +50,34 @@ import numpy as np
 from .errors import DomainError, NearZeroTransform, ParameterError
 from .transforms import _MAX_GRID_POINTS, ContourGrid, TransformValues
 
-# A ratio step is accepted only when |ratio - 1| <= _RATIO_RADIUS; larger
-# steps are bisected. 1/2 keeps every accepted ratio in Re(z) >= 1/2, far
-# from the branch cut, while tolerating genuinely fast-varying transforms.
+# A ratio step is accepted as it is when |ratio - 1| <= _RATIO_RADIUS;
+# larger steps are certified or bisected. 1/2 keeps every such ratio in
+# Re(z) >= 1/2, far from the branch cut, while tolerating genuinely
+# fast-varying transforms.
 _RATIO_RADIUS = 0.5
 
-# A grid with a wide step is tracked on the grid this many times finer, if
-# that grid has at most _MAX_GRID_POINTS points, the quadrature grid's cap;
-# past it the wide steps are only bisected. Each midpoint left costs n
-# exponentials. On the 150 jobs of perfbench's decompound-mix at seed 1,
-# factors 8 / 16 / 32 left 349 / 158 / 77 midpoints, and 16 ran the most
-# jobs per second in 3 of 4 rounds: past 16 the finer grid's transform
-# costs more than the midpoints it saves.
-_REFINE_FACTOR = 16
+# A grid with a wide step that is not certified is tracked on the grid this
+# many times finer, if that grid has at most _MAX_GRID_POINTS points, the
+# quadrature grid's cap; past it the wide steps are only certified or
+# bisected. Each midpoint left costs n exponentials. With certified steps,
+# perfbench's decompound-mix ran 1 945 jobs/s at factor 4, 2 124/s at 8 and
+# 792/s with no refinement at all (medians of 4 rotating 15 s rounds on a
+# 2-vCPU host, against 1 751/s before the certificate, at factor 16). Over
+# its 150-job pools at seeds 1-40, factor 4 leaves 88 midpoints per pool,
+# 8 leaves 17.7 and 16 leaves 4.0. 8 is faster, but the 6-job pool that
+# perfbench's smoke test requires to bisect (seed 3) then bisects nothing;
+# 4 leaves it one midpoint. Take 8 once that requirement no longer rests
+# on a tiny pool.
+_REFINE_FACTOR = 4
+
+# Rounding margin of the chord certificate (``_certified``), 5 times the
+# largest error of the empirical transform's values that ``transforms``
+# quotes (2e-13, the rounding of the phases y x for a lone sample far out):
+# an error e at the ends moves the chord by at most e. It also covers the
+# rounding of the bound M2 h^2 / 8 (relative 1e-13 at n = 2 000, on values
+# below 1 where a chord of values of modulus at most 1 can pass), of the
+# chord's nearest point and of the step's width.
+_CHORD_MARGIN = 1e-12
 
 # Most bisection passes, each halving every pending piece once, before log
 # tracking gives up.
@@ -78,18 +103,39 @@ def _log_near_one(z):
     return out
 
 
+def _certified(s_from: np.ndarray, f_from: np.ndarray, s_to: np.ndarray,
+               f_to: np.ndarray, bound: float | None) -> np.ndarray:
+    """Whether each step from s_from to s_to provably turns the transform by
+    the principal Arg(f_to / f_from); all False without a ``bound``.
+
+    With |f''| <= bound along the contour, f stays within bound h^2 / 8 of
+    the chord [f_from, f_to] over a step of width h, so a chord farther
+    than that plus _CHORD_MARGIN from 0 keeps f off 0 and turning like the
+    chord. Its point nearest 0 is at the parameter -Re(f_from / chord),
+    clipped to [0, 1]. The steps must be wide: the chord is then nonzero.
+    """
+    if bound is None:
+        return np.zeros(f_from.shape, dtype=bool)
+    chord = f_to - f_from
+    nearest = f_from + np.clip(-(f_from / chord).real, 0.0, 1.0) * chord
+    width = (s_to - s_from).imag
+    return np.abs(nearest) > bound * width * width / 8.0 + _CHORD_MARGIN
+
+
 def _bisected_log_ratios(evaluator: Callable, s_from: np.ndarray,
                          f_from: np.ndarray, s_to: np.ndarray,
-                         f_to: np.ndarray) -> np.ndarray:
+                         f_to: np.ndarray, bound: float | None) -> np.ndarray:
     """Continuous log of f_to / f_from for each wide step from s_from to
     s_to, by bisection in passes.
 
     Each pass halves every pending piece at its midpoint, evaluates all the
     midpoints in one ``evaluator`` call, and accepts each half whose ratio
-    lies in the disk |z - 1| <= 1/2, adding its log to its step's sum; the
-    other halves are pending in the next pass. A zero value at a midpoint
-    raises NearZeroTransform naming it, and so does a piece still pending
-    after _REFINE_LIMIT passes, naming its ends.
+    lies in the disk |z - 1| <= 1/2, adding its log to its step's sum. With
+    a ``bound`` on |f''|, a half outside the disk that ``_certified``
+    accepts at its own width adds the principal log of its ratio; the other
+    halves are pending in the next pass. A zero value at a midpoint raises
+    NearZeroTransform naming it, and so does a piece still pending after
+    _REFINE_LIMIT passes, naming its ends.
     """
     total = np.zeros(s_from.size, dtype=complex)
     step = np.arange(s_from.size)
@@ -107,10 +153,15 @@ def _bisected_log_ratios(evaluator: Callable, s_from: np.ndarray,
         step = np.concatenate([step, step])
         ratios = f_to / f_from
         near = np.abs(ratios - 1.0) <= _RATIO_RADIUS
+        sure = ~near
+        sure[sure] = _certified(s_from[sure], f_from[sure], s_to[sure],
+                                f_to[sure], bound)
+        logs = np.concatenate([_log_near_one(ratios[near]),
+                               np.log(ratios[sure])])
+        done = np.concatenate([step[near], step[sure]])
+        near |= sure
         # halves of one step can be accepted in the same pass, so their
         # logs are summed by bincount, not by fancy-index assignment
-        logs = _log_near_one(ratios[near])
-        done = step[near]
         total.real += np.bincount(done, logs.real, total.size)
         total.imag += np.bincount(done, logs.imag, total.size)
         if near.all():
@@ -135,7 +186,8 @@ def _ratios(pts: np.ndarray,
 
 
 def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
-              on_grid: Callable | None = None) -> TransformValues:
+              on_grid: Callable | None = None,
+              curvature: Callable | None = None) -> TransformValues:
     """Track the continuous logarithm of ``evaluator`` on the half grid.
 
     ``values`` holds the evaluator's values at the m + 1 grid points, in
@@ -147,19 +199,27 @@ def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
     wide, their ratio outside the disk |z - 1| <= 1/2. Grids without one
     take the increments of every ratio as they are.
 
+    ``curvature``, if given, is called with no arguments, once and only
+    when a grid has a wide step, and returns a bound on |f''| along the
+    contour, the derivative taken in y. A wide step whose chord stays
+    farther from 0 than that bound times h^2 / 8, plus _CHORD_MARGIN, is
+    certified (``_certified``) and takes the principal complex log of its
+    ratio as its increment.
+
     ``on_grid``, if given, maps a ContourGrid to the same transform's values
-    at its points. A grid with a wide step is then tracked instead on
-    ContourGrid(c, t_max, 16 m), from ``on_grid`` of it, and every 16th
-    value of that log is returned; not if that grid would have more than
-    5 * 10^6 points, the cap of ``build_grid``. The finer grid and its
-    values are built for the call and not kept. The steps still wide, on
-    whichever grid is tracked, are bisected until every piece is in the
-    disk, in at most _REFINE_LIMIT passes; each pass calls ``evaluator``
-    once, with the array of all its midpoints, so ``evaluator`` must accept
-    a 1-d complex array. A zero value on a tracked grid or at a midpoint,
-    and a step that never settles, raise NearZeroTransform. The log is the
-    running sum of the increments from ln f(c), formed in the output array
-    itself.
+    at its points. A grid with a wide step that is not certified is then
+    tracked instead on ContourGrid(c, t_max, _REFINE_FACTOR m), from
+    ``on_grid`` of it, and every _REFINE_FACTOR-th value of that log is
+    returned; not if that grid would have more than 5 * 10^6 points, the
+    cap of ``build_grid``. The finer
+    grid and its values are built for the call and not kept. The wide steps
+    still uncertified, on whichever grid is tracked, are bisected until
+    every piece is in the disk or certified at its own width, in at most
+    _REFINE_LIMIT passes; each pass calls ``evaluator`` once, with the
+    array of all its midpoints, so ``evaluator`` must accept a 1-d complex
+    array. A zero value on a tracked grid or at a midpoint, and a step that
+    never settles, raise NearZeroTransform. The log is the running sum of
+    the increments from ln f(c), formed in the output array itself.
 
     The anchor value f(c) must be real positive (relative imaginary part
     within 1e-9), else DomainError: transforms of nonnegative measures are
@@ -174,25 +234,34 @@ def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
         raise DomainError(
             f"transform at s = {grid.c} must be real and positive, got {f_c}")
     ratios, near = _ratios(pts, vals)
-    all_near = near.all()
     keep = 1
-    if (on_grid is not None and not all_near
-            and _REFINE_FACTOR * grid.m < _MAX_GRID_POINTS):
-        keep = _REFINE_FACTOR
-        fine = ContourGrid(grid.c, grid.t_max, keep * grid.m)
-        pts = fine.points
-        vals = np.asarray(on_grid(fine), dtype=complex)
-        ratios, near = _ratios(pts, vals)
-        all_near = near.all()
-    if all_near:
+    if near.all():
         incs = _log_near_one(ratios)
     else:
-        # increments for the easy steps in one vectorized pass, then
-        # replace the few wide ones by their bisected sums
+        bound = None if curvature is None else float(curvature())
         wide = np.flatnonzero(~near)
+        sure = _certified(pts[wide], vals[wide], pts[wide + 1],
+                          vals[wide + 1], bound)
+        if (on_grid is not None and not sure.all()
+                and _REFINE_FACTOR * grid.m < _MAX_GRID_POINTS):
+            keep = _REFINE_FACTOR
+            fine = ContourGrid(grid.c, grid.t_max, keep * grid.m)
+            pts = fine.points
+            vals = np.asarray(on_grid(fine), dtype=complex)
+            ratios, near = _ratios(pts, vals)
+            wide = np.flatnonzero(~near)
+            sure = _certified(pts[wide], vals[wide], pts[wide + 1],
+                              vals[wide + 1], bound)
+        # increments for the easy steps in one vectorized pass, then
+        # replace the few wide ones: the certified by their principal logs,
+        # the others by their bisected sums
         incs = _log_near_one(np.where(near, ratios, 1.0))
-        incs[wide] = _bisected_log_ratios(evaluator, pts[wide], vals[wide],
-                                          pts[wide + 1], vals[wide + 1])
+        incs[wide[sure]] = np.log(ratios[wide[sure]])
+        rest = wide[~sure]
+        if rest.size:
+            incs[rest] = _bisected_log_ratios(evaluator, pts[rest], vals[rest],
+                                              pts[rest + 1], vals[rest + 1],
+                                              bound)
     out = np.empty(vals.size, dtype=complex)
     out[0] = np.log(f_c.real)
     np.cumsum(incs, out=out[1:])

@@ -54,7 +54,8 @@ class QueueSpec:
         if not (self.lam >= 0 and math.isfinite(self.lam)):
             raise ParameterError("arrival rate must be nonnegative and finite")
         if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise ParameterError("sampling interval delta must be positive")
+            raise ParameterError(
+                "sampling interval delta must be positive and finite")
 
     @property
     def rho(self) -> float:
@@ -217,8 +218,8 @@ def workload_on_grid(interval_totals: SampleSet, delta: float) -> SampleSet:
     interval's inflow is credited before the interval's drain. Evaluated in
     closed form through the reflected running minimum of the net-input walk.
     """
-    if not delta > 0:
-        raise ParameterError("delta must be positive")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ParameterError("delta must be positive and finite")
     net = np.cumsum(interval_totals.values - delta)
     floor_run = np.minimum(np.minimum.accumulate(net), 0.0)
     return SampleSet(net - floor_run)

@@ -146,13 +146,24 @@ def domain_check(transform_map: TransformMap, samples: SampleSet) -> None:
     transform_map.check(samples)
 
 
+def _curvature_bound(samples: SampleSet, c: float) -> float:
+    """M2 = (1/n) sum x^2 e^{-c x}, a bound on |d^2/dy^2| of the empirical
+    transform at s = c + iy. Formed as (x e^{-c x}) x, which cannot
+    overflow since x e^{-c x} <= 1 / (c e)."""
+    x = samples.values
+    return float(np.mean((x * np.exp(-c * x)) * x))
+
+
 def apply_map(transform_map: TransformMap, samples: SampleSet,
               grid: ContourGrid) -> TransformValues:
     """Empirical transform -> tracked log -> mapped transform values.
 
-    The log is tracked on the grid transform; where that has a wide step,
-    ``track_log`` tracks it on the grid transform of the grid 16 times
-    finer and bisects what is still wide by direct sums at the midpoints
+    The log is tracked on the grid transform. Where that has a wide step,
+    ``track_log`` gets the bound M2 on |f''| from ``_curvature_bound``,
+    which runs only then, and accepts each wide step whose chord M2
+    certifies. Where one is not certified, it tracks the log on the grid
+    transform of the grid 4 times finer and bisects the steps still wide
+    and uncertified there by direct sums at the midpoints
     (``empirical_transform_eval``). The caller checks the map's domain
     event first (``domain_check``); on a sample outside it the formula's
     values mean nothing. Log-tracking failures (NearZeroTransform,
@@ -161,5 +172,6 @@ def apply_map(transform_map: TransformMap, samples: SampleSet,
     observed = empirical_transform_grid(samples, grid)
     log_path = track_log(
         partial(empirical_transform_eval, samples), grid, observed.values,
-        lambda fine: empirical_transform_grid(samples, fine).values)
+        lambda fine: empirical_transform_grid(samples, fine).values,
+        partial(_curvature_bound, samples, grid.c))
     return TransformValues._adopt(grid, transform_map.values(log_path, samples))

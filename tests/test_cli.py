@@ -355,6 +355,16 @@ def test_simulate_non_finite_rate_exit_3(capsys, flag, value):
     assert "must be positive and finite" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_simulate_workload_non_finite_delta_exit_3(capsys, value):
+    # refused by the queue's own spec before any event is drawn
+    code, out, err = run(["simulate", "--what", "workload", "--n", "200",
+                          "--delta", value], capsys)
+    assert code == 3
+    assert out == ""
+    assert "delta must be positive and finite" in err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", [["decompound", "--reps", "2"],
                                      ["simulate"]], ids=["decompound", "simulate"])

@@ -253,6 +253,13 @@ def test_censored_increments_exclusion():
         censored_increments(SampleSet([0.05, 0.2]), 0.1)
 
 
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+def test_censored_increments_refuse_non_finite_delta(delta):
+    # not EmptyResult: every reading lies below an infinite delta
+    with pytest.raises(ParameterError, match="delta must be positive and finite"):
+        censored_increments(SampleSet(np.full(6, 0.4)), delta)
+
+
 def test_censored_increments_constant_path():
     got = censored_increments(SampleSet(np.full(6, 0.4)), 0.1)
     assert np.allclose(got.values, 0.1)

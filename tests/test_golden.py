@@ -7,8 +7,10 @@ The files under ``tests/golden`` are the CSV output of
     laptail table2 --reps 10 --seed 1
 
 for ``decompound_binomial.csv``, of the binomial case, whose transform
-comes close enough to 0 on the contour that the tracked log is refined on
-the grid 16 times finer and bisected where that is still too coarse:
+comes close enough to 0 on the contour that its quadrature grid has wide
+steps the chord certificate cannot settle, so the tracked log is refined
+on the grid 4 times finer; there the certificate settles the wide steps
+left, or they are bisected:
 
     laptail decompound --map binomial --big-m 4 --p-success 0.75 \
         --job gamma --job-params 20,0.05 --n 2000 --reps 10 --seed 1 \

@@ -144,6 +144,21 @@ def test_workload_rejects_unstable_load():
         QueueSpec(-1.0, Exponential(20.0), 0.1)
 
 
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+def test_queue_spec_refuses_non_finite_delta(delta):
+    with pytest.raises(ParameterError, match="delta must be positive and finite"):
+        QueueSpec(10.0, Exponential(20.0), delta)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+def test_grid_workload_refuses_non_finite_delta(delta):
+    # an infinite delta must not reach the subtraction of the recursion,
+    # which would warn before anything failed
+    with pytest.raises(ParameterError, match="delta must be positive and finite"):
+        workload_on_grid(SampleSet([0.2, 0.0, 0.3]), delta)
+
+
 @given(arrays(np.float64, st.integers(1, 60), elements=st.floats(0.0, 1.0)),
        st.floats(0.05, 0.5))
 @settings(max_examples=60)

@@ -387,10 +387,10 @@ def test_grid_evaluation_on_arcs_of_a_large_grid(case):
     assert np.max(np.abs(got - direct)) <= GRID_ERROR_BOUND
 
 
-# build_grid gives 9, 41, 181, 1 601 and 2 881 points: 41 is the grid of
-# mg1-small at n = 100, 181 that of decompound-mix and 2 881 the latter
-# refined 16 times for log tracking
-@pytest.mark.parametrize("t_max", [1.75, 10.0, 45.0, 400.0, 720.0])
+# build_grid gives 9, 41, 181, 721, 1 601 and 2 881 points: 41 is the
+# grid of mg1-small at n = 100, 181 that of decompound-mix, 721 the latter
+# refined 4 times for log tracking and 2 881 refined 16 times
+@pytest.mark.parametrize("t_max", [1.75, 10.0, 45.0, 180.0, 400.0, 720.0])
 def test_kernel_fit_matches_every_column(t_max):
     # the polynomial that spreads a cell's moments stands in for the
     # Gaussian kernel at every offset o and every fraction u of the cell,
