@@ -46,7 +46,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if not (self.w > 0 and math.isfinite(self.w)):
-            raise ParameterError("evaluation point w must be positive")
+            raise ParameterError("evaluation point w must be positive and finite")
         if self.t_max_override is not None and not (
                 self.t_max_override > 0 and math.isfinite(self.t_max_override)):
             raise ParameterError("t_max_override must be positive and finite")
@@ -128,7 +128,7 @@ def estimate_cdf_batch(samples: SampleSet, transform_map: TransformMap,
     if not ws:
         return []
     if any(not (w > 0 and math.isfinite(w)) for w in ws):
-        raise ParameterError("all evaluation points must be positive")
+        raise ParameterError("all evaluation points must be positive and finite")
     n = samples.n
     # nonfinite intermediates are legal here: they fold into the fallback,
     # so floating warnings are noise

@@ -162,7 +162,7 @@ def bromwich_details(psi: TransformValues, ws: Sequence[float],
         raise ParameterError("inversion points must be a nonempty sequence")
     listed = ws.tolist()
     if not all(w > 0 and math.isfinite(w) for w in listed):
-        raise ParameterError("every inversion point w must be positive")
+        raise ParameterError("every inversion point w must be positive and finite")
     grid = psi.grid
     h = grid.spacing
     w_max = max(listed)

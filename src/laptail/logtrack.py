@@ -18,15 +18,16 @@ next, so a chord farther than that from 0, plus a rounding margin, proves
 that f misses 0 on the step and turns as the chord does, by the principal
 Arg of the ratio. Such a step is certified, and its increment is the
 principal complex log of its ratio. When the caller can give the
-transform on any grid, as the empirical transform's grid evaluation can,
+transform on a finer grid, as the empirical transform's grid result can,
 a grid with a wide step that is not certified is tracked instead on the
 grid _REFINE_FACTOR times finer over the same [0, T], and every
 _REFINE_FACTOR-th value of that log is kept: there most steps of a
 transform near zero are narrow again, and the certificate, whose reach
-grows as h^2 shrinks, settles most of the rest. Its grid transform costs
-more than the coarse one, but far less than _REFINE_FACTOR times more:
-for 2 000 samples at T = 45 it took 0.16 ms on the 721 points against
-0.14 ms on the 181 of the coarse grid. The steps still wide and
+grows as h^2 shrinks, settles most of the rest. The grid result gives the
+finer grid from the samples it already spread, by one fold and one FFT
+(``transforms``): for 2 000 samples at T = 45 that took 0.04 ms on the
+721 points, against 0.13 ms for the coarse grid's whole transform on its
+181. The steps still wide and
 uncertified there, and those of a grid tracked without such a caller, are
 bisected until every piece is in the disk or certified at its own width.
 The bisection runs in passes, one per level: each pass halves every
@@ -59,15 +60,19 @@ _RATIO_RADIUS = 0.5
 # A grid with a wide step that is not certified is tracked on the grid this
 # many times finer, if that grid has at most _MAX_GRID_POINTS points, the
 # quadrature grid's cap; past it the wide steps are only certified or
-# bisected. Each midpoint left costs n exponentials. With certified steps,
-# perfbench's decompound-mix ran 1 945 jobs/s at factor 4, 2 124/s at 8 and
-# 792/s with no refinement at all (medians of 4 rotating 15 s rounds on a
-# 2-vCPU host, against 1 751/s before the certificate, at factor 16). Over
-# its 150-job pools at seeds 1-40, factor 4 leaves 88 midpoints per pool,
-# 8 leaves 17.7 and 16 leaves 4.0. 8 is faster, but the 6-job pool that
-# perfbench's smoke test requires to bisect (seed 3) then bisects nothing;
-# 4 leaves it one midpoint. Take 8 once that requirement no longer rests
-# on a tiny pool.
+# bisected. Each midpoint left costs n exponentials, while the finer grid,
+# transformed from the samples the quadrature grid already spread, costs
+# one fold and one FFT of factor times its cells. Measured so, perfbench's
+# decompound-mix ran 2 161 jobs/s at factor 4 and 2 417/s at 8, against
+# 1 878/s at 4 with a fresh transform of the finer grid and the kernel
+# product by einsum (medians of 4 rotating 15 s rounds on a 2-vCPU host).
+# Without refinement every uncertified step of the quadrature grid is
+# bisected: earlier rounds read 792/s so, against 1 945/s at factor 4.
+# Over its 150-job pools at seeds 1-40, factor 4 leaves 88 midpoints per
+# pool, 8 leaves 17.7 and 16 leaves 4.0. 8 is faster, but the 6-job pool
+# that perfbench's smoke test requires to bisect (seed 3) then bisects
+# nothing; 4 leaves it one midpoint. Take 8 once that requirement no
+# longer rests on a tiny pool.
 _REFINE_FACTOR = 4
 
 # Rounding margin of the chord certificate (``_certified``), 5 times the

@@ -162,8 +162,9 @@ def apply_map(transform_map: TransformMap, samples: SampleSet,
     ``track_log`` gets the bound M2 on |f''| from ``_curvature_bound``,
     which runs only then, and accepts each wide step whose chord M2
     certifies. Where one is not certified, it tracks the log on the grid
-    transform of the grid 4 times finer and bisects the steps still wide
-    and uncertified there by direct sums at the midpoints
+    4 times finer, whose values the grid transform's result gives from the
+    samples it already sorted and spread (``on_grid``), and bisects the
+    steps still wide and uncertified there by direct sums at the midpoints
     (``empirical_transform_eval``). The caller checks the map's domain
     event first (``domain_check``); on a sample outside it the formula's
     values mean nothing. Log-tracking failures (NearZeroTransform,
@@ -172,6 +173,5 @@ def apply_map(transform_map: TransformMap, samples: SampleSet,
     observed = empirical_transform_grid(samples, grid)
     log_path = track_log(
         partial(empirical_transform_eval, samples), grid, observed.values,
-        lambda fine: empirical_transform_grid(samples, fine).values,
-        partial(_curvature_bound, samples, grid.c))
+        observed.on_grid, partial(_curvature_bound, samples, grid.c))
     return TransformValues._adopt(grid, transform_map.values(log_path, samples))

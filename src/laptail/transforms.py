@@ -33,6 +33,21 @@ circle that the phases occupy, often a small part of it since h x is small
 on a fine grid; the arc is folded onto the periodic grid by cell index, so
 the FFT needs no phase factor.
 
+The NUFFT has a sample side and a mode side. The sample side
+(``_spread``) takes the sorted samples to their phases, runs, moments and
+kernel product, and spreads them into a buffer over the occupied arc. The
+mode side folds that buffer onto the periodic grid (``_fold``), takes one
+real FFT and undoes the kernel (``_modes``). On the grid factor times
+finer over the same [0, T] every phase is divided by factor, so unless the
+phases were reduced modulo 2 pi each sample sits in the same cell at the
+same fraction of a periodic grid of factor x size cells: the same buffer,
+folded onto those cells, gives the finer grid's modes, mode k undone by
+the kernel at k / factor. A grid transform's result keeps the folded
+buffer, and log tracking (``logtrack``) refines from it by the mode side
+alone: for 2 000 compound binomial totals at T = 45 on a 2-vCPU host,
+0.04 ms on the 721 points of the grid 4 times finer, against 0.15 ms for
+a fresh transform there and 0.13 ms for the 181 points of the coarse one.
+
 For samples of continuous laws the error against direct evaluation stays
 below 1.5e-14 absolute and does not grow with K: 8.9e-15 at most for
 samples of Exp(mean 0.05), whose phases all sit near 0, and 3.3e-15 for
@@ -90,6 +105,10 @@ _SPREAD_OFFSETS = np.arange(1 - _SPREAD_HALF_WIDTH, _SPREAD_HALF_WIDTH + 1)
 # their table of (P + 1) x 8 bytes each, 480 KiB, is built and summed per
 # block.
 _MOMENT_BLOCK = 4096
+# Runs whose moments are multiplied by the kernel fit in one ``np.matmul``
+# (``_spread``): (P + 1) x 2 half_width x 512 = 245 760 multiply-adds, under
+# the 4 x 65 536 below which OpenBLAS keeps a product in the calling thread.
+_PRODUCT_BLOCK = 512
 # Degree P of the polynomial that replaces the kernel within one cell. Its
 # monomial coefficients stay below 1 and degree 14 fits every column within
 # 1e-15. Degree 12 fits as well but took the grid transform to 1.3e-14 of
@@ -172,7 +191,10 @@ class ContourGrid:
     the K points, 40 bytes per point in all. Apart from the grids, the grid
     transform keeps the NUFFT kernel of each of the last 8 point counts it
     was called for (``_kernel``), 8 bytes per point each: up to 320 MB at
-    the cap of 5 * 10^6 points.
+    the cap of 5 * 10^6 points. A grid transform's result keeps, for
+    refinement, a reference to its samples and its folded spread, 8 bytes
+    per cell of the kernel's grid of about 4 cells per point, so 32 bytes
+    per point; both are freed with the result.
     """
 
     c: float
@@ -181,9 +203,9 @@ class ContourGrid:
 
     def __post_init__(self):
         if not (self.c > 0 and math.isfinite(self.c)):
-            raise ParameterError("contour abscissa c must be positive")
+            raise ParameterError("contour abscissa c must be positive and finite")
         if not (self.t_max > 0 and math.isfinite(self.t_max)):
-            raise ParameterError("truncation level t_max must be positive")
+            raise ParameterError("truncation level t_max must be positive and finite")
         m = self.m
         if not (isinstance(m, int) and not isinstance(m, bool)
                 and m >= 2 and m % 2 == 0):
@@ -414,17 +436,34 @@ def _fft_length(n: int) -> int:
 class _Kernel(NamedTuple):
     """The NUFFT's spreading kernel for one mode count.
 
-    ``size`` is the number of cells of the periodic grid and ``alpha`` the
-    kernel exponent in cells squared. Column o of the (P + 1) x 32 ``poly``
-    holds the monomial coefficients in t = 2u - 1 of e^{-alpha (u - o)^2}
-    for a sample at fraction u in [0, 1) of its cell. ``deconv`` takes the
-    FFT of the spread grid to mode k, k = 0 .. n_modes-1.
+    ``size`` is the number of cells of the periodic grid, ``alpha`` the
+    kernel exponent in cells squared and ``tau`` = pi^2 / (alpha size^2)
+    the decay of its transform in modes squared. Column o of the
+    (P + 1) x 32 ``poly`` holds the monomial coefficients in t = 2u - 1 of
+    e^{-alpha (u - o)^2} for a sample at fraction u in [0, 1) of its cell.
+    ``deconv`` takes the FFT of the spread grid to mode k,
+    k = 0 .. n_modes-1 (``_deconvolution``).
     """
 
     size: int
     alpha: float
+    tau: float
     poly: np.ndarray
     deconv: np.ndarray
+
+
+def _deconvolution(size: int, tau: float, n_modes: int,
+                   factor: int = 1) -> np.ndarray:
+    """sqrt(pi / tau) / size e^{(k / factor)^2 tau} for k = 0 .. n_modes-1.
+
+    Mode k of a spread folded onto factor x size cells is damped by the
+    kernel's transform at k / (factor size) cycles per cell,
+    sqrt(pi / alpha) e^{-(k / factor)^2 tau}, which this undoes.
+    """
+    k = np.arange(n_modes) / factor
+    out = np.exp(k * k * tau)
+    out *= math.sqrt(math.pi / tau) / size
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -451,12 +490,10 @@ def _kernel(n_modes: int) -> _Kernel:
     u = 0.5 * (_CHEB_NODES[:, None] + 1.0) - _SPREAD_OFFSETS
     poly = np.linalg.solve(np.vander(_CHEB_NODES, _KERNEL_DEGREE + 1,
                                      increasing=True), np.exp(-alpha * u * u))
-    k = np.arange(n_modes)
-    deconv = np.exp(k * k * tau)
-    deconv *= math.sqrt(math.pi / tau) / size
+    deconv = _deconvolution(size, tau, n_modes)
     poly.flags.writeable = False
     deconv.flags.writeable = False
-    return _Kernel(size, alpha, poly, deconv)
+    return _Kernel(size, alpha, tau, poly, deconv)
 
 
 def _piece_moments(a: np.ndarray, t: np.ndarray,
@@ -487,59 +524,56 @@ def _piece_moments(a: np.ndarray, t: np.ndarray,
     return moments
 
 
-def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndarray:
-    """sum_j a_j e^{-i k h x_j} for k = 0 .. n_modes-1, by NUFFT; a_j real.
+def _spread(x: np.ndarray, a: np.ndarray, h: float,
+            kernel: _Kernel) -> tuple[np.ndarray, int, bool]:
+    """The sample side of the NUFFT of sum_j a_j e^{-i k h x_j}, a_j real:
+    the spread buffer g over the occupied arc, the periodic cell of its
+    first cell, and whether the phases were reduced modulo 2 pi.
 
     ``x`` holds positive values in ascending order, and ``a`` their
-    positive weights. The modes are the upper half of the centred range
-    [-n_modes, n_modes), on a periodic grid of ``size`` >= 4 n_modes cells.
-    The cell position h x_j mod 2 pi of every sample is computed once: cell
-    b_j and fraction u_j in [0, 1). A sample adds a_j e^{-alpha (u_j - o)^2}
-    to cell b_j + o for the 2 half_width offsets o = 1 - half_width ..
-    half_width. With the kernel's degree-P fit sum_p C[p, o] t^p in
-    t = 2u - 1 (``_kernel``), the samples of one run, neighbours in one
-    cell b, add sum_p C[p, o] M[r, p] to cell b + o, where
-    M[r, p] = sum_{j in r} a_j t_j^p. Sorted values give each cell one run
-    per turn of the phases, the runs being found by one comparison of
-    neighbours, and ``_piece_moments`` sums every run's P + 1 moments
-    pairwise from a table of a t^p built in blocks of _MOMENT_BLOCK
-    samples; a run cut by a block boundary gets its pieces' moments summed
-    pairwise too. So the kernel is evaluated once per run, not per sample,
-    and a sparse sample on a large grid needs no moment row per empty cell.
-    The product of the moments with C is taken by ``einsum`` in the calling
-    thread, not by BLAS: for 3 360 occupied cells a BLAS product with its
-    default two threads took from 0.08 ms on an idle host to 5 ms on a busy
-    one, where its second thread waits for a core, against 0.5 to 0.7 ms
-    for ``einsum``.
+    positive weights. The cell position h x_j mod 2 pi of every sample on
+    the kernel's ``size`` cells is computed once: cell b_j and fraction u_j
+    in [0, 1). A sample adds a_j e^{-alpha (u_j - o)^2} to cell b_j + o for
+    the 2 half_width offsets o = 1 - half_width .. half_width. With the
+    kernel's degree-P fit sum_p C[p, o] t^p in t = 2u - 1 (``_kernel``),
+    the samples of one run, neighbours in one cell b, add
+    sum_p C[p, o] M[r, p] to cell b + o, where M[r, p] = sum_{j in r}
+    a_j t_j^p. Sorted values give each cell one run per turn of the
+    phases, the runs being found by one comparison of neighbours, and
+    ``_piece_moments`` sums every run's P + 1 moments pairwise from a table
+    of a t^p built in blocks of _MOMENT_BLOCK samples; a run cut by a block
+    boundary gets its pieces' moments summed pairwise too. So the kernel is
+    evaluated once per run, not per sample, and a sparse sample on a large
+    grid needs no moment row per empty cell.
+
+    The product of the moments with C is one ``np.matmul`` per block of
+    _PRODUCT_BLOCK runs, each under the size below which OpenBLAS keeps a
+    product in the calling thread. For 3 360 runs on a 2-vCPU host, with
+    and without a busy loop on the other vCPU, ``einsum`` took 440 to
+    540 us in the median and the blocks 55 to 60 us, with a 95th
+    percentile of 62 to 98 us over 1 000 calls. One unblocked ``matmul``,
+    which OpenBLAS splits over two threads, took 47 to 58 us in the
+    median, but its 95th percentile reached 16 ms in one run of 300 calls,
+    its second thread waiting for a core.
 
     The runs are spread into a buffer g that spans only the occupied arc:
     L cells from half_width - 1 cells below the lowest occupied cell to
     half_width cells above the highest, buffer cell e being periodic cell
-    first + e. Runs of one cell from different turns add there. The buffer
-    is folded onto the ``size`` cells of the periodic grid in
-    index space, buffer cell e adding to cell (first + e) mod size, so its
-    offset needs no phase factor, and one real FFT of the folded grid gives
-    the lowest n_modes <= size / 4 frequencies. Multiplying mode k by the
-    real e^{k^2 tau} undoes the kernel. For |k| < n_modes that factor stays
-    below e^{pi half_width / 12}, about 66. The buffer is at most
-    size + 2 half_width - 1 cells long, so the fold is at most
-    2 + ceil((2 half_width - 1) / size) slice adds and builds no index
-    array: three on grids of 31 cells or more, four or five on the smaller
-    grids of m <= 6 (12 to 30 cells). The folded grid and its FFT peak at
-    about 2 x 8 size bytes.
+    first + e. Runs of one cell from different turns add there.
 
     The phases are reduced modulo 2 pi only when the largest, the last,
     reaches 2 pi. They are nonnegative, and below 2 pi the reduction is the
-    identity, so skipping it changes no bit.
+    identity, so skipping it changes no bit. Unreduced, the phases of the
+    grid factor times finer are these divided by factor, so the same buffer
+    serves it (``_GridTransform.on_grid``).
     """
     if x.size == 0:
-        return np.zeros(n_modes, dtype=complex)
-    kernel = _kernel(n_modes)
-    size = kernel.size
+        return np.zeros(0), 0, False
     u = h * x
-    if u[-1] >= 2.0 * math.pi:
+    turned = bool(u[-1] >= 2.0 * math.pi)
+    if turned:
         np.mod(u, 2.0 * math.pi, out=u)
-    u *= size / (2.0 * math.pi)
+    u *= kernel.size / (2.0 * math.pi)
     # u >= 0, so truncation is the floor
     cells = u.astype(np.intp)
     u -= cells
@@ -560,59 +594,170 @@ def _phase_sums(x: np.ndarray, a: np.ndarray, h: float, n_modes: int) -> np.ndar
     moments = _piece_moments(a, t, pieces)
     if pieces.size > starts.size:
         moments = np.add.reduceat(moments, pieces.searchsorted(starts), axis=1)
-    values = np.einsum("pb,po->ob", moments, kernel.poly)
+    values = np.empty((starts.size, _SPREAD_OFFSETS.size))
+    for lo in range(0, starts.size, _PRODUCT_BLOCK):
+        np.matmul(moments.T[lo:lo + _PRODUCT_BLOCK], kernel.poly,
+                  out=values[lo:lo + _PRODUCT_BLOCK])
     # the run in cell b adds to buffer cells b - first + o; buffer cell e is
     # periodic cell first + e
     low = int(run_cells.min())
-    first = low + _SPREAD_OFFSETS[0]
+    first = low + int(_SPREAD_OFFSETS[0])
     length = int(run_cells.max()) - low + _SPREAD_OFFSETS.size
-    index = _SPREAD_OFFSETS[:, None] + (run_cells - first)
-    spread = np.bincount(index.ravel(), values.ravel(), length)
-    folded = np.zeros(size)
-    start, done = first % size, 0
-    while done < length:
-        stop = min(length, done + size - start)
+    index = (run_cells - first)[:, None] + _SPREAD_OFFSETS
+    return np.bincount(index.ravel(), values.ravel(), length), first, turned
+
+
+def _fold(spread: np.ndarray, first: int, cells: int) -> np.ndarray:
+    """The spread buffer folded onto ``cells`` periodic cells, buffer cell
+    e adding to cell (first + e) mod cells.
+
+    In index space, so no phase factor is needed: a buffer of at most
+    cells + 2 half_width - 1 cells takes at most
+    2 + ceil((2 half_width - 1) / cells) slice adds and no index array,
+    three on grids of 31 cells or more, four or five on the smaller grids
+    of m <= 6 (12 to 30 cells).
+    """
+    folded = np.zeros(cells)
+    start, done = first % cells, 0
+    while done < spread.size:
+        stop = min(spread.size, done + cells - start)
         folded[start:start + stop - done] += spread[done:stop]
         start, done = 0, stop
-    del spread  # before the FFT allocates, to keep peak memory down
-    out = np.fft.rfft(folded)[:n_modes]
-    out *= kernel.deconv
+    return folded
+
+
+def _modes(folded: np.ndarray, deconv: np.ndarray) -> np.ndarray:
+    """The mode side's last steps: one real FFT of a folded spread, and
+    mode k = 0 .. deconv.size-1 multiplied by deconv[k].
+
+    The kernel's ``size`` is at least 4 n_modes, so the lowest n_modes
+    frequencies of the FFT are the modes, and the real e^{k^2 tau} stays
+    below e^{pi half_width / 12}, about 66, for k < n_modes. The folded
+    grid and its FFT peak at about 2 x 8 bytes per cell.
+    """
+    out = np.fft.rfft(folded)[:deconv.size]
+    out *= deconv
     return out
+
+
+class _Folded(NamedTuple):
+    """A grid transform's spread buffer of ``length`` cells, folded onto
+    the ``kernel``'s grid from periodic cell ``first`` on, kept where no two
+    of its cells share a folded cell, so the buffer is a rotation of
+    ``cells``.
+
+    The folded grid is kept rather than the buffer because the FFT needs
+    it anyway: the transform's peak stays at about 2 x 8 bytes per cell.
+    Keeping the buffer too took two samples at opposite ends of the circle
+    on 10^6 points from 2.0 to 2.98 x 8 bytes per cell.
+    """
+
+    cells: np.ndarray
+    first: int
+    length: int
+    kernel: _Kernel
+
+
+def _transform_values(modes: np.ndarray, samples: SampleSet,
+                      anchor: float) -> np.ndarray:
+    """The empirical transform from the modes of its nonzero samples: the
+    zeros add their fraction to every point, and y = 0 takes ``anchor``,
+    the real mean of e^{-c x}."""
+    modes /= samples.n
+    modes += samples.zero_fraction
+    modes[0] = anchor
+    return modes
+
+
+class _GridTransform(TransformValues):
+    """The empirical transform on a grid, which can also give the same
+    transform on the grids refined from its own (``on_grid``).
+
+    Besides its values it keeps a reference to its samples and, unless its
+    phases were reduced modulo 2 pi or its spread buffer wraps onto itself,
+    the folded spread (``_Folded``): 8 bytes per cell of the kernel's grid,
+    about 32 per point. Both are freed with the result.
+    """
+
+    @classmethod
+    def _of(cls, grid: ContourGrid, values: np.ndarray, samples: SampleSet,
+            folded: _Folded | None) -> _GridTransform:
+        out = cls._adopt(grid, values)
+        object.__setattr__(out, "_samples", samples)
+        object.__setattr__(out, "_folded", folded)
+        return out
+
+    def on_grid(self, grid: ContourGrid) -> np.ndarray:
+        """The same transform's values at the points of ``grid``.
+
+        On the grid factor times finer over the same [0, t_max], when the
+        folded spread was kept, only the mode side runs: sample j has phase
+        h x_j / factor there, so it sits in the same cell at the same
+        fraction of a grid of factor x size cells, and the spread buffer,
+        unfolded from the kept rotation, is folded onto those cells and
+        transformed by one real FFT, mode k being undone by the kernel at
+        k / factor. The values match a fresh transform's to rounding. Any
+        other grid gets a fresh ``empirical_transform_grid``.
+        """
+        own, folded = self.grid, self._folded
+        factor = grid.m // own.m
+        if (folded is None or grid.c != own.c or grid.t_max != own.t_max
+                or grid.m != factor * own.m):
+            return empirical_transform_grid(self._samples, grid).values
+        size = folded.kernel.size
+        start = folded.first % size
+        spread = np.concatenate((folded.cells[start:],
+                                 folded.cells[:start]))[:folded.length]
+        modes = _modes(_fold(spread, folded.first, factor * size),
+                       _deconvolution(size, folded.kernel.tau, grid.n_points,
+                                      factor))
+        return _transform_values(modes, self._samples, self.values[0].real)
 
 
 def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> TransformValues:
     """Empirical transform on the half grid y_k = k h, k = 0 .. m.
 
     The values are a type-1 non-uniform DFT of the nonzero samples with real
-    weights e^{-c x}, evaluated by the real-weight NUFFT of ``_phase_sums``
-    (see the module docstring) on the values sorted once: exact zeros
-    (``x == 0.0``, the zeros of ``SampleSet``) are then a leading slice,
-    and samples whose weight underflows to 0 a trailing one, both left out.
-    The zeros add their fraction to every point, and the anchor y = 0 is the
-    real mean of e^{-c x}. Everything is computed from the sorted values, so
-    the order of the samples changes no bit. For samples of continuous laws
-    the error against direct evaluation, one exponential per sample and
-    point, stays below 1.5e-14 absolute, independent of the grid size: the
-    largest measured, 8.9e-15, is for samples of Exp(mean 0.05), whose
-    phases all sit near 0. It is largest at the top modes, where the
-    deconvolution factor is largest, and smallest near y = 0. Both this and
-    the direct sum carry the rounding of each phase y x, about
-    1e-16 |y x| e^{-c x} per sample, which dominates for few samples far
-    out: a lone sample at x = 10 with c = 0.1 differs by 2e-13 at y = 400.
-    Tied samples are one run, whose moments are summed pairwise: 1.4e-14 to
-    1.9e-14 for 10^4 to 10^6 copies of 0.3 on 8 001 points at T = 400, and
-    2.6e-14 on the 1 601 points of ``build_grid`` there.
+    weights e^{-c x}, evaluated by the real-weight NUFFT of ``_spread``,
+    ``_fold`` and ``_modes`` (see the module docstring) on the values
+    sorted once: exact zeros (``x == 0.0``, the zeros of ``SampleSet``) are
+    then a leading slice, and samples whose weight underflows to 0 a
+    trailing one, both left out. The zeros add their fraction to every
+    point, and the anchor y = 0 is the real mean of e^{-c x}. Everything is
+    computed from the sorted values, so the order of the samples changes no
+    bit. For samples of continuous laws the error against direct
+    evaluation, one exponential per sample and point, stays below 1.5e-14
+    absolute, independent of the grid size: the largest measured, 8.9e-15,
+    is for samples of Exp(mean 0.05), whose phases all sit near 0. It is
+    largest at the top modes, where the deconvolution factor is largest,
+    and smallest near y = 0. Both this and the direct sum carry the
+    rounding of each phase y x, about 1e-16 |y x| e^{-c x} per sample,
+    which dominates for few samples far out: a lone sample at x = 10 with
+    c = 0.1 differs by 2e-13 at y = 400. Tied samples are one run, whose
+    moments are summed pairwise: 1.4e-14 to 1.9e-14 for 10^4 to 10^6
+    copies of 0.3 on 8 001 points at T = 400, and 2.6e-14 on the 1 601
+    points of ``build_grid`` there.
+
+    The result's ``on_grid`` gives the transform on a grid refined from
+    this one from the spread kept here, without sorting or spreading the
+    samples again.
     """
     x = np.sort(samples.values)
     a = np.exp(-grid.c * x)
     # zeros lead and are added exactly below; underflowed weights trail,
     # add nothing and could overflow h * x
     gridded = slice(x.searchsorted(0.0, side="right"), np.count_nonzero(a))
-    values = _phase_sums(x[gridded], a[gridded], grid.spacing, grid.n_points)
-    values /= x.size
-    values += samples.zero_fraction
-    values[0] = a.sum() / x.size
-    return TransformValues._adopt(grid, values)
+    kernel = _kernel(grid.n_points)
+    spread, first, turned = _spread(x[gridded], a[gridded], grid.spacing,
+                                    kernel)
+    length = spread.size
+    folded = _fold(spread, first, kernel.size)
+    del spread  # before the FFT allocates, to keep peak memory down
+    values = _transform_values(_modes(folded, kernel.deconv), samples,
+                               a.sum() / x.size)
+    kept = (None if turned or length > kernel.size
+            else _Folded(folded, first, length, kernel))
+    return _GridTransform._of(grid, values, samples, kept)
 
 
 # --------------------------------------------------------------------------

@@ -129,6 +129,21 @@ def test_estimate_bad_delta_exit_3(tmp_path, capsys):
         assert "delta must be positive and finite" in err
 
 
+@pytest.mark.parametrize("command, value", [
+    ("estimate", "inf"), ("estimate", "nan"), ("decompound", "inf")])
+def test_non_finite_w_exit_3(tmp_path, capsys, command, value):
+    # an infinite w is positive, so the refusal must name finiteness too
+    f = tmp_path / "s.txt"
+    f.write_text("0.1\n0.2\n")
+    argv = {"estimate": ["estimate", "--samples", str(f), "--map", "mg1",
+                         "--delta", "1.0"],
+            "decompound": ["decompound", "--n", "200", "--reps", "2"]}[command]
+    code, out, err = run(argv + ["--w", value], capsys)
+    assert code == 3
+    assert out == ""
+    assert "positive and finite" in err
+
+
 def test_estimate_requires_w(tmp_path, capsys):
     f = tmp_path / "s.txt"
     f.write_text("0.1\n")

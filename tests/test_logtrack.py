@@ -156,11 +156,13 @@ def wide_steps(values) -> int:
 def refined_log(ss: SampleSet, grid: ContourGrid, grids: list, calls: list,
                 bounds: list | None = None):
     """``track_log`` as ``apply_map`` calls it, recording the grids it asks
-    the grid transform for, the sizes of its point evaluations and, in
-    ``bounds``, each bound on |f''| it asks for."""
+    the grid transform's spread for, the sizes of its point evaluations
+    and, in ``bounds``, each bound on |f''| it asks for."""
+    observed = empirical_transform_grid(ss, grid)
+
     def on_grid(fine):
         grids.append(fine)
-        return empirical_transform_grid(ss, fine).values
+        return observed.on_grid(fine)
 
     def evaluator(s):
         calls.append(np.size(s))
@@ -172,8 +174,7 @@ def refined_log(ss: SampleSet, grid: ContourGrid, grids: list, calls: list,
             bounds.append(bound)
         return bound
 
-    values = empirical_transform_grid(ss, grid).values
-    return track_log(evaluator, grid, values, on_grid, curvature)
+    return track_log(evaluator, grid, observed.values, on_grid, curvature)
 
 
 def test_refined_log_equals_the_log_bisected_at_a_fifth_of_the_step():

@@ -6,15 +6,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from laptail import transforms
 from laptail.errors import DomainEventFailed, ParameterError
 from laptail.inversion import build_grid
 from laptail.logtrack import track_log
-from laptail.simulation import replication_rng, sample_compound_poisson
+from laptail.simulation import (BinomialCounts, replication_rng,
+                                sample_compound, sample_compound_poisson)
 from laptail.transform_maps import (BinomialDecompound, Mg1Workload,
                                     NegBinomialDecompound, PoissonDecompound,
                                     apply_map, domain_check)
-from laptail.transforms import (Exponential, SampleSet, TransformValues,
-                                empirical_transform_eval,
+from laptail.transforms import (Exponential, Gamma, SampleSet,
+                                TransformValues, empirical_transform_eval,
                                 empirical_transform_grid)
 
 ROUND_TRIP_GRID = build_grid(1.0, 50.0, 1.0)
@@ -196,3 +198,32 @@ def test_map_parameter_validation():
         BinomialDecompound(0)
     with pytest.raises(ParameterError):
         NegBinomialDecompound(-1)
+
+
+def test_refinement_reuses_the_sorted_and_spread_samples(monkeypatch):
+    # compound binomial totals whose log needs the grid 4 times finer: it
+    # is transformed from the quadrature grid's spread, so the samples are
+    # sorted and their moments formed once, and only the FFT runs twice
+    ss = sample_compound(np.random.default_rng(0), BinomialCounts(4, 0.75),
+                         Gamma(20.0, 0.05), 2000)
+    calls = {"sort": 0, "piece_moments": 0, "modes": 0}
+    np_sort = np.sort
+
+    def sort(a, *args, **kwargs):
+        calls["sort"] += a is ss.values
+        return np_sort(a, *args, **kwargs)
+
+    def counting(name):
+        fn = getattr(transforms, "_" + name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(np, "sort", sort)
+    monkeypatch.setattr(transforms, "_piece_moments",
+                        counting("piece_moments"))
+    monkeypatch.setattr(transforms, "_modes", counting("modes"))
+    apply_map(BinomialDecompound(4), ss, build_grid(1.0, 45.0, 1.5))
+    assert calls == {"sort": 1, "piece_moments": 1, "modes": 2}

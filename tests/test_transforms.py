@@ -9,11 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from laptail import transforms
 from laptail.errors import ParameterError, SampleFileError
 from laptail.inversion import build_grid
 from laptail.simulation import (BinomialCounts, sample_compound,
                                 sample_compound_poisson)
 from laptail.transforms import (_KERNEL_DEGREE, _MOMENT_BLOCK,
+                                _PRODUCT_BLOCK, _SPREAD_HALF_WIDTH,
                                 _SPREAD_OFFSETS, ContourGrid, Deterministic,
                                 Exponential, Gamma, SampleSet,
                                 TransformValues, _kernel, _piece_moments,
@@ -404,6 +406,70 @@ def test_kernel_fit_matches_every_column(t_max):
         exact = np.exp(-kernel.alpha * (u[:, None] - _SPREAD_OFFSETS) ** 2)
         assert fitted.shape == exact.shape == (u.size, 32)
         assert np.max(np.abs(fitted - exact)) <= 1e-15
+
+
+# Samples of grids refined from T = 45 grids of 181 points (h = 1/4), each
+# with some zeros; ``period`` is 2 pi / h, where the phases reach 2 pi
+REFINED_CASES = {
+    # a transform near 0 on the contour, as decompound-mix's binomial jobs
+    "binomial totals": (1.0, lambda rng, period: sample_compound(
+        rng, BinomialCounts(4, 0.75), Gamma(20.0, 0.05), 2000).values),
+    # phases all near 0, so the spread starts below periodic cell 0
+    "Exp(mean 0.05)": (1.0, lambda rng, period: np.concatenate([
+        np.zeros(300), rng.exponential(0.05, 1700)])),
+    # the spread ends above the last periodic cell; c = 0.1 keeps the
+    # weights of x near 25 visible
+    "phases just below 2 pi": (0.1, lambda rng, period: np.concatenate([
+        np.zeros(50), period * (1.0 - rng.uniform(1e-9, 0.02, 450))])),
+    "tied": (1.0, lambda rng, period: np.repeat([0.0, 0.3, 1.1, 2.0], 500)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFINED_CASES))
+def test_refined_grid_values_match_the_direct_sum(case, monkeypatch):
+    # the grid factor times finer over the same [0, T] takes the coarse
+    # grid's spread, folded onto factor times as many cells: no sample is
+    # sorted or spread again, and the values keep the grid transform's bound
+    c, draw = REFINED_CASES[case]
+    grid = ContourGrid(c, 45.0, 180)
+    period = 2.0 * math.pi / grid.spacing
+    ss = SampleSet(draw(np.random.default_rng(24), period))
+    assert 0.0 < ss.zero_fraction < 1.0
+    observed = empirical_transform_grid(ss, grid)
+
+    def spread_again(*args):
+        raise AssertionError("the samples were spread again")
+
+    monkeypatch.setattr(transforms, "_spread", spread_again)
+    for factor in (2, 4, 8, 16):
+        fine = ContourGrid(c, 45.0, factor * grid.m)
+        got = observed.on_grid(fine)
+        assert np.max(np.abs(got - direct_transform(ss, fine.points))) \
+            <= GRID_ERROR_BOUND, factor
+
+
+@pytest.mark.parametrize("turns", [1.5, 0.999])
+def test_grid_refined_from_phases_that_wrap_is_transformed_anew(turns):
+    # phases over 1.5 turns were reduced modulo 2 pi, and the spread of
+    # phases over 0.999 of a turn overlaps itself on the periodic grid:
+    # either way the finer grid gets a fresh transform, bit for bit
+    grid = ContourGrid(0.1, 45.0, 180)
+    period = 2.0 * math.pi / grid.spacing
+    rng = np.random.default_rng(25)
+    ss = SampleSet(np.concatenate([np.zeros(50), [turns * period],
+                                   rng.uniform(0.0, turns * period, 450)]))
+    observed = empirical_transform_grid(ss, grid)
+    for factor in (2, 4, 8, 16):
+        fine = ContourGrid(0.1, 45.0, factor * grid.m)
+        assert np.array_equal(observed.on_grid(fine),
+                              empirical_transform_grid(ss, fine).values)
+
+
+def test_kernel_product_blocks_stay_in_the_calling_thread():
+    # OpenBLAS splits a product of 4 x 65 536 multiply-adds or more over
+    # its threads, whose second waits for a core on a busy host
+    assert ((_KERNEL_DEGREE + 1) * 2 * _SPREAD_HALF_WIDTH * _PRODUCT_BLOCK
+            <= 4 * 65536)
 
 
 def test_piece_moments_match_exact_sums():
