@@ -32,11 +32,13 @@ uncertified there, and those of a grid tracked without such a caller, are
 bisected until every piece is in the disk or certified at its own width.
 The bisection runs in passes, one per level: each pass halves every
 pending piece of every such step and evaluates all the midpoints in one
-call of the evaluator. The empirical transform's evaluator sums every
-sample at every midpoint and keeps nothing between calls, so a midpoint
-costs n exponentials; the finer grid and the certificate leave few
-midpoints. Most grids have no wide step: they are neither certified,
-refined nor bisected, and the bound is never formed.
+call of the evaluator. The empirical transform's evaluator sums the
+midpoints from the spread buffer that the grid result kept
+(``transforms``), so a midpoint costs a cosine and a sine per cell of that
+buffer, about 190 cells for 2 000 samples at T = 45, not n exponentials;
+the finer grid and the certificate leave few midpoints. Most grids have no
+wide step: they are neither certified, refined nor bisected, and the bound
+is never formed.
 
 The log is tracked on the half grid y in [0, T] only, upward from the
 anchor y = 0: the transforms are of real measures, so on y < 0 the branch
@@ -60,19 +62,19 @@ _RATIO_RADIUS = 0.5
 # A grid with a wide step that is not certified is tracked on the grid this
 # many times finer, if that grid has at most _MAX_GRID_POINTS points, the
 # quadrature grid's cap; past it the wide steps are only certified or
-# bisected. Each midpoint left costs n exponentials, while the finer grid,
-# transformed from the samples the quadrature grid already spread, costs
-# one fold and one FFT of factor times its cells. Measured so, perfbench's
-# decompound-mix ran 2 161 jobs/s at factor 4 and 2 417/s at 8, against
-# 1 878/s at 4 with a fresh transform of the finer grid and the kernel
-# product by einsum (medians of 4 rotating 15 s rounds on a 2-vCPU host).
-# Without refinement every uncertified step of the quadrature grid is
-# bisected: earlier rounds read 792/s so, against 1 945/s at factor 4.
-# Over its 150-job pools at seeds 1-40, factor 4 leaves 88 midpoints per
-# pool, 8 leaves 17.7 and 16 leaves 4.0. 8 is faster, but the 6-job pool
-# that perfbench's smoke test requires to bisect (seed 3) then bisects
-# nothing; 4 leaves it one midpoint. Take 8 once that requirement no
-# longer rests on a tiny pool.
+# bisected. The finer grid, transformed from the samples the quadrature
+# grid already spread, costs one fold and one FFT of factor times its
+# cells; each midpoint left costs a cosine and a sine per cell of the
+# spread buffer, summed from the same spread. Over its 150-job pools at
+# seeds 1-40, factor 4 leaves 88 midpoints per pool, 8 leaves 17.7 and 16
+# leaves 4.0. With the midpoints that cheap, perfbench's decompound-mix
+# ran 2 402 jobs/s at factor 4 and 2 385/s at 8, against 2 087/s with the
+# midpoints summed directly at factor 4 (medians of 4 rotating 15 s rounds
+# on a 2-vCPU host); summed directly, 8 had been 12% faster. Without
+# refinement every uncertified step of the quadrature grid is bisected:
+# earlier rounds read 792/s so, against 1 945/s at factor 4. 4 also leaves
+# one midpoint in the 6-job pool (seed 3) that perfbench's smoke test
+# requires to bisect, where 8 leaves none.
 _REFINE_FACTOR = 4
 
 # Rounding margin of the chord certificate (``_certified``), 5 times the

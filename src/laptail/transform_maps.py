@@ -164,14 +164,16 @@ def apply_map(transform_map: TransformMap, samples: SampleSet,
     certifies. Where one is not certified, it tracks the log on the grid
     4 times finer, whose values the grid transform's result gives from the
     samples it already sorted and spread (``on_grid``), and bisects the
-    steps still wide and uncertified there by direct sums at the midpoints
-    (``empirical_transform_eval``). The caller checks the map's domain
-    event first (``domain_check``); on a sample outside it the formula's
-    values mean nothing. Log-tracking failures (NearZeroTransform,
-    DomainError) propagate.
+    steps still wide and uncertified there. The midpoints are summed by
+    ``empirical_transform_eval`` from that same spread, given the grid
+    transform's result, or directly where the result kept no spread. The
+    caller checks the map's domain event first (``domain_check``); on a
+    sample outside it the formula's values mean nothing. Log-tracking
+    failures (NearZeroTransform, DomainError) propagate.
     """
     observed = empirical_transform_grid(samples, grid)
     log_path = track_log(
-        partial(empirical_transform_eval, samples), grid, observed.values,
-        observed.on_grid, partial(_curvature_bound, samples, grid.c))
+        partial(empirical_transform_eval, samples, grid_transform=observed),
+        grid, observed.values, observed.on_grid,
+        partial(_curvature_bound, samples, grid.c))
     return TransformValues._adopt(grid, transform_map.values(log_path, samples))

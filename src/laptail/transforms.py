@@ -64,7 +64,16 @@ the same copies of 0.3 gave 1.1e-13, 1.15e-12 and 1.6e-11 on 8 001
 points.
 
 Off a grid, ``empirical_transform_eval`` sums one exponential per sample
-and point.
+and point, unless it is given a grid transform of the same samples that
+kept its spread and the points lie on that grid's contour, as log
+tracking's bisection midpoints do. It then runs the mode side at the
+points' fractional modes, from the kept buffer (the type-3 step of
+Barnett, Magland & af Klinteberg): P points cost P x L cosines and sines
+over the buffer's L cells, not P x n exponentials, and keep the grid
+transform's error bounds. For 2 000 compound binomial totals at T = 45
+the buffer has 191 cells; at n = 10^5 and T = 316 it has 1 151, and 12
+points took 0.4 to 0.6 ms, against 62 to 73 ms summed directly, on a
+2-vCPU host.
 """
 from __future__ import annotations
 
@@ -192,9 +201,11 @@ class ContourGrid:
     transform keeps the NUFFT kernel of each of the last 8 point counts it
     was called for (``_kernel``), 8 bytes per point each: up to 320 MB at
     the cap of 5 * 10^6 points. A grid transform's result keeps, for
-    refinement, a reference to its samples and its folded spread, 8 bytes
-    per cell of the kernel's grid of about 4 cells per point, so 32 bytes
-    per point; both are freed with the result.
+    refinement and for point evaluation off the grid, a reference to its
+    samples and its folded spread, 8 bytes per cell of the kernel's grid of
+    about 4 cells per point, so 32 bytes per point; both are freed with the
+    result. Its values are their own array of 16 bytes per point, not a
+    view of the FFT output of about twice that.
     """
 
     c: float
@@ -398,25 +409,43 @@ def _exp_terms(s: np.ndarray, x: np.ndarray, largest: float) -> np.ndarray:
     return terms
 
 
-def empirical_transform_eval(samples: SampleSet, s):
+def empirical_transform_eval(samples: SampleSet, s,
+                             grid_transform: _GridTransform | None = None):
     """Empirical Laplace transform (1/n) sum_i exp(-s x_i).
 
     ``s`` may be a complex scalar or an array with Re(s) >= 0; the result has
-    modulus at most 1 and is conjugate-symmetric in s. It is summed
-    directly, one exponential per sample and point, in blocks of at most
-    2^22 terms, so m points cost m n exponentials and nothing is kept
-    between calls. Samples whose factor e^{-Re(s) x_i} underflows add
-    exactly 0. A scalar is evaluated as an array of one point.
+    modulus at most 1 and is conjugate-symmetric in s. A scalar is
+    evaluated as an array of one point.
+
+    ``grid_transform``, if given, is a result of ``empirical_transform_grid``
+    for these same samples (ParameterError if it is of others). When it
+    kept its spread and every point lies on its grid's contour segment
+    c + iy, 0 <= y <= t_max, the points are summed from that spread
+    (``_GridTransform._from_spread``): P points cost P x L cosines and
+    sines over its L cells, about 180 for 2 000 samples at T = 45, and
+    stay within the grid transform's error bounds. Otherwise the points
+    are summed directly, one exponential per sample and point, in blocks
+    of at most 2^22 terms, so P points cost P n exponentials. Samples
+    whose factor e^{-Re(s) x_i} underflows add exactly 0. Nothing is kept
+    between calls.
     """
     s = _require_right_half_plane(s)
     flat = s.ravel()
-    x = samples.values
-    largest = float(flat.real.max(initial=0.0)) * samples.max_value
-    out = np.empty(flat.size, dtype=complex)
-    rows = max(1, _DIRECT_BLOCK // x.size)
-    for start in range(0, flat.size, rows):
-        block = flat[start:start + rows, None]
-        out[start:start + rows] = _exp_terms(block, x, largest).mean(axis=1)
+    out = None
+    if grid_transform is not None:
+        if getattr(grid_transform, "_samples", None) is not samples:
+            raise ParameterError(
+                "grid_transform must be a grid transform of the same samples")
+        out = grid_transform._from_spread(flat)
+    if out is None:
+        x = samples.values
+        largest = float(flat.real.max(initial=0.0)) * samples.max_value
+        out = np.empty(flat.size, dtype=complex)
+        rows = max(1, _DIRECT_BLOCK // x.size)
+        for start in range(0, flat.size, rows):
+            block = flat[start:start + rows, None]
+            out[start:start + rows] = _exp_terms(block, x,
+                                                 largest).mean(axis=1)
     return complex(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
@@ -452,15 +481,15 @@ class _Kernel(NamedTuple):
     deconv: np.ndarray
 
 
-def _deconvolution(size: int, tau: float, n_modes: int,
-                   factor: int = 1) -> np.ndarray:
-    """sqrt(pi / tau) / size e^{(k / factor)^2 tau} for k = 0 .. n_modes-1.
+def _deconvolution(size: int, tau: float, k: np.ndarray) -> np.ndarray:
+    """sqrt(pi / tau) / size e^{k^2 tau} at the modes k of the kernel's
+    grid, which need not be whole.
 
-    Mode k of a spread folded onto factor x size cells is damped by the
-    kernel's transform at k / (factor size) cycles per cell,
-    sqrt(pi / alpha) e^{-(k / factor)^2 tau}, which this undoes.
+    Mode k, at k / size cycles per cell, is damped by the kernel's
+    transform there, sqrt(pi / alpha) e^{-k^2 tau}, which this undoes.
+    Mode j of a spread folded onto factor x size cells is mode j / factor
+    of the kernel's grid.
     """
-    k = np.arange(n_modes) / factor
     out = np.exp(k * k * tau)
     out *= math.sqrt(math.pi / tau) / size
     return out
@@ -490,7 +519,7 @@ def _kernel(n_modes: int) -> _Kernel:
     u = 0.5 * (_CHEB_NODES[:, None] + 1.0) - _SPREAD_OFFSETS
     poly = np.linalg.solve(np.vander(_CHEB_NODES, _KERNEL_DEGREE + 1,
                                      increasing=True), np.exp(-alpha * u * u))
-    deconv = _deconvolution(size, tau, n_modes)
+    deconv = _deconvolution(size, tau, np.arange(n_modes))
     poly.flags.writeable = False
     deconv.flags.writeable = False
     return _Kernel(size, alpha, tau, poly, deconv)
@@ -633,11 +662,12 @@ def _modes(folded: np.ndarray, deconv: np.ndarray) -> np.ndarray:
     The kernel's ``size`` is at least 4 n_modes, so the lowest n_modes
     frequencies of the FFT are the modes, and the real e^{k^2 tau} stays
     below e^{pi half_width / 12}, about 66, for k < n_modes. The folded
-    grid and its FFT peak at about 2 x 8 bytes per cell.
+    grid and its FFT peak at about 2 x 8 bytes per cell, and the modes
+    taken from that FFT add 4 more. They are a fresh array, not a view
+    that would keep the whole FFT alive: at 1 601 points that output takes
+    51 856 bytes and the modes 25 616.
     """
-    out = np.fft.rfft(folded)[:deconv.size]
-    out *= deconv
-    return out
+    return np.fft.rfft(folded)[:deconv.size] * deconv
 
 
 class _Folded(NamedTuple):
@@ -671,7 +701,9 @@ def _transform_values(modes: np.ndarray, samples: SampleSet,
 
 class _GridTransform(TransformValues):
     """The empirical transform on a grid, which can also give the same
-    transform on the grids refined from its own (``on_grid``).
+    transform on the grids refined from its own (``on_grid``) and at points
+    of its contour between its grid points (``_from_spread``, through
+    ``empirical_transform_eval``).
 
     Besides its values it keeps a reference to its samples and, unless its
     phases were reduced modulo 2 pi or its spread buffer wraps onto itself,
@@ -705,13 +737,76 @@ class _GridTransform(TransformValues):
                 or grid.m != factor * own.m):
             return empirical_transform_grid(self._samples, grid).values
         size = folded.kernel.size
-        start = folded.first % size
-        spread = np.concatenate((folded.cells[start:],
-                                 folded.cells[:start]))[:folded.length]
-        modes = _modes(_fold(spread, folded.first, factor * size),
-                       _deconvolution(size, folded.kernel.tau, grid.n_points,
-                                      factor))
+        modes = _modes(_fold(self._spread_buffer(), folded.first,
+                             factor * size),
+                       _deconvolution(size, folded.kernel.tau,
+                                      np.arange(grid.n_points) / factor))
         return _transform_values(modes, self._samples, self.values[0].real)
+
+    def _spread_buffer(self) -> np.ndarray:
+        """The kept spread buffer, unfolded from its rotation."""
+        folded = self._folded
+        start = folded.first % folded.kernel.size
+        return np.concatenate((folded.cells[start:],
+                               folded.cells[:start]))[:folded.length]
+
+    def _from_spread(self, s: np.ndarray) -> np.ndarray | None:
+        """The transform at the points ``s`` from the kept spread, or None
+        when it was not kept or a point is off the grid's own contour
+        segment c + iy, 0 <= y <= t_max.
+
+        This is the NUFFT's mode side at the fractional modes k = y / h of
+        the kernel's grid (the type-3 step of Barnett, Magland & af
+        Klinteberg): with g the spread buffer, buffer cell e at periodic
+        cell first + e,
+
+            f(s) = zero_fraction
+                   + (1/n) D(k) sum_e g[e] e^{-2 pi i k (first + e) / size}
+
+        and D the kernel's deconvolution at k (``_deconvolution``). The
+        phases are never reduced modulo 2 pi, so cell first + e is where
+        the samples were spread, and the sum over the buffer carries the
+        same kernel error as a whole mode. Writing k = K + d with K the
+        nearest integer, K (first + e) is reduced modulo size exactly in
+        integers, so only the part |d| <= 1/2 is rounded. At T = 400,
+        phases k (first + e) formed whole were off the direct sum by
+        2.6e-14 for samples of Exp(mean 0.05) and by 8.6e-14 for tied
+        samples, against 7.4e-15 and 1.5e-14 reduced. Each point's terms are summed
+        pairwise along its own row, so its value does not depend on the
+        other points of the call. P points cost P x L cosines and sines, in
+        blocks of at most 2^22 terms, where direct sums cost P x n
+        exponentials.
+        """
+        grid, folded = self.grid, self._folded
+        y = s.imag
+        if folded is None or not ((s.real == grid.c).all()
+                                  and 0.0 <= y.min(initial=0.0)
+                                  and y.max(initial=0.0) <= grid.t_max):
+            return None
+        size = folded.kernel.size
+        spread = self._spread_buffer()
+        cells = np.arange(folded.first, folded.first + folded.length)
+        k = y / grid.spacing
+        whole = np.rint(k)
+        out = np.empty(s.size, dtype=complex)
+        re, im = out.real, out.imag
+        rows = max(1, _DIRECT_BLOCK // max(1, cells.size))
+        for lo in range(0, s.size, rows):
+            hi = lo + rows
+            phases = np.multiply.outer(k[lo:hi] - whole[lo:hi], cells)
+            phases += np.multiply.outer(whole[lo:hi].astype(np.intp),
+                                        cells) % size
+            phases *= -2.0 * math.pi / size
+            terms = np.cos(phases)
+            terms *= spread
+            terms.sum(axis=1, out=re[lo:hi])
+            np.sin(phases, out=terms)
+            terms *= spread
+            terms.sum(axis=1, out=im[lo:hi])
+        out *= _deconvolution(size, folded.kernel.tau, k)
+        out /= self._samples.n
+        out += self._samples.zero_fraction
+        return out
 
 
 def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> TransformValues:
@@ -740,7 +835,8 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
 
     The result's ``on_grid`` gives the transform on a grid refined from
     this one from the spread kept here, without sorting or spreading the
-    samples again.
+    samples again, and ``empirical_transform_eval`` given the result sums
+    points of its contour from that spread too.
     """
     x = np.sort(samples.values)
     a = np.exp(-grid.c * x)

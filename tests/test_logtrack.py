@@ -155,9 +155,10 @@ def wide_steps(values) -> int:
 
 def refined_log(ss: SampleSet, grid: ContourGrid, grids: list, calls: list,
                 bounds: list | None = None):
-    """``track_log`` as ``apply_map`` calls it, recording the grids it asks
-    the grid transform's spread for, the sizes of its point evaluations
-    and, in ``bounds``, each bound on |f''| it asks for."""
+    """``track_log`` as ``apply_map`` calls it, the midpoints summed from
+    the grid transform's spread, recording the grids it asks that spread
+    for, the sizes of its point evaluations and, in ``bounds``, each bound
+    on |f''| it asks for."""
     observed = empirical_transform_grid(ss, grid)
 
     def on_grid(fine):
@@ -166,7 +167,7 @@ def refined_log(ss: SampleSet, grid: ContourGrid, grids: list, calls: list,
 
     def evaluator(s):
         calls.append(np.size(s))
-        return empirical_transform_eval(ss, s)
+        return empirical_transform_eval(ss, s, grid_transform=observed)
 
     def curvature():
         bound = _curvature_bound(ss, grid.c)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from laptail import transforms
+from laptail import transform_maps, transforms
 from laptail.errors import DomainEventFailed, ParameterError
 from laptail.inversion import build_grid
 from laptail.logtrack import track_log
@@ -227,3 +227,36 @@ def test_refinement_reuses_the_sorted_and_spread_samples(monkeypatch):
     monkeypatch.setattr(transforms, "_modes", counting("modes"))
     apply_map(BinomialDecompound(4), ss, build_grid(1.0, 45.0, 1.5))
     assert calls == {"sort": 1, "piece_moments": 1, "modes": 2}
+
+
+@pytest.mark.parametrize("n, seed, midpoints", [(2000, 8, 5), (10**5, 3, 12)])
+def test_bisection_midpoints_are_summed_from_the_spread(n, seed, midpoints,
+                                                        monkeypatch):
+    # compound binomial totals whose log is bisected on the grid 4 times
+    # finer: every midpoint goes through empirical_transform_eval, which is
+    # given the grid transform and sums it from the kept spread, never one
+    # exponential per sample. The mapped values match those from direct
+    # sums to rounding
+    ss = sample_compound(np.random.default_rng(seed), BinomialCounts(4, 0.75),
+                         Gamma(20.0, 0.05), n)
+    grid = build_grid(1.0, math.sqrt(n), 1.5)
+    evaluate = transform_maps.empirical_transform_eval
+    sizes = []
+
+    def counted(samples, s, grid_transform=None):
+        assert grid_transform is not None
+        sizes.append(np.size(s))
+        return evaluate(samples, s, grid_transform=grid_transform)
+
+    def direct(*args):
+        raise AssertionError("a midpoint was summed directly")
+
+    monkeypatch.setattr(transform_maps, "empirical_transform_eval", counted)
+    monkeypatch.setattr(transforms, "_exp_terms", direct)
+    got = apply_map(BinomialDecompound(4), ss, grid).values
+    assert sum(sizes) == midpoints
+    monkeypatch.undo()
+    monkeypatch.setattr(transform_maps, "empirical_transform_eval",
+                        lambda samples, s, grid_transform: evaluate(samples, s))
+    want = apply_map(BinomialDecompound(4), ss, grid).values
+    assert np.max(np.abs(got - want)) <= 1e-12

@@ -465,6 +465,105 @@ def test_grid_refined_from_phases_that_wrap_is_transformed_anew(turns):
                               empirical_transform_grid(ss, fine).values)
 
 
+def contour_ordinates(grid: ContourGrid, seed: int) -> np.ndarray:
+    """Random ordinates over [0, T] and the hard ones: y -> 0+, h / 2 and
+    T-, and T itself."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
+        rng.uniform(0.0, grid.t_max, 60),
+        [5e-324, 1e-9, 0.5 * grid.spacing,
+         np.nextafter(grid.t_max, 0.0), grid.t_max]])
+
+
+def no_direct_sums(*args):
+    raise AssertionError("a point was summed directly")
+
+
+@pytest.mark.parametrize("t_max", [45.0, 400.0])
+@pytest.mark.parametrize("case", sorted(REFINED_CASES))
+def test_points_summed_from_the_spread_match_the_direct_sum(case, t_max,
+                                                            monkeypatch):
+    # points of the contour between grid points, summed from the spread the
+    # grid transform kept at their fractional modes, keep its error bounds.
+    # Measured: 1.0e-14 for Exp(mean 0.05) and 1.4e-14 for the ties at
+    # T = 400, where the grids of h = 1/4 have 1 601 points
+    c, draw = REFINED_CASES[case]
+    grid = ContourGrid(c, t_max, round(4 * t_max))
+    period = 2.0 * math.pi / grid.spacing
+    ss = SampleSet(draw(np.random.default_rng(24), period))
+    observed = empirical_transform_grid(ss, grid)
+    s = c + 1j * contour_ordinates(grid, 26)
+    monkeypatch.setattr(transforms, "_exp_terms", no_direct_sums)
+    got = empirical_transform_eval(ss, s, grid_transform=observed)
+    bound = TIED_ERROR_BOUND if case == "tied" else GRID_ERROR_BOUND
+    assert np.max(np.abs(got - direct_transform(ss, s))) <= bound
+    one = empirical_transform_eval(ss, s[0], grid_transform=observed)
+    assert isinstance(one, complex) and one == got[0]
+
+
+def test_points_of_many_ties_summed_from_the_spread():
+    # 10^4 copies of 0.3 at T = 400 against the exact e^{-0.3 s}: 2.8e-14
+    grid = build_grid(1.0, 400.0, 1.0)
+    ss = SampleSet(np.full(10**4, 0.3))
+    observed = empirical_transform_grid(ss, grid)
+    s = 1.0 + 1j * contour_ordinates(grid, 27)
+    got = empirical_transform_eval(ss, s, grid_transform=observed)
+    assert np.max(np.abs(got - np.exp(-0.3 * s))) <= TIED_ERROR_BOUND
+
+
+@pytest.mark.parametrize("turns", [1.5, 0.999])
+def test_points_of_a_transform_without_its_spread_are_summed_directly(turns):
+    # the wrapped and the overlapping spreads of
+    # test_grid_refined_from_phases_that_wrap_is_transformed_anew are not
+    # kept, so the points get the direct sums, bit for bit
+    grid = ContourGrid(0.1, 45.0, 180)
+    period = 2.0 * math.pi / grid.spacing
+    rng = np.random.default_rng(25)
+    ss = SampleSet(np.concatenate([np.zeros(50), [turns * period],
+                                   rng.uniform(0.0, turns * period, 450)]))
+    observed = empirical_transform_grid(ss, grid)
+    s = 0.1 + 1j * contour_ordinates(grid, 28)
+    assert np.array_equal(
+        empirical_transform_eval(ss, s, grid_transform=observed),
+        empirical_transform_eval(ss, s))
+
+
+@pytest.mark.parametrize("off", [
+    2.0 + 3.0j,                    # another contour
+    0.1 + 46.0j,                   # past T
+    np.array([0.1 + 3.0j, 0.1 - 3.0j]),  # below the real axis
+])
+def test_points_off_the_grid_segment_are_summed_directly(off):
+    grid = ContourGrid(0.1, 45.0, 180)
+    ss = SampleSet(np.random.default_rng(29).exponential(1.0, 500))
+    observed = empirical_transform_grid(ss, grid)
+    got = empirical_transform_eval(ss, off, grid_transform=observed)
+    assert np.array_equal(got, empirical_transform_eval(ss, off))
+
+
+def test_point_evaluation_refuses_a_transform_of_other_samples():
+    grid = ContourGrid(1.0, 45.0, 180)
+    ss = SampleSet([0.5, 1.0, 2.0])
+    # equal values, but another sample set
+    for other in (empirical_transform_grid(SampleSet(ss.values), grid),
+                  TransformValues(grid, np.ones(grid.n_points))):
+        with pytest.raises(ParameterError, match="same samples"):
+            empirical_transform_eval(ss, 1.0 + 1.0j, grid_transform=other)
+
+
+def test_grid_values_do_not_hold_the_whole_fft_output():
+    # at T = 400 the 1 601 values take 25 616 bytes; as a view of the
+    # whole rfft output they held a base of 51 856
+    grid = build_grid(1.0, 400.0, 1.0)
+    assert grid.n_points == 1601
+    ss = SampleSet(np.random.default_rng(30).exponential(1.0, 2000))
+    observed = empirical_transform_grid(ss, grid)
+    assert observed.values.base is None
+    assert observed.values.nbytes == 16 * grid.n_points
+    fine = observed.on_grid(ContourGrid(1.0, 400.0, 4 * grid.m))
+    assert fine.base is None
+
+
 def test_kernel_product_blocks_stay_in_the_calling_thread():
     # OpenBLAS splits a product of 4 x 65 536 multiply-adds or more over
     # its threads, whose second waits for a core on a busy host
