@@ -20,18 +20,18 @@ e^{-8 pi}, about 1e-11; pi/w keeps the first image, at w + 2 pi / h, beyond
 w. ``build_grid`` takes m = ceil(T / h) intervals, rounded up to even, and
 refuses grids of more than 5 * 10^6 points.
 
-``bromwich_details`` inverts every w of a batch in one pass over one grid of
-K = m + 1 points. The trapezoid sum is a polynomial in e^{ihw} whose
-coefficients every w shares, evaluated by baby steps and giant steps: about
-2 sqrt(K) complex exponentials and one sqrt(K) x sqrt(K) matrix-vector
-product per w, instead of K exponentials. It differs from the direct sum
-only in the rounding of the phases, by at most 19 eps relative to the sum of
-the moduli of its terms in the cases measured (see ``bromwich_details``).
+``bromwich_details`` inverts at each w by one dot product of psi with the
+weight row of w on its grid of K = m + 1 points: the trapezoid weights over
+the points times e^{i y_k w} h e^{cw} / pi. Its phases are giant steps
+times baby steps, about 2 sqrt(K) exponentials, and the sum stays within
+23 eps of the direct one, relative to the sum of the moduli of its terms,
+in the cases measured. Rows are kept per grid and w within 4 MiB (``_rows``).
 """
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,25 +73,29 @@ def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
 
     The step is at most h = min(c/4, pi/w), c/4 at w = 0: m = ceil(t_max / h)
     intervals, at least 2 and rounded up to even, giving m + 1 points.
-    CapacityError when the grid would have more than 5 * 10^6 points.
+    CapacityError when the grid would have more than 5 * 10^6 points,
+    decided before the ceiling, which overflows for t_max / h near 1e308.
 
     Equal (c, t_max, m) give the same immutable grid, so its ordinates and
     points are built once; the last 4 grids are kept. With its inversion
-    plan (``_plan``: trapezoid weights over the points, and about 2 sqrt(K)
-    phase steps) a kept grid holds 40 bytes per point: at most 4 grids of
-    up to 5 * 10^6 points. The grid transform on such a grid also keeps its
-    NUFFT kernel, 8 bytes per point, for the last 8 point counts
-    (``transforms._kernel``): up to 320 MB more at the cap.
+    plan (``_plan``: trapezoid weights over the points) a kept grid holds
+    40 bytes per point: at most 4 grids of up to 5 * 10^6 points. Weight
+    rows are kept apart, within 4 MiB (``_rows``). The grid transform on
+    such a grid also keeps its NUFFT kernel, 8 bytes per point, for the
+    last 8 point counts (``transforms._kernel``): up to 320 MB more at the
+    cap.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ParameterError("t_max must be positive and finite")
     if not (w >= 0 and math.isfinite(w)):
         raise ParameterError("w must be nonnegative and finite")
-    m = max(2, math.ceil(t_max / _step_for(c, w)))
+    h = _step_for(c, w)
+    # m + 1 <= cap exactly when t_max / h <= cap - 2, the cap being even
+    if not t_max / h <= _MAX_GRID_POINTS - 2:
+        raise CapacityError(f"inversion grid of step {h:.3g} over [0, {t_max:.3g}]"
+                            f" needs more than {_MAX_GRID_POINTS:,} points")
+    m = max(2, math.ceil(t_max / h))
     m += m % 2
-    if m + 1 > _MAX_GRID_POINTS:
-        raise CapacityError(
-            f"inversion grid needs {m + 1} points, cap {_MAX_GRID_POINTS}")
     return _shared_grid(float(c), float(t_max), m)
 
 
@@ -100,62 +104,92 @@ _shared_grid = functools.lru_cache(maxsize=4)(ContourGrid)
 
 
 @functools.lru_cache(maxsize=4)
-def _plan(c: float, t_max: float,
-          m: int) -> tuple[np.ndarray, int, int, np.ndarray]:
-    """The trapezoid weights 1/2, 1, ..., 1, 1/2 over the points s of the
-    grid ContourGrid(c, t_max, m); B = ceil(sqrt(K)) and Q = ceil(K / B) for
-    its K = m + 1 points; and the phase steps of ``bromwich_details``, the
-    baby steps 0 .. B-1 then the giant steps 0, B, .., (Q - 1) B. Cached per
-    grid; the arrays are read-only."""
+def _plan(c: float, t_max: float, m: int) -> tuple[np.ndarray, int, int]:
+    """Per grid ContourGrid(c, t_max, m) of K = m + 1 points: the read-only
+    trapezoid weights 1/2, 1, ..., 1, 1/2 over its points s, and the counts
+    B = ceil(sqrt(K)) of baby steps and Q = ceil(K / B) of giant steps."""
     weights = np.ones(m + 1)
     weights[[0, -1]] = 0.5
     over_points = weights / _shared_grid(c, t_max, m).points
-    b = math.isqrt(m) + 1
-    q = -(-(m + 1) // b)
-    steps = np.concatenate([np.arange(b), np.arange(0, q * b, b)])
     over_points.flags.writeable = False
-    steps.flags.writeable = False
-    return over_points, b, q, steps
+    b = math.isqrt(m) + 1
+    return over_points, b, -(-(m + 1) // b)
+
+
+def _weight_row(grid: ContourGrid, w: float) -> np.ndarray:
+    """The read-only row omega_k / s_k e^{i y_k w} h e^{cw} / pi, written in
+    place into one array of QB >= K entries: the giant steps e^{i qBhw}
+    times the scaled baby steps e^{i rhw}, then times the weights."""
+    over_points, b, q = _plan(grid.c, grid.t_max, grid.m)
+    h = grid.spacing
+    baby = np.exp(1j * (h * w * np.arange(b))) * (h * np.exp(grid.c * w) / math.pi)
+    giant = np.exp(1j * (h * w * np.arange(0, q * b, b)))
+    row = np.empty(q * b, dtype=complex)
+    np.multiply(giant[:, None], baby, out=row.reshape(q, b))
+    row = row[:grid.n_points]
+    row *= over_points
+    row.flags.writeable = False
+    return row
+
+
+class _RowCache:
+    """Weight rows keyed by the grid's (c, t_max, m) and w, the least
+    recently used dropped first while their arrays take over ``budget``
+    bytes; a row over the budget is not kept. A row of K points takes
+    16 QB < 16 (K + B) bytes: 4 MiB holds 159 rows of 1 601 points and 6
+    of 40 001."""
+
+    def __init__(self, budget: int):
+        self.budget, self.nbytes, self._rows = budget, 0, {}
+        self._lock = threading.Lock()
+
+    def __call__(self, grid: ContourGrid, w: float) -> np.ndarray:
+        key = (grid.c, grid.t_max, grid.m, w)
+        with self._lock:
+            row = self._rows.pop(key, None)
+            if row is None:
+                row = _weight_row(grid, w)
+                if row.base.nbytes > self.budget:
+                    return row
+                self.nbytes += row.base.nbytes
+            self._rows[key] = row
+            while self.nbytes > self.budget:
+                self.nbytes -= self._rows.pop(next(iter(self._rows))).base.nbytes
+        return row
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._rows.clear()
+            self.nbytes = 0
+
+
+_rows = _RowCache(4 << 20)
 
 
 def bromwich_details(psi: TransformValues, ws: Sequence[float],
                      plateau: float = 0.0) -> InversionResult:
-    """Truncated contour inversion at every w of ``ws`` in one pass.
+    """Truncated contour inversion at every w of ``ws`` on one grid.
 
     psi carries the transform values on a half grid over [0, T] with
     K = m + 1 points y_k = k h; the value at each w is
 
         plateau + (1/pi) * trapezoid over [0, T] of Re[e^{sw} (psi(s) - plateau) / s]
 
-    and the values come back in the order of ``ws``. The trapezoid weights
-    over the points, omega_k / s_k, are cached per grid, the coefficients
-    a_k = omega_k (psi_k - plateau) / s_k are formed once per call, and the
-    sum is e^{cw} * sum_k a_k z^k with z = e^{ihw}, a polynomial in z on the
-    unit circle. It is evaluated by baby steps and giant steps
-    (Paterson and Stockmeyer): with B = ceil(sqrt(K)), the a_k, zero-padded
-    to Q * B, form a (Q, B) table A, and
-
-        sum_k a_k z^k = sum_q z^{qB} (A z_B)_q,   z_B = (z^0, ..., z^{B-1}),
-
-    so each w costs about 2 sqrt(K) complex exponentials and one Q x B
-    matrix-vector product instead of K exponentials. The phase steps r and
-    qB are cached per grid with the trapezoid weights. The products A z_B of
-    every w are taken in one ``einsum``, the giant steps, a dot product of Q
-    terms per w, in another, and e^{cw} and the scaling as vectors. The phases
-    r h w and (qB) h w are rounded differently from the direct y_k w, so
-    the result differs from the direct sum by up to eps * (sqrt(K) + T w) times
+    and the values come back in the order of ``ws``. Each is plateau plus
+    the real part of one ``np.dot`` of the weight row of w (``_rows``) with
+    psi - plateau, so a value does not depend on its batch. The row's
+    phases, e^{i qBhw} e^{i rhw} for y_k = (qB + r) h and B = ceil(sqrt(K))
+    (the baby and giant steps of Paterson and Stockmeyer), are rounded
+    differently from the direct y_k w, so the result differs from the
+    direct sum by up to eps * (sqrt(K) + T w) times
     (1/pi) * trapezoid of |e^{sw} (psi(s) - plateau) / s|, eps the double
     epsilon. Over 400 random noisy transforms with T in [5, 3000] and w in
-    [0.01, 12] the deviation stayed below 0.02 of that bound, at most
-    19 eps times the sum. Each w is evaluated by the same operations
-    whatever else ``ws`` holds: each ``einsum`` sums the row of one w in the
-    order it would for that w alone, so a value does not depend on its
-    batch.
+    [0.01, 12] the deviation from the correctly rounded sum stayed below
+    0.09 of that bound, at most 23 eps times the sum.
 
-    ParameterError is raised for any w that is not positive and finite, and
-    GridTooCoarse when the grid spacing exceeds min(c/4, pi/w) at the
-    largest w and the grid's abscissa c, since aliasing would then spoil
-    the result.
+    ParameterError for any w not positive and finite; GridTooCoarse when the
+    grid spacing exceeds min(c/4, pi/w) at the largest w and the grid's c,
+    since aliasing would then spoil the result.
     """
     ws = np.asarray(ws, dtype=float)
     if ws.ndim != 1 or ws.size == 0:
@@ -170,16 +204,6 @@ def bromwich_details(psi: TransformValues, ws: Sequence[float],
     if h > bound * _STEP_SLACK:
         raise GridTooCoarse(
             f"grid step {h:.6g} exceeds bound {bound:.6g} for w = {w_max:g}")
-    k = grid.n_points
-    over_points, b, q, steps = _plan(grid.c, grid.t_max, grid.m)
-    coeffs = np.zeros(q * b, dtype=complex)
-    np.subtract(psi.values, plateau, out=coeffs[:k])
-    coeffs[:k] *= over_points
-    powers = np.exp(1j * np.multiply.outer(h * ws, steps))
-    # einsum rather than BLAS: a threaded product of this size is slower
-    # than the product itself
-    baby = np.einsum("qr,wr->wq", coeffs.reshape(q, b), powers[:, :b])
-    sums = np.einsum("wq,wq->w", baby, powers[:, b:])
-    values = plateau + h * np.exp(grid.c * ws) * sums.real / math.pi
-    return InversionResult(values=tuple(values.tolist()))
-
+    diff = psi.values - plateau
+    return InversionResult(values=tuple(
+        float(plateau + np.dot(_rows(grid, w), diff).real) for w in listed))

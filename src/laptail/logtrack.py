@@ -2,13 +2,11 @@
 
 The principal logarithm jumps when a curve crosses the negative real axis;
 the estimators here need the branch that is continuous along the contour and
-real at y = 0. We build it by summing the principal logs of consecutive
-ratios. Within |ratio - 1| <= 1/2 the principal log is the continuous
-increment, since that disk keeps the ratio in the right half-plane, away
-from the cut. Each increment is computed in real arithmetic: with
-u = ratio - 1, its real part is log1p(u.re (2 + u.re) + u.im^2) / 2 and its
-imaginary part arctan2(ratio.im, ratio.re), several times faster than the
-complex log on these near-one ratios and as accurate.
+real at y = 0. Its real part is log|f| at each point, taken directly; only
+its argument is tracked, as the sum of the principal arguments of
+consecutive ratios. Within |ratio - 1| <= 1/2 the principal argument is the
+continuous turn, since that disk keeps the ratio in the right half-plane,
+away from the cut.
 
 A grid step whose ratio leaves the disk is wide. A wide step is settled
 without any evaluation when the caller bounds |f''| along the contour, as
@@ -16,29 +14,27 @@ the empirical transform's M2 = (1/n) sum x^2 e^{-c x} does: over a step of
 width h, f then stays within M2 h^2 / 8 of the chord from one value to the
 next, so a chord farther than that from 0, plus a rounding margin, proves
 that f misses 0 on the step and turns as the chord does, by the principal
-Arg of the ratio. Such a step is certified, and its increment is the
-principal complex log of its ratio. When the caller can give the
+Arg of the ratio. Such a step is certified. When the caller can give the
 transform on a finer grid, as the empirical transform's grid result can,
-a grid with a wide step that is not certified is tracked instead on the
-grid _REFINE_FACTOR times finer over the same [0, T], and every
-_REFINE_FACTOR-th value of that log is kept: there most steps of a
-transform near zero are narrow again, and the certificate, whose reach
-grows as h^2 shrinks, settles most of the rest. The grid result gives the
-finer grid from the samples it already spread, by one fold and one FFT
+a grid with a wide step that is not certified has its argument tracked
+instead on the grid _REFINE_FACTOR times finer over the same [0, T], and
+every _REFINE_FACTOR-th value is kept: there most steps of a transform
+near zero are narrow again, and the certificate, whose reach grows as h^2
+shrinks, settles most of the rest. The grid result gives the finer grid
+from the samples it already spread, by one fold and one FFT
 (``transforms``): for 2 000 samples at T = 45 that took 0.04 ms on the
 721 points, against 0.13 ms for the coarse grid's whole transform on its
-181. The steps still wide and
-uncertified there, and those of a grid tracked without such a caller, are
-bisected until every piece is in the disk or certified at its own width.
-The bisection runs in passes, one per level: each pass halves every
-pending piece of every such step and evaluates all the midpoints in one
-call of the evaluator. The empirical transform's evaluator sums the
-midpoints from the spread buffer that the grid result kept
-(``transforms``), so a midpoint costs a cosine and a sine per cell of that
-buffer, about 190 cells for 2 000 samples at T = 45, not n exponentials;
-the finer grid and the certificate leave few midpoints. Most grids have no
-wide step: they are neither certified, refined nor bisected, and the bound
-is never formed.
+181. The steps still wide and uncertified there, and those of a grid
+tracked without such a caller, are bisected until every piece is in the
+disk or certified at its own width. The bisection runs in passes, one per
+level: each pass halves every pending piece of every such step and
+evaluates all the midpoints in one call of the evaluator. The empirical
+transform's evaluator sums the midpoints from the spread buffer that the
+grid result kept (``transforms``), so a midpoint costs a cosine and a sine
+per cell of that buffer, about 190 cells for 2 000 samples at T = 45, not
+n exponentials; the finer grid and the certificate leave few midpoints.
+Most grids have no wide step: they are neither certified, refined nor
+bisected, and the bound is never formed.
 
 The log is tracked on the half grid y in [0, T] only, upward from the
 anchor y = 0: the transforms are of real measures, so on y < 0 the branch
@@ -95,21 +91,6 @@ _REFINE_LIMIT = 40
 _ANCHOR_IMAG_TOL = 1e-9
 
 
-def _log_near_one(z):
-    """Principal log of the complex array z for |z - 1| <= 1/2.
-
-    With u = z - 1, log|z| = log1p(u.re (2 + u.re) + u.im^2) / 2 and
-    arg z = arctan2(z.im, z.re); on this disk it agrees with ``np.log``
-    within 1e-15 absolute.
-    """
-    re, im = np.real(z), np.imag(z)
-    u = re - 1.0
-    out = np.empty(np.shape(z), dtype=complex)
-    out.real = 0.5 * np.log1p(u * (2.0 + u) + im * im)
-    out.imag = np.arctan2(im, re)
-    return out
-
-
 def _certified(s_from: np.ndarray, f_from: np.ndarray, s_to: np.ndarray,
                f_to: np.ndarray, bound: float | None) -> np.ndarray:
     """Whether each step from s_from to s_to provably turns the transform by
@@ -129,22 +110,21 @@ def _certified(s_from: np.ndarray, f_from: np.ndarray, s_to: np.ndarray,
     return np.abs(nearest) > bound * width * width / 8.0 + _CHORD_MARGIN
 
 
-def _bisected_log_ratios(evaluator: Callable, s_from: np.ndarray,
-                         f_from: np.ndarray, s_to: np.ndarray,
-                         f_to: np.ndarray, bound: float | None) -> np.ndarray:
-    """Continuous log of f_to / f_from for each wide step from s_from to
-    s_to, by bisection in passes.
+def _bisected_angles(evaluator: Callable, s_from: np.ndarray,
+                     f_from: np.ndarray, s_to: np.ndarray, f_to: np.ndarray,
+                     bound: float | None) -> np.ndarray:
+    """Continuous turn of the transform, from Arg f_from to Arg f_to, over
+    each wide step from s_from to s_to, by bisection in passes.
 
     Each pass halves every pending piece at its midpoint, evaluates all the
     midpoints in one ``evaluator`` call, and accepts each half whose ratio
-    lies in the disk |z - 1| <= 1/2, adding its log to its step's sum. With
-    a ``bound`` on |f''|, a half outside the disk that ``_certified``
-    accepts at its own width adds the principal log of its ratio; the other
-    halves are pending in the next pass. A zero value at a midpoint raises
-    NearZeroTransform naming it, and so does a piece still pending after
-    _REFINE_LIMIT passes, naming its ends.
+    lies in the disk |z - 1| <= 1/2 or, with a ``bound`` on |f''|, that
+    ``_certified`` accepts at its own width, adding the principal Arg of its
+    ratio to its step's sum; the other halves are pending in the next pass.
+    A zero value at a midpoint raises NearZeroTransform naming it, and so
+    does a piece still pending after _REFINE_LIMIT passes, naming its ends.
     """
-    total = np.zeros(s_from.size, dtype=complex)
+    total = np.zeros(s_from.size)
     step = np.arange(s_from.size)
     for _ in range(_REFINE_LIMIT):
         s_mid = 0.5 * (s_from + s_to)
@@ -159,21 +139,16 @@ def _bisected_log_ratios(evaluator: Callable, s_from: np.ndarray,
         f_to = np.concatenate([f_mid, f_to])
         step = np.concatenate([step, step])
         ratios = f_to / f_from
-        near = np.abs(ratios - 1.0) <= _RATIO_RADIUS
-        sure = ~near
-        sure[sure] = _certified(s_from[sure], f_from[sure], s_to[sure],
-                                f_to[sure], bound)
-        logs = np.concatenate([_log_near_one(ratios[near]),
-                               np.log(ratios[sure])])
-        done = np.concatenate([step[near], step[sure]])
-        near |= sure
+        done = np.abs(ratios - 1.0) <= _RATIO_RADIUS
+        wide = ~done
+        done[wide] = _certified(s_from[wide], f_from[wide], s_to[wide],
+                                f_to[wide], bound)
         # halves of one step can be accepted in the same pass, so their
-        # logs are summed by bincount, not by fancy-index assignment
-        total.real += np.bincount(done, logs.real, total.size)
-        total.imag += np.bincount(done, logs.imag, total.size)
-        if near.all():
+        # angles are summed by bincount, not by fancy-index assignment
+        total += np.bincount(step[done], np.angle(ratios[done]), total.size)
+        if done.all():
             return total
-        wide = ~near
+        wide = ~done
         s_from, f_from = s_from[wide], f_from[wide]
         s_to, f_to, step = s_to[wide], f_to[wide], step[wide]
     raise NearZeroTransform(
@@ -198,35 +173,33 @@ def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
     """Track the continuous logarithm of ``evaluator`` on the half grid.
 
     ``values`` holds the evaluator's values at the m + 1 grid points, in
-    their order; ParameterError when its shape is not the grid's. Starting
-    from the real anchor s = c (index 0) with log f(c) = ln f(c), the log
-    is continued up the points y in [0, t_max]: each increment is the
-    principal log of the ratio z of consecutive values, taken in real
-    arithmetic in one vectorized pass. That pass decides which steps are
-    wide, their ratio outside the disk |z - 1| <= 1/2. Grids without one
-    take the increments of every ratio as they are.
+    their order; ParameterError when its shape is not the grid's. The real
+    part of the log is log|f| of those values. Its argument starts at 0 at
+    the real anchor s = c (index 0) and is continued up the points y in
+    [0, t_max]: each turn is the principal Arg of the ratio z of
+    consecutive values, taken in one vectorized pass. That pass decides
+    which steps are wide, their ratio outside the disk |z - 1| <= 1/2.
+    Grids without one take the turn of every ratio as it is.
 
     ``curvature``, if given, is called with no arguments, once and only
     when a grid has a wide step, and returns a bound on |f''| along the
     contour, the derivative taken in y. A wide step whose chord stays
     farther from 0 than that bound times h^2 / 8, plus _CHORD_MARGIN, is
-    certified (``_certified``) and takes the principal complex log of its
-    ratio as its increment.
+    certified (``_certified``) and turns by the principal Arg of its ratio.
 
     ``on_grid``, if given, maps a ContourGrid to the same transform's values
-    at its points. A grid with a wide step that is not certified is then
-    tracked instead on ContourGrid(c, t_max, _REFINE_FACTOR m), from
-    ``on_grid`` of it, and every _REFINE_FACTOR-th value of that log is
-    returned; not if that grid would have more than 5 * 10^6 points, the
-    cap of ``build_grid``. The finer
-    grid and its values are built for the call and not kept. The wide steps
-    still uncertified, on whichever grid is tracked, are bisected until
-    every piece is in the disk or certified at its own width, in at most
-    _REFINE_LIMIT passes; each pass calls ``evaluator`` once, with the
-    array of all its midpoints, so ``evaluator`` must accept a 1-d complex
-    array. A zero value on a tracked grid or at a midpoint, and a step that
-    never settles, raise NearZeroTransform. The log is the running sum of
-    the increments from ln f(c), formed in the output array itself.
+    at its points. A grid with a wide step that is not certified then has
+    its argument tracked on ContourGrid(c, t_max, _REFINE_FACTOR m), from
+    ``on_grid`` of it, and every _REFINE_FACTOR-th value of that argument
+    is returned; not if that grid would have more than 5 * 10^6 points, the
+    cap of ``build_grid``. The finer grid and its values are built for the
+    call and not kept. The wide steps still uncertified, on whichever grid
+    is tracked, are bisected until every piece is in the disk or certified
+    at its own width, in at most _REFINE_LIMIT passes; each pass calls
+    ``evaluator`` once, with the array of all its midpoints, so
+    ``evaluator`` must accept a 1-d complex array. A zero value on a
+    tracked grid or at a midpoint, and a step that never settles, raise
+    NearZeroTransform.
 
     The anchor value f(c) must be real positive (relative imaginary part
     within 1e-9), else DomainError: transforms of nonnegative measures are
@@ -241,10 +214,10 @@ def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
         raise DomainError(
             f"transform at s = {grid.c} must be real and positive, got {f_c}")
     ratios, near = _ratios(pts, vals)
-    keep = 1
-    if near.all():
-        incs = _log_near_one(ratios)
-    else:
+    out = np.empty(vals.size, dtype=complex)
+    out.real = np.log(np.abs(vals))
+    keep, rest = 1, ()
+    if not near.all():
         bound = None if curvature is None else float(curvature())
         wide = np.flatnonzero(~near)
         sure = _certified(pts[wide], vals[wide], pts[wide + 1],
@@ -259,18 +232,13 @@ def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
             wide = np.flatnonzero(~near)
             sure = _certified(pts[wide], vals[wide], pts[wide + 1],
                               vals[wide + 1], bound)
-        # increments for the easy steps in one vectorized pass, then
-        # replace the few wide ones: the certified by their principal logs,
-        # the others by their bisected sums
-        incs = _log_near_one(np.where(near, ratios, 1.0))
-        incs[wide[sure]] = np.log(ratios[wide[sure]])
         rest = wide[~sure]
-        if rest.size:
-            incs[rest] = _bisected_log_ratios(evaluator, pts[rest], vals[rest],
-                                              pts[rest + 1], vals[rest + 1],
-                                              bound)
-    out = np.empty(vals.size, dtype=complex)
-    out[0] = np.log(f_c.real)
-    np.cumsum(incs, out=out[1:])
-    out[1:] += out[0]
-    return TransformValues._adopt(grid, out[::keep])
+    # the turns of every step in one vectorized pass, right for those in
+    # the disk and those certified; the others are bisected
+    angles = np.angle(ratios)
+    if len(rest):
+        angles[rest] = _bisected_angles(evaluator, pts[rest], vals[rest],
+                                        pts[rest + 1], vals[rest + 1], bound)
+    out.imag[0] = 0.0
+    out.imag[1:] = np.cumsum(angles)[keep - 1::keep]
+    return TransformValues._adopt(grid, out)

@@ -195,17 +195,18 @@ class ContourGrid:
 
     A grid is immutable, so one instance can be shared: ``build_grid`` hands
     out the same grid for equal arguments and keeps the last 4, each with
-    its ordinates (8 bytes per point), points (16) and inversion plan: the
-    trapezoid weights over the points (16) and about 2 sqrt(K) phase steps of
-    the K points, 40 bytes per point in all. Apart from the grids, the grid
-    transform keeps the NUFFT kernel of each of the last 8 point counts it
-    was called for (``_kernel``), 8 bytes per point each: up to 320 MB at
-    the cap of 5 * 10^6 points. A grid transform's result keeps, for
-    refinement and for point evaluation off the grid, a reference to its
-    samples and its folded spread, 8 bytes per cell of the kernel's grid of
-    about 4 cells per point, so 32 bytes per point; both are freed with the
-    result. Its values are their own array of 16 bytes per point, not a
-    view of the FFT output of about twice that.
+    its ordinates (8 bytes per point), points (16) and inversion plan, the
+    trapezoid weights over the points (16): 40 bytes per point in all. The
+    inversion's weight rows, 16 bytes per point and w, are kept by grid and
+    w within 4 MiB in all (``inversion._rows``), not with the grid. The
+    grid transform keeps the NUFFT kernel of each of the last 8 point
+    counts it was called for (``_kernel``), 8 bytes per point each: up to
+    320 MB at the cap of 5 * 10^6 points. A grid transform's result keeps,
+    for refinement and for point evaluation off the grid, a reference to
+    its samples and its folded spread, 8 bytes per cell of the kernel's
+    grid of about 4 cells per point, so 32 bytes per point; both are freed
+    with the result. Its values are their own array of 16 bytes per point,
+    not a view of the FFT output of about twice that.
     """
 
     c: float
@@ -534,23 +535,31 @@ def _piece_moments(a: np.ndarray, t: np.ndarray,
     a t^p is built and summed before the next one's, so it takes
     (P + 1) x 8 _MOMENT_BLOCK bytes whatever the sample size. Row p + 1 of
     the table is row p times t, and one ``np.add.reduceat`` sums each piece
-    of every row pairwise.
+    of every row pairwise. Samples that fit in one block skip the
+    bookkeeping of the blocks.
     """
-    moments = np.empty((_KERNEL_DEGREE + 1, pieces.size))
     table = np.empty((_KERNEL_DEGREE + 1, min(a.size, _MOMENT_BLOCK)))
+    if a.size <= _MOMENT_BLOCK:
+        return np.add.reduceat(_powers(a, t, table), pieces, axis=1)
+    moments = np.empty((_KERNEL_DEGREE + 1, pieces.size))
     block_starts = range(0, a.size, _MOMENT_BLOCK)
     ends = [*pieces.searchsorted(block_starts[1:]).tolist(), pieces.size]
     done = 0
     for lo, end in zip(block_starts, ends):
         hi = min(a.size, lo + _MOMENT_BLOCK)
-        rows, tb = table[:, :hi - lo], t[lo:hi]
-        rows[0] = a[lo:hi]
-        for p in range(_KERNEL_DEGREE):
-            np.multiply(rows[p], tb, out=rows[p + 1])
-        np.add.reduceat(rows, pieces[done:end] - lo, axis=1,
+        np.add.reduceat(_powers(a[lo:hi], t[lo:hi], table[:, :hi - lo]),
+                        pieces[done:end] - lo, axis=1,
                         out=moments[:, done:end])
         done = end
     return moments
+
+
+def _powers(a: np.ndarray, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows`` filled with a t^p, p = 0 .. P, row p + 1 row p times t."""
+    rows[0] = a
+    for p in range(_KERNEL_DEGREE):
+        np.multiply(rows[p], t, out=rows[p + 1])
+    return rows
 
 
 def _spread(x: np.ndarray, a: np.ndarray, h: float,
@@ -617,8 +626,10 @@ def _spread(x: np.ndarray, a: np.ndarray, h: float,
     run_cells = cells[starts]
     del cells
     # blocks cut the runs into pieces, whose moments are summed pairwise too
-    new_run[::_MOMENT_BLOCK] = True
-    pieces = new_run.nonzero()[0]
+    pieces = starts
+    if x.size > _MOMENT_BLOCK:
+        new_run[::_MOMENT_BLOCK] = True
+        pieces = new_run.nonzero()[0]
     del new_run
     moments = _piece_moments(a, t, pieces)
     if pieces.size > starts.size:

@@ -60,11 +60,12 @@ def simpson_inversion(transform: Callable, grid: ContourGrid, w: float,
 
 
 def bromwich_loop(psi: TransformValues, ws, plateau: float = 0.0) -> tuple:
-    """Values of ``bromwich_details`` by the same baby-step / giant-step
-    sums, one w at a time, with ``einsum`` calls of its own for the baby
-    steps and the giant step of each w. The library takes those of every w
-    in one ``einsum`` each and must round every value the same."""
-    ws = np.asarray(ws, dtype=float)
+    """Values of ``bromwich_details``, one w at a time, by the same
+    arithmetic written out afresh for each: the weight row of w, the giant
+    steps e^{i qBhw} times the baby steps e^{i rhw} h e^{cw} / pi, times the
+    trapezoid weights over the points, and one dot product of the row with
+    psi - plateau. The library keeps its rows between calls and must round
+    every value the same."""
     grid = psi.grid
     h = grid.spacing
     k = grid.n_points
@@ -72,16 +73,11 @@ def bromwich_loop(psi: TransformValues, ws, plateau: float = 0.0) -> tuple:
     q = -(-k // b)
     weights = np.ones(k)
     weights[[0, -1]] = 0.5
-    coeffs = np.zeros(q * b, dtype=complex)
-    np.subtract(psi.values, plateau, out=coeffs[:k])
-    coeffs[:k] *= weights / grid.points
-    table = coeffs.reshape(q, b)
-    steps = np.concatenate([np.arange(b), np.arange(0, q * b, b)])
-    powers = np.exp(1j * np.multiply.outer(h * ws, steps))
     values = []
-    for w, row in zip(ws, powers):
-        baby = np.einsum("qr,r->q", table, row[:b])
-        total = np.einsum("wq,wq->w", baby[None], row[None, b:])[0]
-        values.append(float(plateau + h * np.exp(grid.c * w)
-                            * total.real / math.pi))
+    for w in np.asarray(ws, dtype=float).tolist():
+        baby = (np.exp(1j * (h * w * np.arange(b)))
+                * (h * np.exp(grid.c * w) / math.pi))
+        giant = np.exp(1j * (h * w * np.arange(0, q * b, b)))
+        row = np.outer(giant, baby).ravel()[:k] * (weights / grid.points)
+        values.append(float(plateau + np.dot(row, psi.values - plateau).real))
     return tuple(values)

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import laptail
+import laptail.studies
 from laptail.cli import build_parser, main
+from laptail.estimator import estimate_cdf_batch
 
 W_90 = 0.16094379124341003
 
@@ -168,6 +170,36 @@ def test_estimate_fallback_row_never_aborts(tmp_path, capsys):
     assert row["on_domain_event"] == "false"
     assert row["fallback_reason"] == "domain_event"
     assert float(row["cdf"]) == 0.0
+
+
+def test_estimate_at_a_w_past_any_grid_falls_back_to_capacity(tmp_path,
+                                                              capsys):
+    # at T = sqrt(100) the interval count of the grid overflows to inf at
+    # w = 1e308, which raised OverflowError and exited 1 with a traceback
+    f = tmp_path / "totals.txt"
+    f.write_text("0.01\n0.03\n0.0\n0.02\n" * 25)
+    code, out, err = run(["estimate", "--samples", str(f), "--delta", "0.1",
+                          "--w", "1e308"], capsys)
+    assert (code, err) == (0, "")
+    row = parse_csv(out)[0]
+    assert (row["cdf"], row["fallback_reason"]) == ("0", "capacity")
+
+
+def test_convergence_at_a_w_past_any_grid_falls_back_to_capacity(
+        capsys, monkeypatch):
+    reasons = []
+
+    def recording(*args):
+        results = estimate_cdf_batch(*args)
+        reasons.extend(r.fallback_reason for r in results)
+        return results
+
+    monkeypatch.setattr(laptail.studies, "estimate_cdf_batch", recording)
+    code, out, err = run(["convergence", "--w", "1e308", "--reps", "2",
+                          "--n", "100"], capsys)
+    assert (code, err) == (0, "")
+    assert reasons == ["capacity", "capacity"]
+    assert parse_csv(out)[0]["mean_abs_error"] == "1"
 
 
 # --- output modes and config ----------------------------------------------------

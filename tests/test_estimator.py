@@ -128,6 +128,15 @@ def test_capacity_failure_falls_back():
     assert res.fallback_reason == "capacity"
 
 
+def test_a_grid_count_past_any_integer_falls_back_to_capacity():
+    # at w = 1e308 the grid's interval count t_max / h overflows to inf,
+    # where its ceiling raised OverflowError out of the estimator
+    results = estimate_cdf_batch(simulated_totals(3, 100), Mg1Workload(0.1),
+                                 [0.5, 1e308], EstimatorConfig(w=0.5))
+    assert [r.fallback_reason for r in results] == ["capacity", "capacity"]
+    assert [r.value for r in results] == [0.0, 0.0]
+
+
 def test_estimate_on_the_shared_grid_equals_a_fresh_grid():
     totals = simulated_totals(6, 1000)
     mg1 = Mg1Workload(0.1)

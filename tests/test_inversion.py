@@ -1,6 +1,7 @@
 """Contour inversion: grids, quadrature, truncation behavior."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laptail.errors import CapacityError, GridTooCoarse, ParameterError
-from laptail.inversion import bromwich_details, build_grid
+from laptail.inversion import _rows, _weight_row, bromwich_details, build_grid
 from laptail.transforms import (ContourGrid, Deterministic, Exponential, Gamma,
                                 TransformValues)
 from oracles import bromwich_loop, invert_cdf_known, simpson_inversion
@@ -91,6 +92,19 @@ def test_build_grid_budget():
     with pytest.raises(CapacityError):
         build_grid(1.0, 1.25e6, 1.0)
     assert build_grid(1.0, 1.25e6 - 0.5, 1.0).n_points == 5 * 10**6 - 1
+
+
+@pytest.mark.parametrize("t_max, w", [(100.0, 1e308), (1e308, 1.0),
+                                      (100.0, 1e305), (1e306, 1.0)])
+def test_build_grid_refuses_huge_counts_without_overflow(t_max, w):
+    # t_max / h overflows to inf at w = 1e308 and at t_max = 1e308, where
+    # the ceiling of it raised OverflowError; at 1e305 the count is finite
+    # but has 300 digits, which the message does not print
+    with pytest.raises(CapacityError) as info:
+        build_grid(1.0, t_max, w)
+    message = str(info.value)
+    assert "5,000,000 points" in message
+    assert len(message) < 100 and not re.search(r"\d{8}", message)
 
 
 def test_build_grid_shares_one_immutable_grid():
@@ -316,6 +330,54 @@ def test_batch_equals_one_w_at_a_time(t_max, distinct, picks, plateau, seed):
     psi = noisy_psi(grid, seed)
     assert (bromwich_details(psi, ws, plateau=plateau).values
             == bromwich_loop(psi, ws, plateau))
+
+
+def test_a_kept_row_equals_a_row_built_afresh():
+    # the row kept for (grid, w) and the one built again after the cache
+    # is cleared are equal bit for bit, read-only, and give the same value
+    grid = build_grid(1.0, 400.0, max(BATCH_WS))
+    psi = noisy_psi(grid, 10)
+    _rows.cache_clear()
+    first = bromwich_details(psi, BATCH_WS, plateau=0.3).values
+    kept = [_rows(grid, w) for w in BATCH_WS]
+    assert all(_rows(grid, w) is row for w, row in zip(BATCH_WS, kept))
+    _rows.cache_clear()
+    for w, row in zip(BATCH_WS, kept):
+        built = _rows(grid, w)
+        assert built is not row and np.array_equal(built, row)
+        assert not row.flags.writeable and not built.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+    assert bromwich_details(psi, BATCH_WS, plateau=0.3).values == first
+    # an equal grid that is another object shares the rows
+    twin = ContourGrid(grid.c, grid.t_max, grid.m)
+    assert _rows(twin, BATCH_WS[0]) is _rows(grid, BATCH_WS[0])
+
+
+def test_no_row_is_kept_past_the_memory_bound():
+    # rows of the 1 601 points of T = 400 take 16 x 1 640 bytes each: 159
+    # fit in 4 MiB, and the least recently used go first
+    assert _rows.budget == 4 << 20
+    _rows.cache_clear()
+    grid = build_grid(1.0, 400.0, 1.0)
+    ws = np.linspace(0.01, 12.0, 400).tolist()
+    for w in ws:
+        _rows(grid, w)
+        kept = list(_rows._rows.values())
+        assert _rows.nbytes == sum(row.base.nbytes for row in kept)
+        assert _rows.nbytes <= _rows.budget
+    assert len(kept) == 159 and kept[0].base.nbytes == 16 * 1640
+    assert kept[-1] is _rows(grid, ws[-1])
+    assert all(np.array_equal(row, _weight_row(grid, w))
+               for w, row in zip(ws[-159:], kept))
+    # a row larger than the budget is built for its call alone
+    huge = build_grid(1.0, 90_000.0, 1.0)
+    assert 16 * huge.n_points > _rows.budget
+    _rows(huge, 1.0)
+    assert [id(row) for row in _rows._rows.values()] == [id(row) for row in kept]
+    assert _rows.nbytes <= _rows.budget
+    _rows.cache_clear()
+    assert (_rows.nbytes, _rows._rows) == (0, {})
 
 
 def test_raw_values_stay_near_unit_range():

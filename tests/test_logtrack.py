@@ -7,7 +7,7 @@ import pytest
 
 from laptail.errors import DomainError, NearZeroTransform, ParameterError
 from laptail.inversion import build_grid
-from laptail.logtrack import _CHORD_MARGIN, _log_near_one, track_log
+from laptail.logtrack import _CHORD_MARGIN, track_log
 from laptail.simulation import (BinomialCounts, NegBinomialCounts,
                                 PoissonCounts, replication_rng,
                                 sample_compound, sample_compound_poisson)
@@ -24,27 +24,6 @@ def exp_jobs_transform(rate: float):
 def compound_evaluator(intensity: float, rate: float):
     jobs = exp_jobs_transform(rate)
     return lambda s: np.exp(intensity * (jobs(s) - 1.0))
-
-
-# --- log increment ---------------------------------------------------------
-
-def disk_points() -> np.ndarray:
-    """Points across |z - 1| <= 1/2, on its boundary and at |z - 1| ~ 1e-12."""
-    rng = np.random.default_rng(23)
-    angles = rng.uniform(-math.pi, math.pi, (3, 4000))
-    radii = [0.5 * np.sqrt(rng.random(4000)), np.full(4000, 0.5),
-             1e-12 * rng.uniform(0.5, 2.0, 4000)]
-    return np.concatenate([1.0 + r * np.exp(1j * a) for r, a in zip(radii, angles)])
-
-
-def test_log_near_one_matches_complex_log():
-    z = disk_points()
-    assert np.max(np.abs(z - 1.0)) <= 0.5 + 1e-15
-    got = _log_near_one(z)
-    assert np.max(np.abs(got - np.log(z))) <= 1e-15
-    # a scalar gives the value it gets inside an array
-    for k in range(0, z.size, 97):
-        assert complex(_log_near_one(complex(z[k]))) == got[k]
 
 
 def test_tracked_empirical_log_matches_complex_log_path():
@@ -215,6 +194,23 @@ def test_refinement_runs_only_on_a_grid_with_a_wide_step():
     assert grids == [] and calls == [] and bounds == []
     want = track_log(np.exp, grid, empirical_transform_grid(ss, grid).values)
     assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_real_part_of_the_log_is_the_log_of_the_modulus(seed):
+    # only the argument is tracked: the real part is log|f| of the values
+    # given, bit for bit, on the observations of all four maps, and on a
+    # binomial sample whose log is refined and bisected (seed 4: 3 midpoints)
+    grid = build_grid(1.0, 45.0, 1.5)
+    cases = {**map_samples(seed), "bisected": binomial_totals(4)}
+    for name, ss in cases.items():
+        grids, calls = [], []
+        values = empirical_transform_grid(ss, grid).values
+        path = refined_log(ss, grid, grids, calls)
+        assert np.array_equal(path.values.real, np.log(np.abs(values))), name
+        assert path.values[0].imag == 0.0, name
+        if name == "bisected":
+            assert len(grids) == 1 and sum(calls) == 3
 
 
 # --- chord certificate ------------------------------------------------------

@@ -573,11 +573,13 @@ def test_kernel_product_blocks_stay_in_the_calling_thread():
 
 def test_piece_moments_match_exact_sums():
     # every row p of the moment table against a correctly rounded sum of
-    # the rounded terms a t^p over each piece: more than one block, pieces
-    # that end on a block boundary, one-sample pieces, and one piece that
-    # fills the whole second block. Each term is rounded once per power of
-    # t, and the pieces are summed pairwise: over 20 seeds the error reached
-    # 3.2 eps times the sum of |a t^p|
+    # the rounded terms a t^p over each piece, on both sides: more than one
+    # block, with pieces that end on a block boundary, one-sample pieces,
+    # and one piece that fills the whole second block; and the first block
+    # alone, samples that fit in one block skipping the block bookkeeping.
+    # Each term is rounded once per power of t, and the pieces are summed
+    # pairwise: over 20 seeds the error reached 3.2 eps times the sum of
+    # |a t^p|
     eps = np.finfo(float).eps
     rng = np.random.default_rng(41)
     block = _MOMENT_BLOCK
@@ -592,14 +594,15 @@ def test_piece_moments_match_exact_sums():
                            replace=False)),
         [3 * block - 1, 3 * block, 3 * block + 150, n - 2, n - 1]])
     assert np.all(np.diff(cuts) > 0)
-    got = _piece_moments(a, t, cuts)
-    ends = [*cuts[1:], n]
-    for p in range(_KERNEL_DEGREE + 1):
-        terms = a * t**p
-        for r, (lo, hi) in enumerate(zip(cuts, ends)):
-            want = math.fsum(terms[lo:hi])
-            scale = float(np.abs(terms[lo:hi]).sum())
-            assert abs(got[p, r] - want) <= 8 * eps * scale, (p, lo, hi)
+    for size, starts in ((n, cuts), (block, cuts[cuts < block])):
+        got = _piece_moments(a[:size], t[:size], starts)
+        ends = [*starts[1:], size]
+        for p in range(_KERNEL_DEGREE + 1):
+            terms = a[:size] * t[:size]**p
+            for r, (lo, hi) in enumerate(zip(starts, ends)):
+                want = math.fsum(terms[lo:hi])
+                scale = float(np.abs(terms[lo:hi]).sum())
+                assert abs(got[p, r] - want) <= 8 * eps * scale, (p, lo, hi)
 
 
 def test_grid_transform_memory_is_not_dense_in_the_arc():
