@@ -25,13 +25,15 @@ weight row of w on its grid of K = m + 1 points: the trapezoid weights over
 the points times e^{i y_k w} h e^{cw} / pi. Its phases are giant steps
 times baby steps, about 2 sqrt(K) exponentials, and the sum stays within
 23 eps of the direct one, relative to the sum of the moduli of its terms,
-in the cases measured. Rows are kept per grid and w within 4 MiB (``_rows``).
+in the cases measured. A row takes 16 QB < 16 (K + B) bytes, B = ceil(sqrt K)
+and Q = ceil(K / B). The rows of the _ROWS_KEPT = 32 (grid, w) used last are
+kept, on grids of at most _ROW_POINTS = 8 001 points (QB <= 8 010): at most
+32 x 16 x 8 010 = 4 101 120 bytes, under 4 MiB. Other rows are not kept.
 """
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,10 +82,10 @@ def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
     points are built once; the last 4 grids are kept. With its inversion
     plan (``_plan``: trapezoid weights over the points) a kept grid holds
     40 bytes per point: at most 4 grids of up to 5 * 10^6 points. Weight
-    rows are kept apart, within 4 MiB (``_rows``). The grid transform on
-    such a grid also keeps its NUFFT kernel, 8 bytes per point, for the
-    last 8 point counts (``transforms._kernel``): up to 320 MB more at the
-    cap.
+    rows are kept apart, only for grids of at most 8 001 points and within
+    4 MiB in all (see the module docstring). The grid transform on such a
+    grid also keeps its NUFFT kernel, 8 bytes per point, for the last 8
+    point counts (``transforms._kernel``): up to 320 MB more at the cap.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ParameterError("t_max must be positive and finite")
@@ -119,7 +121,8 @@ def _plan(c: float, t_max: float, m: int) -> tuple[np.ndarray, int, int]:
 def _weight_row(grid: ContourGrid, w: float) -> np.ndarray:
     """The read-only row omega_k / s_k e^{i y_k w} h e^{cw} / pi, written in
     place into one array of QB >= K entries: the giant steps e^{i qBhw}
-    times the scaled baby steps e^{i rhw}, then times the weights."""
+    times the scaled baby steps e^{i rhw}, then times the weights (``_row``
+    keeps it on grids of at most _ROW_POINTS points)."""
     over_points, b, q = _plan(grid.c, grid.t_max, grid.m)
     h = grid.spacing
     baby = np.exp(1j * (h * w * np.arange(b))) * (h * np.exp(grid.c * w) / math.pi)
@@ -132,38 +135,21 @@ def _weight_row(grid: ContourGrid, w: float) -> np.ndarray:
     return row
 
 
-class _RowCache:
-    """Weight rows keyed by the grid's (c, t_max, m) and w, the least
-    recently used dropped first while their arrays take over ``budget``
-    bytes; a row over the budget is not kept. A row of K points takes
-    16 QB < 16 (K + B) bytes: 4 MiB holds 159 rows of 1 601 points and 6
-    of 40 001."""
-
-    def __init__(self, budget: int):
-        self.budget, self.nbytes, self._rows = budget, 0, {}
-        self._lock = threading.Lock()
-
-    def __call__(self, grid: ContourGrid, w: float) -> np.ndarray:
-        key = (grid.c, grid.t_max, grid.m, w)
-        with self._lock:
-            row = self._rows.pop(key, None)
-            if row is None:
-                row = _weight_row(grid, w)
-                if row.base.nbytes > self.budget:
-                    return row
-                self.nbytes += row.base.nbytes
-            self._rows[key] = row
-            while self.nbytes > self.budget:
-                self.nbytes -= self._rows.pop(next(iter(self._rows))).base.nbytes
-        return row
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._rows.clear()
-            self.nbytes = 0
+# Rows kept, and the most points of a grid they are kept for (module doc)
+_ROWS_KEPT = 32
+_ROW_POINTS = 8_001
 
 
-_rows = _RowCache(4 << 20)
+@functools.lru_cache(maxsize=_ROWS_KEPT)
+def _kept_row(c: float, t_max: float, m: int, w: float) -> np.ndarray:
+    return _weight_row(_shared_grid(c, t_max, m), w)
+
+
+def _row(grid: ContourGrid, w: float) -> np.ndarray:
+    """The weight row of w, kept on grids of at most _ROW_POINTS points."""
+    if grid.n_points > _ROW_POINTS:
+        return _weight_row(grid, w)
+    return _kept_row(grid.c, grid.t_max, grid.m, w)
 
 
 def bromwich_details(psi: TransformValues, ws: Sequence[float],
@@ -176,8 +162,9 @@ def bromwich_details(psi: TransformValues, ws: Sequence[float],
         plateau + (1/pi) * trapezoid over [0, T] of Re[e^{sw} (psi(s) - plateau) / s]
 
     and the values come back in the order of ``ws``. Each is plateau plus
-    the real part of one ``np.dot`` of the weight row of w (``_rows``) with
-    psi - plateau, so a value does not depend on its batch. The row's
+    the real part of one ``np.dot`` of the weight row of w (``_row``, kept
+    on grids of at most 8 001 points) with psi - plateau, so a value does
+    not depend on its batch, nor on whether its row was kept. The row's
     phases, e^{i qBhw} e^{i rhw} for y_k = (qB + r) h and B = ceil(sqrt(K))
     (the baby and giant steps of Paterson and Stockmeyer), are rounded
     differently from the direct y_k w, so the result differs from the
@@ -206,4 +193,4 @@ def bromwich_details(psi: TransformValues, ws: Sequence[float],
             f"grid step {h:.6g} exceeds bound {bound:.6g} for w = {w_max:g}")
     diff = psi.values - plateau
     return InversionResult(values=tuple(
-        float(plateau + np.dot(_rows(grid, w), diff).real) for w in listed))
+        float(plateau + np.dot(_row(grid, w), diff).real) for w in listed))

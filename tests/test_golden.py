@@ -21,13 +21,11 @@ and, for ``estimate.csv``, of the README quick start:
     laptail simulate --lambda 10 --mu 20 --delta 0.1 --n 10000 --seed 1 --out totals.txt
     laptail estimate --samples totals.txt --map mg1 --delta 0.1 --w 0.1609 --w 0.3912
 
-Text cells must match exactly and numeric cells to 1e-8 relative: the CLI
-prints ten significant digits, so a change in rounding may move the last
-one, but nothing more. A change that is meant to alter these numbers
-regenerates the files with the commands above and says why.
+Each output must match its file byte for byte. A change that is meant to
+alter these numbers regenerates the files with the commands above and
+says why.
 """
 import csv
-import io
 import math
 import os
 import re
@@ -54,30 +52,11 @@ RUNS = {
 }
 
 
-def cells_match(want: str, got: str) -> bool:
-    try:
-        a, b = float(want), float(got)
-    except ValueError:
-        return want == got
-    return math.isclose(a, b, rel_tol=1e-8, abs_tol=0.0)
-
-
-def assert_matches_golden(name: str, text: str) -> None:
-    got = list(csv.reader(io.StringIO(text)))
-    want = list(csv.reader(io.StringIO((GOLDEN / f"{name}.csv").read_text())))
-    assert got[0] == want[0]
-    assert len(got) == len(want)
-    for row, (w, g) in enumerate(zip(want[1:], got[1:]), start=1):
-        assert len(g) == len(w), f"row {row}"
-        bad = [(col, a, b) for col, a, b in zip(want[0], w, g)
-               if not cells_match(a, b)]
-        assert not bad, f"row {row}: (column, golden, got) {bad}"
-
-
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_study_output_matches_golden(name, capsys):
     assert main(RUNS[name]) == 0
-    assert_matches_golden(name, capsys.readouterr().out)
+    assert (capsys.readouterr().out.encode()
+            == (GOLDEN / f"{name}.csv").read_bytes())
 
 
 def simulate_quick_start_totals(totals: Path) -> None:
@@ -92,7 +71,7 @@ def test_quick_start_estimate_matches_golden(tmp_path, capsys):
     assert main(["estimate", "--samples", str(totals), "--map", "mg1",
                  "--delta", "0.1", "--w", "0.1609", "--w", "0.3912",
                  "--out", str(out)]) == 0
-    assert_matches_golden("estimate", out.read_text())
+    assert out.read_bytes() == (GOLDEN / "estimate.csv").read_bytes()
 
 
 def test_readme_python_quick_start_matches_golden(tmp_path):

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laptail.errors import CapacityError, GridTooCoarse, ParameterError
-from laptail.inversion import _rows, _weight_row, bromwich_details, build_grid
+from laptail import inversion
+from laptail.inversion import _row, _weight_row, bromwich_details, build_grid
 from laptail.transforms import (ContourGrid, Deterministic, Exponential, Gamma,
                                 TransformValues)
 from oracles import bromwich_loop, invert_cdf_known, simpson_inversion
@@ -337,13 +339,13 @@ def test_a_kept_row_equals_a_row_built_afresh():
     # is cleared are equal bit for bit, read-only, and give the same value
     grid = build_grid(1.0, 400.0, max(BATCH_WS))
     psi = noisy_psi(grid, 10)
-    _rows.cache_clear()
+    inversion._kept_row.cache_clear()
     first = bromwich_details(psi, BATCH_WS, plateau=0.3).values
-    kept = [_rows(grid, w) for w in BATCH_WS]
-    assert all(_rows(grid, w) is row for w, row in zip(BATCH_WS, kept))
-    _rows.cache_clear()
+    kept = [_row(grid, w) for w in BATCH_WS]
+    assert all(_row(grid, w) is row for w, row in zip(BATCH_WS, kept))
+    inversion._kept_row.cache_clear()
     for w, row in zip(BATCH_WS, kept):
-        built = _rows(grid, w)
+        built = _row(grid, w)
         assert built is not row and np.array_equal(built, row)
         assert not row.flags.writeable and not built.flags.writeable
         with pytest.raises(ValueError):
@@ -351,33 +353,62 @@ def test_a_kept_row_equals_a_row_built_afresh():
     assert bromwich_details(psi, BATCH_WS, plateau=0.3).values == first
     # an equal grid that is another object shares the rows
     twin = ContourGrid(grid.c, grid.t_max, grid.m)
-    assert _rows(twin, BATCH_WS[0]) is _rows(grid, BATCH_WS[0])
+    assert _row(twin, BATCH_WS[0]) is _row(grid, BATCH_WS[0])
 
 
 def test_no_row_is_kept_past_the_memory_bound():
-    # rows of the 1 601 points of T = 400 take 16 x 1 640 bytes each: 159
-    # fit in 4 MiB, and the least recently used go first
-    assert _rows.budget == 4 << 20
-    _rows.cache_clear()
+    # the largest row of a grid under the cap, kept for every slot, fits in
+    # 4 MiB
+    cap, kept_rows = inversion._ROW_POINTS, inversion._ROWS_KEPT
+    largest = 0
+    for m in range(2, cap, 2):
+        b = math.isqrt(m) + 1
+        largest = max(largest, 16 * b * -(-(m + 1) // b))
+    at_cap = ContourGrid(1.0, 2000.0, cap - 1)
+    assert _weight_row(at_cap, 1.0).base.nbytes == largest == 16 * 8010
+    assert kept_rows * largest <= 4 << 20
+    # once the cache is full, the least recently used row goes first
+    inversion._kept_row.cache_clear()
     grid = build_grid(1.0, 400.0, 1.0)
-    ws = np.linspace(0.01, 12.0, 400).tolist()
-    for w in ws:
-        _rows(grid, w)
-        kept = list(_rows._rows.values())
-        assert _rows.nbytes == sum(row.base.nbytes for row in kept)
-        assert _rows.nbytes <= _rows.budget
-    assert len(kept) == 159 and kept[0].base.nbytes == 16 * 1640
-    assert kept[-1] is _rows(grid, ws[-1])
-    assert all(np.array_equal(row, _weight_row(grid, w))
-               for w, row in zip(ws[-159:], kept))
-    # a row larger than the budget is built for its call alone
-    huge = build_grid(1.0, 90_000.0, 1.0)
-    assert 16 * huge.n_points > _rows.budget
-    _rows(huge, 1.0)
-    assert [id(row) for row in _rows._rows.values()] == [id(row) for row in kept]
-    assert _rows.nbytes <= _rows.budget
-    _rows.cache_clear()
-    assert (_rows.nbytes, _rows._rows) == (0, {})
+    ws = np.linspace(0.01, 12.0, kept_rows + 1).tolist()
+    kept = [_row(grid, w) for w in ws[:-1]]
+    _row(grid, ws[-1])
+    assert inversion._kept_row.cache_info().currsize == kept_rows
+    assert all(_row(grid, w) is row for w, row in zip(ws[1:-1], kept[1:]))
+    rebuilt = _row(grid, ws[0])
+    assert rebuilt is not kept[0] and np.array_equal(rebuilt, kept[0])
+    # a row at the cap is kept, and one over it is built for its call alone
+    assert _row(at_cap, 1.0) is _row(at_cap, 1.0)
+    huge = build_grid(1.0, 2001.0, 1.0)
+    assert huge.n_points > cap
+    before = inversion._kept_row.cache_info()
+    row = _row(huge, 1.0)
+    assert row is not _row(huge, 1.0)
+    assert np.array_equal(row, _weight_row(huge, 1.0))
+    assert not row.flags.writeable
+    assert inversion._kept_row.cache_info() == before
+    inversion._kept_row.cache_clear()
+
+
+def test_threads_sharing_the_rows_get_the_single_thread_values():
+    # 4 threads invert one psi at 20 ws, from an empty cache and in
+    # different orders, and each gets the values of one thread bit for bit
+    grid = build_grid(1.0, 400.0, max(BATCH_WS))
+    psi = noisy_psi(grid, 11)
+    ws = np.linspace(0.05, 3.0, 20).tolist()
+    inversion._kept_row.cache_clear()
+    want = bromwich_details(psi, ws, plateau=0.3).values
+    inversion._kept_row.cache_clear()
+
+    def invert(shift):
+        order = ws[shift:] + ws[:shift]
+        got = [bromwich_details(psi, order, plateau=0.3).values
+               for _ in range(5)]
+        return [values[-shift:] + values[:-shift] for values in got]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(invert, (0, 5, 10, 15)))
+    assert all(values == want for got in results for values in got)
 
 
 def test_raw_values_stay_near_unit_range():
