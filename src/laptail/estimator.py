@@ -156,7 +156,8 @@ def empirical_workload_estimator(workload_samples: SampleSet, w: float) -> float
     """Fraction of sampled workloads strictly above w."""
     if not (w >= 0 and math.isfinite(w)):
         raise ParameterError("threshold w must be nonnegative")
-    return float(np.mean(workload_samples.values > w))
+    return float(np.count_nonzero(workload_samples.values > w)
+                 / workload_samples.n)
 
 
 def censored_increments(workload_samples: SampleSet, delta: float) -> SampleSet:

@@ -37,7 +37,7 @@ The NUFFT has a sample side and a mode side. The sample side
 (``_spread``) takes the sorted samples to their phases, runs, moments and
 kernel product, and spreads them into a buffer over the occupied arc. The
 mode side folds that buffer onto the periodic grid (``_fold``), takes one
-real FFT and undoes the kernel (``_modes``). On the grid factor times
+real FFT and undoes the kernel (``_mode_values``). On the grid factor times
 finer over the same [0, T] every phase is divided by factor, so unless the
 phases were reduced modulo 2 pi each sample sits in the same cell at the
 same fraction of a periodic grid of factor x size cells: the same buffer,
@@ -317,8 +317,9 @@ class Exponential:
         return rng.exponential(1.0 / self.rate, size)
 
     def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
-        # sum of k independent draws is gamma(k, 1/rate); k = 0 gives exact 0.0
-        return rng.gamma(counts, 1.0 / self.rate)
+        # the sum of k draws is gamma(k, 1/rate), drawn as in Gamma; 0 at k = 0
+        with np.errstate(over="ignore"):
+            return rng.standard_gamma(counts) * (1.0 / self.rate)
 
 
 @dataclass(frozen=True)
@@ -381,10 +382,10 @@ class Gamma:
         return rng.gamma(self.shape, self.scale, size)
 
     def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
-        # a shape that overflows draws an infinite sum, which SampleSet refuses
+        # rng.gamma's draw, the same product bit for bit; a shape or sum
+        # that overflows is infinite, which SampleSet refuses
         with np.errstate(over="ignore"):
-            shapes = counts * self.shape
-        return rng.gamma(shapes, self.scale)
+            return rng.standard_gamma(counts * self.shape) * self.scale
 
 
 JobModel = Exponential | Deterministic | Gamma
@@ -668,21 +669,6 @@ def _fold(spread: np.ndarray, first: int, cells: int) -> np.ndarray:
     return folded
 
 
-def _modes(folded: np.ndarray, deconv: np.ndarray) -> np.ndarray:
-    """The mode side's last steps: one real FFT of a folded spread, and
-    mode k = 0 .. deconv.size-1 multiplied by deconv[k].
-
-    The kernel's ``size`` is at least 4 n_modes, so the lowest n_modes
-    frequencies of the FFT are the modes, and the real e^{k^2 tau} stays
-    below e^{pi half_width / 12}, about 66, for k < n_modes. The folded
-    grid and its FFT peak at about 2 x 8 bytes per cell, and the modes
-    taken from that FFT add 4 more. They are a fresh array, not a view
-    that would keep the whole FFT alive: at 1 601 points that output takes
-    51 856 bytes and the modes 25 616.
-    """
-    return np.fft.rfft(folded)[:deconv.size] * deconv
-
-
 class _Folded(NamedTuple):
     """A grid transform's spread buffer of ``length`` cells, folded onto
     the ``kernel``'s grid from periodic cell ``first`` on, kept where no two
@@ -701,15 +687,25 @@ class _Folded(NamedTuple):
     kernel: _Kernel
 
 
-def _transform_values(modes: np.ndarray, samples: SampleSet,
-                      anchor: float) -> np.ndarray:
-    """The empirical transform from the modes of its nonzero samples: the
-    zeros add their fraction to every point, and y = 0 takes ``anchor``,
-    the real mean of e^{-c x}."""
-    modes /= samples.n
-    modes += samples.zero_fraction
-    modes[0] = anchor
-    return modes
+def _mode_values(sums: np.ndarray, deconv: np.ndarray, samples: SampleSet,
+                 anchor: float | None = None) -> np.ndarray:
+    """The mode side's last step for grid values, refined grid values and
+    point sums: the NUFFT's sum over the nonzero samples at each mode k,
+    times the kernel's deconv[k], over n, plus the zeros' fraction; y = 0
+    takes ``anchor``, the real mean of e^{-c x}, when one is given.
+
+    A grid's sums are the lowest n_modes frequencies of one real FFT of its
+    folded spread of at least 4 n_modes cells, where e^{k^2 tau} stays
+    below about 66. The folded grid and its FFT peak at about 2 x 8 bytes
+    per cell, and the values, a fresh array rather than a view that would
+    keep the whole FFT alive, add 4: at 1 601 points 25 616 bytes, not 51 856.
+    """
+    values = sums * deconv
+    values /= samples.n
+    values += samples.zero_fraction
+    if anchor is not None:
+        values[0] = anchor
+    return values
 
 
 class _GridTransform(TransformValues):
@@ -750,11 +746,11 @@ class _GridTransform(TransformValues):
                 or grid.m != factor * own.m):
             return empirical_transform_grid(self._samples, grid).values
         size = folded.kernel.size
-        modes = _modes(_fold(self._spread_buffer(), folded.first,
-                             factor * size),
-                       _deconvolution(size, folded.kernel.tau,
-                                      np.arange(grid.n_points) / factor))
-        return _transform_values(modes, self._samples, self.values[0].real)
+        sums = np.fft.rfft(_fold(self._spread_buffer(), folded.first,
+                                 factor * size))[:grid.n_points]
+        return _mode_values(sums, _deconvolution(
+            size, folded.kernel.tau, np.arange(grid.n_points) / factor),
+            self._samples, self.values[0].real)
 
     def _spread_buffer(self) -> np.ndarray:
         """The kept spread buffer, unfolded from its rotation."""
@@ -816,10 +812,8 @@ class _GridTransform(TransformValues):
             np.sin(phases, out=terms)
             terms *= spread
             terms.sum(axis=1, out=im[lo:hi])
-        out *= _deconvolution(size, folded.kernel.tau, k)
-        out /= self._samples.n
-        out += self._samples.zero_fraction
-        return out
+        return _mode_values(out, _deconvolution(size, folded.kernel.tau, k),
+                            self._samples)
 
 
 def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> TransformValues:
@@ -827,7 +821,7 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
 
     The values are a type-1 non-uniform DFT of the nonzero samples with real
     weights e^{-c x}, evaluated by the real-weight NUFFT of ``_spread``,
-    ``_fold`` and ``_modes`` (see the module docstring) on the values
+    ``_fold`` and ``_mode_values`` (see the module docstring) on the values
     sorted once: exact zeros (``x == 0.0``, the zeros of ``SampleSet``) are
     then a leading slice, and samples whose weight underflows to 0 a
     trailing one, both left out. The zeros add their fraction to every
@@ -862,8 +856,8 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     length = spread.size
     folded = _fold(spread, first, kernel.size)
     del spread  # before the FFT allocates, to keep peak memory down
-    values = _transform_values(_modes(folded, kernel.deconv), samples,
-                               a.sum() / x.size)
+    values = _mode_values(np.fft.rfft(folded)[:grid.n_points], kernel.deconv,
+                          samples, a.sum() / x.size)
     kept = (None if turned or length > kernel.size
             else _Folded(folded, first, length, kernel))
     return _GridTransform._of(grid, values, samples, kept)

@@ -252,6 +252,19 @@ def test_empirical_workload_estimator_examples():
     assert empirical_workload_estimator(ss, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_empirical_workload_estimator_is_the_mean_of_the_exceedances(seed):
+    # the count of readings above w over n is the same float as np.mean of
+    # the comparisons: the count is exact, and so is the mean's sum of ones
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.exponential(1.0, 1 + 997 * seed), 1)  # with ties
+    ss = SampleSet(values)
+    for w in [0.0, 0.35, 100.0, *values[:20].tolist()]:
+        got = empirical_workload_estimator(ss, w)
+        assert type(got) is float
+        assert got == float(np.mean(values > w))
+
+
 def test_censored_increments_by_hand():
     got = censored_increments(SampleSet([0.5, 0.45, 0.6]), 0.1)
     assert np.allclose(got.values, [0.05, 0.25])

@@ -159,6 +159,27 @@ def test_grid_workload_refuses_non_finite_delta(delta):
         workload_on_grid(SampleSet([0.2, 0.0, 0.3]), delta)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(5))
+def test_sums_are_numpys_gamma_draws_bit_for_bit(seed):
+    # rng.gamma(shape, scale) draws scale times standard_gamma(shape), so the
+    # sums are its draws bit for bit: exact 0.0 at zero counts, and infinite
+    # where a shape of two or more jobs overflows (1e308, as in
+    # test_sums_that_overflow_exit_3_without_a_warning), with no warning
+    counts = np.random.default_rng(seed).poisson(3.0, 2000)
+    counts[:4] = [0, 1, 2, 0]
+    for jobs, shape, scale in ((Exponential(20.0), 1.0, 1.0 / 20.0),
+                               (Gamma(20.0, 0.05), 20.0, 0.05),
+                               (Gamma(1e308, 10.0), 1e308, 10.0)):
+        with np.errstate(over="ignore"):
+            want = np.random.default_rng([seed, 1]).gamma(counts * shape,
+                                                          scale)
+        got = jobs.sample_sums(np.random.default_rng([seed, 1]), counts)
+        assert np.array_equal(got, want)
+        assert np.all(got[counts == 0] == 0.0)
+    assert np.all(np.isinf(got[counts >= 2]))
+
+
 @given(arrays(np.float64, st.integers(1, 60), elements=st.floats(0.0, 1.0)),
        st.floats(0.05, 0.5))
 @settings(max_examples=60)

@@ -221,10 +221,17 @@ def test_refinement_reuses_the_sorted_and_spread_samples(monkeypatch):
             return fn(*args)
         return counted
 
+    mode_values = transforms._mode_values
+
+    def modes(sums, deconv, samples, anchor=None):
+        # grid values pass their anchor, one FFT each; point sums do not
+        calls["modes"] += anchor is not None
+        return mode_values(sums, deconv, samples, anchor)
+
     monkeypatch.setattr(np, "sort", sort)
     monkeypatch.setattr(transforms, "_piece_moments",
                         counting("piece_moments"))
-    monkeypatch.setattr(transforms, "_modes", counting("modes"))
+    monkeypatch.setattr(transforms, "_mode_values", modes)
     apply_map(BinomialDecompound(4), ss, build_grid(1.0, 45.0, 1.5))
     assert calls == {"sort": 1, "piece_moments": 1, "modes": 2}
 
