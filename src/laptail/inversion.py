@@ -26,9 +26,10 @@ the points times e^{i y_k w} h e^{cw} / pi. Its phases are giant steps
 times baby steps, about 2 sqrt(K) exponentials, and the sum stays within
 23 eps of the direct one, relative to the sum of the moduli of its terms,
 in the cases measured. A row takes 16 QB < 16 (K + B) bytes, B = ceil(sqrt K)
-and Q = ceil(K / B). The rows of the _ROWS_KEPT = 32 (grid, w) used last are
-kept, on grids of at most _ROW_POINTS = 8 001 points (QB <= 8 010): at most
-32 x 16 x 8 010 = 4 101 120 bytes, under 4 MiB. Other rows are not kept.
+and Q = ceil(K / B). One cache per key keeps the last 4 grids with their plans,
+and the rows of the _ROWS_KEPT = 32 (grid, w) used last on grids of at most
+_ROW_POINTS = 8 001 points (QB <= 8 010): at most 32 x 16 x 8 010 = 4 101 120
+bytes, under 4 MiB. Other rows are not kept.
 """
 from __future__ import annotations
 
@@ -78,14 +79,14 @@ def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
     CapacityError when the grid would have more than 5 * 10^6 points,
     decided before the ceiling, which overflows for t_max / h near 1e308.
 
-    Equal (c, t_max, m) give the same immutable grid, so its ordinates and
-    points are built once; the last 4 grids are kept. With its inversion
-    plan (``_plan``: trapezoid weights over the points) a kept grid holds
-    40 bytes per point: at most 4 grids of up to 5 * 10^6 points. Weight
-    rows are kept apart, only for grids of at most 8 001 points and within
-    4 MiB in all (see the module docstring). The grid transform on such a
-    grid also keeps its NUFFT kernel, 8 bytes per point, for the last 8
-    point counts (``transforms._kernel``): up to 320 MB more at the cap.
+    Equal (c, t_max, m) give the same immutable grid, so its points are
+    built once; the last 4 grids are kept (``_shared_grid``). With its
+    inversion plan, the trapezoid weights over the points, a kept grid
+    holds 32 bytes per point: at most 4 grids of up to 5 * 10^6 points.
+    Weight rows are kept apart, only for grids of at most 8 001 points and
+    within 4 MiB in all (see the module docstring). The grid transform on
+    such a grid also keeps its NUFFT kernel, 8 bytes per point, for the last
+    8 point counts (``transforms._kernel``): up to 320 MB more at the cap.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ParameterError("t_max must be positive and finite")
@@ -98,34 +99,38 @@ def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
                             f" needs more than {_MAX_GRID_POINTS:,} points")
     m = max(2, math.ceil(t_max / h))
     m += m % 2
-    return _shared_grid(float(c), float(t_max), m)
-
-
-# The grids build_grid hands out, shared with _plan.
-_shared_grid = functools.lru_cache(maxsize=4)(ContourGrid)
+    return _shared_grid(float(c), float(t_max), m)[0]
 
 
 @functools.lru_cache(maxsize=4)
-def _plan(c: float, t_max: float, m: int) -> tuple[np.ndarray, int, int]:
-    """Per grid ContourGrid(c, t_max, m) of K = m + 1 points: the read-only
-    trapezoid weights 1/2, 1, ..., 1, 1/2 over its points s, and the counts
+def _shared_grid(c: float, t_max: float, m: int
+                 ) -> tuple[ContourGrid, np.ndarray, int, int]:
+    """The grid build_grid hands out and its plan: the read-only trapezoid
+    weights 1/2, 1, ..., 1, 1/2 over its K = m + 1 points s, and the counts
     B = ceil(sqrt(K)) of baby steps and Q = ceil(K / B) of giant steps."""
+    grid = ContourGrid(c, t_max, m)
     weights = np.ones(m + 1)
     weights[[0, -1]] = 0.5
-    over_points = weights / _shared_grid(c, t_max, m).points
+    over_points = weights / grid.points
     over_points.flags.writeable = False
     b = math.isqrt(m) + 1
-    return over_points, b, -(-(m + 1) // b)
+    return grid, over_points, b, -(-(m + 1) // b)
 
 
-def _weight_row(grid: ContourGrid, w: float) -> np.ndarray:
+# Rows kept, and the most points of a grid they are kept for (module doc)
+_ROWS_KEPT = 32
+_ROW_POINTS = 8_001
+
+
+@functools.lru_cache(maxsize=_ROWS_KEPT)
+def _weight_row(c: float, t_max: float, m: int, w: float) -> np.ndarray:
     """The read-only row omega_k / s_k e^{i y_k w} h e^{cw} / pi, written in
     place into one array of QB >= K entries: the giant steps e^{i qBhw}
     times the scaled baby steps e^{i rhw}, then times the weights (``_row``
-    keeps it on grids of at most _ROW_POINTS points)."""
-    over_points, b, q = _plan(grid.c, grid.t_max, grid.m)
+    calls ``__wrapped__`` on grids of more than _ROW_POINTS points)."""
+    grid, over_points, b, q = _shared_grid(c, t_max, m)
     h = grid.spacing
-    baby = np.exp(1j * (h * w * np.arange(b))) * (h * np.exp(grid.c * w) / math.pi)
+    baby = np.exp(1j * (h * w * np.arange(b))) * (h * np.exp(c * w) / math.pi)
     giant = np.exp(1j * (h * w * np.arange(0, q * b, b)))
     row = np.empty(q * b, dtype=complex)
     np.multiply(giant[:, None], baby, out=row.reshape(q, b))
@@ -135,21 +140,11 @@ def _weight_row(grid: ContourGrid, w: float) -> np.ndarray:
     return row
 
 
-# Rows kept, and the most points of a grid they are kept for (module doc)
-_ROWS_KEPT = 32
-_ROW_POINTS = 8_001
-
-
-@functools.lru_cache(maxsize=_ROWS_KEPT)
-def _kept_row(c: float, t_max: float, m: int, w: float) -> np.ndarray:
-    return _weight_row(_shared_grid(c, t_max, m), w)
-
-
 def _row(grid: ContourGrid, w: float) -> np.ndarray:
     """The weight row of w, kept on grids of at most _ROW_POINTS points."""
     if grid.n_points > _ROW_POINTS:
-        return _weight_row(grid, w)
-    return _kept_row(grid.c, grid.t_max, grid.m, w)
+        return _weight_row.__wrapped__(grid.c, grid.t_max, grid.m, w)
+    return _weight_row(grid.c, grid.t_max, grid.m, w)
 
 
 def bromwich_details(psi: TransformValues, ws: Sequence[float],

@@ -10,7 +10,6 @@ leaves the output byte-identical to the sequential run.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -47,6 +46,9 @@ def _check_counts(reps: int, workers: int) -> None:
 def _run_replications(worker: Callable, args: list, workers: int) -> list:
     if workers == 1:
         return [worker(a) for a in args]
+    # imported only here, so that a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args))
 

@@ -84,7 +84,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import ParameterError, SampleFileError
 
@@ -195,18 +194,18 @@ class ContourGrid:
 
     A grid is immutable, so one instance can be shared: ``build_grid`` hands
     out the same grid for equal arguments and keeps the last 4, each with
-    its ordinates (8 bytes per point), points (16) and inversion plan, the
-    trapezoid weights over the points (16): 40 bytes per point in all. The
-    inversion's weight rows, 16 bytes per point and w, are kept by grid and
-    w within 4 MiB in all (``inversion._kept_row``), not with the grid. The
-    grid transform keeps the NUFFT kernel of each of the last 8 point
-    counts it was called for (``_kernel``), 8 bytes per point each: up to
-    320 MB at the cap of 5 * 10^6 points. A grid transform's result keeps,
-    for refinement and for point evaluation off the grid, a reference to
-    its samples and its folded spread, 8 bytes per cell of the kernel's
-    grid of about 4 cells per point, so 32 bytes per point; both are freed
-    with the result. Its values are their own array of 16 bytes per point,
-    not a view of the FFT output of about twice that.
+    its points (16 bytes per point, the ordinates a view of them) and
+    inversion plan, the trapezoid weights over the points (16): 32 bytes per
+    point in all. The inversion's weight rows, 16 bytes per point and w, are
+    kept by grid and w within 4 MiB in all (``inversion._weight_row``), not
+    with the grid. The grid transform keeps the NUFFT kernel of each of the
+    last 8 point counts it was called for (``_kernel``), 8 bytes per point
+    each: up to 320 MB at the cap of 5 * 10^6 points. A grid transform's
+    result keeps, for refinement and for point evaluation off the grid, a
+    reference to its samples and its folded spread, 8 bytes per cell of the
+    kernel's grid of about 4 cells per point, so 32 bytes per point; both
+    are freed with the result. Its values are their own array of 16 bytes
+    per point, not a view of the FFT output of about twice that.
     """
 
     c: float
@@ -246,18 +245,16 @@ class ContourGrid:
         return self.t_max / self.m
 
     @functools.cached_property
-    def ys(self) -> np.ndarray:
-        """Ordinates 0 .. t_max (read-only, computed once)."""
-        ys = np.linspace(0.0, self.t_max, self.m + 1)
-        ys.flags.writeable = False
-        return ys
-
-    @functools.cached_property
     def points(self) -> np.ndarray:
         """Complex grid points c + i*y (read-only, computed once)."""
-        pts = self.c + 1j * self.ys
+        pts = self.c + 1j * np.linspace(0.0, self.t_max, self.m + 1)
         pts.flags.writeable = False
         return pts
+
+    @property
+    def ys(self) -> np.ndarray:
+        """Ordinates 0 .. t_max: the read-only view ``points.imag``."""
+        return self.points.imag
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,8 +372,11 @@ class Gamma:
         return (1.0 + self.scale * s) ** (-self.shape)
 
     def cdf(self, w):
+        # its only use: loaded with the package it doubles start-up time
+        from scipy.special import gammainc
+
         w = np.asarray(w, dtype=float)
-        return special.gammainc(self.shape, np.maximum(w, 0.0) / self.scale)
+        return gammainc(self.shape, np.maximum(w, 0.0) / self.scale)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.gamma(self.shape, self.scale, size)
@@ -511,7 +511,7 @@ def _kernel(n_modes: int) -> _Kernel:
 
     The last 8 kernels are kept. Each holds its ``deconv``, 8 bytes per
     mode, and its ``poly`` of 3.8 KB, so at the 5 * 10^6-point cap of a
-    grid the 8 can keep 320 MB, beyond the 40 bytes per point of each kept
+    grid the 8 can keep 320 MB, beyond the 32 bytes per point of each kept
     grid (``ContourGrid``).
     """
     modes = 2 * n_modes

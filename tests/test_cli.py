@@ -592,14 +592,38 @@ def test_contour_abscissa_is_not_a_setting(tmp_path, capsys, command):
     assert "unknown config key 'c'" in err
 
 
-def test_python_dash_m_runs_main(capsys):
-    assert main(["table1"]) == 0
-    want = capsys.readouterr().out
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter that imports this checkout's laptail
     package_root = str(Path(laptail.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "laptail", "table1"],
-                          capture_output=True, text=True, env=env,
-                          timeout=60, check=False)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60, check=False)
+
+
+def test_python_dash_m_runs_main(capsys):
+    assert main(["table1"]) == 0
+    want = capsys.readouterr().out
+    proc = run_python("-m", "laptail", "table1")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+
+def test_import_defers_scipy_special_and_process_pools():
+    # a fresh interpreter, every warning an error: importing the package,
+    # its command line and its studies loads neither scipy.special nor the
+    # process pool; Gamma.cdf imports gammainc on its first call and
+    # returns its values bit for bit
+    script = """
+import sys
+import laptail, laptail.cli, laptail.studies
+loaded = {"scipy.special", "concurrent.futures.process"} & set(sys.modules)
+assert not loaded, loaded
+import numpy as np
+got = laptail.Gamma(20, 0.05).cdf([0.5, 1, 1.5])
+from scipy.special import gammainc
+want = gammainc(20, np.array([0.5, 1.0, 1.5]) / 0.05)
+assert got.tobytes() == want.tobytes(), (got, want)
+"""
+    proc = run_python("-W", "error", "-c", script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")

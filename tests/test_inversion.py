@@ -339,11 +339,11 @@ def test_a_kept_row_equals_a_row_built_afresh():
     # is cleared are equal bit for bit, read-only, and give the same value
     grid = build_grid(1.0, 400.0, max(BATCH_WS))
     psi = noisy_psi(grid, 10)
-    inversion._kept_row.cache_clear()
+    inversion._weight_row.cache_clear()
     first = bromwich_details(psi, BATCH_WS, plateau=0.3).values
     kept = [_row(grid, w) for w in BATCH_WS]
     assert all(_row(grid, w) is row for w, row in zip(BATCH_WS, kept))
-    inversion._kept_row.cache_clear()
+    inversion._weight_row.cache_clear()
     for w, row in zip(BATCH_WS, kept):
         built = _row(grid, w)
         assert built is not row and np.array_equal(built, row)
@@ -365,15 +365,16 @@ def test_no_row_is_kept_past_the_memory_bound():
         b = math.isqrt(m) + 1
         largest = max(largest, 16 * b * -(-(m + 1) // b))
     at_cap = ContourGrid(1.0, 2000.0, cap - 1)
-    assert _weight_row(at_cap, 1.0).base.nbytes == largest == 16 * 8010
+    assert (_weight_row.__wrapped__(1.0, 2000.0, cap - 1, 1.0).base.nbytes
+            == largest == 16 * 8010)
     assert kept_rows * largest <= 4 << 20
     # once the cache is full, the least recently used row goes first
-    inversion._kept_row.cache_clear()
+    inversion._weight_row.cache_clear()
     grid = build_grid(1.0, 400.0, 1.0)
     ws = np.linspace(0.01, 12.0, kept_rows + 1).tolist()
     kept = [_row(grid, w) for w in ws[:-1]]
     _row(grid, ws[-1])
-    assert inversion._kept_row.cache_info().currsize == kept_rows
+    assert inversion._weight_row.cache_info().currsize == kept_rows
     assert all(_row(grid, w) is row for w, row in zip(ws[1:-1], kept[1:]))
     rebuilt = _row(grid, ws[0])
     assert rebuilt is not kept[0] and np.array_equal(rebuilt, kept[0])
@@ -381,13 +382,14 @@ def test_no_row_is_kept_past_the_memory_bound():
     assert _row(at_cap, 1.0) is _row(at_cap, 1.0)
     huge = build_grid(1.0, 2001.0, 1.0)
     assert huge.n_points > cap
-    before = inversion._kept_row.cache_info()
+    before = inversion._weight_row.cache_info()
     row = _row(huge, 1.0)
     assert row is not _row(huge, 1.0)
-    assert np.array_equal(row, _weight_row(huge, 1.0))
+    assert np.array_equal(
+        row, _weight_row.__wrapped__(huge.c, huge.t_max, huge.m, 1.0))
     assert not row.flags.writeable
-    assert inversion._kept_row.cache_info() == before
-    inversion._kept_row.cache_clear()
+    assert inversion._weight_row.cache_info() == before
+    inversion._weight_row.cache_clear()
 
 
 def test_threads_sharing_the_rows_get_the_single_thread_values():
@@ -396,9 +398,9 @@ def test_threads_sharing_the_rows_get_the_single_thread_values():
     grid = build_grid(1.0, 400.0, max(BATCH_WS))
     psi = noisy_psi(grid, 11)
     ws = np.linspace(0.05, 3.0, 20).tolist()
-    inversion._kept_row.cache_clear()
+    inversion._weight_row.cache_clear()
     want = bromwich_details(psi, ws, plateau=0.3).values
-    inversion._kept_row.cache_clear()
+    inversion._weight_row.cache_clear()
 
     def invert(shift):
         order = ws[shift:] + ws[:shift]

@@ -718,6 +718,19 @@ def test_grid_validation():
             ContourGrid(1.0, 5.0, m)
 
 
+def test_grid_ordinates_are_a_view_of_the_points():
+    # a grid keeps one array: its ordinates are the read-only imaginary
+    # parts of its points, equal to linspace(0, t_max, m + 1) bit for bit
+    grid = ContourGrid(1.0, 400.0, 8000)
+    assert np.shares_memory(grid.ys, grid.points)
+    assert not grid.ys.flags.writeable
+    with pytest.raises(ValueError):
+        grid.ys[0] = 1.0
+    want = np.linspace(0.0, 400.0, 8001)
+    assert grid.ys.tobytes() == want.tobytes()
+    assert np.all(grid.points.real == 1.0)
+
+
 def test_grid_spacing_reproduces_the_points():
     # the NUFFT places point k at k * spacing; a neighbour difference would
     # carry the rounding of t_max and drift by ~4e-10 over 8000 steps
