@@ -25,11 +25,9 @@ weight row of w on its grid of K = m + 1 points: the trapezoid weights over
 the points times e^{i y_k w} h e^{cw} / pi. Its phases are giant steps
 times baby steps, about 2 sqrt(K) exponentials, and the sum stays within
 23 eps of the direct one, relative to the sum of the moduli of its terms,
-in the cases measured. A row takes 16 QB < 16 (K + B) bytes, B = ceil(sqrt K)
-and Q = ceil(K / B). One cache per key keeps the last 4 grids with their plans,
-and the rows of the _ROWS_KEPT = 32 (grid, w) used last on grids of at most
-_ROW_POINTS = 8 001 points (QB <= 8 010): at most 32 x 16 x 8 010 = 4 101 120
-bytes, under 4 MiB. Other rows are not kept.
+in the cases measured. The last 4 grids with their plans and the rows of
+the last 32 (grid, w) on small grids are kept; ``build_grid`` states their
+memory.
 """
 from __future__ import annotations
 
@@ -80,13 +78,20 @@ def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
     decided before the ceiling, which overflows for t_max / h near 1e308.
 
     Equal (c, t_max, m) give the same immutable grid, so its points are
-    built once; the last 4 grids are kept (``_shared_grid``). With its
-    inversion plan, the trapezoid weights over the points, a kept grid
-    holds 32 bytes per point: at most 4 grids of up to 5 * 10^6 points.
-    Weight rows are kept apart, only for grids of at most 8 001 points and
-    within 4 MiB in all (see the module docstring). The grid transform on
-    such a grid also keeps its NUFFT kernel, 8 bytes per point, for the last
-    8 point counts (``transforms._kernel``): up to 320 MB more at the cap.
+    built once. The memory kept between calls, for K = m + 1 points:
+    - the last 4 grids (``_shared_grid``), each with its points and its
+      inversion plan, the trapezoid weights over the points: 32 bytes per
+      point;
+    - the rows of the _ROWS_KEPT = 32 (grid, w) used last on grids of at
+      most _ROW_POINTS = 8 001 points (``_weight_row``). A row takes
+      16 QB < 16 (K + B) bytes, B = ceil(sqrt K) and Q = ceil(K / B), and
+      QB <= 8 010 there: at most 32 x 16 x 8 010 = 4 101 120 bytes, under
+      4 MiB. Other rows are not kept;
+    - the grid transform's NUFFT kernel (``transforms._kernel``) for each
+      of the last 8 point counts, 8 bytes per point: up to 320 MB at the
+      cap.
+    A grid transform's result keeps its samples and folded spread, about
+    32 bytes per point, only as long as the result lives.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ParameterError("t_max must be positive and finite")

@@ -168,7 +168,7 @@ def _ratios(pts: np.ndarray,
 
 
 def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
-              on_grid: Callable | None = None,
+              refine: Callable | None = None,
               curvature: Callable | None = None) -> TransformValues:
     """Track the continuous logarithm of ``evaluator`` on the half grid.
 
@@ -187,19 +187,20 @@ def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
     farther from 0 than that bound times h^2 / 8, plus _CHORD_MARGIN, is
     certified (``_certified``) and turns by the principal Arg of its ratio.
 
-    ``on_grid``, if given, maps a ContourGrid to the same transform's values
-    at its points. A grid with a wide step that is not certified then has
-    its argument tracked on ContourGrid(c, t_max, _REFINE_FACTOR m), from
-    ``on_grid`` of it, and every _REFINE_FACTOR-th value of that argument
-    is returned; not if that grid would have more than 5 * 10^6 points, the
-    cap of ``build_grid``. The finer grid and its values are built for the
-    call and not kept. The wide steps still uncertified, on whichever grid
-    is tracked, are bisected until every piece is in the disk or certified
-    at its own width, in at most _REFINE_LIMIT passes; each pass calls
-    ``evaluator`` once, with the array of all its midpoints, so
-    ``evaluator`` must accept a 1-d complex array. A zero value on a
-    tracked grid or at a midpoint, and a step that never settles, raise
-    NearZeroTransform.
+    ``refine``, if given, maps a factor to the same transform's
+    TransformValues on the grid that many times finer over the same
+    [0, t_max], as the grid transform's ``refined`` does. A grid with a wide
+    step that is not certified then has its argument tracked on
+    ``refine(_REFINE_FACTOR)``, and every _REFINE_FACTOR-th value of that
+    argument is returned; not if that grid would have more than 5 * 10^6
+    points, the cap of ``build_grid``. The finer grid and its values are
+    built for the call and not kept. The wide steps still uncertified, on
+    whichever grid is tracked, are bisected until every piece is in the
+    disk or certified at its own width, in at most _REFINE_LIMIT passes;
+    each pass calls ``evaluator`` once, with the array of all its
+    midpoints, so ``evaluator`` must accept a 1-d complex array. A zero
+    value on a tracked grid or at a midpoint, and a step that never
+    settles, raise NearZeroTransform.
 
     The anchor value f(c) must be real positive (relative imaginary part
     within 1e-9), else DomainError: transforms of nonnegative measures are
@@ -222,12 +223,11 @@ def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
         wide = np.flatnonzero(~near)
         sure = _certified(pts[wide], vals[wide], pts[wide + 1],
                           vals[wide + 1], bound)
-        if (on_grid is not None and not sure.all()
+        if (refine is not None and not sure.all()
                 and _REFINE_FACTOR * grid.m < _MAX_GRID_POINTS):
             keep = _REFINE_FACTOR
-            fine = ContourGrid(grid.c, grid.t_max, keep * grid.m)
-            pts = fine.points
-            vals = np.asarray(on_grid(fine), dtype=complex)
+            fine = refine(keep)
+            pts, vals = fine.grid.points, fine.values
             ratios, near = _ratios(pts, vals)
             wide = np.flatnonzero(~near)
             sure = _certified(pts[wide], vals[wide], pts[wide + 1],
@@ -241,4 +241,4 @@ def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
                                         pts[rest + 1], vals[rest + 1], bound)
     out.imag[0] = 0.0
     out.imag[1:] = np.cumsum(angles)[keep - 1::keep]
-    return TransformValues._adopt(grid, out)
+    return TransformValues(grid, out)

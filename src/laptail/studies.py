@@ -44,7 +44,10 @@ def _check_counts(reps: int, workers: int) -> None:
 
 
 def _run_replications(worker: Callable, args: list, workers: int) -> list:
-    if workers == 1:
+    # a pool forks all its workers at once under the fork start method, so
+    # it gets no more of them than there are replications
+    workers = min(workers, len(args))
+    if workers <= 1:
         return [worker(a) for a in args]
     # imported only here, so that a serial run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor

@@ -163,7 +163,7 @@ def apply_map(transform_map: TransformMap, samples: SampleSet,
     which runs only then, and accepts each wide step whose chord M2
     certifies. Where one is not certified, it tracks the log on the grid
     4 times finer, whose values the grid transform's result gives from the
-    samples it already sorted and spread (``on_grid``), and bisects the
+    samples it already sorted and spread (``refined``), and bisects the
     steps still wide and uncertified there. The midpoints are summed by
     ``empirical_transform_eval`` from that same spread, given the grid
     transform's result, or directly where the result kept no spread. The
@@ -174,6 +174,6 @@ def apply_map(transform_map: TransformMap, samples: SampleSet,
     observed = empirical_transform_grid(samples, grid)
     log_path = track_log(
         partial(empirical_transform_eval, samples, grid_transform=observed),
-        grid, observed.values, observed.on_grid,
+        grid, observed.values, observed.refined,
         partial(_curvature_bound, samples, grid.c))
-    return TransformValues._adopt(grid, transform_map.values(log_path, samples))
+    return TransformValues(grid, transform_map.values(log_path, samples))

@@ -43,10 +43,11 @@ phases were reduced modulo 2 pi each sample sits in the same cell at the
 same fraction of a periodic grid of factor x size cells: the same buffer,
 folded onto those cells, gives the finer grid's modes, mode k undone by
 the kernel at k / factor. A grid transform's result keeps the folded
-buffer, and log tracking (``logtrack``) refines from it by the mode side
-alone: for 2 000 compound binomial totals at T = 45 on a 2-vCPU host,
-0.04 ms on the 721 points of the grid 4 times finer, against 0.15 ms for
-a fresh transform there and 0.13 ms for the 181 points of the coarse one.
+buffer, and its ``refined(factor)``, which log tracking (``logtrack``)
+calls, runs the mode side alone: for 2 000 compound binomial totals at
+T = 45 on a 2-vCPU host, 0.04 ms on the 721 points of the grid 4 times
+finer, against 0.15 ms for a fresh transform there and 0.13 ms for the
+181 points of the coarse one.
 
 For samples of continuous laws the error against direct evaluation stays
 below 1.5e-14 absolute and does not grow with K: 8.9e-15 at most for
@@ -193,19 +194,8 @@ class ContourGrid:
     contour carries no information.
 
     A grid is immutable, so one instance can be shared: ``build_grid`` hands
-    out the same grid for equal arguments and keeps the last 4, each with
-    its points (16 bytes per point, the ordinates a view of them) and
-    inversion plan, the trapezoid weights over the points (16): 32 bytes per
-    point in all. The inversion's weight rows, 16 bytes per point and w, are
-    kept by grid and w within 4 MiB in all (``inversion._weight_row``), not
-    with the grid. The grid transform keeps the NUFFT kernel of each of the
-    last 8 point counts it was called for (``_kernel``), 8 bytes per point
-    each: up to 320 MB at the cap of 5 * 10^6 points. A grid transform's
-    result keeps, for refinement and for point evaluation off the grid, a
-    reference to its samples and its folded spread, 8 bytes per cell of the
-    kernel's grid of about 4 cells per point, so 32 bytes per point; both
-    are freed with the result. Its values are their own array of 16 bytes
-    per point, not a view of the FFT output of about twice that.
+    out the same grid for equal arguments, and its docstring states the
+    memory kept for grids between calls.
     """
 
     c: float
@@ -251,33 +241,18 @@ class ContourGrid:
         pts.flags.writeable = False
         return pts
 
-    @property
-    def ys(self) -> np.ndarray:
-        """Ordinates 0 .. t_max: the read-only view ``points.imag``."""
-        return self.points.imag
-
 
 @dataclass(frozen=True, eq=False)
 class TransformValues:
     """Values on a contour grid, one per point: a transform, the tracked
-    log of one, or a mapped transform."""
+    log of one, or a mapped transform. The values are a read-only copy of
+    those given, so they share no memory with the caller's array."""
 
     grid: ContourGrid
     values: np.ndarray
 
     def __post_init__(self):
-        self._own(np.array(self.values, dtype=complex))
-
-    @classmethod
-    def _adopt(cls, grid: ContourGrid, values: np.ndarray) -> TransformValues:
-        """Wrap a freshly computed array that no caller holds, without the
-        copy the constructor makes: the array is made read-only in place."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "grid", grid)
-        out._own(np.asarray(values, dtype=complex))
-        return out
-
-    def _own(self, vals: np.ndarray) -> None:
+        vals = np.array(self.values, dtype=complex)
         if vals.shape != (self.grid.n_points,):
             raise ParameterError("one value per grid point required")
         vals.flags.writeable = False
@@ -509,10 +484,8 @@ def _kernel(n_modes: int) -> _Kernel:
     coefficients stay below 1, so the fit matches every column within
     1e-15 on [0, 1). The result is shared between calls and read-only.
 
-    The last 8 kernels are kept. Each holds its ``deconv``, 8 bytes per
-    mode, and its ``poly`` of 3.8 KB, so at the 5 * 10^6-point cap of a
-    grid the 8 can keep 320 MB, beyond the 32 bytes per point of each kept
-    grid (``ContourGrid``).
+    The last 8 kernels are kept, each with its ``deconv``, 8 bytes per
+    mode, and its ``poly`` of 3.8 KB (budgeted in ``inversion.build_grid``).
     """
     modes = 2 * n_modes
     size = _fft_length(_OVERSAMPLE * modes)
@@ -606,7 +579,7 @@ def _spread(x: np.ndarray, a: np.ndarray, h: float,
     reaches 2 pi. They are nonnegative, and below 2 pi the reduction is the
     identity, so skipping it changes no bit. Unreduced, the phases of the
     grid factor times finer are these divided by factor, so the same buffer
-    serves it (``_GridTransform.on_grid``).
+    serves it (``_GridTransform.refined``).
     """
     if x.size == 0:
         return np.zeros(0), 0, False
@@ -708,10 +681,11 @@ def _mode_values(sums: np.ndarray, deconv: np.ndarray, samples: SampleSet,
     return values
 
 
+@dataclass(frozen=True, eq=False)
 class _GridTransform(TransformValues):
     """The empirical transform on a grid, which can also give the same
-    transform on the grids refined from its own (``on_grid``) and at points
-    of its contour between its grid points (``_from_spread``, through
+    transform on the grids ``refined`` from its own and at points of its
+    contour between its grid points (``_from_spread``, through
     ``empirical_transform_eval``).
 
     Besides its values it keeps a reference to its samples and, unless its
@@ -720,37 +694,32 @@ class _GridTransform(TransformValues):
     about 32 per point. Both are freed with the result.
     """
 
-    @classmethod
-    def _of(cls, grid: ContourGrid, values: np.ndarray, samples: SampleSet,
-            folded: _Folded | None) -> _GridTransform:
-        out = cls._adopt(grid, values)
-        object.__setattr__(out, "_samples", samples)
-        object.__setattr__(out, "_folded", folded)
-        return out
+    _samples: SampleSet
+    _folded: _Folded | None
 
-    def on_grid(self, grid: ContourGrid) -> np.ndarray:
-        """The same transform's values at the points of ``grid``.
+    def refined(self, factor: int) -> TransformValues:
+        """The same transform on ContourGrid(c, t_max, factor m), the grid
+        factor times finer over the same [0, t_max].
 
-        On the grid factor times finer over the same [0, t_max], when the
-        folded spread was kept, only the mode side runs: sample j has phase
-        h x_j / factor there, so it sits in the same cell at the same
-        fraction of a grid of factor x size cells, and the spread buffer,
-        unfolded from the kept rotation, is folded onto those cells and
-        transformed by one real FFT, mode k being undone by the kernel at
-        k / factor. The values match a fresh transform's to rounding. Any
-        other grid gets a fresh ``empirical_transform_grid``.
+        When the folded spread was kept, only the mode side runs: sample j
+        has phase h x_j / factor there, so it sits in the same cell at the
+        same fraction of a grid of factor x size cells, and the spread
+        buffer, unfolded from the kept rotation, is folded onto those cells
+        and transformed by one real FFT, mode k being undone by the kernel
+        at k / factor. The values match a fresh transform's to rounding.
+        Without a kept spread the finer grid gets a fresh
+        ``empirical_transform_grid``.
         """
-        own, folded = self.grid, self._folded
-        factor = grid.m // own.m
-        if (folded is None or grid.c != own.c or grid.t_max != own.t_max
-                or grid.m != factor * own.m):
-            return empirical_transform_grid(self._samples, grid).values
+        grid, folded = self.grid, self._folded
+        fine = ContourGrid(grid.c, grid.t_max, factor * grid.m)
+        if folded is None:
+            return empirical_transform_grid(self._samples, fine)
         size = folded.kernel.size
         sums = np.fft.rfft(_fold(self._spread_buffer(), folded.first,
-                                 factor * size))[:grid.n_points]
-        return _mode_values(sums, _deconvolution(
-            size, folded.kernel.tau, np.arange(grid.n_points) / factor),
-            self._samples, self.values[0].real)
+                                 factor * size))[:fine.n_points]
+        return TransformValues(fine, _mode_values(sums, _deconvolution(
+            size, folded.kernel.tau, np.arange(fine.n_points) / factor),
+            self._samples, self.values[0].real))
 
     def _spread_buffer(self) -> np.ndarray:
         """The kept spread buffer, unfolded from its rotation."""
@@ -840,8 +809,8 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     copies of 0.3 on 8 001 points at T = 400, and 2.6e-14 on the 1 601
     points of ``build_grid`` there.
 
-    The result's ``on_grid`` gives the transform on a grid refined from
-    this one from the spread kept here, without sorting or spreading the
+    The result's ``refined(factor)`` gives the transform on the grid factor
+    times finer from the spread kept here, without sorting or spreading the
     samples again, and ``empirical_transform_eval`` given the result sums
     points of its contour from that spread too.
     """
@@ -860,7 +829,7 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
                           samples, a.sum() / x.size)
     kept = (None if turned or length > kernel.size
             else _Folded(folded, first, length, kernel))
-    return _GridTransform._of(grid, values, samples, kept)
+    return _GridTransform(grid, values, samples, kept)
 
 
 # --------------------------------------------------------------------------

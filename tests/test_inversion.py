@@ -55,7 +55,7 @@ def trapezoid_weights(intervals):
 def full_contour_trapezoid(psi, grid, w, plateau=0.0):
     """The trapezoid rule for psi over the whole contour [-T, T], divided by
     2 pi, on the symmetric ordinates the half grid ``grid`` reflects to."""
-    ys = np.concatenate([-grid.ys[:0:-1], grid.ys])
+    ys = np.concatenate([-grid.points.imag[:0:-1], grid.points.imag])
     s = grid.c + 1j * ys
     integrand = np.exp(s * w) * (psi(s) - plateau) / s
     weights = trapezoid_weights(2 * grid.m)
@@ -68,7 +68,7 @@ def test_build_grid_shape():
     # t_max / 0.25 = 4.12 intervals, rounded up to 5, then to even
     grid = build_grid(1.0, 1.03, 1.0)
     assert grid.m == 6 and grid.n_points == 7
-    assert grid.ys[0] == 0.0 and grid.ys[-1] == 1.03
+    assert grid.points.imag[0] == 0.0 and grid.points.imag[-1] == 1.03
     assert grid.spacing <= 0.25
 
 
@@ -113,7 +113,7 @@ def test_build_grid_shares_one_immutable_grid():
     grid = build_grid(1.0, 100.0, 2.0)
     assert build_grid(1, 100, 2.0) is grid
     assert isinstance(grid.c, float) and isinstance(grid.t_max, float)
-    assert not grid.ys.flags.writeable and not grid.points.flags.writeable
+    assert not grid.points.imag.flags.writeable and not grid.points.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         grid.m = 4
     # w enters only through the step, 0.25 for every w up to 4 pi

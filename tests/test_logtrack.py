@@ -140,9 +140,10 @@ def refined_log(ss: SampleSet, grid: ContourGrid, grids: list, calls: list,
     on |f''| it asks for."""
     observed = empirical_transform_grid(ss, grid)
 
-    def on_grid(fine):
-        grids.append(fine)
-        return observed.on_grid(fine)
+    def refine(factor):
+        fine = observed.refined(factor)
+        grids.append(fine.grid)
+        return fine
 
     def evaluator(s):
         calls.append(np.size(s))
@@ -154,7 +155,7 @@ def refined_log(ss: SampleSet, grid: ContourGrid, grids: list, calls: list,
             bounds.append(bound)
         return bound
 
-    return track_log(evaluator, grid, observed.values, on_grid, curvature)
+    return track_log(evaluator, grid, observed.values, refine, curvature)
 
 
 def test_refined_log_equals_the_log_bisected_at_a_fifth_of_the_step():
@@ -230,7 +231,7 @@ def test_certified_wide_steps_take_their_principal_log():
     calls.clear()
     path = track_log(turning, grid, values, curvature=lambda: np.pi ** 2)
     assert calls == []
-    assert np.max(np.abs(path.values - 1j * np.pi * grid.ys)) <= 1e-15
+    assert np.max(np.abs(path.values - 1j * np.pi * grid.points.imag)) <= 1e-15
 
 
 def test_uncertified_wide_steps_are_bisected():
@@ -251,7 +252,7 @@ def test_uncertified_wide_steps_are_bisected():
         bound = 32.0 * (distance - slack)   # bound h^2 / 8 = distance - slack
         path = track_log(counting, grid, values, curvature=lambda: bound)
         assert bool(calls) == bisected
-        assert np.max(np.abs(path.values - 1j * np.pi * grid.ys)) <= 1e-15
+        assert np.max(np.abs(path.values - 1j * np.pi * grid.points.imag)) <= 1e-15
     # e^{i 5 pi y} turns by 5 pi / 2 per step, but its ratios are i as
     # above: taken as certified, the log would be wrong by 2 pi per step.
     # Its bound 25 pi^2 asks the chords to stay 7.7 from 0, so it is bisected
@@ -260,7 +261,7 @@ def test_uncertified_wide_steps_are_bisected():
 
     path = track_log(fast, grid, fast(grid.points),
                      curvature=lambda: 25 * np.pi ** 2)
-    assert np.max(np.abs(path.values - 5j * np.pi * grid.ys)) <= 1e-12
+    assert np.max(np.abs(path.values - 5j * np.pi * grid.points.imag)) <= 1e-12
 
 
 def map_samples(seed: int) -> dict:

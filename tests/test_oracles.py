@@ -154,13 +154,13 @@ def test_atomless_totals_refine_and_match_the_gamma_input_truth(monkeypatch):
     # none falls back. Each mean lies within 4 Monte Carlo stderrs of the
     # truth. Measured: means 0.7012 / 0.8806 with sds 0.030 / 0.049
     refined = []
-    on_grid = transforms._GridTransform.on_grid
+    refine = transforms._GridTransform.refined
 
-    def counted(self, grid):
+    def counted(self, factor):
         refined[-1] += 1
-        return on_grid(self, grid)
+        return refine(self, factor)
 
-    monkeypatch.setattr(transforms._GridTransform, "on_grid", counted)
+    monkeypatch.setattr(transforms._GridTransform, "refined", counted)
     ws, reps = [2.5, 5.0], 40
     estimates = []
     for rep in range(reps):

@@ -130,8 +130,8 @@ def test_all_zero_samples_give_unit_workload_transform():
 
 
 def test_pipeline_layers_hand_back_read_only_values():
-    # the grid transform, the tracked log and the mapped values are wrapped
-    # without a copy; each must still be read-only
+    # the grid transform, the tracked log and the mapped values must each be
+    # read-only
     ss = sample_compound_poisson(replication_rng(34, 0), 1.0, Exponential(20.0), 200)
     grid = build_grid(1.0, 10.0, 1.0)
     observed = empirical_transform_grid(ss, grid)
@@ -142,6 +142,30 @@ def test_pipeline_layers_hand_back_read_only_values():
         assert got.grid is grid and got.values.shape == (grid.n_points,)
         with pytest.raises(ValueError):
             got.values[0] = 0.0
+
+
+def test_each_stage_hands_out_read_only_values_it_owns():
+    # every stage builds its result through the one copying constructor: its
+    # values are a fresh read-only array that shares no memory with its input.
+    # Of the grid transforms, the first keeps its spread and refines from it,
+    # the second's phases turn past 2 pi and it refines by a fresh transform
+    grid = build_grid(1.0, 10.0, 1.0)
+    period = 2.0 * math.pi / grid.spacing
+    kept = sample_compound_poisson(replication_rng(35, 0), 1.0, Exponential(20.0), 200)
+    turned = SampleSet(np.concatenate([kept.values, [1.5 * period]]))
+    for ss, keeps_spread in ((kept, True), (turned, False)):
+        observed = empirical_transform_grid(ss, grid)
+        assert (observed._folded is not None) == keeps_spread
+        fine = observed.refined(4)
+        assert fine.grid.m == 4 * grid.m
+        given = np.array(observed.values)
+        log_path = track_log(partial(empirical_transform_eval, ss), grid, given)
+        mapped = apply_map(Mg1Workload(0.1), ss, grid)
+        for got, given_to in ((observed, ss.values), (fine, observed.values),
+                              (log_path, given), (mapped, ss.values)):
+            assert not got.values.flags.writeable
+            assert got.values.base is None
+            assert not np.shares_memory(got.values, given_to)
 
 
 def test_applied_maps_real_at_anchor_and_symmetric():

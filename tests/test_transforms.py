@@ -443,7 +443,7 @@ def test_refined_grid_values_match_the_direct_sum(case, monkeypatch):
     monkeypatch.setattr(transforms, "_spread", spread_again)
     for factor in (2, 4, 8, 16):
         fine = ContourGrid(c, 45.0, factor * grid.m)
-        got = observed.on_grid(fine)
+        got = observed.refined(factor).values
         assert np.max(np.abs(got - direct_transform(ss, fine.points))) \
             <= GRID_ERROR_BOUND, factor
 
@@ -461,7 +461,7 @@ def test_grid_refined_from_phases_that_wrap_is_transformed_anew(turns):
     observed = empirical_transform_grid(ss, grid)
     for factor in (2, 4, 8, 16):
         fine = ContourGrid(0.1, 45.0, factor * grid.m)
-        assert np.array_equal(observed.on_grid(fine),
+        assert np.array_equal(observed.refined(factor).values,
                               empirical_transform_grid(ss, fine).values)
 
 
@@ -560,7 +560,7 @@ def test_grid_values_do_not_hold_the_whole_fft_output():
     observed = empirical_transform_grid(ss, grid)
     assert observed.values.base is None
     assert observed.values.nbytes == 16 * grid.n_points
-    fine = observed.on_grid(ContourGrid(1.0, 400.0, 4 * grid.m))
+    fine = observed.refined(4).values
     assert fine.base is None
 
 
@@ -705,9 +705,9 @@ def test_grid_validation():
     g = ContourGrid(c=1.0, t_max=5.0, m=10)
     assert g.spacing == 0.5
     assert g.n_points == 11
-    assert g.ys[0] == 0.0 and g.ys[-1] == 5.0
-    assert np.all(np.diff(g.ys) > 0)
-    assert not g.ys.flags.writeable and not g.points.flags.writeable
+    assert g.points.imag[0] == 0.0 and g.points.imag[-1] == 5.0
+    assert np.all(np.diff(g.points.imag) > 0)
+    assert not g.points.imag.flags.writeable and not g.points.flags.writeable
     for c, t_max in ((0.0, 5.0), (-1.0, 5.0), (math.inf, 5.0),
                      (1.0, 0.0), (1.0, -5.0), (1.0, math.nan)):
         with pytest.raises(ParameterError):
@@ -722,12 +722,12 @@ def test_grid_ordinates_are_a_view_of_the_points():
     # a grid keeps one array: its ordinates are the read-only imaginary
     # parts of its points, equal to linspace(0, t_max, m + 1) bit for bit
     grid = ContourGrid(1.0, 400.0, 8000)
-    assert np.shares_memory(grid.ys, grid.points)
-    assert not grid.ys.flags.writeable
+    assert np.shares_memory(grid.points.imag, grid.points)
+    assert not grid.points.imag.flags.writeable
     with pytest.raises(ValueError):
-        grid.ys[0] = 1.0
+        grid.points.imag[0] = 1.0
     want = np.linspace(0.0, 400.0, 8001)
-    assert grid.ys.tobytes() == want.tobytes()
+    assert grid.points.imag.tobytes() == want.tobytes()
     assert np.all(grid.points.real == 1.0)
 
 
@@ -736,7 +736,7 @@ def test_grid_spacing_reproduces_the_points():
     # carry the rounding of t_max and drift by ~4e-10 over 8000 steps
     grid = ContourGrid(1.0, 400.0, 8000)
     k = np.arange(grid.n_points)
-    assert np.max(np.abs(grid.ys - k * grid.spacing)) <= 1e-12
+    assert np.max(np.abs(grid.points.imag - k * grid.spacing)) <= 1e-12
 
 
 # --- analytic models -------------------------------------------------------
