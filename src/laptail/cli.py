@@ -119,9 +119,14 @@ def _config_value(raw_key: str, value, flag: dict):
     raise ParameterError(f"config key {raw_key!r} cannot take {value!r}")
 
 
+def _output(out_path: str | None):
+    """out_path opened for writing with \\n line ends, else standard output."""
+    return (open(out_path, "w", newline="") if out_path
+            else contextlib.nullcontext(sys.stdout))
+
+
 def _emit(rows: list[dict], out_path: str | None, as_json: bool) -> None:
-    with (open(out_path, "w", newline="") if out_path
-          else contextlib.nullcontext(sys.stdout)) as stream:
+    with _output(out_path) as stream:
         if as_json:
             json.dump(rows, stream, indent=2)
             stream.write("\n")
@@ -200,10 +205,8 @@ def cmd_simulate(eff: dict) -> None:
     else:
         samples = simulate_mg1_workload(
             rng, QueueSpec(eff["lam"], jobs, eff["delta"]), eff["n"])
-    if eff["out"]:
-        save_samples(samples, eff["out"])
-    else:
-        sys.stdout.writelines(f"{v!r}\n" for v in samples.values.tolist())
+    with _output(eff["out"]) as stream:
+        save_samples(samples, stream)
 
 
 def cmd_table1(eff: dict) -> list[dict]:

@@ -51,9 +51,6 @@ class EstimatorConfig:
                 self.t_max_override > 0 and math.isfinite(self.t_max_override)):
             raise ParameterError("t_max_override must be positive and finite")
 
-    def t_max_for(self, n: int) -> float:
-        return self.t_max_override if self.t_max_override is not None else math.sqrt(n)
-
 
 @dataclass(frozen=True)
 class EstimateResult:
@@ -85,21 +82,20 @@ class EstimateResult:
         return 0.0
 
 
-def _fallback(config: EstimatorConfig, n: int, reason: str) -> EstimateResult:
+def _fallback(t_max: float, n: int, reason: str) -> EstimateResult:
     return EstimateResult(value=0.0, raw_value=None,
                           on_domain_event=False, clipped=False,
-                          t_max_used=config.t_max_for(n), n=n,
-                          fallback_reason=reason)
+                          t_max_used=t_max, n=n, fallback_reason=reason)
 
 
-def _finish(raw: float, config: EstimatorConfig, n: int) -> EstimateResult:
+def _finish(raw: float, t_max: float, n: int) -> EstimateResult:
     if not math.isfinite(raw):
-        return _fallback(config, n, "nonfinite")
+        return _fallback(t_max, n, "nonfinite")
     value = min(1.0, max(0.0, raw))
     clipped = value != raw
     return EstimateResult(value=value, raw_value=raw if clipped else value,
                           on_domain_event=True, clipped=clipped,
-                          t_max_used=config.t_max_for(n), n=n)
+                          t_max_used=t_max, n=n)
 
 
 def estimate_cdf(samples: SampleSet, transform_map: TransformMap,
@@ -130,22 +126,23 @@ def estimate_cdf_batch(samples: SampleSet, transform_map: TransformMap,
     if any(not (w > 0 and math.isfinite(w)) for w in ws):
         raise ParameterError("all evaluation points must be positive and finite")
     n = samples.n
+    t_max = base_config.t_max_override or math.sqrt(n)
     # nonfinite intermediates are legal here: they fold into the fallback,
     # so floating warnings are noise
     with np.errstate(all="ignore"):
         try:
             domain_check(transform_map, samples)
-            grid = build_grid(CONTOUR_C, base_config.t_max_for(n), max(ws))
+            grid = build_grid(CONTOUR_C, t_max, max(ws))
             psi = apply_map(transform_map, samples, grid)
         except DomainEventFailed:
-            return [_fallback(base_config, n, "domain_event") for _ in ws]
+            return [_fallback(t_max, n, "domain_event") for _ in ws]
         except CapacityError:
-            return [_fallback(base_config, n, "capacity") for _ in ws]
+            return [_fallback(t_max, n, "capacity") for _ in ws]
         except (NearZeroTransform, DomainError):
-            return [_fallback(base_config, n, "log_tracking") for _ in ws]
+            return [_fallback(t_max, n, "log_tracking") for _ in ws]
         plateau = transform_map.plateau(samples)
         inverted = bromwich_details(psi, ws, plateau=plateau)
-    return [_finish(raw, base_config, n) for raw in inverted.values]
+    return [_finish(raw, t_max, n) for raw in inverted.values]
 
 
 # --------------------------------------------------------------------------

@@ -78,8 +78,8 @@ points took 0.4 to 0.6 ms, against 62 to 73 ms summed directly, on a
 """
 from __future__ import annotations
 
-import csv
 import functools
+import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -836,52 +836,43 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
 # Sample files
 # --------------------------------------------------------------------------
 
-def _parse_value(token: str, path: str, line: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise SampleFileError(path, line, f"not a number: {token!r}") from None
-    if not math.isfinite(value):
-        raise SampleFileError(path, line, f"non-finite value: {token!r}")
-    if value < 0:
-        raise SampleFileError(path, line, f"negative value: {token!r}")
-    return value
+def load_samples(path: str) -> SampleSet:
+    """Read a sample file: UTF-8 text, one nonnegative decimal per line.
 
-
-def load_samples(path: str, column: str | None = None) -> SampleSet:
-    """Read a sample file.
-
-    Plain text by default: one nonnegative decimal per line, blank lines and
-    lines starting with '#' ignored. With ``column`` given the file is read
-    as CSV and that column is extracted. Negative, non-finite or unparseable
-    entries raise SampleFileError carrying the line number. A value counts
-    as zero only when it parses to exactly 0.0.
+    A leading byte-order mark is skipped, lines may end in \\n, \\r\\n or
+    \\r, and blank lines and lines starting with '#' are ignored. Bytes that
+    are not UTF-8, and negative, non-finite or unparseable entries, raise
+    SampleFileError carrying the line number. A value counts as zero only
+    when it parses to exactly 0.0.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # one more than the line breaks (\n, \r\n or \r) before the bad byte
+        line = len((exc.object[:exc.start] + b".").splitlines())
+        raise SampleFileError(path, line, "not UTF-8 text") from None
     values: list[float] = []
-    if column is None:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                text = raw.strip()
-                if not text or text.startswith("#"):
-                    continue
-                values.append(_parse_value(text, path, lineno))
-    else:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or column not in reader.fieldnames:
-                raise SampleFileError(path, 1, f"no column named {column!r}")
-            for row in reader:
-                token = row.get(column)
-                if token is None or token == "":
-                    raise SampleFileError(path, reader.line_num, f"missing value in column {column!r}")
-                values.append(_parse_value(token, path, reader.line_num))
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        token = raw.strip()
+        if not token or token.startswith("#"):
+            continue
+        try:
+            value = float(token)
+        except ValueError:
+            raise SampleFileError(path, lineno, f"not a number: {token!r}") from None
+        if not math.isfinite(value):
+            raise SampleFileError(path, lineno, f"non-finite value: {token!r}")
+        if value < 0:
+            raise SampleFileError(path, lineno, f"negative value: {token!r}")
+        values.append(value)
     if not values:
         raise SampleFileError(path, 1, "file contains no samples")
     return SampleSet(np.asarray(values))
 
 
-def save_samples(samples: SampleSet, path: str) -> None:
-    """Write one value per line, full precision, loadable by load_samples."""
-    with open(path, "w") as fh:
-        for v in samples.values:
-            fh.write(f"{float(v)!r}\n")
+def save_samples(samples: SampleSet, stream) -> None:
+    """Write one value per line to an open text stream, as the shortest
+    decimal of each double, so load_samples reads back the same bits."""
+    stream.writelines(f"{v!r}\n" for v in samples.values.tolist())

@@ -92,6 +92,15 @@ def test_simulate_to_stdout(capsys):
     assert len(out.strip().splitlines()) == 5
 
 
+def test_simulate_stdout_matches_out_file(tmp_path, capsys):
+    path = tmp_path / "totals.txt"
+    argv = ["simulate", "--n", "50", "--seed", "3"]
+    assert run(argv + ["--out", str(path)], capsys) == (0, "", "")
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.encode() == path.read_bytes()
+
+
 @pytest.mark.parametrize("argv, want", [
     (["simulate", "--n", "5", "--seed", "3"],
      "0.0\n0.0\n0.03903155486041823\n0.022563019137758163\n0.0\n"),
@@ -111,6 +120,14 @@ def test_estimate_empty_file_exit_2(tmp_path, capsys):
                         "--delta", "0.1", "--w", "0.2"], capsys)
     assert code == 2
     assert "no samples" in err
+
+
+def test_estimate_non_utf8_file_exit_2(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"1.0\n# caf\xe9\n")
+    code, out, err = run(["estimate", "--samples", str(latin1), "--map", "mg1",
+                          "--delta", "0.1", "--w", "0.2"], capsys)
+    assert (code, out, err) == (2, "", f"{latin1}:2: not UTF-8 text\n")
 
 
 def test_estimate_missing_file_exit_2(capsys):

@@ -776,7 +776,8 @@ def test_deterministic_sums():
 def test_save_load_round_trip(tmp_path):
     ss = SampleSet(np.random.default_rng(14).exponential(1.0, 50))
     path = tmp_path / "vals.txt"
-    save_samples(ss, str(path))
+    with open(path, "w") as fh:
+        save_samples(ss, fh)
     back = load_samples(str(path))
     assert np.array_equal(back.values, ss.values)
 
@@ -798,20 +799,32 @@ def test_load_reports_line_numbers(tmp_path):
 
 
 def test_load_rejects_negative_and_nonfinite(tmp_path):
-    for token in ("-1.0", "inf", "nan"):
+    for token, message in (("-1.0", "negative value"),
+                           ("inf", "non-finite value"),
+                           ("nan", "non-finite value"),
+                           ("nope", "not a number")):
         path = tmp_path / "bad.txt"
-        path.write_text(f"{token}\n")
-        with pytest.raises(SampleFileError):
+        path.write_text(f"# header\n\n{token}\n")
+        with pytest.raises(SampleFileError) as err:
             load_samples(str(path))
+        assert err.value.line == 3
+        assert f"{message}: {token!r}" in str(err.value)
 
 
-def test_load_csv_column(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("t,load\n0,0.5\n1,1.5\n")
-    ss = load_samples(str(path), column="load")
-    assert np.array_equal(ss.values, [0.5, 1.5])
-    with pytest.raises(SampleFileError):
-        load_samples(str(path), column="missing")
+def test_load_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf1.5\r\n2.5\r3.5\n")
+    ss = load_samples(str(path))
+    assert np.array_equal(ss.values, [1.5, 2.5, 3.5])
+
+
+def test_load_reports_non_utf8_line(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xef\xbb\xbf1.0\r\n2.0\r# caf\xe9\n3.0\n")
+    with pytest.raises(SampleFileError) as err:
+        load_samples(str(path))
+    assert err.value.line == 3
+    assert str(err.value) == f"{path}:3: not UTF-8 text"
 
 
 def test_load_empty_file_fails(tmp_path):
