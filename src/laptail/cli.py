@@ -36,7 +36,7 @@ from .transforms import (Deterministic, Exponential, Gamma, load_samples,
                          save_samples)
 
 # Config keys whose JSON spelling differs from the setting's key; the flag
-# is spelled the JSON way.
+# is spelled the JSON way, and so is the setting's only config key.
 _CONFIG_ALIASES = {"lambda": "lam"}
 _OPTIONS = {key: f"--{alias}" for alias, key in _CONFIG_ALIASES.items()}
 
@@ -79,7 +79,7 @@ def _merged(args: argparse.Namespace) -> dict:
             raise ParameterError("config file must hold a JSON object")
         for raw_key, value in loaded.items():
             key = _CONFIG_ALIASES.get(raw_key, raw_key.replace("-", "_"))
-            if key not in eff:
+            if key not in eff or raw_key in _OPTIONS:
                 raise ParameterError(f"unknown config key {raw_key!r}")
             if value is not None:
                 value = _config_value(raw_key, value, args.flags[key])

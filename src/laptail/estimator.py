@@ -59,8 +59,8 @@ class EstimateResult:
     on_domain_event is False exactly when the fallback path was taken; then
     value is 0.0, raw_value is None and fallback_reason says why
     ('domain_event', 'log_tracking', 'capacity' or 'nonfinite'). Otherwise
-    value is the inversion output clipped to [0, 1], and raw_value records
-    the unclipped output whenever clipping changed it.
+    value is the inversion output clipped to [0, 1], and raw_value is the
+    unclipped output, equal to value when clipping changed nothing.
     """
 
     value: float

@@ -90,8 +90,8 @@ def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
     - the grid transform's NUFFT kernel (``transforms._kernel``) for each
       of the last 8 point counts, 8 bytes per point: up to 320 MB at the
       cap.
-    A grid transform's result keeps its samples and folded spread, about
-    32 bytes per point, only as long as the result lives.
+    A grid transform's result keeps its samples and the runs of its spread,
+    264 bytes per run, only as long as the result lives.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ParameterError("t_max must be positive and finite")

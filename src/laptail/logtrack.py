@@ -15,26 +15,27 @@ width h, f then stays within M2 h^2 / 8 of the chord from one value to the
 next, so a chord farther than that from 0, plus a rounding margin, proves
 that f misses 0 on the step and turns as the chord does, by the principal
 Arg of the ratio. Such a step is certified. When the caller can give the
-transform on a finer grid, as the empirical transform's grid result can,
-a grid with a wide step that is not certified has its argument tracked
+transform on a finer grid, as the empirical transform's grid result can, a
+grid with a wide step that is not certified has its argument tracked
 instead on the grid _REFINE_FACTOR times finer over the same [0, T], and
 every _REFINE_FACTOR-th value is kept: there most steps of a transform
 near zero are narrow again, and the certificate, whose reach grows as h^2
 shrinks, settles most of the rest. The grid result gives the finer grid
-from the samples it already spread, by one fold and one FFT
-(``transforms``): for 2 000 samples at T = 45 that took 0.04 ms on the
-721 points, against 0.13 ms for the coarse grid's whole transform on its
-181. The steps still wide and uncertified there, and those of a grid
-tracked without such a caller, are bisected until every piece is in the
-disk or certified at its own width. The bisection runs in passes, one per
-level: each pass halves every pending piece of every such step and
-evaluates all the midpoints in one call of the evaluator. The empirical
-transform's evaluator sums the midpoints from the spread buffer that the
-grid result kept (``transforms``), so a midpoint costs a cosine and a sine
-per cell of that buffer, about 190 cells for 2 000 samples at T = 45, not
-n exponentials; the finer grid and the certificate leave few midpoints.
-Most grids have no wide step: they are neither certified, refined nor
-bisected, and the bound is never formed.
+from the runs of the samples it already spread, whatever the turns of
+their phases, by one fold and one FFT (``transforms``): for 2 000 samples
+at T = 45 that took 0.06 ms on the 721 points, against 0.13 ms for the
+coarse grid's whole transform on its 181. The steps still wide and
+uncertified there, and those of a grid tracked without such a caller, are
+bisected until every piece is in the disk or certified at its own width.
+The bisection runs in passes, one per level: each pass halves every
+pending piece of every such step and evaluates all the midpoints in one
+call of the evaluator. The empirical transform's evaluator sums the
+midpoints from the runs that the grid result kept, folded onto the cells
+of their arc (``transforms``), so a midpoint costs a cosine and a sine per
+cell of that arc, about 190 cells for 2 000 samples at T = 45, not n
+exponentials; the finer grid and the certificate leave few midpoints. Most
+grids have no wide step: they are neither certified, refined nor bisected,
+and the bound is never formed.
 
 The log is tracked on the half grid y in [0, T] only, upward from the
 anchor y = 0: the transforms are of real measures, so on y < 0 the branch
@@ -58,19 +59,18 @@ _RATIO_RADIUS = 0.5
 # A grid with a wide step that is not certified is tracked on the grid this
 # many times finer, if that grid has at most _MAX_GRID_POINTS points, the
 # quadrature grid's cap; past it the wide steps are only certified or
-# bisected. The finer grid, transformed from the samples the quadrature
-# grid already spread, costs one fold and one FFT of factor times its
-# cells; each midpoint left costs a cosine and a sine per cell of the
-# spread buffer, summed from the same spread. Over its 150-job pools at
-# seeds 1-40, factor 4 leaves 88 midpoints per pool, 8 leaves 17.7 and 16
-# leaves 4.0. With the midpoints that cheap, perfbench's decompound-mix
-# ran 2 402 jobs/s at factor 4 and 2 385/s at 8, against 2 087/s with the
-# midpoints summed directly at factor 4 (medians of 4 rotating 15 s rounds
-# on a 2-vCPU host); summed directly, 8 had been 12% faster. Without
-# refinement every uncertified step of the quadrature grid is bisected:
-# earlier rounds read 792/s so, against 1 945/s at factor 4. 4 also leaves
-# one midpoint in the 6-job pool (seed 3) that perfbench's smoke test
-# requires to bisect, where 8 leaves none.
+# bisected. The finer grid, folded from the runs the quadrature grid kept of
+# its spread, costs one fold and one FFT of factor times its cells; each
+# midpoint left costs a cosine and a sine per cell of the runs' arc, summed
+# from the same runs. Over its 150-job pools at seeds 1-40, factor 4 leaves
+# 88 midpoints per pool, 8 leaves 17.7 and 16 leaves 4.0. With the midpoints
+# that cheap, perfbench's decompound-mix ran 2 402 jobs/s at factor 4 and
+# 2 385/s at 8, against 2 087/s with the midpoints summed directly at factor
+# 4 (medians of 4 rotating 15 s rounds on a 2-vCPU host); summed directly, 8
+# had been 12% faster. Without refinement every uncertified step of the
+# quadrature grid is bisected: earlier rounds read 792/s so, against 1 945/s
+# at factor 4. 4 also leaves one midpoint in the 6-job pool (seed 3) that
+# perfbench's smoke test requires to bisect, where 8 leaves none.
 _REFINE_FACTOR = 4
 
 # Rounding margin of the chord certificate (``_certified``), 5 times the

@@ -166,9 +166,9 @@ def apply_map(transform_map: TransformMap, samples: SampleSet,
     samples it already sorted and spread (``refined``), and bisects the
     steps still wide and uncertified there. The midpoints are summed by
     ``empirical_transform_eval`` from that same spread, given the grid
-    transform's result, or directly where the result kept no spread. The
-    caller checks the map's domain event first (``domain_check``); on a
-    sample outside it the formula's values mean nothing. Log-tracking
+    transform's result, or directly where its runs span more than a turn.
+    The caller checks the map's domain event first (``domain_check``); on
+    a sample outside it the formula's values mean nothing. Log-tracking
     failures (NearZeroTransform, DomainError) propagate.
     """
     observed = empirical_transform_grid(samples, grid)

@@ -9,7 +9,7 @@ k = 0 .. m, with t_max = m h.
 
 On that grid the empirical transform is a type-1 non-uniform DFT,
 (1/n) sum_j a_j e^{-i k theta_j} with real weights a_j = e^{-c x_j} and
-theta_j = h x_j mod 2 pi. ``empirical_transform_grid`` evaluates it with a
+phases theta_j = h x_j. ``empirical_transform_grid`` evaluates it with a
 Gaussian-gridding NUFFT (Greengard & Lee, SIAM Review 46(3), 2004; Dutt &
 Rokhlin, SIAM J. Sci. Comput. 14, 1993) in O(n log n + n P + R W P +
 K log K) for n samples in R runs of one cell, K grid points and a kernel
@@ -28,26 +28,25 @@ weighted moments, and the kernel is applied once per run of them. The
 transform is symmetric in the samples, so they are sorted once: the
 samples of a cell are then neighbours, one run per turn of the phases
 around the circle, and every run's moments are sums over a slice. Only
-occupied cells get moments, and the spread covers only the arc of the
-circle that the phases occupy, often a small part of it since h x is small
-on a fine grid; the arc is folded onto the periodic grid by cell index, so
-the FFT needs no phase factor.
+occupied cells get moments, and each run adds only to the W cells around
+its own, placed on the periodic grid by cell index, so the FFT needs no
+phase factor.
 
 The NUFFT has a sample side and a mode side. The sample side
 (``_spread``) takes the sorted samples to their phases, runs, moments and
-kernel product, and spreads them into a buffer over the occupied arc. The
-mode side folds that buffer onto the periodic grid (``_fold``), takes one
-real FFT and undoes the kernel (``_mode_values``). On the grid factor times
-finer over the same [0, T] every phase is divided by factor, so unless the
-phases were reduced modulo 2 pi each sample sits in the same cell at the
-same fraction of a periodic grid of factor x size cells: the same buffer,
-folded onto those cells, gives the finer grid's modes, mode k undone by
-the kernel at k / factor. A grid transform's result keeps the folded
-buffer, and its ``refined(factor)``, which log tracking (``logtrack``)
-calls, runs the mode side alone: for 2 000 compound binomial totals at
-T = 45 on a 2-vCPU host, 0.04 ms on the 721 points of the grid 4 times
-finer, against 0.15 ms for a fresh transform there and 0.13 ms for the
-181 points of the coarse one.
+kernel product: each run's cell, counted over all turns of the phases,
+which are never reduced modulo 2 pi, and its W kernel values. The mode
+side places the runs on the periodic grid (``_fold``), takes one real FFT
+and undoes the kernel (``_mode_values``). On the grid factor times finer
+over the same [0, T] every phase is divided by factor, so each sample sits
+in the same cell at the same fraction of a periodic grid of factor x size
+cells: the same runs, folded onto those cells, give the finer grid's
+modes, mode k undone by the kernel at k / factor. A grid transform's
+result keeps the runs, 264 bytes each, and its ``refined(factor)``, which
+log tracking (``logtrack``) calls, runs the mode side alone: for 2 000
+compound binomial totals at T = 45 on a 2-vCPU host, 0.06 ms on the 721
+points of the grid 4 times finer, against 0.14 ms for a fresh transform
+there and 0.13 ms for the 181 points of the coarse one.
 
 For samples of continuous laws the error against direct evaluation stays
 below 1.5e-14 absolute and does not grow with K: 8.9e-15 at most for
@@ -64,17 +63,24 @@ x = 1 on 8 001 points, most of it the rounding of the phases y x. For
 the same copies of 0.3 gave 1.1e-13, 1.15e-12 and 1.6e-11 on 8 001
 points.
 
+A sample's cell and fraction carry the rounding of its unreduced position
+h x size / 2 pi, which grows with its turns as that of the phases y x
+does: samples over 199 turns at c = 0.01 were within 1.8e-15 of the direct
+sums at T = 45, and at T = 400 within 3.6e-14 of the exact sums, the
+direct sums within 1.1e-14. At c = 1, as in every estimate, a sample past
+its first turn on a grid of step 1/4 weighs less than 1.2e-11.
+
 Off a grid, ``empirical_transform_eval`` sums one exponential per sample
-and point, unless it is given a grid transform of the same samples that
-kept its spread and the points lie on that grid's contour, as log
-tracking's bisection midpoints do. It then runs the mode side at the
-points' fractional modes, from the kept buffer (the type-3 step of
-Barnett, Magland & af Klinteberg): P points cost P x L cosines and sines
-over the buffer's L cells, not P x n exponentials, and keep the grid
-transform's error bounds. For 2 000 compound binomial totals at T = 45
-the buffer has 191 cells; at n = 10^5 and T = 316 it has 1 151, and 12
-points took 0.4 to 0.6 ms, against 62 to 73 ms summed directly, on a
-2-vCPU host.
+and point, unless it is given a grid transform of the same samples whose
+runs span at most one turn of its periodic grid and the points lie on
+that grid's contour, as log tracking's bisection midpoints do. It then
+runs the mode side at the points' fractional modes, from the runs spread
+into a buffer over their arc (the type-3 step of Barnett, Magland & af
+Klinteberg): P points cost P x L cosines and sines over the buffer's L
+cells, not P x n exponentials, and keep the grid transform's error
+bounds. For 2 000 compound binomial totals at T = 45 the buffer has 191
+cells; at n = 10^5 and T = 316 it has 1 151, and 12 points took 0.5 ms,
+against 55 ms summed directly, on a 2-vCPU host.
 """
 from __future__ import annotations
 
@@ -395,12 +401,13 @@ def empirical_transform_eval(samples: SampleSet, s,
     evaluated as an array of one point.
 
     ``grid_transform``, if given, is a result of ``empirical_transform_grid``
-    for these same samples (ParameterError if it is of others). When it
-    kept its spread and every point lies on its grid's contour segment
-    c + iy, 0 <= y <= t_max, the points are summed from that spread
-    (``_GridTransform._from_spread``): P points cost P x L cosines and
-    sines over its L cells, about 180 for 2 000 samples at T = 45, and
-    stay within the grid transform's error bounds. Otherwise the points
+    for these same samples (ParameterError if it is of others). When its
+    runs span at most one turn of its periodic grid and every point lies on
+    its grid's contour segment c + iy, 0 <= y <= t_max, the points are
+    summed from those runs (``_GridTransform._from_spread``): P points cost
+    P x L cosines and sines over the L cells of their arc, about 190 for
+    2 000 samples at T = 45, and stay within the grid transform's error
+    bounds. Otherwise the points
     are summed directly, one exponential per sample and point, in blocks
     of at most 2^22 terms, so P points cost P n exponentials. Samples
     whose factor e^{-Re(s) x_i} underflows add exactly 0. Nothing is kept
@@ -539,15 +546,15 @@ def _powers(a: np.ndarray, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _spread(x: np.ndarray, a: np.ndarray, h: float,
-            kernel: _Kernel) -> tuple[np.ndarray, int, bool]:
+            kernel: _Kernel) -> tuple[np.ndarray, np.ndarray]:
     """The sample side of the NUFFT of sum_j a_j e^{-i k h x_j}, a_j real:
-    the spread buffer g over the occupied arc, the periodic cell of its
-    first cell, and whether the phases were reduced modulo 2 pi.
+    the cell of each run of samples, ascending, and the run's values on
+    the 2 half_width cells around it (runs x 32).
 
     ``x`` holds positive values in ascending order, and ``a`` their
-    positive weights. The cell position h x_j mod 2 pi of every sample on
-    the kernel's ``size`` cells is computed once: cell b_j and fraction u_j
-    in [0, 1). A sample adds a_j e^{-alpha (u_j - o)^2} to cell b_j + o for
+    positive weights. Every sample's phase h x_j is placed once on a grid
+    of the kernel's ``size`` cells per turn: cell b_j and fraction u_j in
+    [0, 1). A sample adds a_j e^{-alpha (u_j - o)^2} to cell b_j + o for
     the 2 half_width offsets o = 1 - half_width .. half_width. With the
     kernel's degree-P fit sum_p C[p, o] t^p in t = 2u - 1 (``_kernel``),
     the samples of one run, neighbours in one cell b, add
@@ -570,23 +577,15 @@ def _spread(x: np.ndarray, a: np.ndarray, h: float,
     median, but its 95th percentile reached 16 ms in one run of 300 calls,
     its second thread waiting for a core.
 
-    The runs are spread into a buffer g that spans only the occupied arc:
-    L cells from half_width - 1 cells below the lowest occupied cell to
-    half_width cells above the highest, buffer cell e being periodic cell
-    first + e. Runs of one cell from different turns add there.
-
-    The phases are reduced modulo 2 pi only when the largest, the last,
-    reaches 2 pi. They are nonnegative, and below 2 pi the reduction is the
-    identity, so skipping it changes no bit. Unreduced, the phases of the
-    grid factor times finer are these divided by factor, so the same buffer
-    serves it (``_GridTransform.refined``).
+    The phases are never reduced modulo 2 pi: cell b_j counts the whole
+    turns too, so the cells ascend with x and the runs of one cell on
+    different turns stay apart, and ``_fold`` places the runs on a periodic
+    grid of any number of cells. On the grid factor times finer every phase
+    is divided by factor and the periodic grid has factor x size cells, so
+    each sample keeps its cell and fraction and the same runs serve it
+    (``_GridTransform.refined``).
     """
-    if x.size == 0:
-        return np.zeros(0), 0, False
     u = h * x
-    turned = bool(u[-1] >= 2.0 * math.pi)
-    if turned:
-        np.mod(u, 2.0 * math.pi, out=u)
     u *= kernel.size / (2.0 * math.pi)
     # u >= 0, so truncation is the floor
     cells = u.astype(np.intp)
@@ -596,7 +595,7 @@ def _spread(x: np.ndarray, a: np.ndarray, h: float,
     t = u
     # a run is a stretch of neighbours in one cell
     new_run = np.empty(x.size, dtype=bool)
-    new_run[0] = True
+    new_run[:1] = True
     np.not_equal(cells[1:], cells[:-1], out=new_run[1:])
     starts = new_run.nonzero()[0]
     run_cells = cells[starts]
@@ -614,50 +613,31 @@ def _spread(x: np.ndarray, a: np.ndarray, h: float,
     for lo in range(0, starts.size, _PRODUCT_BLOCK):
         np.matmul(moments.T[lo:lo + _PRODUCT_BLOCK], kernel.poly,
                   out=values[lo:lo + _PRODUCT_BLOCK])
-    # the run in cell b adds to buffer cells b - first + o; buffer cell e is
-    # periodic cell first + e
-    low = int(run_cells.min())
-    first = low + int(_SPREAD_OFFSETS[0])
-    length = int(run_cells.max()) - low + _SPREAD_OFFSETS.size
-    index = (run_cells - first)[:, None] + _SPREAD_OFFSETS
-    return np.bincount(index.ravel(), values.ravel(), length), first, turned
+    return run_cells, values
 
 
-def _fold(spread: np.ndarray, first: int, cells: int) -> np.ndarray:
-    """The spread buffer folded onto ``cells`` periodic cells, buffer cell
-    e adding to cell (first + e) mod cells.
+def _fold(run_cells: np.ndarray, values: np.ndarray, cells: int) -> np.ndarray:
+    """The runs of ``_spread`` summed onto ``cells`` periodic cells, the run
+    in cell b adding values[r, o] to cell (b + o) mod cells.
 
-    In index space, so no phase factor is needed: a buffer of at most
-    cells + 2 half_width - 1 cells takes at most
-    2 + ceil((2 half_width - 1) / cells) slice adds and no index array,
-    three on grids of 31 cells or more, four or five on the smaller grids
-    of m <= 6 (12 to 30 cells).
+    Each run's cell is reduced modulo ``cells`` once, not each of its 32
+    values, and one weighted ``bincount`` spreads the runs over cells + 31
+    cells, from periodic cell 1 - half_width on. The ends that stick out
+    are then folded in index space, so no phase factor is needed: at most
+    2 + ceil((2 half_width - 1) / cells) slice adds, three on grids of 31
+    cells or more, four or five on the smaller grids of m <= 6 (12 to 30
+    cells).
     """
+    index = (run_cells % cells - _SPREAD_OFFSETS[0])[:, None] + _SPREAD_OFFSETS
+    spread = np.bincount(index.ravel(), values.ravel(),
+                         cells + _SPREAD_OFFSETS.size - 1)
     folded = np.zeros(cells)
-    start, done = first % cells, 0
+    start, done = int(_SPREAD_OFFSETS[0]) % cells, 0
     while done < spread.size:
         stop = min(spread.size, done + cells - start)
         folded[start:start + stop - done] += spread[done:stop]
         start, done = 0, stop
     return folded
-
-
-class _Folded(NamedTuple):
-    """A grid transform's spread buffer of ``length`` cells, folded onto
-    the ``kernel``'s grid from periodic cell ``first`` on, kept where no two
-    of its cells share a folded cell, so the buffer is a rotation of
-    ``cells``.
-
-    The folded grid is kept rather than the buffer because the FFT needs
-    it anyway: the transform's peak stays at about 2 x 8 bytes per cell.
-    Keeping the buffer too took two samples at opposite ends of the circle
-    on 10^6 points from 2.0 to 2.98 x 8 bytes per cell.
-    """
-
-    cells: np.ndarray
-    first: int
-    length: int
-    kernel: _Kernel
 
 
 def _mode_values(sums: np.ndarray, deconv: np.ndarray, samples: SampleSet,
@@ -688,55 +668,45 @@ class _GridTransform(TransformValues):
     contour between its grid points (``_from_spread``, through
     ``empirical_transform_eval``).
 
-    Besides its values it keeps a reference to its samples and, unless its
-    phases were reduced modulo 2 pi or its spread buffer wraps onto itself,
-    the folded spread (``_Folded``): 8 bytes per cell of the kernel's grid,
-    about 32 per point. Both are freed with the result.
+    Besides its values it keeps its samples, its kernel and the sample
+    side's output (``_spread``): every run's cell and its 32 values, 264
+    bytes per run, at most one run per sample. All are freed with it.
     """
 
     _samples: SampleSet
-    _folded: _Folded | None
+    _kernel: _Kernel
+    _run_cells: np.ndarray
+    _run_values: np.ndarray
 
     def refined(self, factor: int) -> TransformValues:
         """The same transform on ContourGrid(c, t_max, factor m), the grid
         factor times finer over the same [0, t_max].
 
-        When the folded spread was kept, only the mode side runs: sample j
-        has phase h x_j / factor there, so it sits in the same cell at the
-        same fraction of a grid of factor x size cells, and the spread
-        buffer, unfolded from the kept rotation, is folded onto those cells
-        and transformed by one real FFT, mode k being undone by the kernel
+        Only the mode side runs: sample j has phase h x_j / factor there,
+        so it sits in the same cell at the same fraction of a grid of
+        factor x size cells, and the kept runs, folded onto those cells,
+        are transformed by one real FFT, mode k being undone by the kernel
         at k / factor. The values match a fresh transform's to rounding.
-        Without a kept spread the finer grid gets a fresh
-        ``empirical_transform_grid``.
         """
-        grid, folded = self.grid, self._folded
+        grid, kernel = self.grid, self._kernel
         fine = ContourGrid(grid.c, grid.t_max, factor * grid.m)
-        if folded is None:
-            return empirical_transform_grid(self._samples, fine)
-        size = folded.kernel.size
-        sums = np.fft.rfft(_fold(self._spread_buffer(), folded.first,
-                                 factor * size))[:fine.n_points]
+        sums = np.fft.rfft(_fold(self._run_cells, self._run_values,
+                                 factor * kernel.size))[:fine.n_points]
         return TransformValues(fine, _mode_values(sums, _deconvolution(
-            size, folded.kernel.tau, np.arange(fine.n_points) / factor),
+            kernel.size, kernel.tau, np.arange(fine.n_points) / factor),
             self._samples, self.values[0].real))
 
-    def _spread_buffer(self) -> np.ndarray:
-        """The kept spread buffer, unfolded from its rotation."""
-        folded = self._folded
-        start = folded.first % folded.kernel.size
-        return np.concatenate((folded.cells[start:],
-                               folded.cells[:start]))[:folded.length]
-
     def _from_spread(self, s: np.ndarray) -> np.ndarray | None:
-        """The transform at the points ``s`` from the kept spread, or None
-        when it was not kept or a point is off the grid's own contour
-        segment c + iy, 0 <= y <= t_max.
+        """The transform at the points ``s`` from the kept runs, or None
+        when a point is off the grid's own contour segment c + iy,
+        0 <= y <= t_max, or when the runs' arc spans more cells than the
+        kernel's grid, so that no point costs more than one turn's cells.
 
-        This is the NUFFT's mode side at the fractional modes k = y / h of
-        the kernel's grid (the type-3 step of Barnett, Magland & af
-        Klinteberg): with g the spread buffer, buffer cell e at periodic
-        cell first + e,
+        The arc, the spread buffer g of the runs, has L cells: from
+        half_width - 1 cells below the lowest run to half_width cells above
+        the highest, buffer cell e at unreduced cell first + e. This is the
+        NUFFT's mode side at the fractional modes k = y / h of the kernel's
+        grid (the type-3 step of Barnett, Magland & af Klinteberg):
 
             f(s) = zero_fraction
                    + (1/n) D(k) sum_e g[e] e^{-2 pi i k (first + e) / size}
@@ -749,26 +719,28 @@ class _GridTransform(TransformValues):
         integers, so only the part |d| <= 1/2 is rounded. At T = 400,
         phases k (first + e) formed whole were off the direct sum by
         2.6e-14 for samples of Exp(mean 0.05) and by 8.6e-14 for tied
-        samples, against 7.4e-15 and 1.5e-14 reduced. Each point's terms are summed
-        pairwise along its own row, so its value does not depend on the
-        other points of the call. P points cost P x L cosines and sines, in
-        blocks of at most 2^22 terms, where direct sums cost P x n
-        exponentials.
+        samples, against 7.4e-15 and 1.5e-14 reduced. Each point's terms
+        are summed pairwise along its own row, so its value does not depend
+        on the other points of the call. P points cost P x L cosines and
+        sines, in blocks of at most 2^22 terms, where direct sums cost
+        P x n exponentials.
         """
-        grid, folded = self.grid, self._folded
+        grid, runs, size = self.grid, self._run_cells, self._kernel.size
+        low, high = (int(runs[0]), int(runs[-1])) if runs.size else (0, 0)
+        first = low + int(_SPREAD_OFFSETS[0])
+        length = high - low + _SPREAD_OFFSETS.size
         y = s.imag
-        if folded is None or not ((s.real == grid.c).all()
-                                  and 0.0 <= y.min(initial=0.0)
-                                  and y.max(initial=0.0) <= grid.t_max):
+        if length > size or not ((s.real == grid.c).all()
+                                 and 0.0 <= y.min(initial=0.0)
+                                 and y.max(initial=0.0) <= grid.t_max):
             return None
-        size = folded.kernel.size
-        spread = self._spread_buffer()
-        cells = np.arange(folded.first, folded.first + folded.length)
+        spread = _fold(runs - first, self._run_values, length)
+        cells = np.arange(first, first + length)
         k = y / grid.spacing
         whole = np.rint(k)
         out = np.empty(s.size, dtype=complex)
         re, im = out.real, out.imag
-        rows = max(1, _DIRECT_BLOCK // max(1, cells.size))
+        rows = max(1, _DIRECT_BLOCK // length)
         for lo in range(0, s.size, rows):
             hi = lo + rows
             phases = np.multiply.outer(k[lo:hi] - whole[lo:hi], cells)
@@ -781,7 +753,7 @@ class _GridTransform(TransformValues):
             np.sin(phases, out=terms)
             terms *= spread
             terms.sum(axis=1, out=im[lo:hi])
-        return _mode_values(out, _deconvolution(size, folded.kernel.tau, k),
+        return _mode_values(out, _deconvolution(size, self._kernel.tau, k),
                             self._samples)
 
 
@@ -809,10 +781,8 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     copies of 0.3 on 8 001 points at T = 400, and 2.6e-14 on the 1 601
     points of ``build_grid`` there.
 
-    The result's ``refined(factor)`` gives the transform on the grid factor
-    times finer from the spread kept here, without sorting or spreading the
-    samples again, and ``empirical_transform_eval`` given the result sums
-    points of its contour from that spread too.
+    The result keeps the runs of the spread, so its ``refined(factor)``, and
+    ``empirical_transform_eval`` given it, sort and spread no sample again.
     """
     x = np.sort(samples.values)
     a = np.exp(-grid.c * x)
@@ -820,16 +790,13 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     # add nothing and could overflow h * x
     gridded = slice(x.searchsorted(0.0, side="right"), np.count_nonzero(a))
     kernel = _kernel(grid.n_points)
-    spread, first, turned = _spread(x[gridded], a[gridded], grid.spacing,
+    run_cells, run_values = _spread(x[gridded], a[gridded], grid.spacing,
                                     kernel)
-    length = spread.size
-    folded = _fold(spread, first, kernel.size)
-    del spread  # before the FFT allocates, to keep peak memory down
-    values = _mode_values(np.fft.rfft(folded)[:grid.n_points], kernel.deconv,
-                          samples, a.sum() / x.size)
-    kept = (None if turned or length > kernel.size
-            else _Folded(folded, first, length, kernel))
-    return _GridTransform(grid, values, samples, kept)
+    sums = np.fft.rfft(_fold(run_cells, run_values, kernel.size))
+    values = _mode_values(sums[:grid.n_points], kernel.deconv, samples,
+                          a.sum() / x.size)
+    return _GridTransform(grid, values, samples, kernel, run_cells,
+                          run_values)
 
 
 # --------------------------------------------------------------------------

@@ -259,6 +259,24 @@ def test_config_unknown_key_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_config_key_must_be_spelled_as_its_flag(tmp_path, capsys):
+    # the setting of --lambda is refused under its inner name, as --lam is
+    # on the command line; the flag's spelling and underscores are read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lam": 5}))
+    code, out, err = run(["simulate", "--n", "5", "--config", str(cfg)],
+                         capsys)
+    assert (code, out) == (3, "")
+    assert "unknown config key 'lam'" in err
+    cfg.write_text(json.dumps({"lambda": 5, "job_params": None}))
+    by_config = run(["simulate", "--n", "5", "--config", str(cfg)], capsys)
+    assert by_config == run(["simulate", "--n", "5", "--lambda", "5"], capsys)
+    assert by_config[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "5", "--lam", "5"])
+    assert exc.value.code == 3
+
+
 @pytest.mark.parametrize("command, config, key", [
     (["table2"], {"n": [100]}, "n"),
     (["table2"], {"n": 100.0}, "n"),

@@ -176,3 +176,37 @@ def test_atomless_totals_refine_and_match_the_gamma_input_truth(monkeypatch):
         stderr = column.std(ddof=1) / math.sqrt(reps)
         assert abs(column.mean() - gamma_input_cdf(5.0, 1.0, 6.25, w)) \
             <= 4.0 * stderr, w
+
+
+@pytest.mark.parametrize("rep", range(3))
+def test_an_outlier_refines_from_its_own_spread(rep, monkeypatch):
+    # Gamma(5, 1) totals with one total at x = 30, whose phase h x = 7.3 on
+    # the quadrature grid of h near 1/4 is past 2 pi: the grid transform keeps
+    # the runs of its spread all the same, so the grid 4 times finer is
+    # folded from them and no sample is spread again. The estimates match
+    # the reference's within the bound of
+    # test_estimates_match_the_reference_estimator; measured 5e-15
+    calls = []
+    spread, refined = transforms._spread, transforms._GridTransform.refined
+
+    def counted_spread(x, a, h, kernel):
+        calls.append(("spread", h * x[-1] > 2.0 * math.pi))
+        return spread(x, a, h, kernel)
+
+    def counted_refined(self, factor):
+        calls.append(("refined", factor))
+        return refined(self, factor)
+
+    monkeypatch.setattr(transforms, "_spread", counted_spread)
+    monkeypatch.setattr(transforms._GridTransform, "refined", counted_refined)
+    totals = Gamma(5.0, 1.0).sample(np.random.default_rng([17, rep]), 400)
+    samples = SampleSet(np.append(totals, 30.0))
+    ws = [2.5, 5.0]
+    results = estimate_cdf_batch(samples, Mg1Workload(6.25), ws,
+                                 EstimatorConfig(w=1.0))
+    assert calls == [("spread", True), ("refined", 4)]
+    for w, got in zip(ws, results):
+        assert got.on_domain_event
+        want = reference_estimate(samples, Mg1Workload(6.25), w,
+                                  got.t_max_used)
+        assert abs(got.raw_value - want) <= 1e-9 * math.exp(CONTOUR_C * w), w

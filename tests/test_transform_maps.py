@@ -144,19 +144,27 @@ def test_pipeline_layers_hand_back_read_only_values():
             got.values[0] = 0.0
 
 
-def test_each_stage_hands_out_read_only_values_it_owns():
+def test_each_stage_hands_out_read_only_values_it_owns(monkeypatch):
     # every stage builds its result through the one copying constructor: its
     # values are a fresh read-only array that shares no memory with its input.
-    # Of the grid transforms, the first keeps its spread and refines from it,
-    # the second's phases turn past 2 pi and it refines by a fresh transform
+    # Both grid transforms refine from their own spread, the second's phases
+    # turning past 2 pi
     grid = build_grid(1.0, 10.0, 1.0)
     period = 2.0 * math.pi / grid.spacing
     kept = sample_compound_poisson(replication_rng(35, 0), 1.0, Exponential(20.0), 200)
     turned = SampleSet(np.concatenate([kept.values, [1.5 * period]]))
-    for ss, keeps_spread in ((kept, True), (turned, False)):
+    spread, spreads = transforms._spread, []
+
+    def counted(*args):
+        spreads.append(args)
+        return spread(*args)
+
+    monkeypatch.setattr(transforms, "_spread", counted)
+    for ss in (kept, turned):
+        spreads.clear()
         observed = empirical_transform_grid(ss, grid)
-        assert (observed._folded is not None) == keeps_spread
         fine = observed.refined(4)
+        assert len(spreads) == 1
         assert fine.grid.m == 4 * grid.m
         given = np.array(observed.values)
         log_path = track_log(partial(empirical_transform_eval, ss), grid, given)

@@ -334,7 +334,8 @@ def test_grid_evaluation_on_grids_smaller_than_the_kernel(m):
 
 @pytest.mark.parametrize("largest_phase_below_2pi", [True, False])
 def test_grid_evaluation_at_the_phase_reduction_threshold(largest_phase_below_2pi):
-    # phases h x are reduced modulo 2 pi only once the largest reaches 2 pi
+    # the largest phase h x just below and just past 2 pi, where the cells
+    # of the runs go on into a second turn
     grid = ContourGrid(0.1, 20.0, 52)
     period = 2.0 * math.pi / grid.spacing
     top = period * (1.0 - 1e-12 if largest_phase_below_2pi else 1.0 + 1e-12)
@@ -425,6 +426,10 @@ REFINED_CASES = {
 }
 
 
+def spread_again(*args):
+    raise AssertionError("the samples were spread again")
+
+
 @pytest.mark.parametrize("case", sorted(REFINED_CASES))
 def test_refined_grid_values_match_the_direct_sum(case, monkeypatch):
     # the grid factor times finer over the same [0, T] takes the coarse
@@ -436,10 +441,6 @@ def test_refined_grid_values_match_the_direct_sum(case, monkeypatch):
     ss = SampleSet(draw(np.random.default_rng(24), period))
     assert 0.0 < ss.zero_fraction < 1.0
     observed = empirical_transform_grid(ss, grid)
-
-    def spread_again(*args):
-        raise AssertionError("the samples were spread again")
-
     monkeypatch.setattr(transforms, "_spread", spread_again)
     for factor in (2, 4, 8, 16):
         fine = ContourGrid(c, 45.0, factor * grid.m)
@@ -448,21 +449,34 @@ def test_refined_grid_values_match_the_direct_sum(case, monkeypatch):
             <= GRID_ERROR_BOUND, factor
 
 
-@pytest.mark.parametrize("turns", [1.5, 0.999])
-def test_grid_refined_from_phases_that_wrap_is_transformed_anew(turns):
-    # phases over 1.5 turns were reduced modulo 2 pi, and the spread of
-    # phases over 0.999 of a turn overlaps itself on the periodic grid:
-    # either way the finer grid gets a fresh transform, bit for bit
-    grid = ContourGrid(0.1, 45.0, 180)
+@pytest.mark.parametrize("c, turns", [
+    (0.1, 1.5), (0.1, 0.999), (0.1, 20.0),
+    # the weights of x near 199 turns stay visible
+    (0.01, 199.0),
+    # c = 1, the abscissa of every estimate: 28 turns reach x = 704, where
+    # the weights are about to underflow
+    (1.0, 28.0)])
+def test_grid_refined_from_phases_that_wrap_uses_its_spread(c, turns,
+                                                           monkeypatch):
+    # phases over 0.999 of a turn, whose spread overlaps itself on the
+    # periodic grid, and over many turns: the runs keep their unreduced
+    # cells, so the grid and the finer grids folded from them, with no
+    # sample spread again, keep the grid transform's bound. Measured: at
+    # most 1.8e-15 (c = 0.01)
+    grid = ContourGrid(c, 45.0, 180)
     period = 2.0 * math.pi / grid.spacing
     rng = np.random.default_rng(25)
     ss = SampleSet(np.concatenate([np.zeros(50), [turns * period],
                                    rng.uniform(0.0, turns * period, 450)]))
     observed = empirical_transform_grid(ss, grid)
+    direct = direct_transform(ss, grid.points)
+    assert np.max(np.abs(observed.values - direct)) <= GRID_ERROR_BOUND
+    monkeypatch.setattr(transforms, "_spread", spread_again)
     for factor in (2, 4, 8, 16):
-        fine = ContourGrid(0.1, 45.0, factor * grid.m)
-        assert np.array_equal(observed.refined(factor).values,
-                              empirical_transform_grid(ss, fine).values)
+        fine = ContourGrid(c, 45.0, factor * grid.m)
+        got = observed.refined(factor).values
+        assert np.max(np.abs(got - direct_transform(ss, fine.points))) \
+            <= GRID_ERROR_BOUND, factor
 
 
 def contour_ordinates(grid: ContourGrid, seed: int) -> np.ndarray:
@@ -513,9 +527,9 @@ def test_points_of_many_ties_summed_from_the_spread():
 
 @pytest.mark.parametrize("turns", [1.5, 0.999])
 def test_points_of_a_transform_without_its_spread_are_summed_directly(turns):
-    # the wrapped and the overlapping spreads of
-    # test_grid_refined_from_phases_that_wrap_is_transformed_anew are not
-    # kept, so the points get the direct sums, bit for bit
+    # the runs of test_grid_refined_from_phases_that_wrap_uses_its_spread
+    # span more than a turn of the periodic grid, so the points get the
+    # direct sums, bit for bit
     grid = ContourGrid(0.1, 45.0, 180)
     period = 2.0 * math.pi / grid.spacing
     rng = np.random.default_rng(25)
