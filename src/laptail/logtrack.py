@@ -22,11 +22,13 @@ every _REFINE_FACTOR-th value is kept: there most steps of a transform
 near zero are narrow again, and the certificate, whose reach grows as h^2
 shrinks, settles most of the rest. The grid result gives the finer grid
 from the runs of the samples it already spread, whatever the turns of
-their phases, by one fold and one FFT (``transforms``): for 2 000 samples
-at T = 45 that took 0.06 ms on the 721 points, against 0.13 ms for the
-coarse grid's whole transform on its 181. The steps still wide and
-uncertified there, and those of a grid tracked without such a caller, are
-bisected until every piece is in the disk or certified at its own width.
+their phases, by one fold and one FFT, onto a finer grid and
+deconvolution kept for every transform on the same grid (``transforms``):
+for 2 000 samples at T = 45 that took 0.05 ms on the 721 points, against
+0.12 ms for the coarse grid's whole transform on its 181. The steps still
+wide and uncertified there, and those of a grid tracked without such a
+caller, are bisected until every piece is in the disk or certified at its
+own width.
 The bisection runs in passes, one per level: each pass halves every
 pending piece of every such step and evaluates all the midpoints in one
 call of the evaluator. The empirical transform's evaluator sums the
@@ -193,12 +195,12 @@ def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
     step that is not certified then has its argument tracked on
     ``refine(_REFINE_FACTOR)``, and every _REFINE_FACTOR-th value of that
     argument is returned; not if that grid would have more than 5 * 10^6
-    points, the cap of ``build_grid``. The finer grid and its values are
-    built for the call and not kept. The wide steps still uncertified, on
-    whichever grid is tracked, are bisected until every piece is in the
-    disk or certified at its own width, in at most _REFINE_LIMIT passes;
-    each pass calls ``evaluator`` once, with the array of all its
-    midpoints, so ``evaluator`` must accept a 1-d complex array. A zero
+    points, the cap of ``build_grid``. The finer values are built for the
+    call and not kept. The wide steps still uncertified, on whichever grid
+    is tracked, are bisected until every piece is in the disk or certified
+    at its own width, in at most _REFINE_LIMIT passes; each pass calls
+    ``evaluator`` once, with the array of all its midpoints, so
+    ``evaluator`` must accept a 1-d complex array. A zero
     value on a tracked grid or at a midpoint, and a step that never
     settles, raise NearZeroTransform.
 

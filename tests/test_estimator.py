@@ -8,17 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from laptail import transforms
 from laptail.errors import EmptyResult, ParameterError
 from laptail.estimator import (EstimatorConfig, censored_increments,
                                empirical_workload_estimator, estimate_cdf,
                                estimate_cdf_batch)
-from laptail.simulation import (mm1_percentile, replication_rng,
+from laptail.simulation import (BinomialCounts, mm1_percentile,
+                                replication_rng, sample_compound,
                                 sample_compound_poisson, workload_on_grid)
+from laptail.studies import table2_rows
 from laptail.inversion import bromwich_details, build_grid
 from laptail.logtrack import track_log
-from laptail.transform_maps import (Mg1Workload, PoissonDecompound,
-                                    apply_map)
-from laptail.transforms import (ContourGrid, Exponential, SampleSet,
+from laptail.transform_maps import (BinomialDecompound, Mg1Workload,
+                                    PoissonDecompound, apply_map)
+from laptail.transforms import (ContourGrid, Exponential, Gamma, SampleSet,
                                 TransformValues,
                                 empirical_transform_eval,
                                 empirical_transform_grid)
@@ -241,6 +244,40 @@ def test_grid_transform_matches_direct_at_estimate_level():
     via_direct = estimate(direct_transform(ss, grid.points))
     assert 0.9 < via_direct < 1.1
     assert abs(via_grid - via_direct) <= 1e-9
+
+
+
+@pytest.mark.parametrize("seed", [1, 5, 11])
+def test_only_the_binomial_decompounding_estimates_refine(seed, monkeypatch):
+    # the finer grid and its deconvolution are kept per grid, which only
+    # estimates that refine the tracked log use: M/M/1 slot totals at
+    # rho 0.5 and 0.9, n 100 and 1 000, T = sqrt(n), at the 0.9, 0.99 and
+    # 0.999 percentiles, and one table2 replication at n = 10^4, never
+    # refine; binomial decompounding with M = 4 refines once per estimate
+    calls = []
+    refined = transforms._GridTransform.refined
+
+    def counted_refined(self, factor):
+        calls.append(factor)
+        return refined(self, factor)
+
+    monkeypatch.setattr(transforms._GridTransform, "refined", counted_refined)
+    rng = np.random.default_rng(seed)
+    config = EstimatorConfig(w=1.0)
+    for lam in (10.0, 18.0):
+        ws = [mm1_percentile(lam, 20.0, p) for p in (0.9, 0.99, 0.999)]
+        for n in (100, 1000):
+            totals = SampleSet(rng.gamma(rng.poisson(lam * 0.1, n), 0.05))
+            estimate_cdf_batch(totals, Mg1Workload(0.1), ws, config)
+    table2_rows(seed, reps=1, n=10**4)
+    assert calls == []
+    for _ in range(3):
+        totals = sample_compound(rng, BinomialCounts(4, 0.75),
+                                 Gamma(20.0, 0.05), 2000)
+        results = estimate_cdf_batch(totals, BinomialDecompound(4),
+                                     [0.5, 1.0, 1.5], config)
+        assert all(r.on_domain_event for r in results)
+    assert calls == [4, 4, 4]
 
 
 # --- comparison estimators -----------------------------------------------------

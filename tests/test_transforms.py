@@ -479,6 +479,47 @@ def test_grid_refined_from_phases_that_wrap_uses_its_spread(c, turns,
             <= GRID_ERROR_BOUND, factor
 
 
+def test_refined_grids_share_the_grid_and_deconvolution_kept_per_grid():
+    # the finer grid and its deconvolution depend on the grid alone: grid
+    # transforms of different samples refine onto one grid object, and
+    # their values equal bit for bit those built after the cache is cleared
+    kept_grids = transforms._refined_grid
+    grid = build_grid(1.0, 45.0, 1.5)
+    period = 2.0 * math.pi / grid.spacing
+    rng = np.random.default_rng(27)
+    observed = [empirical_transform_grid(SampleSet(REFINED_CASES[case][1](
+        rng, period)), grid) for case in ("binomial totals", "tied")]
+    kept_grids.cache_clear()
+    first = [transform.refined(4) for transform in observed]
+    fine, deconv = kept_grids(grid.c, grid.t_max, grid.m, 4)
+    assert first[0].grid is first[1].grid is fine
+    assert (fine.c, fine.t_max, fine.m) == (grid.c, grid.t_max, 4 * grid.m)
+    kernel = _kernel(grid.n_points)
+    assert np.array_equal(deconv, transforms._deconvolution(
+        kernel.size, kernel.tau, np.arange(fine.n_points) / 4))
+    assert not deconv.flags.writeable
+    with pytest.raises(ValueError):
+        deconv[0] = 0.0
+    kept_grids.cache_clear()
+    for transform, kept in zip(observed, first):
+        built = transform.refined(4)
+        assert built.grid is not kept.grid
+        assert built.values.tobytes() == kept.values.tobytes()
+    # once the cache is full, the least recently used grid goes first
+    four = observed[0].refined(4).grid
+    assert four is built.grid
+    for factor in (2, 8, 4, 16):
+        observed[0].refined(factor)
+        assert kept_grids.cache_info().currsize <= 2
+    assert kept_grids.cache_info().maxsize == 2
+    assert observed[1].refined(16).grid is observed[0].refined(16).grid
+    assert observed[0].refined(4).grid is not four
+    # each takes 24 bytes per point of the finer grid with its points built
+    fine, deconv = kept_grids(grid.c, grid.t_max, grid.m, 16)
+    assert fine.points.nbytes + deconv.nbytes == 24 * fine.n_points
+    kept_grids.cache_clear()
+
+
 def contour_ordinates(grid: ContourGrid, seed: int) -> np.ndarray:
     """Random ordinates over [0, T] and the hard ones: y -> 0+, h / 2 and
     T-, and T itself."""
