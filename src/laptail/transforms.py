@@ -27,15 +27,16 @@ kernel evaluation (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput.
 weighted moments, and the kernel is applied once per run of them. The
 transform is symmetric in the samples, so they are sorted once: the
 samples of a cell are then neighbours, one run per turn of the phases
-around the circle, and every run's moments are sums over a slice. Only
-occupied cells get moments, and each run adds only to the W cells around
-its own, placed on the periodic grid by cell index, so the FFT needs no
-phase factor.
+around the circle, and every run's moments are pairwise sums over a
+slice, from one table of all P + 1 powers of the weighted samples for at
+most 4 096 samples and one power at a time for more. Only occupied cells
+get moments, and each run adds only to the W cells around its own, placed
+on the periodic grid by cell index, so the FFT needs no phase factor.
 
 The NUFFT has a sample side and a mode side. The sample side
 (``_spread``) takes the sorted samples to their phases, runs, moments and
 kernel product: each run's cell, counted over all turns of the phases,
-which are never reduced modulo 2 pi, and its W kernel values. The mode
+and its W kernel values. The mode
 side places the runs on the periodic grid (``_fold``), takes one real FFT
 and undoes the kernel (``_mode_values``). On the grid factor times finer
 over the same [0, T] every phase is divided by factor, so each sample sits
@@ -67,12 +68,14 @@ x = 1 on 8 001 points, most of it the rounding of the phases y x. For
 the same copies of 0.3 gave 1.1e-13, 1.15e-12 and 1.6e-11 on 8 001
 points.
 
-A sample's cell and fraction carry the rounding of its unreduced position
-h x size / 2 pi, which grows with its turns as that of the phases y x
-does: samples over 199 turns at c = 0.01 were within 1.8e-15 of the direct
-sums at T = 45, and at T = 400 within 3.6e-14 of the exact sums, the
-direct sums within 1.1e-14. At c = 1, as in every estimate, a sample past
-its first turn on a grid of step 1/4 weighs less than 1.2e-11.
+A sample past its first turn has its whole turns taken off its phase h x
+exactly (``np.divmod``) before its cell and fraction are formed, so they
+carry the rounding of the reduced phase alone. Samples over 199 turns at
+c = 0.01 were within 1.8e-15 of the direct sums at T = 45; at T = 400, on
+1 601 points, within 1.4e-14 of sums formed in extended precision, and
+over 50 turns within 2.4e-14 (direct sums: 1.1e-14 and 2.8e-14). At c = 1,
+as in every estimate, a sample past its first turn on a grid of step 1/4
+weighs less than 1.2e-11.
 
 Off a grid, ``empirical_transform_eval`` sums one exponential per sample
 and point, unless it is given a grid transform of the same samples whose
@@ -120,9 +123,11 @@ _MAX_GRID_POINTS = 5 * 10**6
 _SPREAD_HALF_WIDTH = 16
 _OVERSAMPLE = 2
 _SPREAD_OFFSETS = np.arange(1 - _SPREAD_HALF_WIDTH, _SPREAD_HALF_WIDTH + 1)
-# Samples whose kernel moments are formed at once (``_piece_moments``):
-# their table of (P + 1) x 8 bytes each, 480 KiB, is built and summed per
-# block.
+# Most samples whose kernel moments are summed from one table of all P + 1
+# powers (``_run_moments``): for 842 to 3 378 samples ``_spread`` took 58 to
+# 132 us, 9 to 20% less than with one row summed power after power. Above
+# it the row is faster: 126 us for 8 385 samples, against 160 us from one
+# table and 180 us from tables of 4 096 samples at a time (2-vCPU host).
 _MOMENT_BLOCK = 4096
 # Runs whose moments are multiplied by the kernel fit in one ``np.matmul``
 # (``_spread``): (P + 1) x 2 half_width x 512 = 245 760 multiply-adds, under
@@ -513,40 +518,31 @@ def _kernel(n_modes: int) -> _Kernel:
     return _Kernel(size, alpha, tau, poly, deconv)
 
 
-def _piece_moments(a: np.ndarray, t: np.ndarray,
-                   pieces: np.ndarray) -> np.ndarray:
-    """M[p, r] = sum_j a_j t_j^p for p = 0 .. P over each piece r of the
-    samples, which starts at pieces[r] and ends where the next one starts.
+def _run_moments(a: np.ndarray, t: np.ndarray,
+                 starts: np.ndarray) -> np.ndarray:
+    """M[p, r] = sum_j a_j t_j^p for p = 0 .. P over each run r of the
+    samples, which starts at starts[r] and ends where the next one starts.
 
-    No piece may span a multiple of _MOMENT_BLOCK: a block's table of
-    a t^p is built and summed before the next one's, so it takes
-    (P + 1) x 8 _MOMENT_BLOCK bytes whatever the sample size. Row p + 1 of
-    the table is row p times t, and one ``np.add.reduceat`` sums each piece
-    of every row pairwise. Samples that fit in one block skip the
-    bookkeeping of the blocks.
+    Each power a t^p is the one before times t, and one ``np.add.reduceat``
+    sums it pairwise over every run. At most _MOMENT_BLOCK samples get a
+    table of all P + 1 powers summed at once; more get one row of n powers
+    summed power after power, so no table of (P + 1) x 8 n bytes is built.
+    Both give the same bits.
     """
-    table = np.empty((_KERNEL_DEGREE + 1, min(a.size, _MOMENT_BLOCK)))
     if a.size <= _MOMENT_BLOCK:
-        return np.add.reduceat(_powers(a, t, table), pieces, axis=1)
-    moments = np.empty((_KERNEL_DEGREE + 1, pieces.size))
-    block_starts = range(0, a.size, _MOMENT_BLOCK)
-    ends = [*pieces.searchsorted(block_starts[1:]).tolist(), pieces.size]
-    done = 0
-    for lo, end in zip(block_starts, ends):
-        hi = min(a.size, lo + _MOMENT_BLOCK)
-        np.add.reduceat(_powers(a[lo:hi], t[lo:hi], table[:, :hi - lo]),
-                        pieces[done:end] - lo, axis=1,
-                        out=moments[:, done:end])
-        done = end
+        table = np.empty((_KERNEL_DEGREE + 1, a.size))
+        table[0] = a
+        for p in range(_KERNEL_DEGREE):
+            np.multiply(table[p], t, out=table[p + 1])
+        return np.add.reduceat(table, starts, axis=1)
+    moments = np.empty((_KERNEL_DEGREE + 1, starts.size))
+    np.add.reduceat(a, starts, out=moments[0])
+    row = a * t
+    np.add.reduceat(row, starts, out=moments[1])
+    for moment in moments[2:]:
+        row *= t
+        np.add.reduceat(row, starts, out=moment)
     return moments
-
-
-def _powers(a: np.ndarray, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``rows`` filled with a t^p, p = 0 .. P, row p + 1 row p times t."""
-    rows[0] = a
-    for p in range(_KERNEL_DEGREE):
-        np.multiply(rows[p], t, out=rows[p + 1])
-    return rows
 
 
 def _spread(x: np.ndarray, a: np.ndarray, h: float,
@@ -565,11 +561,9 @@ def _spread(x: np.ndarray, a: np.ndarray, h: float,
     sum_p C[p, o] M[r, p] to cell b + o, where M[r, p] = sum_{j in r}
     a_j t_j^p. Sorted values give each cell one run per turn of the
     phases, the runs being found by one comparison of neighbours, and
-    ``_piece_moments`` sums every run's P + 1 moments pairwise from a table
-    of a t^p built in blocks of _MOMENT_BLOCK samples; a run cut by a block
-    boundary gets its pieces' moments summed pairwise too. So the kernel is
-    evaluated once per run, not per sample, and a sparse sample on a large
-    grid needs no moment row per empty cell.
+    ``_run_moments`` sums every run's P + 1 moments pairwise. So the kernel
+    is evaluated once per run, not per sample, and a sparse sample on a
+    large grid needs no moment row per empty cell.
 
     The product of the moments with C is one ``np.matmul`` per block of
     _PRODUCT_BLOCK runs, each under the size below which OpenBLAS keeps a
@@ -581,19 +575,28 @@ def _spread(x: np.ndarray, a: np.ndarray, h: float,
     median, but its 95th percentile reached 16 ms in one run of 300 calls,
     its second thread waiting for a core.
 
-    The phases are never reduced modulo 2 pi: cell b_j counts the whole
-    turns too, so the cells ascend with x and the runs of one cell on
-    different turns stay apart, and ``_fold`` places the runs on a periodic
-    grid of any number of cells. On the grid factor times finer every phase
-    is divided by factor and the periodic grid has factor x size cells, so
+    Cell b_j counts the whole turns of the phase too, so the cells ascend
+    with x and the runs of one cell on different turns stay apart, and
+    ``_fold`` places the runs on a periodic grid of any number of cells.
+    The samples past their first turn, a suffix found only when the largest
+    phase reaches 2 pi, have their whole turns taken off exactly by
+    ``np.divmod`` first, so their fraction carries the rounding of the
+    reduced phase alone. On the grid factor times finer every phase is
+    divided by factor and the periodic grid has factor x size cells, so
     each sample keeps its cell and fraction and the same runs serve it
     (``_GridTransform.refined``).
     """
+    turn = 2.0 * math.pi
     u = h * x
-    u *= kernel.size / (2.0 * math.pi)
+    past = u.searchsorted(turn) if u.size and u[-1] >= turn else u.size
+    if past < u.size:
+        turns, u[past:] = np.divmod(u[past:], turn)
+    u *= kernel.size / turn
     # u >= 0, so truncation is the floor
     cells = u.astype(np.intp)
     u -= cells
+    if past < u.size:
+        cells[past:] += turns.astype(np.intp) * kernel.size
     u *= 2.0
     u -= 1.0
     t = u
@@ -603,16 +606,8 @@ def _spread(x: np.ndarray, a: np.ndarray, h: float,
     np.not_equal(cells[1:], cells[:-1], out=new_run[1:])
     starts = new_run.nonzero()[0]
     run_cells = cells[starts]
-    del cells
-    # blocks cut the runs into pieces, whose moments are summed pairwise too
-    pieces = starts
-    if x.size > _MOMENT_BLOCK:
-        new_run[::_MOMENT_BLOCK] = True
-        pieces = new_run.nonzero()[0]
-    del new_run
-    moments = _piece_moments(a, t, pieces)
-    if pieces.size > starts.size:
-        moments = np.add.reduceat(moments, pieces.searchsorted(starts), axis=1)
+    del cells, new_run
+    moments = _run_moments(a, t, starts)
     values = np.empty((starts.size, _SPREAD_OFFSETS.size))
     for lo in range(0, starts.size, _PRODUCT_BLOCK):
         np.matmul(moments.T[lo:lo + _PRODUCT_BLOCK], kernel.poly,
@@ -740,7 +735,7 @@ class _GridTransform(TransformValues):
                    + (1/n) D(k) sum_e g[e] e^{-2 pi i k (first + e) / size}
 
         and D the kernel's deconvolution at k (``_deconvolution``). The
-        phases are never reduced modulo 2 pi, so cell first + e is where
+        cells count the whole turns, so cell first + e is where
         the samples were spread, and the sum over the buffer carries the
         same kernel error as a whole mode. Writing k = K + d with K the
         nearest integer, K (first + e) is reduced modulo size exactly in

@@ -238,7 +238,7 @@ def test_refinement_reuses_the_sorted_and_spread_samples(monkeypatch):
     # sorted and their moments formed once, and only the FFT runs twice
     ss = sample_compound(np.random.default_rng(0), BinomialCounts(4, 0.75),
                          Gamma(20.0, 0.05), 2000)
-    calls = {"sort": 0, "piece_moments": 0, "modes": 0}
+    calls = {"sort": 0, "run_moments": 0, "modes": 0}
     np_sort = np.sort
 
     def sort(a, *args, **kwargs):
@@ -261,11 +261,11 @@ def test_refinement_reuses_the_sorted_and_spread_samples(monkeypatch):
         return mode_values(sums, deconv, samples, anchor)
 
     monkeypatch.setattr(np, "sort", sort)
-    monkeypatch.setattr(transforms, "_piece_moments",
-                        counting("piece_moments"))
+    monkeypatch.setattr(transforms, "_run_moments",
+                        counting("run_moments"))
     monkeypatch.setattr(transforms, "_mode_values", modes)
     apply_map(BinomialDecompound(4), ss, build_grid(1.0, 45.0, 1.5))
-    assert calls == {"sort": 1, "piece_moments": 1, "modes": 2}
+    assert calls == {"sort": 1, "run_moments": 1, "modes": 2}
 
 
 @pytest.mark.parametrize("n, seed, midpoints", [(2000, 8, 5), (10**5, 3, 12)])

@@ -18,7 +18,7 @@ from laptail.transforms import (_KERNEL_DEGREE, _MOMENT_BLOCK,
                                 _PRODUCT_BLOCK, _SPREAD_HALF_WIDTH,
                                 _SPREAD_OFFSETS, ContourGrid, Deterministic,
                                 Exponential, Gamma, SampleSet,
-                                TransformValues, _kernel, _piece_moments,
+                                TransformValues, _kernel, _run_moments,
                                 empirical_transform_eval,
                                 empirical_transform_grid, load_samples,
                                 save_samples)
@@ -479,6 +479,33 @@ def test_grid_refined_from_phases_that_wrap_uses_its_spread(c, turns,
             <= GRID_ERROR_BOUND, factor
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="np.longdouble is a plain double here")
+@pytest.mark.parametrize("turns", [199.0, 50.0])
+def test_grid_values_over_many_turns_match_extended_precision(turns):
+    # samples up to many turns out at c = 0.01 on the 1 601 points of a
+    # T = 400 grid, against sums of the exact terms formed in extended
+    # precision. The whole turns are taken off each phase exactly first, so
+    # a sample's cell and fraction carry the rounding of its reduced phase
+    # alone: measured 1.4e-14 (199 turns) and 2.4e-14 (50 turns), and at
+    # most 3.4e-14 over seeds 20 to 31, where the direct sums in double
+    # reached 3.1e-14. Formed from the unreduced phases they were 3.6e-14
+    # and 8.4e-14, and at least 6.9e-14 for 50 turns over those seeds
+    grid = ContourGrid(0.01, 400.0, 1600)
+    period = 2.0 * math.pi / grid.spacing
+    rng = np.random.default_rng(25)
+    ss = SampleSet(np.concatenate([np.zeros(50), [turns * period],
+                                   rng.uniform(0.0, turns * period, 450)]))
+    x = ss.values.astype(np.longdouble)
+    phases = np.multiply.outer(np.arange(grid.n_points, dtype=np.longdouble)
+                               * (np.longdouble(grid.t_max) / grid.m), x)
+    weights = np.exp(-np.longdouble(grid.c) * x) / x.size
+    exact = ((np.cos(phases) @ weights).astype(float)
+             - 1j * (np.sin(phases) @ weights).astype(float))
+    got = empirical_transform_grid(ss, grid).values
+    assert np.max(np.abs(got - exact)) <= 4e-14
+
+
 def test_refined_grids_share_the_grid_and_deconvolution_kept_per_grid():
     # the finer grid and its deconvolution depend on the grid alone: grid
     # transforms of different samples refine onto one grid object, and
@@ -627,14 +654,14 @@ def test_kernel_product_blocks_stay_in_the_calling_thread():
 
 
 def test_piece_moments_match_exact_sums():
-    # every row p of the moment table against a correctly rounded sum of
-    # the rounded terms a t^p over each piece, on both sides: more than one
-    # block, with pieces that end on a block boundary, one-sample pieces,
-    # and one piece that fills the whole second block; and the first block
-    # alone, samples that fit in one block skipping the block bookkeeping.
-    # Each term is rounded once per power of t, and the pieces are summed
-    # pairwise: over 20 seeds the error reached 3.2 eps times the sum of
-    # |a t^p|
+    # every row p of the moments against a correctly rounded sum of the
+    # rounded terms a t^p over each run, on both paths: more than
+    # _MOMENT_BLOCK samples, summed one power at a time, with one-sample
+    # runs, runs across multiples of _MOMENT_BLOCK and one run of a whole
+    # _MOMENT_BLOCK samples; and the first _MOMENT_BLOCK samples alone,
+    # summed from one table of all powers. Each term is rounded once per
+    # power of t, and the runs are summed pairwise: over 20 seeds the error
+    # reached 3.2 eps times the sum of |a t^p|
     eps = np.finfo(float).eps
     rng = np.random.default_rng(41)
     block = _MOMENT_BLOCK
@@ -647,10 +674,10 @@ def test_piece_moments_match_exact_sums():
         [block - 1, block, 2 * block, 2 * block + 1],
         np.sort(rng.choice(np.arange(2 * block + 2, 3 * block - 1), 40,
                            replace=False)),
-        [3 * block - 1, 3 * block, 3 * block + 150, n - 2, n - 1]])
+        [3 * block + 150, n - 2, n - 1]])
     assert np.all(np.diff(cuts) > 0)
     for size, starts in ((n, cuts), (block, cuts[cuts < block])):
-        got = _piece_moments(a[:size], t[:size], starts)
+        got = _run_moments(a[:size], t[:size], starts)
         ends = [*starts[1:], size]
         for p in range(_KERNEL_DEGREE + 1):
             terms = a[:size] * t[:size]**p
@@ -658,6 +685,28 @@ def test_piece_moments_match_exact_sums():
                 want = math.fsum(terms[lo:hi])
                 scale = float(np.abs(terms[lo:hi]).sum())
                 assert abs(got[p, r] - want) <= 8 * eps * scale, (p, lo, hi)
+
+
+def test_run_moments_do_not_depend_on_the_moment_block(monkeypatch):
+    # more nonzero samples than _MOMENT_BLOCK, with 500 spread over cell 80
+    # at sorted indices 3 900 to 4 399: their run spans index _MOMENT_BLOCK
+    # and is summed pairwise in one pass, as from one table of all powers
+    # for every sample
+    grid = build_grid(1.0, 400.0, 1.0)
+    kernel = _kernel(grid.n_points)
+    width = 2.0 * math.pi / (grid.spacing * kernel.size)
+    rng = np.random.default_rng(42)
+    x = np.sort(np.concatenate([rng.uniform(0.01, 80 * width, 3900),
+                                (80 + rng.random(500)) * width,
+                                rng.uniform(81 * width, 5.0, 1000)]))
+    cells = (x / width).astype(int)
+    assert cells[3899] < cells[3900] == cells[4399] < cells[4400]
+    a = np.exp(-grid.c * x)
+    want = transforms._spread(x, a, grid.spacing, kernel)
+    monkeypatch.setattr(transforms, "_MOMENT_BLOCK", x.size)
+    got = transforms._spread(x, a, grid.spacing, kernel)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_grid_transform_memory_is_not_dense_in_the_arc():
@@ -698,13 +747,14 @@ def test_grid_transform_memory_on_a_narrow_arc(m):
     assert peak < 3 * 8 * size
 
 
-def test_grid_transform_memory_per_sample():
-    # 10^5 M/G/1 slot totals at T = 400: sorted values, weights, phases,
-    # cells and run starts, and a moment table of at most _MOMENT_BLOCK
-    # samples, so the peak per sample does not grow with n. Measured: 27
-    # bytes per sample, and 103 with the table built for every sample at
-    # once. The kernel is kept, so it is built before the measurement
-    n = 10**5
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_grid_transform_memory_per_sample(n):
+    # M/G/1 slot totals at T = 400: sorted values, weights, phases, cells
+    # and run starts, and the moments' one row of powers, so the peak per
+    # sample does not grow with n. Measured: 45 bytes per sample at 10^4,
+    # 72 with a table of all powers for 4 096 samples at a time, and 27 at
+    # 10^5 with either. The kernel is kept, so it is built before the
+    # measurement
     ss = sample_compound_poisson(np.random.default_rng(23), 1.0,
                                  Exponential(20.0), n)
     grid = build_grid(1.0, 400.0, 1.0)
@@ -715,7 +765,7 @@ def test_grid_transform_memory_per_sample():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 72 * n
+    assert peak < 56 * n
 
 
 def test_grid_transform_keeps_nothing_grid_sized():
