@@ -14,7 +14,7 @@ from .errors import (CapacityError, DomainError, DomainEventFailed,
 from .estimator import (EstimateResult, EstimatorConfig, censored_increments,
                         empirical_workload_estimator, estimate_cdf,
                         estimate_cdf_batch)
-from .inversion import InversionResult, bromwich_details, build_grid
+from .inversion import bromwich_details, build_grid
 from .logtrack import track_log
 from .simulation import (BinomialCounts, NegBinomialCounts, PoissonCounts,
                          QueueSpec, mm1_percentile, mm1_stationary_cdf,

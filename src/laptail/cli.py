@@ -198,10 +198,11 @@ def cmd_simulate(eff: dict) -> None:
         jobs = Exponential(eff["mu"])
     rng = replication_rng(eff["seed"], 0)
     if eff["what"] == "totals":
-        if eff["lam"] <= 0:
-            raise ParameterError("totals need a positive arrival rate")
-        samples = sample_compound_poisson(rng, eff["lam"] * eff["delta"],
-                                          jobs, eff["n"])
+        # refused by name, not as the count rate lambda * delta they give
+        lam, delta = eff["lam"], eff["delta"]
+        if not (0.0 < lam < math.inf and 0.0 < delta < math.inf):
+            raise ParameterError("lambda and delta must be positive and finite")
+        samples = sample_compound_poisson(rng, lam * delta, jobs, eff["n"])
     else:
         samples = simulate_mg1_workload(
             rng, QueueSpec(eff["lam"], jobs, eff["delta"]), eff["n"])

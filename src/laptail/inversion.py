@@ -92,9 +92,9 @@ def build_grid(c: float, t_max: float, w: float) -> ContourGrid:
       cap;
     - the last 2 grids that a grid transform was refined onto
       (``transforms._refined_grid``), each with its points and its
-      deconvolution, 24 bytes per point of the finer grid. Log tracking
-      refines only onto grids of at most 5 * 10^6 points
-      (``logtrack.track_log``): up to 240 MB.
+      deconvolution, 24 bytes per point of the finer grid. A grid
+      transform refines only onto grids of at most 5 * 10^6 points
+      (``transforms._GridTransform.refined``): up to 240 MB.
     A grid transform's result keeps its samples and the runs of its spread,
     264 bytes per run, only as long as the result lives.
     """

@@ -9,35 +9,25 @@ continuous turn, since that disk keeps the ratio in the right half-plane,
 away from the cut.
 
 A grid step whose ratio leaves the disk is wide. A wide step is settled
-without any evaluation when the caller bounds |f''| along the contour, as
-the empirical transform's M2 = (1/n) sum x^2 e^{-c x} does: over a step of
-width h, f then stays within M2 h^2 / 8 of the chord from one value to the
-next, so a chord farther than that from 0, plus a rounding margin, proves
-that f misses 0 on the step and turns as the chord does, by the principal
-Arg of the ratio. Such a step is certified. When the caller can give the
-transform on a finer grid, as the empirical transform's grid result can, a
-grid with a wide step that is not certified has its argument tracked
-instead on the grid _REFINE_FACTOR times finer over the same [0, T], and
-every _REFINE_FACTOR-th value is kept: there most steps of a transform
-near zero are narrow again, and the certificate, whose reach grows as h^2
-shrinks, settles most of the rest. The grid result gives the finer grid
-from the runs of the samples it already spread, whatever the turns of
-their phases, by one fold and one FFT, onto a finer grid and
-deconvolution kept for every transform on the same grid (``transforms``):
-for 2 000 samples at T = 45 that took 0.05 ms on the 721 points, against
-0.12 ms for the coarse grid's whole transform on its 181. The steps still
-wide and uncertified there, and those of a grid tracked without such a
-caller, are bisected until every piece is in the disk or certified at its
-own width.
-The bisection runs in passes, one per level: each pass halves every
-pending piece of every such step and evaluates all the midpoints in one
-call of the evaluator. The empirical transform's evaluator sums the
-midpoints from the runs that the grid result kept, folded onto the cells
-of their arc (``transforms``), so a midpoint costs a cosine and a sine per
-cell of that arc, about 190 cells for 2 000 samples at T = 45, not n
-exponentials; the finer grid and the certificate leave few midpoints. Most
-grids have no wide step: they are neither certified, refined nor bisected,
-and the bound is never formed.
+without any evaluation when the caller bounds |f''| along the contour:
+over a step of width h, f then stays within that bound times h^2 / 8 of
+the chord from one value to the next, so a chord farther than that from
+0, plus a rounding margin, proves that f misses 0 on the step and turns
+as the chord does, by the principal Arg of the ratio. Such a step is
+certified. When the caller can give the transform on a finer grid over
+the same [0, T], a grid with a wide step that is not certified has its
+argument tracked there instead, and the argument at the coarse grid's
+points is kept: there most steps of a transform near zero are narrow
+again, and the certificate, whose reach grows as h^2 shrinks, settles
+most of the rest. The steps still wide and uncertified, on whichever grid
+is tracked, are bisected until every piece is in the disk or certified at
+its own width. The bisection runs in passes, one per level: each pass
+halves every pending piece of every such step and evaluates all the
+midpoints in one call of the evaluator. Most grids have no wide step:
+they are neither certified, refined nor bisected, and the bound is never
+formed. The empirical transform's grid result (``transforms``) gives all
+three: its bound, its finer grid, and midpoints summed from the samples it
+already spread.
 
 The log is tracked on the half grid y in [0, T] only, upward from the
 anchor y = 0: the transforms are of real measures, so on y < 0 the branch
@@ -50,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NearZeroTransform, ParameterError
-from .transforms import _MAX_GRID_POINTS, ContourGrid, TransformValues
+from .transforms import ContourGrid, TransformValues
 
 # A ratio step is accepted as it is when |ratio - 1| <= _RATIO_RADIUS;
 # larger steps are certified or bisected. 1/2 keeps every such ratio in
@@ -58,30 +48,14 @@ from .transforms import _MAX_GRID_POINTS, ContourGrid, TransformValues
 # fast-varying transforms.
 _RATIO_RADIUS = 0.5
 
-# A grid with a wide step that is not certified is tracked on the grid this
-# many times finer, if that grid has at most _MAX_GRID_POINTS points, the
-# quadrature grid's cap; past it the wide steps are only certified or
-# bisected. The finer grid, folded from the runs the quadrature grid kept of
-# its spread, costs one fold and one FFT of factor times its cells; each
-# midpoint left costs a cosine and a sine per cell of the runs' arc, summed
-# from the same runs. Over its 150-job pools at seeds 1-40, factor 4 leaves
-# 88 midpoints per pool, 8 leaves 17.7 and 16 leaves 4.0. With the midpoints
-# that cheap, perfbench's decompound-mix ran 2 402 jobs/s at factor 4 and
-# 2 385/s at 8, against 2 087/s with the midpoints summed directly at factor
-# 4 (medians of 4 rotating 15 s rounds on a 2-vCPU host); summed directly, 8
-# had been 12% faster. Without refinement every uncertified step of the
-# quadrature grid is bisected: earlier rounds read 792/s so, against 1 945/s
-# at factor 4. 4 also leaves one midpoint in the 6-job pool (seed 3) that
-# perfbench's smoke test requires to bisect, where 8 leaves none.
-_REFINE_FACTOR = 4
-
 # Rounding margin of the chord certificate (``_certified``), 5 times the
 # largest error of the empirical transform's values that ``transforms``
 # quotes (2e-13, the rounding of the phases y x for a lone sample far out):
 # an error e at the ends moves the chord by at most e. It also covers the
-# rounding of the bound M2 h^2 / 8 (relative 1e-13 at n = 2 000, on values
-# below 1 where a chord of values of modulus at most 1 can pass), of the
-# chord's nearest point and of the step's width.
+# rounding of the bound times h^2 / 8 (relative 1e-13 for the empirical
+# transform's at n = 2 000, on values below 1 where a chord of values of
+# modulus at most 1 can pass), of the chord's nearest point and of the
+# step's width.
 _CHORD_MARGIN = 1e-12
 
 # Most bisection passes, each halving every pending piece once, before log
@@ -189,20 +163,18 @@ def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
     farther from 0 than that bound times h^2 / 8, plus _CHORD_MARGIN, is
     certified (``_certified``) and turns by the principal Arg of its ratio.
 
-    ``refine``, if given, maps a factor to the same transform's
-    TransformValues on the grid that many times finer over the same
-    [0, t_max], as the grid transform's ``refined`` does. A grid with a wide
-    step that is not certified then has its argument tracked on
-    ``refine(_REFINE_FACTOR)``, and every _REFINE_FACTOR-th value of that
-    argument is returned; not if that grid would have more than 5 * 10^6
-    points, the cap of ``build_grid``. The finer values are built for the
-    call and not kept. The wide steps still uncertified, on whichever grid
-    is tracked, are bisected until every piece is in the disk or certified
-    at its own width, in at most _REFINE_LIMIT passes; each pass calls
-    ``evaluator`` once, with the array of all its midpoints, so
-    ``evaluator`` must accept a 1-d complex array. A zero
-    value on a tracked grid or at a midpoint, and a step that never
-    settles, raise NearZeroTransform.
+    ``refine``, if given, is called with no arguments, once and only when
+    a wide step is not certified, and returns the same transform's
+    TransformValues on a grid a whole number of times finer over the same
+    [0, t_max], as the grid transform's ``refined`` does, or None. Given
+    such values, the argument is tracked on their grid, and every
+    (fine m / m)-th value of it is returned. The wide steps still
+    uncertified, on whichever grid is tracked, are bisected until every
+    piece is in the disk or certified at its own width, in at most
+    _REFINE_LIMIT passes; each pass calls ``evaluator`` once, with the
+    array of all its midpoints, so ``evaluator`` must accept a 1-d complex
+    array. A zero value on a tracked grid or at a midpoint, and a step that
+    never settles, raise NearZeroTransform.
 
     The anchor value f(c) must be real positive (relative imaginary part
     within 1e-9), else DomainError: transforms of nonnegative measures are
@@ -225,10 +197,9 @@ def track_log(evaluator: Callable, grid: ContourGrid, values: np.ndarray,
         wide = np.flatnonzero(~near)
         sure = _certified(pts[wide], vals[wide], pts[wide + 1],
                           vals[wide + 1], bound)
-        if (refine is not None and not sure.all()
-                and _REFINE_FACTOR * grid.m < _MAX_GRID_POINTS):
-            keep = _REFINE_FACTOR
-            fine = refine(keep)
+        fine = None if refine is None or sure.all() else refine()
+        if fine is not None:
+            keep = fine.grid.m // grid.m
             pts, vals = fine.grid.points, fine.values
             ratios, near = _ratios(pts, vals)
             wide = np.flatnonzero(~near)

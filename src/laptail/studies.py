@@ -97,16 +97,15 @@ def table1_rows(mu: float = 20.0, rhos=DEFAULT_RHOS,
 # --------------------------------------------------------------------------
 
 def _table2_replication(args) -> list[list[float]]:
-    (seed, rep, stream, lam, mu, delta, n, ws, truths, t_max) = args
+    (seed, rep, stream, lam, mu, mg1, n, ws, truths, t_max) = args
     rng = replication_rng(seed, rep, stream)
-    totals = sample_compound_poisson(rng, lam * delta, Exponential(mu), n)
+    totals = sample_compound_poisson(rng, lam * mg1.delta, Exponential(mu), n)
     config = EstimatorConfig(w=ws[0], t_max_override=t_max)
-    mg1 = Mg1Workload(delta)
     lap = [1.0 - r.value for r in estimate_cdf_batch(totals, mg1, ws, config)]
-    readings = workload_on_grid(totals, delta)
+    readings = workload_on_grid(totals, mg1.delta)
     emp = [empirical_workload_estimator(readings, w) for w in ws]
     try:
-        recovered = censored_increments(readings, delta)
+        recovered = censored_increments(readings, mg1.delta)
     except EmptyResult:
         cen = [1.0] * len(ws)
     else:
@@ -126,15 +125,17 @@ def table2_rows(seed: int, rhos=DEFAULT_RHOS, percentiles=DEFAULT_PERCENTILES,
     transform-based estimator uses the totals directly, the empirical and
     censored estimators read the discrete-review workload built from the
     same totals. Truth is the closed-form exponential-job tail.
-    ParameterError when reps or workers is below 1.
+    ParameterError, before any draw, when reps or workers is below 1 or
+    delta is not positive and finite.
     """
     _check_counts(reps, workers)
+    mg1 = Mg1Workload(delta)
     rows = []
     for rho_index, rho in enumerate(rhos):
         lam = rho * mu
         ws = [mm1_percentile(lam, mu, p) for p in percentiles]
         truths = [1.0 - mm1_stationary_cdf(lam, mu, w) for w in ws]
-        args = [(seed, r, rho_index, lam, mu, delta, n, ws, truths, t_max)
+        args = [(seed, r, rho_index, lam, mu, mg1, n, ws, truths, t_max)
                 for r in range(reps)]
         per_rep = _run_replications(_table2_replication, args, workers)
         errors = np.asarray(per_rep)  # (reps, n_ws, 3)

@@ -146,34 +146,24 @@ def domain_check(transform_map: TransformMap, samples: SampleSet) -> None:
     transform_map.check(samples)
 
 
-def _curvature_bound(samples: SampleSet, c: float) -> float:
-    """M2 = (1/n) sum x^2 e^{-c x}, a bound on |d^2/dy^2| of the empirical
-    transform at s = c + iy. Formed as (x e^{-c x}) x, which cannot
-    overflow since x e^{-c x} <= 1 / (c e)."""
-    x = samples.values
-    return float(np.mean((x * np.exp(-c * x)) * x))
-
-
 def apply_map(transform_map: TransformMap, samples: SampleSet,
               grid: ContourGrid) -> TransformValues:
     """Empirical transform -> tracked log -> mapped transform values.
 
-    The log is tracked on the grid transform. Where that has a wide step,
-    ``track_log`` gets the bound M2 on |f''| from ``_curvature_bound``,
-    which runs only then, and accepts each wide step whose chord M2
-    certifies. Where one is not certified, it tracks the log on the grid
-    4 times finer, whose values the grid transform's result gives from the
-    samples it already sorted and spread (``refined``), and bisects the
-    steps still wide and uncertified there. The midpoints are summed by
-    ``empirical_transform_eval`` from that same spread, given the grid
-    transform's result, or directly where its runs span more than a turn.
-    The caller checks the map's domain event first (``domain_check``); on
-    a sample outside it the formula's values mean nothing. Log-tracking
-    failures (NearZeroTransform, DomainError) propagate.
+    The log is tracked on the grid transform's result, which gives
+    ``track_log`` its three callables. Where the grid has a wide step, its
+    ``curvature_bound`` bounds |f''| for the chord certificate. Where a
+    wide step is not certified, its ``refined`` gives the transform on a
+    finer grid from the samples it already sorted and spread. The
+    midpoints of the steps still wide and uncertified are summed by
+    ``empirical_transform_eval`` from that same spread, given the result,
+    or directly where its runs span more than a turn. The caller checks
+    the map's domain event first (``domain_check``); on a sample outside
+    it the formula's values mean nothing. Log-tracking failures
+    (NearZeroTransform, DomainError) propagate.
     """
     observed = empirical_transform_grid(samples, grid)
     log_path = track_log(
         partial(empirical_transform_eval, samples, grid_transform=observed),
-        grid, observed.values, observed.refined,
-        partial(_curvature_bound, samples, grid.c))
+        grid, observed.values, observed.refined, observed.curvature_bound)
     return TransformValues(grid, transform_map.values(log_path, samples))

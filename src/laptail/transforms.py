@@ -38,20 +38,19 @@ The NUFFT has a sample side and a mode side. The sample side
 kernel product: each run's cell, counted over all turns of the phases,
 and its W kernel values. The mode
 side places the runs on the periodic grid (``_fold``), takes one real FFT
-and undoes the kernel (``_mode_values``). On the grid factor times finer
-over the same [0, T] every phase is divided by factor, so each sample sits
-in the same cell at the same fraction of a periodic grid of factor x size
-cells: the same runs, folded onto those cells, give the finer grid's
-modes, mode k undone by the kernel at k / factor. A grid transform's
-result keeps the runs, 264 bytes each, and its ``refined(factor)``, which
-log tracking (``logtrack``) calls, runs the mode side alone. The finer
-grid, its points and that deconvolution depend on the grid alone, so they
-are built once per grid and factor and shared by every transform on it
+and undoes the kernel (``_mode_values``). On the grid F = _REFINE_FACTOR
+times finer over the same [0, T] every phase is divided by F, so each
+sample sits in the same cell at the same fraction of a periodic grid of
+F x size cells: the same runs, folded onto those cells, give the finer
+grid's modes, mode k undone by the kernel at k / F. A grid transform's
+result keeps the runs, 264 bytes each, and its ``refined()``, which log
+tracking (``logtrack``) calls, runs the mode side alone. The finer grid,
+its points and that deconvolution depend on the grid alone, so they are
+built once per grid and shared by every transform on it
 (``_refined_grid``). For 2 000 compound binomial totals at T = 45 on a
-2-vCPU host ``refined(4)`` took 0.05 ms on the 721 points of the grid 4
-times finer, 0.07 ms with that grid and its points built anew, against
-0.14 ms for a fresh transform there and 0.12 ms for the 181 points of the
-coarse one.
+2-vCPU host ``refined()`` took 0.05 ms on the 721 points of the grid 4
+times finer, against 0.14 ms for a fresh transform there and 0.12 ms for
+the 181 points of the coarse one.
 
 For samples of continuous laws the error against direct evaluation stays
 below 1.5e-14 absolute and does not grow with K: 8.9e-15 at most for
@@ -64,9 +63,7 @@ x = 1 on 8 001 points, most of it the rounding of the phases y x. For
 10^4, 10^5 and 10^6 copies of 0.3 it was 1.4e-14, 1.9e-14 and 1.7e-14 on
 8 001 points, and 2.6e-14 for each on the 1 601 points that
 ``inversion.build_grid`` gives every estimate at T = 400; it stays below
-5e-14. Summed one sample after another, as a weighted ``bincount`` does,
-the same copies of 0.3 gave 1.1e-13, 1.15e-12 and 1.6e-11 on 8 001
-points.
+5e-14.
 
 A sample past its first turn has its whole turns taken off its phase h x
 exactly (``np.divmod``) before its cell and fraction are formed, so they
@@ -110,9 +107,19 @@ _DIRECT_BLOCK = 1 << 22
 _EXP_NONZERO = 700.0
 
 # Most points of a contour grid that the estimator builds, for inversion
-# (``inversion.build_grid``) or to track a log on (``logtrack.track_log``),
-# so a huge w or T cannot silently allocate gigabytes.
+# (``inversion.build_grid``) or to track a log on
+# (``_GridTransform.refined``), so a huge w or T cannot silently allocate
+# gigabytes.
 _MAX_GRID_POINTS = 5 * 10**6
+
+# Log tracking refines a grid transform (``_GridTransform.refined``) onto
+# the grid this many times finer over the same [0, T], where the chord
+# certificate settles most of its wide steps, and bisects the steps left.
+# Over decompound-mix's 150-job pools at seeds 1-40, factor 4 leaves 88
+# midpoints per pool, 8 leaves 17.7 and 16 leaves 4.0. 4 also leaves one
+# midpoint in the 6-job pool (seed 3) that perfbench's smoke test requires
+# to bisect, where 8 leaves none.
+_REFINE_FACTOR = 4
 
 # Gaussian-gridding NUFFT: each sample is spread over 2 * _SPREAD_HALF_WIDTH
 # cells of a grid with at least _OVERSAMPLE cells per mode of the centred mode
@@ -127,7 +134,7 @@ _SPREAD_OFFSETS = np.arange(1 - _SPREAD_HALF_WIDTH, _SPREAD_HALF_WIDTH + 1)
 # powers (``_run_moments``): for 842 to 3 378 samples ``_spread`` took 58 to
 # 132 us, 9 to 20% less than with one row summed power after power. Above
 # it the row is faster: 126 us for 8 385 samples, against 160 us from one
-# table and 180 us from tables of 4 096 samples at a time (2-vCPU host).
+# table (2-vCPU host).
 _MOMENT_BLOCK = 4096
 # Runs whose moments are multiplied by the kernel fit in one ``np.matmul``
 # (``_spread``): (P + 1) x 2 half_width x 512 = 245 760 multiply-adds, under
@@ -581,10 +588,10 @@ def _spread(x: np.ndarray, a: np.ndarray, h: float,
     The samples past their first turn, a suffix found only when the largest
     phase reaches 2 pi, have their whole turns taken off exactly by
     ``np.divmod`` first, so their fraction carries the rounding of the
-    reduced phase alone. On the grid factor times finer every phase is
-    divided by factor and the periodic grid has factor x size cells, so
-    each sample keeps its cell and fraction and the same runs serve it
-    (``_GridTransform.refined``).
+    reduced phase alone. On the grid _REFINE_FACTOR times finer every
+    phase is divided by that factor and the periodic grid has that many
+    times size cells, so each sample keeps its cell and fraction and the
+    same runs serve it (``_GridTransform.refined``).
     """
     turn = 2.0 * math.pi
     u = h * x
@@ -661,11 +668,11 @@ def _mode_values(sums: np.ndarray, deconv: np.ndarray, samples: SampleSet,
 
 
 @functools.lru_cache(maxsize=2)
-def _refined_grid(c: float, t_max: float, m: int,
-                  factor: int) -> tuple[ContourGrid, np.ndarray]:
-    """ContourGrid(c, t_max, factor m) and the read-only deconvolution of
-    its modes, mode k undone by the kernel of the grid of m intervals at
-    k / factor (``_GridTransform.refined``).
+def _refined_grid(c: float, t_max: float,
+                  m: int) -> tuple[ContourGrid, np.ndarray]:
+    """ContourGrid(c, t_max, F m), F = _REFINE_FACTOR, and the read-only
+    deconvolution of its modes, mode k undone by the kernel of the grid of
+    m intervals at k / F (``_GridTransform.refined``).
 
     Both depend on the grid alone, so every grid transform on it shares
     them, and the finer grid's points, built on first use, with them. The
@@ -673,10 +680,10 @@ def _refined_grid(c: float, t_max: float, m: int,
     Each takes 24 bytes per point of the finer grid once its points are
     built (budgeted in ``inversion.build_grid``).
     """
-    fine = ContourGrid(c, t_max, factor * m)
+    fine = ContourGrid(c, t_max, _REFINE_FACTOR * m)
     kernel = _kernel(m + 1)
     deconv = _deconvolution(kernel.size, kernel.tau,
-                            np.arange(fine.n_points) / factor)
+                            np.arange(fine.n_points) / _REFINE_FACTOR)
     deconv.flags.writeable = False
     return fine, deconv
 
@@ -684,9 +691,10 @@ def _refined_grid(c: float, t_max: float, m: int,
 @dataclass(frozen=True, eq=False)
 class _GridTransform(TransformValues):
     """The empirical transform on a grid, which can also give the same
-    transform on the grids ``refined`` from its own and at points of its
+    transform on the grid ``refined`` from its own and at points of its
     contour between its grid points (``_from_spread``, through
-    ``empirical_transform_eval``).
+    ``empirical_transform_eval``), and a bound on its curvature along the
+    contour (``curvature_bound``).
 
     Besides its values it keeps its samples, its kernel and the sample
     side's output (``_spread``): every run's cell and its 32 values, 264
@@ -698,26 +706,34 @@ class _GridTransform(TransformValues):
     _run_cells: np.ndarray
     _run_values: np.ndarray
 
-    def refined(self, factor: int) -> TransformValues:
-        """The same transform on ContourGrid(c, t_max, factor m), the grid
-        factor times finer over the same [0, t_max].
+    def refined(self) -> TransformValues | None:
+        """The same transform on ContourGrid(c, t_max, F m), the grid
+        F = _REFINE_FACTOR times finer over the same [0, t_max], or None
+        when that grid would have more than _MAX_GRID_POINTS points.
 
-        Only the mode side runs: sample j has phase h x_j / factor there,
-        so it sits in the same cell at the same fraction of a grid of
-        factor x size cells, and the kept runs, folded onto those cells,
-        are transformed by one real FFT, mode k being undone by the kernel
-        at k / factor. The finer grid and that deconvolution are shared by
-        every transform on this grid (``_refined_grid``), and the fold is
-        this transform's own: for 2 000 samples at T = 45 on a 2-vCPU host,
-        refined(4) took 0.05 ms on 721 points. The values match a fresh
-        transform's to rounding.
+        Only the mode side runs: sample j has phase h x_j / F there, so it
+        sits in the same cell at the same fraction of a grid of F x size
+        cells, and the kept runs, folded onto those cells, are transformed
+        by one real FFT, mode k being undone by the kernel at k / F. The
+        finer grid and that deconvolution are shared by every transform on
+        this grid (``_refined_grid``), and the fold is this transform's
+        own. The values match a fresh transform's to rounding.
         """
         grid = self.grid
-        fine, deconv = _refined_grid(grid.c, grid.t_max, grid.m, factor)
+        if _REFINE_FACTOR * grid.m >= _MAX_GRID_POINTS:
+            return None
+        fine, deconv = _refined_grid(grid.c, grid.t_max, grid.m)
         sums = np.fft.rfft(_fold(self._run_cells, self._run_values,
-                                 factor * self._kernel.size))[:fine.n_points]
+                                 _REFINE_FACTOR * self._kernel.size))
         return TransformValues(fine, _mode_values(
-            sums, deconv, self._samples, self.values[0].real))
+            sums[:fine.n_points], deconv, self._samples, self.values[0].real))
+
+    def curvature_bound(self) -> float:
+        """M2 = (1/n) sum x^2 e^{-c x}, a bound on |d^2/dy^2| of the
+        transform at s = c + iy. Formed as (x e^{-c x}) x, which cannot
+        overflow since x e^{-c x} <= 1 / (c e)."""
+        x = self._samples.values
+        return float(np.mean((x * np.exp(-self.grid.c * x)) * x))
 
     def _from_spread(self, s: np.ndarray) -> np.ndarray | None:
         """The transform at the points ``s`` from the kept runs, or None
@@ -804,7 +820,7 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     copies of 0.3 on 8 001 points at T = 400, and 2.6e-14 on the 1 601
     points of ``build_grid`` there.
 
-    The result keeps the runs of the spread, so its ``refined(factor)``, and
+    The result keeps the runs of the spread, so its ``refined()``, and
     ``empirical_transform_eval`` given it, sort and spread no sample again.
     """
     x = np.sort(samples.values)

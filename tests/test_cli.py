@@ -429,8 +429,8 @@ def test_decompound_non_finite_parameter_exit_3(capsys, flags, value):
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("flag", ["--lambda", "--delta"])
 def test_simulate_non_finite_rate_exit_3(capsys, flag, value):
-    # the totals' Poisson rate lambda * delta is refused by its count model
-    # before any sample is drawn
+    # the totals' lambda and delta are refused by name before any sample
+    # is drawn
     code, out, err = run(["simulate", "--n", "200", flag, value], capsys)
     assert code == 3
     assert out == ""
@@ -445,6 +445,21 @@ def test_simulate_workload_non_finite_delta_exit_3(capsys, value):
     assert code == 3
     assert out == ""
     assert "delta must be positive and finite" in err
+
+
+@pytest.mark.parametrize("command, value", [
+    (["table2", "--reps", "1"], "0"), (["table2", "--reps", "1"], "inf"),
+    (["table2", "--reps", "1"], "nan"), (["simulate"], "0"),
+    (["simulate"], "inf")],
+    ids=["table2-0", "table2-inf", "table2-nan", "simulate-0",
+         "simulate-inf"])
+def test_delta_that_is_not_positive_and_finite_is_named(capsys, command,
+                                                         value):
+    # refused by name before any draw, not as the count rate lambda * delta
+    code, out, err = run(command + ["--n", "200", "--delta", value], capsys)
+    assert code == 3
+    assert out == ""
+    assert "delta" in err
 
 
 @pytest.mark.filterwarnings("error")

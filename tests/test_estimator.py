@@ -77,6 +77,22 @@ def test_fallback_on_unstable_mean():
     assert not res.clipped
 
 
+@pytest.mark.parametrize("values, delta, w, reason", [
+    # every weight e^{-x} underflows, so the anchor of the log is 0
+    ([800.0, 900.0], 1000.0, 1.0, "log_tracking"),
+    # e^{c w} overflows in the inversion
+    ([0.1, 0.2, 0.0, 0.05], 1.0, 800.0, "nonfinite"),
+])
+def test_fallback_on_log_tracking_and_nonfinite_inversion(values, delta, w,
+                                                          reason):
+    [res] = estimate_cdf_batch(SampleSet(values), Mg1Workload(delta), [w],
+                               EstimatorConfig(w=1.0))
+    assert res.fallback_reason == reason
+    assert res.value == 0.0
+    assert res.raw_value is None
+    assert res.on_domain_event is False
+
+
 def test_domain_event_is_named_before_grid_capacity():
     # at w = 1e300 the grid would also be over its cap
     res = estimate_cdf(SampleSet([0.2, 0.3]), Mg1Workload(0.1),
@@ -257,9 +273,10 @@ def test_only_the_binomial_decompounding_estimates_refine(seed, monkeypatch):
     calls = []
     refined = transforms._GridTransform.refined
 
-    def counted_refined(self, factor):
-        calls.append(factor)
-        return refined(self, factor)
+    def counted_refined(self):
+        fine = refined(self)
+        calls.append(fine.grid.m // self.grid.m)
+        return fine
 
     monkeypatch.setattr(transforms._GridTransform, "refined", counted_refined)
     rng = np.random.default_rng(seed)

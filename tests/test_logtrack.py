@@ -11,7 +11,6 @@ from laptail.logtrack import _CHORD_MARGIN, track_log
 from laptail.simulation import (BinomialCounts, NegBinomialCounts,
                                 PoissonCounts, replication_rng,
                                 sample_compound, sample_compound_poisson)
-from laptail.transform_maps import _curvature_bound
 from laptail.transforms import (ContourGrid, Exponential, Gamma, SampleSet,
                                 empirical_transform_eval,
                                 empirical_transform_grid)
@@ -140,8 +139,8 @@ def refined_log(ss: SampleSet, grid: ContourGrid, grids: list, calls: list,
     on |f''| it asks for."""
     observed = empirical_transform_grid(ss, grid)
 
-    def refine(factor):
-        fine = observed.refined(factor)
+    def refine():
+        fine = observed.refined()
         grids.append(fine.grid)
         return fine
 
@@ -150,7 +149,7 @@ def refined_log(ss: SampleSet, grid: ContourGrid, grids: list, calls: list,
         return empirical_transform_eval(ss, s, grid_transform=observed)
 
     def curvature():
-        bound = _curvature_bound(ss, grid.c)
+        bound = observed.curvature_bound()
         if bounds is not None:
             bounds.append(bound)
         return bound
@@ -286,9 +285,10 @@ def test_curvature_bound_bounds_second_differences(seed):
     for name, ss in map_samples(seed).items():
         for grid in (build_grid(1.0, 45.0, 1.5), ContourGrid(1.0, 45.0, 1440)):
             h = grid.spacing
-            f = empirical_transform_grid(ss, grid).values
+            observed = empirical_transform_grid(ss, grid)
+            f = observed.values
             second = np.abs(f[2:] - 2.0 * f[1:-1] + f[:-2]) / h ** 2
-            bound = _curvature_bound(ss, grid.c)
+            bound = observed.curvature_bound()
             assert np.max(second) <= bound + 4e-13 / h ** 2, name
         assert np.max(second) >= 0.99 * bound, name
 
@@ -297,31 +297,36 @@ def test_curvature_bound_bounds_second_differences(seed):
 def test_curvature_bound_of_huge_samples_is_finite():
     # x^2 alone overflows at 1e300, but x e^{-c x} is at most 1 / (c e)
     ss = SampleSet([0.0, 1.0, 2.0, 1e150, 1e300, 1e300])
-    bound = _curvature_bound(ss, 1.0)
+    observed = empirical_transform_grid(ss, ContourGrid(1.0, 1.0, 2))
+    bound = observed.curvature_bound()
     assert math.isfinite(bound)
     assert bound == pytest.approx((math.exp(-1.0) + 4.0 * math.exp(-2.0)) / 6,
                                   rel=1e-15)
 
 
 def test_no_refinement_past_the_grid_cap():
-    # e^{-i phi(y)} turns by 1/4 per step at h = 1 and by 1 on the last
-    # step, which is wide; the grid 4 times finer would have 5 000 001
-    # points, over build_grid's cap: the step is bisected instead, and the
-    # finer grid is never asked for. Turns of 1/4 and 1/2 keep the running
-    # sum of the log exact.
-    grid = ContourGrid(1.0, 1_250_000.0, 1_250_000)
+    # a grid transform past the cap refines onto no finer grid: its
+    # ``refined`` gives None (tests/test_transforms.py). e^{-i phi(y)} turns
+    # by 1/4 per step at h = 1 and by 1 on the last step, which is wide and,
+    # with no bound on |f''|, uncertified: the finer grid is asked for once,
+    # and the step is bisected on the grid itself. Turns of 1/4 and 1/2 keep
+    # the running sum of the log exact.
+    grid = ContourGrid(1.0, 8.0, 8)
 
     def phase(s):
         y = np.asarray(s).imag
         return 0.25 * y + 0.75 * np.maximum(y - (grid.t_max - 1.0), 0.0)
 
     def turning(s):
+        calls.append(np.size(s))
         return np.exp(-1j * phase(s))
 
-    grids = []
-    got = track_log(turning, grid, turning(grid.points), grids.append)
-    assert grids == []
-    assert np.max(np.abs(got.values + 1j * phase(grid.points))) <= 1e-9
+    calls, asked = [], []
+    values = turning(grid.points)
+    calls.clear()
+    got = track_log(turning, grid, values, lambda: asked.append(1))
+    assert asked == [1] and calls
+    assert np.max(np.abs(got.values + 1j * phase(grid.points))) <= 1e-12
 
 
 def test_bisection_failures_raise_near_zero():

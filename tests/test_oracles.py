@@ -156,9 +156,9 @@ def test_atomless_totals_refine_and_match_the_gamma_input_truth(monkeypatch):
     refined = []
     refine = transforms._GridTransform.refined
 
-    def counted(self, factor):
+    def counted(self):
         refined[-1] += 1
-        return refine(self, factor)
+        return refine(self)
 
     monkeypatch.setattr(transforms._GridTransform, "refined", counted)
     ws, reps = [2.5, 5.0], 40
@@ -193,9 +193,10 @@ def test_an_outlier_refines_from_its_own_spread(rep, monkeypatch):
         calls.append(("spread", h * x[-1] > 2.0 * math.pi))
         return spread(x, a, h, kernel)
 
-    def counted_refined(self, factor):
-        calls.append(("refined", factor))
-        return refined(self, factor)
+    def counted_refined(self):
+        fine = refined(self)
+        calls.append(("refined", fine.grid.m // self.grid.m))
+        return fine
 
     monkeypatch.setattr(transforms, "_spread", counted_spread)
     monkeypatch.setattr(transforms._GridTransform, "refined", counted_refined)

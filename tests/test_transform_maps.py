@@ -163,7 +163,7 @@ def test_each_stage_hands_out_read_only_values_it_owns(monkeypatch):
     for ss in (kept, turned):
         spreads.clear()
         observed = empirical_transform_grid(ss, grid)
-        fine = observed.refined(4)
+        fine = observed.refined()
         assert len(spreads) == 1
         assert fine.grid.m == 4 * grid.m
         given = np.array(observed.values)

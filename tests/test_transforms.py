@@ -2,6 +2,7 @@
 import cmath
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from hypothesis.extra.numpy import arrays
 from laptail import transforms
 from laptail.errors import ParameterError, SampleFileError
 from laptail.inversion import build_grid
+from laptail.logtrack import track_log
 from laptail.simulation import (BinomialCounts, sample_compound,
                                 sample_compound_poisson)
+from laptail.transform_maps import BinomialDecompound, apply_map
 from laptail.transforms import (_KERNEL_DEGREE, _MOMENT_BLOCK,
                                 _PRODUCT_BLOCK, _SPREAD_HALF_WIDTH,
                                 _SPREAD_OFFSETS, ContourGrid, Deterministic,
@@ -392,7 +395,7 @@ def test_grid_evaluation_on_arcs_of_a_large_grid(case):
 
 # build_grid gives 9, 41, 181, 721, 1 601 and 2 881 points: 41 is the
 # grid of mg1-small at n = 100, 181 that of decompound-mix, 721 the latter
-# refined 4 times for log tracking and 2 881 refined 16 times
+# refined 4 times for log tracking and 2 881 the 721 refined 4 times
 @pytest.mark.parametrize("t_max", [1.75, 10.0, 45.0, 180.0, 400.0, 720.0])
 def test_kernel_fit_matches_every_column(t_max):
     # the polynomial that spreads a cell's moments stands in for the
@@ -432,9 +435,9 @@ def spread_again(*args):
 
 @pytest.mark.parametrize("case", sorted(REFINED_CASES))
 def test_refined_grid_values_match_the_direct_sum(case, monkeypatch):
-    # the grid factor times finer over the same [0, T] takes the coarse
-    # grid's spread, folded onto factor times as many cells: no sample is
-    # sorted or spread again, and the values keep the grid transform's bound
+    # the grid 4 times finer over the same [0, T] takes the coarse grid's
+    # spread, folded onto 4 times as many cells: no sample is sorted or
+    # spread again, and the values keep the grid transform's bound
     c, draw = REFINED_CASES[case]
     grid = ContourGrid(c, 45.0, 180)
     period = 2.0 * math.pi / grid.spacing
@@ -442,11 +445,10 @@ def test_refined_grid_values_match_the_direct_sum(case, monkeypatch):
     assert 0.0 < ss.zero_fraction < 1.0
     observed = empirical_transform_grid(ss, grid)
     monkeypatch.setattr(transforms, "_spread", spread_again)
-    for factor in (2, 4, 8, 16):
-        fine = ContourGrid(c, 45.0, factor * grid.m)
-        got = observed.refined(factor).values
-        assert np.max(np.abs(got - direct_transform(ss, fine.points))) \
-            <= GRID_ERROR_BOUND, factor
+    fine = observed.refined()
+    assert (fine.grid.c, fine.grid.t_max, fine.grid.m) == (c, 45.0, 720)
+    direct = direct_transform(ss, fine.grid.points)
+    assert np.max(np.abs(fine.values - direct)) <= GRID_ERROR_BOUND
 
 
 @pytest.mark.parametrize("c, turns", [
@@ -460,7 +462,7 @@ def test_grid_refined_from_phases_that_wrap_uses_its_spread(c, turns,
                                                            monkeypatch):
     # phases over 0.999 of a turn, whose spread overlaps itself on the
     # periodic grid, and over many turns: the runs keep their unreduced
-    # cells, so the grid and the finer grids folded from them, with no
+    # cells, so the grid and the finer grid folded from them, with no
     # sample spread again, keep the grid transform's bound. Measured: at
     # most 1.8e-15 (c = 0.01)
     grid = ContourGrid(c, 45.0, 180)
@@ -472,11 +474,10 @@ def test_grid_refined_from_phases_that_wrap_uses_its_spread(c, turns,
     direct = direct_transform(ss, grid.points)
     assert np.max(np.abs(observed.values - direct)) <= GRID_ERROR_BOUND
     monkeypatch.setattr(transforms, "_spread", spread_again)
-    for factor in (2, 4, 8, 16):
-        fine = ContourGrid(c, 45.0, factor * grid.m)
-        got = observed.refined(factor).values
-        assert np.max(np.abs(got - direct_transform(ss, fine.points))) \
-            <= GRID_ERROR_BOUND, factor
+    fine = observed.refined()
+    assert fine.grid.m == 4 * grid.m
+    direct = direct_transform(ss, fine.grid.points)
+    assert np.max(np.abs(fine.values - direct)) <= GRID_ERROR_BOUND
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
@@ -514,11 +515,12 @@ def test_refined_grids_share_the_grid_and_deconvolution_kept_per_grid():
     grid = build_grid(1.0, 45.0, 1.5)
     period = 2.0 * math.pi / grid.spacing
     rng = np.random.default_rng(27)
-    observed = [empirical_transform_grid(SampleSet(REFINED_CASES[case][1](
-        rng, period)), grid) for case in ("binomial totals", "tied")]
+    draws = [REFINED_CASES[case][1](rng, period)
+             for case in ("binomial totals", "tied")]
+    observed = [empirical_transform_grid(SampleSet(x), grid) for x in draws]
     kept_grids.cache_clear()
-    first = [transform.refined(4) for transform in observed]
-    fine, deconv = kept_grids(grid.c, grid.t_max, grid.m, 4)
+    first = [transform.refined() for transform in observed]
+    fine, deconv = kept_grids(grid.c, grid.t_max, grid.m)
     assert first[0].grid is first[1].grid is fine
     assert (fine.c, fine.t_max, fine.m) == (grid.c, grid.t_max, 4 * grid.m)
     kernel = _kernel(grid.n_points)
@@ -529,22 +531,54 @@ def test_refined_grids_share_the_grid_and_deconvolution_kept_per_grid():
         deconv[0] = 0.0
     kept_grids.cache_clear()
     for transform, kept in zip(observed, first):
-        built = transform.refined(4)
+        built = transform.refined()
         assert built.grid is not kept.grid
         assert built.values.tobytes() == kept.values.tobytes()
-    # once the cache is full, the least recently used grid goes first
-    four = observed[0].refined(4).grid
+    # once the cache is full, the least recently used grid goes first: the
+    # grids of T = 10 and T = 400 push out the one of T = 45
+    four = observed[0].refined().grid
     assert four is built.grid
-    for factor in (2, 8, 4, 16):
-        observed[0].refined(factor)
+    others = [empirical_transform_grid(SampleSet(draws[0]),
+                                       build_grid(1.0, t_max, 1.5))
+              for t_max in (10.0, 400.0)]
+    for transform in others:
+        transform.refined()
         assert kept_grids.cache_info().currsize <= 2
     assert kept_grids.cache_info().maxsize == 2
-    assert observed[1].refined(16).grid is observed[0].refined(16).grid
-    assert observed[0].refined(4).grid is not four
+    assert others[1].refined().grid is others[1].refined().grid
+    assert observed[0].refined().grid is not four
     # each takes 24 bytes per point of the finer grid with its points built
-    fine, deconv = kept_grids(grid.c, grid.t_max, grid.m, 16)
+    fine, deconv = kept_grids(grid.c, grid.t_max, grid.m)
     assert fine.points.nbytes + deconv.nbytes == 24 * fine.n_points
     kept_grids.cache_clear()
+
+
+def test_no_finer_grid_past_the_grid_cap(monkeypatch):
+    # the grid 4 times finer is given while it has at most
+    # _MAX_GRID_POINTS points, and None past that. The estimate then
+    # tracks its log as without a finer grid: it bisects the wide steps
+    # that the chord certificate leaves on the grid itself
+    grid = build_grid(1.0, 45.0, 1.5)
+    ss = sample_compound(np.random.default_rng(4), BinomialCounts(4, 0.75),
+                         Gamma(20.0, 0.05), 2000)
+    observed = empirical_transform_grid(ss, grid)
+    monkeypatch.setattr(transforms, "_MAX_GRID_POINTS", 4 * grid.m + 1)
+    assert observed.refined().grid.n_points == 4 * grid.m + 1
+    monkeypatch.setattr(transforms, "_MAX_GRID_POINTS", 4 * grid.m)
+    assert observed.refined() is None
+    asked = []
+
+    def refine():
+        asked.append(1)
+        return observed.refined()
+
+    log_path = track_log(
+        partial(empirical_transform_eval, ss, grid_transform=observed),
+        grid, observed.values, refine, observed.curvature_bound)
+    assert asked == [1]
+    binomial = BinomialDecompound(4)
+    assert np.array_equal(apply_map(binomial, ss, grid).values,
+                          binomial.values(log_path, ss))
 
 
 def contour_ordinates(grid: ContourGrid, seed: int) -> np.ndarray:
@@ -642,7 +676,7 @@ def test_grid_values_do_not_hold_the_whole_fft_output():
     observed = empirical_transform_grid(ss, grid)
     assert observed.values.base is None
     assert observed.values.nbytes == 16 * grid.n_points
-    fine = observed.refined(4).values
+    fine = observed.refined().values
     assert fine.base is None
 
 
