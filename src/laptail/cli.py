@@ -35,16 +35,11 @@ from .transform_maps import (BinomialDecompound, Mg1Workload,
 from .transforms import (Deterministic, Exponential, Gamma, load_samples,
                          save_samples)
 
-# Config keys whose JSON spelling differs from the setting's key; the flag
-# is spelled the JSON way, and so is the setting's only config key.
-_CONFIG_ALIASES = {"lambda": "lam"}
-_OPTIONS = {key: f"--{alias}" for alias, key in _CONFIG_ALIASES.items()}
-
 # Each transform map: its class with the setting it requires, and the count
 # law its decompounding study samples with the settings that law takes.
 _MAPS = {
     "mg1": ((Mg1Workload, "delta"), None),
-    "poisson": ((PoissonDecompound,), (PoissonCounts, "lam")),
+    "poisson": ((PoissonDecompound,), (PoissonCounts, "lambda")),
     "binomial": ((BinomialDecompound, "big_m"),
                  (BinomialCounts, "big_m", "p_success")),
     "negbinomial": ((NegBinomialDecompound, "big_m"),
@@ -62,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _option(key: str) -> str:
-    return _OPTIONS.get(key, "--" + key.replace("_", "-"))
+    return "--" + key.replace("_", "-")
 
 
 def _merged(args: argparse.Namespace) -> dict:
@@ -78,8 +73,8 @@ def _merged(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise ParameterError("config file must hold a JSON object")
         for raw_key, value in loaded.items():
-            key = _CONFIG_ALIASES.get(raw_key, raw_key.replace("-", "_"))
-            if key not in eff or raw_key in _OPTIONS:
+            key = raw_key.replace("-", "_")
+            if key not in eff:
                 raise ParameterError(f"unknown config key {raw_key!r}")
             if value is not None:
                 value = _config_value(raw_key, value, args.flags[key])
@@ -199,13 +194,13 @@ def cmd_simulate(eff: dict) -> None:
     rng = replication_rng(eff["seed"], 0)
     if eff["what"] == "totals":
         # refused by name, not as the count rate lambda * delta they give
-        lam, delta = eff["lam"], eff["delta"]
+        lam, delta = eff["lambda"], eff["delta"]
         if not (0.0 < lam < math.inf and 0.0 < delta < math.inf):
             raise ParameterError("lambda and delta must be positive and finite")
         samples = sample_compound_poisson(rng, lam * delta, jobs, eff["n"])
     else:
         samples = simulate_mg1_workload(
-            rng, QueueSpec(eff["lam"], jobs, eff["delta"]), eff["n"])
+            rng, QueueSpec(eff["lambda"], jobs, eff["delta"]), eff["n"])
     with _output(eff["out"]) as stream:
         save_samples(samples, stream)
 
@@ -259,7 +254,7 @@ _FLAGS = {
     "n": dict(type=int),
     "reps": dict(type=int),
     "seed": dict(type=int),
-    "lam": dict(type=float),
+    "lambda": dict(type=float),
     "mu": dict(type=float),
     "job": dict(choices=list(_JOBS)),
     "job_params": dict(),
@@ -280,8 +275,9 @@ _COMMANDS = {
                  dict(samples=None, map="mg1", delta=None, big_m=None, w=[],
                       t_max=None, out=None, json=False)),
     "simulate": (cmd_simulate, "generate sample files",
-                 dict(what="totals", lam=10.0, mu=20.0, job=None,
-                      job_params=None, delta=0.1, n=10**4, seed=1, out=None)),
+                 {"what": "totals", "lambda": 10.0, "mu": 20.0, "job": None,
+                  "job_params": None, "delta": 0.1, "n": 10**4, "seed": 1,
+                  "out": None}),
     "table1": (cmd_table1, "stationary percentile table",
                dict(mu=20.0, rho=list(DEFAULT_RHOS),
                     p=list(DEFAULT_PERCENTILES), out=None, json=False)),
@@ -295,10 +291,10 @@ _COMMANDS = {
                          p=0.9, w=[], reps=200, seed=1, workers=1,
                          out=None, json=False)),
     "decompound": (cmd_decompound, "jump-size recovery study",
-                   dict(map="poisson", lam=1.0, p_success=0.5, big_m=None,
-                        job="exp", job_params="1", n=10**4, reps=50,
-                        w=[math.log(2.0)], seed=1, workers=1, out=None,
-                        json=False)),
+                   {"map": "poisson", "lambda": 1.0, "p_success": 0.5,
+                    "big_m": None, "job": "exp", "job_params": "1",
+                    "n": 10**4, "reps": 50, "w": [math.log(2.0)], "seed": 1,
+                    "workers": 1, "out": None, "json": False}),
 }
 
 

@@ -64,16 +64,15 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def _estimate_replication(args) -> list[float]:
-    """Estimates at each w from one compound sample, then 1.0 if any fell
-    back, else 0.0."""
+    """Estimates at each w from one compound sample, then for each w 1.0 if
+    its estimate fell back, else 0.0."""
     (seed, rep, stream, counts, jobs, transform_map, n, ws) = args
     rng = replication_rng(seed, rep, stream)
     samples = sample_compound(rng, counts, jobs, n)
     config = EstimatorConfig(w=ws[0])
     results = estimate_cdf_batch(samples, transform_map, ws, config)
-    values = [r.value for r in results]
-    fell_back = float(any(not r.on_domain_event for r in results))
-    return values + [fell_back]
+    return ([r.value for r in results]
+            + [float(not r.on_domain_event) for r in results])
 
 
 # --------------------------------------------------------------------------
@@ -211,8 +210,7 @@ def decompound_rows(seed: int, counts: CountModel, jobs: JobModel,
     args = [(seed, r, _STREAM_DECOMPOUND, counts, jobs, transform_map, n, ws)
             for r in range(reps)]
     per_rep = np.asarray(_run_replications(_estimate_replication, args, workers))
-    values = per_rep[:, :len(ws)]
-    fallback_count = int(per_rep[:, -1].sum())
+    values, fell_back = per_rep[:, :len(ws)], per_rep[:, len(ws):]
     rows = []
     for j, w in enumerate(ws):
         truth = float(jobs.cdf(w))
@@ -221,5 +219,5 @@ def decompound_rows(seed: int, counts: CountModel, jobs: JobModel,
         rows.append({"w": w, "truth_cdf": truth, "mean_estimate": mean,
                      "stderr": stderr,
                      "mean_abs_error": float(abs_err.mean()),
-                     "reps": reps, "fallback_reps": fallback_count})
+                     "reps": reps, "fallback_reps": int(fell_back[:, j].sum())})
     return rows

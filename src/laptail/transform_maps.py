@@ -151,15 +151,15 @@ def apply_map(transform_map: TransformMap, samples: SampleSet,
     """Empirical transform -> tracked log -> mapped transform values.
 
     The log is tracked on the grid transform's result, which gives
-    ``track_log`` its three callables. Where the grid has a wide step, its
-    ``curvature_bound`` bounds |f''| for the chord certificate. Where a
-    wide step is not certified, its ``refined`` gives the transform on a
-    finer grid from the samples it already sorted and spread. The
-    midpoints of the steps still wide and uncertified are summed by
-    ``empirical_transform_eval`` from that same spread, given the result,
-    or directly where its runs span more than a turn. The caller checks
-    the map's domain event first (``domain_check``); on a sample outside
-    it the formula's values mean nothing. Log-tracking failures
+    ``track_log`` its three callables. Where a step is wide, its
+    ``curvature_bound``, formed once, bounds |f''| for the chord
+    certificate. Where a step of the grid does not settle, its ``refined``
+    gives the transform on a finer grid from the samples it already sorted
+    and spread. The midpoints of the steps that still do not settle are
+    summed by ``empirical_transform_eval`` from that same spread, given the
+    result, or directly where its runs span more than a turn. The caller
+    checks the map's domain event first (``domain_check``); on a sample
+    outside it the formula's values mean nothing. Log-tracking failures
     (NearZeroTransform, DomainError) propagate.
     """
     observed = empirical_transform_grid(samples, grid)

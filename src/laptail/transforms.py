@@ -730,8 +730,13 @@ class _GridTransform(TransformValues):
 
     def curvature_bound(self) -> float:
         """M2 = (1/n) sum x^2 e^{-c x}, a bound on |d^2/dy^2| of the
-        transform at s = c + iy. Formed as (x e^{-c x}) x, which cannot
-        overflow since x e^{-c x} <= 1 / (c e)."""
+        transform at s = c + iy, formed on the first call only: log
+        tracking asks for it on every batch of steps with a wide one."""
+        return self._curvature
+
+    @functools.cached_property
+    def _curvature(self) -> float:
+        # (x e^{-c x}) x cannot overflow, since x e^{-c x} <= 1 / (c e)
         x = self._samples.values
         return float(np.mean((x * np.exp(-self.grid.c * x)) * x))
 

@@ -410,6 +410,17 @@ def test_decompound_fallback_rows_flagged(capsys):
     assert int(rows[0]["fallback_reps"]) >= 1
 
 
+def test_decompound_counts_fallbacks_per_w(capsys):
+    # only the estimates at w = 800 fall back (nonfinite): each row counts
+    # the replications whose estimate at its own w fell back
+    code, out, _ = run(["decompound", "--n", "200", "--reps", "3", "--seed",
+                        "1", "--w", "0.5", "--w", "800"], capsys)
+    assert code == 0
+    rows = parse_csv(out)
+    assert [(r["w"], r["fallback_reps"]) for r in rows] == [("0.5", "0"),
+                                                            ("800", "3")]
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("flags", [
     ["--lambda", "{}"],
@@ -540,7 +551,7 @@ FLAG_SURFACE = {
     ],
     "simulate": [
         ("--what", "what", None, ["totals", "workload"], "one"),
-        ("--lambda", "lam", float, None, "one"),
+        ("--lambda", "lambda", float, None, "one"),
         ("--mu", "mu", float, None, "one"),
         ("--job", "job", None, ["exp", "det", "gamma"], "one"),
         ("--job-params", "job_params", None, None, "one"),
@@ -589,7 +600,7 @@ FLAG_SURFACE = {
     "decompound": [
         ("--map", "map", None,
          ["mg1", "poisson", "binomial", "negbinomial"], "one"),
-        ("--lambda", "lam", float, None, "one"),
+        ("--lambda", "lambda", float, None, "one"),
         ("--p-success", "p_success", float, None, "one"),
         ("--big-m", "big_m", int, None, "one"),
         ("--job", "job", None, ["exp", "det", "gamma"], "one"),

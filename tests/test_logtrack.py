@@ -218,9 +218,10 @@ def test_real_part_of_the_log_is_the_log_of_the_modulus(seed):
 def test_certified_wide_steps_take_their_principal_log():
     # e^{i pi y} at h = 1/2: both steps turn by pi/2 (|z - 1| = 1.41, wide)
     # along chords 0.707 from 0, and |f''| = pi^2 puts f within 0.31 of
-    # them, so both are settled without a call of the evaluator
+    # them, so both are settled without a call of the evaluator, and a grid
+    # whose wide steps are all certified is not refined
     grid = ContourGrid(1.0, 1.0, 2)
-    calls = []
+    calls, refined = [], []
 
     def turning(s):
         calls.append(np.size(s))
@@ -228,8 +229,9 @@ def test_certified_wide_steps_take_their_principal_log():
 
     values = turning(grid.points)
     calls.clear()
-    path = track_log(turning, grid, values, curvature=lambda: np.pi ** 2)
-    assert calls == []
+    path = track_log(turning, grid, values, lambda: refined.append(1),
+                     lambda: np.pi ** 2)
+    assert calls == [] and refined == []
     assert np.max(np.abs(path.values - 1j * np.pi * grid.points.imag)) <= 1e-15
 
 

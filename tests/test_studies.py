@@ -1,5 +1,6 @@
-"""Study drivers: argument checks that stop a study before it runs, and the
-process pool that runs the replications."""
+"""Study drivers: argument checks that stop a study before it runs, the
+process pool that runs the replications, and the rows of a study whose
+estimates cannot be formed."""
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -41,3 +42,14 @@ def test_a_study_pool_forks_no_more_workers_than_replications(monkeypatch):
         assert len(forks) <= most_forks, name
         assert all(pool <= kwargs["reps"] for pool in forks), name
         forks.clear()
+
+
+def test_censored_tail_is_one_when_no_increment_is_recovered():
+    # one reading recovers no increment (EmptyResult), so the censored
+    # estimator's tail is 1 in every replication: its relative error is
+    # (1 - truth) / truth = 9 at the 90th percentile, with no spread
+    rows = table2_rows(seed=1, rhos=[0.5], percentiles=[0.9], n=1, reps=2)
+    [row] = [r for r in rows if r["estimator"] == "laplace_censored"]
+    assert row["truth_tail"] == pytest.approx(0.1, rel=1e-12)
+    assert row["mean_rel_error"] == pytest.approx(9.0, abs=1e-12)
+    assert row["stderr"] == 0.0
