@@ -17,10 +17,9 @@ from .estimator import (EstimateResult, EstimatorConfig, censored_increments,
 from .inversion import bromwich_details, build_grid
 from .logtrack import track_log
 from .simulation import (BinomialCounts, NegBinomialCounts, PoissonCounts,
-                         QueueSpec, mm1_percentile, mm1_stationary_cdf,
-                         replication_rng, sample_compound,
-                         sample_compound_poisson, simulate_mg1_workload,
-                         workload_on_grid)
+                         mm1_percentile, mm1_stationary_cdf, replication_rng,
+                         sample_compound, sample_compound_poisson,
+                         simulate_mg1_workload, workload_on_grid)
 from .transform_maps import (BinomialDecompound, Mg1Workload,
                              NegBinomialDecompound, PoissonDecompound,
                              apply_map, domain_check)

@@ -25,7 +25,7 @@ import sys
 from .errors import EstimationError, ParameterError, SampleFileError
 from .estimator import EstimatorConfig, estimate_cdf_batch
 from .simulation import (BinomialCounts, NegBinomialCounts, PoissonCounts,
-                         QueueSpec, replication_rng, sample_compound_poisson,
+                         replication_rng, sample_compound_poisson,
                          simulate_mg1_workload)
 from .studies import (DEFAULT_PERCENTILES, DEFAULT_RHOS, TABLE2_T_MAX,
                       convergence_rows, decompound_rows, table1_rows,
@@ -199,8 +199,8 @@ def cmd_simulate(eff: dict) -> None:
             raise ParameterError("lambda and delta must be positive and finite")
         samples = sample_compound_poisson(rng, lam * delta, jobs, eff["n"])
     else:
-        samples = simulate_mg1_workload(
-            rng, QueueSpec(eff["lambda"], jobs, eff["delta"]), eff["n"])
+        samples = simulate_mg1_workload(rng, eff["lambda"], jobs,
+                                        eff["delta"], eff["n"])
     with _output(eff["out"]) as stream:
         save_samples(samples, stream)
 

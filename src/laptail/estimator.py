@@ -152,7 +152,7 @@ def estimate_cdf_batch(samples: SampleSet, transform_map: TransformMap,
 def empirical_workload_estimator(workload_samples: SampleSet, w: float) -> float:
     """Fraction of sampled workloads strictly above w."""
     if not (w >= 0 and math.isfinite(w)):
-        raise ParameterError("threshold w must be nonnegative")
+        raise ParameterError("threshold w must be nonnegative and finite")
     return float(np.count_nonzero(workload_samples.values > w)
                  / workload_samples.n)
 

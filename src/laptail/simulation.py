@@ -1,8 +1,10 @@
 """Synthetic data generators and closed-form single-server-queue oracles.
 
 Two ways of producing workload observations coexist on purpose. The exact
-sampler runs the event-driven unit-rate queue and reads the workload at the
-sample instants, with no discretization error. The grid recursion
+sampler (simulate_mg1_workload) runs the event-driven unit-rate queue, its
+job sizes drawn by the job law's sample_sums as sums of one job each, and
+reads the workload at the sample instants, with no discretization error,
+through one closed form for every reading. The grid recursion
 (workload_on_grid) instead builds the readings directly from per-interval
 inflow totals by crediting the whole interval's work before draining; it is
 the natural discrete-review model when only interval totals exist, and its
@@ -35,32 +37,6 @@ def replication_rng(base_seed: int, replication: int,
     if base_seed < 0 or replication < 0 or stream < 0:
         raise ParameterError("seed components must be nonnegative")
     return np.random.default_rng([base_seed, stream, replication])
-
-
-@dataclass(frozen=True)
-class QueueSpec:
-    """Single-server queue with Poisson arrivals, drained at unit rate.
-
-    lam is the arrival rate, jobs the service-requirement model, delta the
-    spacing of workload readings. lam = 0 is allowed (an empty queue);
-    operations that need stationarity require load < 1.
-    """
-
-    lam: float
-    jobs: JobModel
-    delta: float
-
-    def __post_init__(self):
-        if not (self.lam >= 0 and math.isfinite(self.lam)):
-            raise ParameterError("arrival rate must be nonnegative and finite")
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise ParameterError(
-                "sampling interval delta must be positive and finite")
-
-    @property
-    def rho(self) -> float:
-        """Offered load, arrival rate times mean job size."""
-        return self.lam * self.jobs.mean
 
 
 # --------------------------------------------------------------------------
@@ -138,76 +114,70 @@ def sample_compound(rng: np.random.Generator, counts: CountModel,
 # Workload paths
 # --------------------------------------------------------------------------
 
-def _stationary_initial_workload(rng: np.random.Generator,
-                                 spec: QueueSpec) -> float:
-    # Exact stationary law for exponential jobs: atom at 0 of mass 1 - rho,
-    # else exponential with rate (1/E[B] - lam).
-    gap = 1.0 / spec.jobs.mean - spec.lam
-    if rng.random() >= spec.rho:
-        return 0.0
-    return rng.exponential(1.0 / gap)
-
-
-def simulate_mg1_workload(rng: np.random.Generator, spec: QueueSpec,
-                          n: int) -> SampleSet:
+def simulate_mg1_workload(rng: np.random.Generator, lam: float,
+                          jobs: JobModel, delta: float, n: int) -> SampleSet:
     """Workload of the event-driven queue read at delta-spaced instants.
 
-    Work arrives in Poisson-timed jumps and drains at rate 1; readings are
-    Y(t0 + i*delta) for i = 1..n, exact between events, after a warm-up t0.
+    Jobs drawn from ``jobs`` arrive at the Poisson rate lam and their work
+    drains at rate 1; readings are Y(t0 + i*delta) for i = 1..n, exact
+    between events, after a warm-up t0. lam = 0 is an empty queue.
     Exponential jobs start from the exact stationary law with t0 = 0; other
     jobs start empty with t0 = 50 mean services per unit of spare capacity.
-    ParameterError when the load is 1 or more.
+    ParameterError when lam is negative or not finite, delta is not
+    positive and finite, n < 1, or the load lam * E[B] is 1 or more.
     """
+    if not (lam >= 0 and math.isfinite(lam)):
+        raise ParameterError("arrival rate must be nonnegative and finite")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ParameterError(
+            "sampling interval delta must be positive and finite")
     if n < 1:
         raise ParameterError("need at least one reading")
-    if spec.rho >= 1.0:
-        raise ParameterError(f"load {spec.rho:g} >= 1 has no stationary regime")
-    if spec.lam == 0.0:
+    rho = lam * jobs.mean
+    if rho >= 1.0:
+        raise ParameterError(f"load {rho:g} >= 1 has no stationary regime")
+    if lam == 0.0:
         return SampleSet(np.zeros(n))
-    if isinstance(spec.jobs, Exponential):
+    if isinstance(jobs, Exponential):
+        # exact stationary law: an atom at 0 of mass 1 - rho, else
+        # exponential with rate 1/E[B] - lam
         warmup_time = 0.0
-        initial = _stationary_initial_workload(rng, spec)
+        initial = (rng.exponential(1.0 / (1.0 / jobs.mean - lam))
+                   if rng.random() < rho else 0.0)
     else:
-        warmup_time = _WARMUP_RELAXATIONS * spec.jobs.mean / (1.0 - spec.rho)
+        warmup_time = _WARMUP_RELAXATIONS * jobs.mean / (1.0 - rho)
         initial = 0.0
-    horizon = warmup_time + n * spec.delta
-    sample_times = warmup_time + spec.delta * np.arange(1, n + 1)
+    horizon = warmup_time + n * delta
+    sample_times = warmup_time + delta * np.arange(1, n + 1)
 
     # Arrival times by exponential gaps, in blocks sized from the expected
-    # count so one top-up pass almost always suffices.
-    expected = spec.lam * horizon
+    # count so one block almost always suffices. A virtual arrival of no
+    # work at time 0 carries the initial workload, so every reading has an
+    # arrival at or before it.
+    expected = lam * horizon
     block = int(expected + 6.0 * math.sqrt(expected + 1.0)) + 16
-    gaps = [rng.exponential(1.0 / spec.lam, block)]
-    total = float(gaps[0].sum())
+    gaps, total = [], 0.0
     while total <= horizon:
-        more = rng.exponential(1.0 / spec.lam, block)
-        gaps.append(more)
-        total += float(more.sum())
-    arrivals = np.cumsum(np.concatenate(gaps))
+        gaps.append(rng.exponential(1.0 / lam, block))
+        total += float(gaps[-1].sum())
+    arrivals = np.cumsum(np.concatenate([[0.0], *gaps]))
     arrivals = arrivals[arrivals <= horizon]
-    jobs = spec.jobs.sample(rng, arrivals.size)
+    work = jobs.sample_sums(rng, np.ones(arrivals.size - 1, dtype=np.int64))
 
     # Workload just after the k-th arrival is A_k - t_k - min over j <= k of
     # (A_{j-1} - t_j) with A the initial workload plus cumulative job sizes:
-    # the running minimum locates the last emptying of the queue.
-    a_after = initial + np.cumsum(jobs)
+    # the running minimum locates the last emptying of the queue. Each
+    # reading uses the last arrival at or before it.
+    a_after = initial + np.cumsum(np.concatenate([[0.0], work]))
     a_before = np.concatenate([[initial], a_after[:-1]])
     floor_run = np.minimum.accumulate(np.minimum(a_before - arrivals, 0.0))
-
-    # Reading at time t uses the last arrival at or before t.
-    idx = np.searchsorted(arrivals, sample_times, side="right") - 1
-    readings = np.empty(n)
-    no_arrival = idx < 0
-    readings[no_arrival] = np.maximum(initial - sample_times[no_arrival], 0.0)
-    has = ~no_arrival
-    k = idx[has]
-    readings[has] = np.maximum(a_after[k] - sample_times[has] - floor_run[k], 0.0)
+    k = np.searchsorted(arrivals, sample_times, side="right") - 1
+    readings = np.maximum(a_after[k] - sample_times - floor_run[k], 0.0)
 
     # Unit drain rate bounds every downward step by delta.
-    if readings.size > 1:
-        drops = readings[:-1] - readings[1:]
-        if np.any(drops > spec.delta * (1.0 + 1e-9) + 1e-12):
-            raise AssertionError("simulated path drains faster than unit rate")
+    drops = readings[:-1] - readings[1:]
+    if np.any(drops > delta * (1.0 + 1e-9) + 1e-12):
+        raise AssertionError("simulated path drains faster than unit rate")
     return SampleSet(readings)
 
 
@@ -239,7 +209,7 @@ def _check_mm1(lam: float, mu: float) -> None:
 def mm1_stationary_cdf(lam: float, mu: float, w: float) -> float:
     """P(Y <= w) = 1 - (lam/mu) exp(-(mu-lam) w) for exponential(mu) jobs."""
     _check_mm1(lam, mu)
-    if w < 0:
+    if not w >= 0:  # nan too; w = inf gives 1
         raise ParameterError("w must be nonnegative")
     return 1.0 - (lam / mu) * math.exp(-(mu - lam) * w)
 

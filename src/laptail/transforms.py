@@ -52,18 +52,8 @@ built once per grid and shared by every transform on it
 times finer, against 0.14 ms for a fresh transform there and 0.12 ms for
 the 181 points of the coarse one.
 
-For samples of continuous laws the error against direct evaluation stays
-below 1.5e-14 absolute and does not grow with K: 8.9e-15 at most for
-samples of Exp(mean 0.05), whose phases all sit near 0, and 3.3e-15 for
-Exp(mean 1) and Gamma(20, 0.05), over five seeds of 2000 samples at 201 to
-32 001 points. Tied samples fall into one cell, whose moments are summed
-pairwise, so their rounding barely grows with the number of ties. Against
-the exact e^{-s x} at T = 400 the error was 2.8e-14 for 2 000 copies of
-x = 1 on 8 001 points, most of it the rounding of the phases y x. For
-10^4, 10^5 and 10^6 copies of 0.3 it was 1.4e-14, 1.9e-14 and 1.7e-14 on
-8 001 points, and 2.6e-14 for each on the 1 601 points that
-``inversion.build_grid`` gives every estimate at T = 400; it stays below
-5e-14.
+The error against direct evaluation does not grow with K; its measured
+figures are given in ``empirical_transform_grid``'s docstring alone.
 
 A sample past its first turn has its whole turns taken off its phase h x
 exactly (``np.divmod``) before its cell and fraction are formed, so they
@@ -307,9 +297,6 @@ class Exponential:
         w = np.asarray(w, dtype=float)
         return np.where(w < 0, 0.0, -np.expm1(-self.rate * np.maximum(w, 0.0)))
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.exponential(1.0 / self.rate, size)
-
     def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
         # the sum of k draws is gamma(k, 1/rate), drawn as in Gamma; 0 at k = 0
         with np.errstate(over="ignore"):
@@ -337,9 +324,6 @@ class Deterministic:
     def cdf(self, w):
         w = np.asarray(w, dtype=float)
         return (w >= self.point).astype(float)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.full(size, self.point)
 
     def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
         # a product that overflows is an infinite sum, which SampleSet refuses
@@ -374,9 +358,6 @@ class Gamma:
 
         w = np.asarray(w, dtype=float)
         return gammainc(self.shape, np.maximum(w, 0.0) / self.scale)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.gamma(self.shape, self.scale, size)
 
     def sample_sums(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
         # rng.gamma's draw, the same product bit for bit; a shape or sum
@@ -814,16 +795,20 @@ def empirical_transform_grid(samples: SampleSet, grid: ContourGrid) -> Transform
     computed from the sorted values, so the order of the samples changes no
     bit. For samples of continuous laws the error against direct
     evaluation, one exponential per sample and point, stays below 1.5e-14
-    absolute, independent of the grid size: the largest measured, 8.9e-15,
-    is for samples of Exp(mean 0.05), whose phases all sit near 0. It is
-    largest at the top modes, where the deconvolution factor is largest,
-    and smallest near y = 0. Both this and the direct sum carry the
-    rounding of each phase y x, about 1e-16 |y x| e^{-c x} per sample,
-    which dominates for few samples far out: a lone sample at x = 10 with
-    c = 0.1 differs by 2e-13 at y = 400. Tied samples are one run, whose
-    moments are summed pairwise: 1.4e-14 to 1.9e-14 for 10^4 to 10^6
-    copies of 0.3 on 8 001 points at T = 400, and 2.6e-14 on the 1 601
-    points of ``build_grid`` there.
+    absolute, independent of the grid size: 8.9e-15 at most for samples of
+    Exp(mean 0.05), whose phases all sit near 0, and 3.3e-15 for Exp(mean
+    1) and Gamma(20, 0.05), over five seeds of 2000 samples at 201 to
+    32 001 points. It is largest at the top modes, where the deconvolution
+    factor is largest, and smallest near y = 0. Both this and the direct
+    sum carry the rounding of each phase y x, about 1e-16 |y x| e^{-c x}
+    per sample, which dominates for few samples far out: a lone sample at
+    x = 10 with c = 0.1 differs by 2e-13 at y = 400. Tied samples are one
+    run, whose moments are summed pairwise, so their rounding barely grows
+    with the number of ties. Against the exact e^{-s x} at T = 400 the
+    error was 2.8e-14 for 2 000 copies of x = 1 on 8 001 points, most of it
+    the rounding of the phases; 1.4e-14, 1.9e-14 and 1.7e-14 for 10^4, 10^5
+    and 10^6 copies of 0.3 on 8 001 points, and 2.6e-14 for each on the
+    1 601 points of ``build_grid`` there; below 5e-14 in all.
 
     The result keeps the runs of the spread, so its ``refined()``, and
     ``empirical_transform_eval`` given it, sort and spread no sample again.

@@ -171,6 +171,34 @@ def test_estimate_requires_w(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--w", "1"], "estimate requires --samples"),
+    (["estimate", "--samples", "{samples}", "--map", "binomial", "--w", "1"],
+     "map binomial requires --big-m"),
+    (["simulate", "--job", "gamma", "--job-params", "2,a"], "bad --job-params"),
+    (["simulate", "--job", "gamma", "--job-params", "2"],
+     "gamma job takes two parameters: shape,scale"),
+    (["simulate", "--job", "exp", "--job-params", "1,2"],
+     "exp job takes one parameter: rate"),
+    (["convergence", "--w", "0.1", "--w", "0.2"],
+     "convergence takes a single --w"),
+    (["decompound", "--map", "mg1"],
+     "decompound works with the counting maps, not mg1"),
+    (["simulate", "--config", "{config}"],
+     "config file must hold a JSON object"),
+], ids=["estimate-samples", "binomial-big-m", "job-params-not-numbers",
+        "gamma-one-param", "exp-two-params", "convergence-two-w",
+        "decompound-mg1", "config-not-object"])
+def test_refusals_exit_3_with_their_message(tmp_path, capsys, argv, message):
+    samples, config = tmp_path / "s.txt", tmp_path / "cfg.json"
+    samples.write_text("0.1\n0.2\n")
+    config.write_text(json.dumps([1, 2]))
+    argv = [a.format(samples=samples, config=config) for a in argv]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert message in err
+
+
 def test_unknown_flag_exit_3():
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--bogus"])
@@ -260,8 +288,9 @@ def test_config_unknown_key_exit_3(tmp_path, capsys):
 
 
 def test_config_key_must_be_spelled_as_its_flag(tmp_path, capsys):
-    # the setting of --lambda is refused under its inner name, as --lam is
-    # on the command line; the flag's spelling and underscores are read
+    # "lam" is no setting's name, so it is an unknown key, as --lam is an
+    # unknown flag on the command line; the flag's spelling and underscores
+    # are read
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lam": 5}))
     code, out, err = run(["simulate", "--n", "5", "--config", str(cfg)],
@@ -450,7 +479,7 @@ def test_simulate_non_finite_rate_exit_3(capsys, flag, value):
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_simulate_workload_non_finite_delta_exit_3(capsys, value):
-    # refused by the queue's own spec before any event is drawn
+    # refused by simulate_mg1_workload before any event is drawn
     code, out, err = run(["simulate", "--what", "workload", "--n", "200",
                           "--delta", value], capsys)
     assert code == 3

@@ -306,6 +306,14 @@ def test_empirical_workload_estimator_examples():
     assert empirical_workload_estimator(ss, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("w", [-1.0, math.inf, math.nan])
+def test_empirical_workload_estimator_refuses_w_that_is_not_finite(w):
+    # inf is nonnegative, so the refusal names finiteness too
+    with pytest.raises(ParameterError) as exc:
+        empirical_workload_estimator(SampleSet([0.1, 0.2]), w)
+    assert str(exc.value) == "threshold w must be nonnegative and finite"
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_empirical_workload_estimator_is_the_mean_of_the_exceedances(seed):
     # the count of readings above w over n is the same float as np.mean of

@@ -21,6 +21,14 @@ and, for ``estimate.csv``, of the README quick start:
     laptail simulate --lambda 10 --mu 20 --delta 0.1 --n 10000 --seed 1 --out totals.txt
     laptail estimate --samples totals.txt --map mg1 --delta 0.1 --w 0.1609 --w 0.3912
 
+The files ``workload_exp.txt`` and ``workload_gamma.txt`` are the readings
+of the exact workload sampler. The first path starts at a positive
+stationary workload, and 13 readings come before the first arrival; the
+second, of gamma jobs, starts empty after a warm-up:
+
+    laptail simulate --what workload --lambda 1 --mu 2 --delta 0.1 --n 100 --seed 3
+    laptail simulate --what workload --job gamma --job-params 2,0.025 --n 100 --seed 2
+
 Each output must match its file byte for byte. A change that is meant to
 alter these numbers regenerates the files with the commands above and
 says why.
@@ -57,6 +65,23 @@ def test_study_output_matches_golden(name, capsys):
     assert main(RUNS[name]) == 0
     assert (capsys.readouterr().out.encode()
             == (GOLDEN / f"{name}.csv").read_bytes())
+
+
+WORKLOADS = {
+    "workload_exp": ["simulate", "--what", "workload", "--lambda", "1",
+                     "--mu", "2", "--delta", "0.1", "--n", "100", "--seed",
+                     "3"],
+    "workload_gamma": ["simulate", "--what", "workload", "--job", "gamma",
+                       "--job-params", "2,0.025", "--n", "100", "--seed",
+                       "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_readings_match_golden(name, capsys):
+    assert main(WORKLOADS[name]) == 0
+    assert (capsys.readouterr().out.encode()
+            == (GOLDEN / f"{name}.txt").read_bytes())
 
 
 def simulate_quick_start_totals(totals: Path) -> None:

@@ -428,6 +428,15 @@ def test_rejects_nonpositive_w():
         bromwich_details(exp_psi(grid), [0.0])
 
 
+@pytest.mark.parametrize("t_max, w, message", [
+    (math.inf, 1.0, "t_max must be positive and finite"),
+    (10.0, -1.0, "w must be nonnegative and finite")])
+def test_build_grid_refusals(t_max, w, message):
+    with pytest.raises(ParameterError) as exc:
+        build_grid(1.0, t_max, w)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("ws", [[1.0, 0.0], [0.5, -1.0, 1.0], [1.0, math.nan],
                                 [math.inf, 1.0], [], 1.0])
 def test_one_bad_w_rejects_the_batch(ws):

@@ -13,7 +13,7 @@ from laptail.estimator import CONTOUR_C, EstimatorConfig, estimate_cdf_batch
 from laptail.inversion import build_grid
 from laptail.transform_maps import (BinomialDecompound, Mg1Workload,
                                     NegBinomialDecompound, PoissonDecompound)
-from laptail.transforms import (ContourGrid, Gamma, SampleSet,
+from laptail.transforms import (ContourGrid, SampleSet,
                                empirical_transform_grid)
 from oracles import (direct_transform, gamma_input_cdf, reference_estimate,
                      reference_log)
@@ -165,7 +165,7 @@ def test_atomless_totals_refine_and_match_the_gamma_input_truth(monkeypatch):
     estimates = []
     for rep in range(reps):
         refined.append(0)
-        totals = Gamma(5.0, 1.0).sample(np.random.default_rng([17, rep]), 2000)
+        totals = np.random.default_rng([17, rep]).gamma(5.0, 1.0, 2000)
         results = estimate_cdf_batch(SampleSet(totals), Mg1Workload(6.25), ws,
                                      EstimatorConfig(w=1.0))
         assert all(r.on_domain_event for r in results)
@@ -200,7 +200,7 @@ def test_an_outlier_refines_from_its_own_spread(rep, monkeypatch):
 
     monkeypatch.setattr(transforms, "_spread", counted_spread)
     monkeypatch.setattr(transforms._GridTransform, "refined", counted_refined)
-    totals = Gamma(5.0, 1.0).sample(np.random.default_rng([17, rep]), 400)
+    totals = np.random.default_rng([17, rep]).gamma(5.0, 1.0, 400)
     samples = SampleSet(np.append(totals, 30.0))
     ws = [2.5, 5.0]
     results = estimate_cdf_batch(samples, Mg1Workload(6.25), ws,

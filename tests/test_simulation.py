@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from laptail.errors import ParameterError
 from laptail.simulation import (BinomialCounts, NegBinomialCounts,
-                                PoissonCounts, QueueSpec, mm1_percentile,
+                                PoissonCounts, mm1_percentile,
                                 mm1_stationary_cdf, replication_rng,
                                 sample_compound, sample_compound_poisson,
                                 simulate_mg1_workload, workload_on_grid)
@@ -33,9 +33,10 @@ def test_replication_rng_is_reproducible_and_decoupled():
 
 
 def test_simulations_are_deterministic_given_seed():
-    spec = QueueSpec(10.0, Exponential(20.0), 0.1)
-    x1 = simulate_mg1_workload(replication_rng(9, 0), spec, 500)
-    x2 = simulate_mg1_workload(replication_rng(9, 0), spec, 500)
+    x1 = simulate_mg1_workload(replication_rng(9, 0), 10.0, Exponential(20.0),
+                               0.1, 500)
+    x2 = simulate_mg1_workload(replication_rng(9, 0), 10.0, Exponential(20.0),
+                               0.1, 500)
     assert np.array_equal(x1.values, x2.values)
     t1 = sample_compound_poisson(replication_rng(9, 1), 1.0, Exponential(20.0), 500)
     t2 = sample_compound_poisson(replication_rng(9, 1), 1.0, Exponential(20.0), 500)
@@ -100,8 +101,8 @@ def test_negbinomial_mean_count():
 # --- workload paths ----------------------------------------------------------
 
 def test_workload_long_run_idle_fraction_and_mean():
-    spec = QueueSpec(10.0, Exponential(20.0), 0.1)
-    ss = simulate_mg1_workload(replication_rng(3, 0), spec, 10**5)
+    ss = simulate_mg1_workload(replication_rng(3, 0), 10.0, Exponential(20.0),
+                               0.1, 10**5)
     # autocorrelation-widened three-sigma bands, see module docstring
     assert abs(ss.zero_fraction - 0.5) <= 0.02
     assert abs(ss.mean - 0.05) <= 0.004
@@ -109,45 +110,47 @@ def test_workload_long_run_idle_fraction_and_mean():
 
 def test_workload_mean_for_gamma_jobs():
     jobs = Gamma(2.0, 0.025)  # mean 0.05, second moment 0.00375
-    spec = QueueSpec(10.0, jobs, 0.1)
-    ss = simulate_mg1_workload(replication_rng(3, 1), spec, 4 * 10**4)
-    want = 10.0 * 0.00375 / (2.0 * (1.0 - spec.rho))
+    ss = simulate_mg1_workload(replication_rng(3, 1), 10.0, jobs, 0.1,
+                               4 * 10**4)
+    want = 10.0 * 0.00375 / (2.0 * (1.0 - 10.0 * jobs.mean))
     assert abs(ss.mean - want) <= 0.004
     assert abs(ss.zero_fraction - 0.5) <= 0.03
 
 
 def test_workload_deterministic_jobs_run():
-    spec = QueueSpec(10.0, Deterministic(0.05), 0.1)
-    ss = simulate_mg1_workload(replication_rng(3, 2), spec, 10**4)
+    ss = simulate_mg1_workload(replication_rng(3, 2), 10.0, Deterministic(0.05),
+                               0.1, 10**4)
     assert abs(ss.zero_fraction - 0.5) <= 0.03
 
 
 def test_workload_without_arrivals_is_zero():
-    spec = QueueSpec(0.0, Exponential(20.0), 0.1)
-    ss = simulate_mg1_workload(replication_rng(3, 3), spec, 50)
+    ss = simulate_mg1_workload(replication_rng(3, 3), 0.0, Exponential(20.0),
+                               0.1, 50)
     assert np.all(ss.values == 0.0)
 
 
 def test_workload_drain_rate_bound():
     """Consecutive readings can drop by at most one drain interval."""
-    spec = QueueSpec(18.0, Exponential(20.0), 0.1)
-    ss = simulate_mg1_workload(replication_rng(3, 4), spec, 2 * 10**4)
+    ss = simulate_mg1_workload(replication_rng(3, 4), 18.0, Exponential(20.0),
+                               0.1, 2 * 10**4)
     drops = ss.values[:-1] - ss.values[1:]
     assert drops.max() <= 0.1 + 1e-9
 
 
 def test_workload_rejects_unstable_load():
     with pytest.raises(ParameterError):
-        simulate_mg1_workload(replication_rng(3, 5),
-                              QueueSpec(21.0, Exponential(20.0), 0.1), 10)
+        simulate_mg1_workload(replication_rng(3, 5), 21.0, Exponential(20.0),
+                              0.1, 10)
     with pytest.raises(ParameterError):
-        QueueSpec(-1.0, Exponential(20.0), 0.1)
+        simulate_mg1_workload(replication_rng(3, 5), -1.0, Exponential(20.0),
+                              0.1, 10)
 
 
 @pytest.mark.parametrize("delta", [math.inf, math.nan])
 def test_queue_spec_refuses_non_finite_delta(delta):
     with pytest.raises(ParameterError, match="delta must be positive and finite"):
-        QueueSpec(10.0, Exponential(20.0), delta)
+        simulate_mg1_workload(replication_rng(3, 5), 10.0, Exponential(20.0),
+                              delta, 10)
 
 
 @pytest.mark.filterwarnings("error")
@@ -230,3 +233,28 @@ def test_oracle_parameter_guards():
         mm1_percentile(10.0, 20.0, 0.5)  # at the idle mass boundary
     with pytest.raises(ParameterError):
         mm1_percentile(10.0, 20.0, 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: replication_rng(-1, 0), "seed components must be nonnegative"),
+    (lambda: BinomialCounts(0, 0.5), "big_m must be an integer >= 1"),
+    (lambda: BinomialCounts(2, 1.0), "success probability must be in (0, 1)"),
+    (lambda: sample_compound(replication_rng(1, 0), PoissonCounts(1.0),
+                             Exponential(1.0), 0), "need at least one draw"),
+    (lambda: simulate_mg1_workload(replication_rng(1, 0), 1.0,
+                                   Exponential(2.0), 0.1, 0),
+     "need at least one reading"),
+    (lambda: mm1_stationary_cdf(0.0, 20.0, 1.0), "rates must be positive"),
+    (lambda: mm1_stationary_cdf(10.0, 20.0, -1.0), "w must be nonnegative"),
+    (lambda: mm1_stationary_cdf(10.0, 20.0, math.nan),
+     "w must be nonnegative")],
+    ids=["seed", "big-m", "p-success", "draws", "readings", "rates",
+         "negative-w", "nan-w"])
+def test_simulation_refusals(call, message):
+    with pytest.raises(ParameterError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_mm1_cdf_at_infinity_is_one():
+    assert mm1_stationary_cdf(10.0, 20.0, math.inf) == 1.0

@@ -6,7 +6,10 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from laptail.errors import ParameterError
-from laptail.studies import convergence_rows, table2_rows
+from laptail.simulation import PoissonCounts
+from laptail.studies import convergence_rows, decompound_rows, table2_rows
+from laptail.transform_maps import PoissonDecompound
+from laptail.transforms import Exponential
 
 
 @pytest.mark.parametrize("ns", [(100, 100), (100, 400, 100)])
@@ -14,6 +17,21 @@ def test_convergence_rejects_a_repeated_sample_size(ns):
     # a log-log slope through coincident points is not a rate
     with pytest.raises(ParameterError, match="distinct"):
         convergence_rows(seed=1, ns=ns, reps=2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: table2_rows(seed=1, reps=0), "need at least one replication"),
+    (lambda: convergence_rows(seed=1, ns=()),
+     "need at least one sample size"),
+    (lambda: decompound_rows(seed=1, counts=PoissonCounts(1.0),
+                             jobs=Exponential(1.0),
+                             transform_map=PoissonDecompound(), ws=[]),
+     "need at least one evaluation point")],
+    ids=["table2-reps", "convergence-ns", "decompound-ws"])
+def test_study_refusals(call, message):
+    with pytest.raises(ParameterError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_a_study_pool_forks_no_more_workers_than_replications(monkeypatch):

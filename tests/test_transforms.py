@@ -62,6 +62,18 @@ def test_sampleset_refuses_values_whose_sum_overflows():
     assert SampleSet([1e308, 0.0]).mean == 5e307
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: TransformValues(ContourGrid(1.0, 1.0, 2), np.ones(2)),
+     "one value per grid point required"),
+    (lambda: Deterministic(-1.0),
+     "deterministic point must be finite and >= 0")],
+    ids=["values-per-point", "deterministic-point"])
+def test_model_refusals(build, message):
+    with pytest.raises(ParameterError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_sampleset_is_immutable():
     ss = SampleSet([1.0, 2.0])
     with pytest.raises(ValueError):
